@@ -2,8 +2,8 @@
 oscillator coupled to a finite star-configured bath.
 
 The covariance matrix of the whole star is evolved exactly through the
-eigendecomposition of the reduced arrowhead matrix; every oscillator stays
-in a Gibbs state with a time-dependent temperature, which makes per-mode
+closed-form spectral data of the reduced arrowhead matrix; every oscillator
+stays in a Gibbs state with a time-dependent temperature, which makes per-mode
 thermodynamic entropies, energy fluxes, and the total entropy production
 rate well defined at all times.
 """
@@ -28,6 +28,7 @@ from .evolve import (
     coefficient_rows_series,
     cross_term_series,
     diagonalize,
+    evaluate,
     initial_coefficients,
     mode_basis,
     snapshot_at,

@@ -7,19 +7,20 @@ models with a seeded generator and reports machine-readable results.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
 
-from . import kernels
 from .constants import HBAR, KB
 from .evolve import (
     CovarianceSnapshot,
     InitialTemperatures,
     ModeBasis,
+    evaluate,
     mode_basis,
     snapshot_at,
+    snapshot_series,
 )
 from .gksl import GkslParams, epr_difference, von_neumann_epr, von_neumann_epr_from_fluxes
 from .model import (
@@ -30,7 +31,7 @@ from .model import (
     ohmic_spectral_density,
     recurrence_time,
 )
-from .oracle import dense_oracle_at, full_hamiltonian
+from .oracle import ORACLE_CAP_DEFAULT, dense_oracle_at, full_hamiltonian
 from .thermo import (
     energy_fluxes,
     entropy_kb,
@@ -133,24 +134,37 @@ def tensor_expansion_residual(model: StarModel) -> float:
 # --- evolve / oracle ------------------------------------------------------
 
 
-def orthonormality_residual(basis: ModeBasis) -> float:
-    n = basis.dimension
-    return float(np.max(np.abs(basis.vectors_t @ basis.vectors - np.eye(n))))
+def closed_form_vectors(basis: ModeBasis, oracle_cap: int = ORACLE_CAP_DEFAULT) -> np.ndarray:
+    """Dense eigenvectors Q_1k = sqrt(weight_k), Q_jk = g_j Q_1k / (l_k - w_j)
+    as columns, deflated modes as unit vectors.  Quadratic memory, so only
+    for N up to the oracle cap."""
+    if basis.dimension - 1 > oracle_cap:
+        raise ValueError(f"dense eigenvectors refused for N={basis.dimension - 1} above cap {oracle_cap}")
+    w, g, q1 = basis.frequencies[1:], basis.couplings, np.sqrt(basis.weights)
+    live, act, dead = np.flatnonzero(q1), np.flatnonzero(g), np.flatnonzero(q1 == 0)
+    Q = np.zeros((basis.dimension, basis.dimension))
+    Q[0] = q1
+    gap = (w[basis.poles[live], None] - w[act]) + basis.shifts[live, None]  # l_k - w_j
+    Q[np.ix_(1 + act, live)] = (g[act] * q1[live, None] / gap).T
+    Q[1 + basis.poles[dead], dead] = 1.0
+    return Q
 
 
-def reconstruction_residual(basis: ModeBasis, model: StarModel) -> float:
+def orthonormality_residual(basis: ModeBasis, oracle_cap: int = ORACLE_CAP_DEFAULT) -> float:
+    Q = closed_form_vectors(basis, oracle_cap)
+    return float(np.max(np.abs(Q.T @ Q - np.eye(basis.dimension))))
+
+
+def reconstruction_residual(basis: ModeBasis, model: StarModel, oracle_cap: int = ORACLE_CAP_DEFAULT) -> float:
     h = build_reduced(model).as_matrix()
-    rebuilt = (basis.vectors * basis.eigenvalues) @ basis.vectors_t
+    Q = closed_form_vectors(basis, oracle_cap)
+    rebuilt = (Q * basis.eigenvalues) @ Q.T
     return float(np.linalg.norm(rebuilt - h) / np.linalg.norm(h))
 
 
 def unitarity_residual(basis: ModeBasis, t: float) -> float:
-    """The row sums sum_m (C_jm^2 + S_jm^2) must all equal 1."""
-    phi = basis.eigenvalues * t
-    ones = np.ones(basis.dimension)
-    row_sums = kernels.covariance_rows(
-        basis.vectors, basis.vectors_t, np.cos(phi), np.sin(phi), ones
-    )
+    """The row sums sum_m |U_jm|^2 must all equal 1."""
+    row_sums, _ = evaluate(basis, np.ones(basis.dimension), [t], cross=False)
     return float(np.max(np.abs(row_sums - 1.0)))
 
 
@@ -219,12 +233,10 @@ def flux_finite_difference_residual(
     normalized by the largest analytic flux magnitude.  ``x_override`` lets
     the validate suite demonstrate that corrupted cross terms are caught."""
     model = basis.model
-    snap = snapshot_at(basis, init, t)
+    before, snap, after = snapshot_series(basis, init, [t - dt, t, t + dt])
     if x_override is not None:
         snap = CovarianceSnapshot(time=snap.time, c=snap.c, x=x_override, model=model)
     analytic = energy_fluxes(snap, model).mode_fluxes
-    before = snapshot_at(basis, init, t - dt)
-    after = snapshot_at(basis, init, t + dt)
     freqs = model.bath_omegas
     fd = 0.5 * HBAR * freqs * (after.c[1:] - before.c[1:]) / (2.0 * dt)
     scale = float(np.max(np.abs(analytic)))
@@ -245,9 +257,10 @@ def epr_finite_difference_residual(
 ) -> float:
     """Pi_tot against the central finite difference of S_tot(t)."""
     model = basis.model
-    pi = total_epr(snapshot_at(basis, init, t), model)
-    s_before = KB * float(np.sum(entropy_kb(snapshot_at(basis, init, t - dt).c)))
-    s_after = KB * float(np.sum(entropy_kb(snapshot_at(basis, init, t + dt).c)))
+    before, snap, after = snapshot_series(basis, init, [t - dt, t, t + dt])
+    pi = total_epr(snap, model)
+    s_before = KB * float(np.sum(entropy_kb(before.c)))
+    s_after = KB * float(np.sum(entropy_kb(after.c)))
     fd = (s_after - s_before) / (2.0 * dt)
     return abs(fd - pi) / abs(pi)
 
@@ -338,11 +351,14 @@ def default_suite(seed: int = 0, oracle_cap: int = 64) -> list[CheckResult]:
     small, _ = random_star_model(rng, 5)
     results.append(_result("model", "tensor_expansion", tensor_expansion_residual(small), 0.0))
 
+    capped = discretize_ohmic_bath(replace(spec, n_modes=min(spec.n_modes, oracle_cap)), 4e6)
+    capped_basis = mode_basis(capped)
+    note = f"closed-form eigenvectors at N={capped.n_modes}"
+    ortho = orthonormality_residual(capped_basis, oracle_cap)
+    rebuilt = reconstruction_residual(capped_basis, capped, oracle_cap)
+    results.append(_result("evolve", "orthonormality", ortho, 1e-10, note))
+    results.append(_result("evolve", "reconstruction", rebuilt, 1e-9, note))
     basis = mode_basis(model)
-    results.append(_result("evolve", "orthonormality", orthonormality_residual(basis), 1e-10))
-    results.append(
-        _result("evolve", "reconstruction", reconstruction_residual(basis, model), 1e-9)
-    )
     results.append(
         _result("evolve", "unitarity_sum_rule", unitarity_residual(basis, 137e-6), 1e-9)
     )

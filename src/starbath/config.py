@@ -77,6 +77,9 @@ class ExperimentConfig:
             t = list(self.times_us)
             if len(t) == 0 or t != sorted(t) or t[0] < 0:
                 raise ConfigError("times_us must be non-empty, sorted and non-negative")
+        s = list(self.sweep_times_us)
+        if len(s) == 0 or s != sorted(s) or s[0] < 0:
+            raise ConfigError("sweep_times_us must be non-empty, sorted and non-negative")
         if self.oracle_cap < 2:
             raise ConfigError("oracle_cap must be at least 2")
         if not 0 < self.omega_min_mhz < self.omega_max_mhz:

@@ -1,38 +1,60 @@
 """Exact unitary evolution of the Gaussian covariance data.
 
 The full quadrature matrices carry a 2x2-identity block structure, so the
-dynamics closes on the (N+1)-dimensional mode space.  With C = Q cos(Lt) Q^T
-and S = Q sin(Lt) Q^T built from the eigendecomposition of the reduced
-arrowhead matrix, the surviving covariance data are
+dynamics closes on the (N+1)-dimensional mode space.  With the propagator
+U(t) = Q exp(-iLt) Q^T of the reduced arrowhead matrix, the surviving
+covariance data are
 
-    c_j(t) = sum_m (C_jm^2 + S_jm^2) c_m(0)        (diagonal coefficients)
-    x_j(t) = sum_m c_m(0) (S_1m C_mj - C_1m S_mj)  (system-bath cross terms)
+    c_j(t) = sum_m |U_jm|^2 c_m(0)                   (diagonal coefficients)
+    x_j(t) = Im sum_m c_m(0) conj(U_1m) U_mj         (system-bath cross terms)
 
 evaluated exactly at each output time; no time-stepping error accumulates.
+
+The arrowhead eigenvectors have the closed form Q_jk = g_j Q_1k / (l_k - w_j)
+(Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16 (1995)).  With
+z_k = Q_1k^2 exp(-i l_k t), A_j = sum_k z_k/(l_k - w_j) and
+B_j = sum_k z_k/(l_k - w_j)^2 this gives U_11 = sum_k z_k, U_1j = g_j A_j,
+U_jj = g_j^2 B_j and U_jm = g_j g_m (A_j - A_m)/(w_j - w_m), so the m-sums
+reduce to products with the kernels 1/(w_j - w_m)^2 and 1/(w_m - w_j): a
+whole time grid costs O(T N^2) after one eigenvalue solve.  Each eigenvalue
+is kept as its nearest bath pole plus a shift, l_k = w_p + d_k, refined on
+the secular equation in that shifted variable, so the small differences
+l_k - w_j keep full relative accuracy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigh
 
-from . import kernels
 from .model import ReducedHamiltonian, StarModel, build_reduced, thermal_coefficient
 
 __all__ = [
+    "EVALUATION_PATH",
     "InitialTemperatures",
     "ModeBasis",
     "CovarianceSnapshot",
     "diagonalize",
     "mode_basis",
     "initial_coefficients",
+    "evaluate",
     "snapshot_at",
     "snapshot_series",
     "system_coefficient_series",
     "coefficient_rows_series",
     "cross_term_series",
 ]
+
+EVALUATION_PATH = "arrowhead closed form: LAPACK eigenvalues, shifted secular Newton, blocked resolvent GEMMs"
+
+# Scratch blocks of the O(N^2) kernels stay near this size.
+_BLOCK_BYTES = 8 * 2**20
+# Newton stops once a step moves the shift by at most this relative amount;
+# convergence is quadratic, so the step taken leaves an error near its square.
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -49,27 +71,37 @@ class InitialTemperatures:
 
 @dataclass(frozen=True, eq=False)
 class ModeBasis:
-    """Eigendecomposition of the reduced arrowhead matrix.
+    """Closed-form spectral data of the reduced arrowhead matrix.
 
-    Immutable after construction and shared read-only; snapshot evaluations
-    at distinct times are independent.
+    Eigenvalue k is l_k = w_p + d_k with p = ``poles[k]`` (a bath index) and
+    d_k = ``shifts[k]``; ``weights[k]`` is Q_1k^2, whose eigenvector has the
+    bath components Q_jk = g_j Q_1k / (l_k - w_j).  A bath mode with zero (or
+    negligible, then stored as 0) coupling is deflated: its eigenvalue is its
+    own frequency, with shift 0 and weight 0.  ``newton_step`` is the largest
+    relative secular Newton step left at the final shifts.  Immutable and
+    shared read-only.
     """
 
-    eigenvalues: np.ndarray
-    vectors: np.ndarray  # orthonormal eigenvectors as columns
-    vectors_t: np.ndarray  # contiguous transpose, kept for the kernels
+    poles: np.ndarray
+    shifts: np.ndarray
+    weights: np.ndarray
     frequencies: np.ndarray  # bare oscillator frequencies, system first
+    couplings: np.ndarray  # bath couplings of the diagonalized matrix
+    newton_step: float = 0.0
     model: StarModel | None = None
+    eigenvalues: np.ndarray = field(init=False)  # ascending
 
     def __post_init__(self) -> None:
-        for name in ("eigenvalues", "vectors", "vectors_t", "frequencies"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "poles", np.ascontiguousarray(self.poles, dtype=np.intp))
+        for name in ("shifts", "weights", "frequencies", "couplings"):
+            object.__setattr__(self, name, np.ascontiguousarray(getattr(self, name), dtype=np.float64))
+        object.__setattr__(self, "eigenvalues", self.frequencies[1 + self.poles] + self.shifts)
+        for name in ("poles", "shifts", "weights", "frequencies", "couplings", "eigenvalues"):
+            getattr(self, name).setflags(write=False)
 
     @property
     def dimension(self) -> int:
-        return len(self.eigenvalues)
+        return len(self.frequencies)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,17 +123,103 @@ class CovarianceSnapshot:
             raise ValueError("expected one cross term per bath mode")
 
 
+def _row_blocks(n_rows: int, n_cols: int):
+    """Row slices whose (rows x n_cols) float64 blocks fit the scratch budget."""
+    step = max(1, _BLOCK_BYTES // (8 * max(n_cols, 1)))
+    for lo in range(0, n_rows, step):
+        yield slice(lo, min(lo + step, n_rows))
+
+
+def _secular(offset, shifts, pole_w, bath_w, g2):
+    """Secular function f(d) = (w_p - w_1) + d - sum_j g_j^2/((w_p - w_j) + d)
+    and its derivative, row-blocked over the eigenvalues."""
+    f = np.empty(len(shifts))
+    fp = np.empty(len(shifts))
+    for s in _row_blocks(len(shifts), len(bath_w)):
+        inv = 1.0 / ((pole_w[s, None] - bath_w) + shifts[s, None])
+        f[s] = offset[s] + shifts[s] - (inv @ g2)
+        np.square(inv, out=inv)
+        fp[s] = 1.0 + inv @ g2
+    return f, fp
+
+
+def _refine(w1, bath_w, g, guesses):
+    """Pole indices, shifts, weights and the largest relative Newton step
+    left at the final shifts, for the arrowhead matrix with diagonal
+    (w1, bath_w) and arm g, all g nonzero and bath_w strictly increasing.
+
+    Eigenvalue k lies in the interlacing interval (bath_w[k-1], bath_w[k]);
+    its shift d from the nearer endpoint is refined by Newton steps on the
+    secular equation times d, which removes the pole at d = 0 so that a
+    start far from a root next to the pole still converges quickly; a step
+    that leaves the sign bracket is replaced by bisection.
+    """
+    m = len(bath_w)
+    radius = 2.0 * float(np.linalg.norm(g))
+    lo = np.concatenate(([min(w1, bath_w[0]) - radius], bath_w))
+    hi = np.concatenate((bath_w, [max(w1, bath_w[-1]) + radius]))
+    left = np.arange(-1, m)
+    poles = np.clip(np.where(guesses - lo <= hi - guesses, left, left + 1), 0, m - 1)
+    pole_w = bath_w[poles]
+    a, b = lo - pole_w, hi - pole_w  # sign bracket of the shift
+    shifts = guesses - pole_w
+    outside = (shifts <= a) | (shifts >= b)
+    shifts[outside] = 0.5 * (a + b)[outside]
+    offset = pole_w - w1
+    g2 = g * g
+
+    steps = np.zeros(m + 1)  # relative size of each shift's latest step
+    todo = np.arange(m + 1)
+    for _ in range(_NEWTON_MAX_STEPS):
+        d = shifts[todo]
+        f, fp = _secular(offset[todo], d, pole_w[todo], bath_w, g2)
+        a[todo] = np.where(f < 0, d, a[todo])
+        b[todo] = np.where(f > 0, d, b[todo])
+        new = d - d * f / (f + d * fp)  # Newton on d*f(d), smooth at the pole
+        stray = ~((new > a[todo]) & (new < b[todo]))  # also catches 0/0
+        new[stray] = 0.5 * (a[todo] + b[todo])[stray]
+        steps[todo] = np.abs(new - d) / np.abs(new)
+        shifts[todo] = new
+        todo = todo[steps[todo] > _NEWTON_TOL]
+        if len(todo) == 0:
+            break
+    f, fp = _secular(offset, shifts, pole_w, bath_w, g2)
+    return poles, shifts, 1.0 / fp, float(np.max(np.abs(f / fp / shifts)))
+
+
 def diagonalize(reduced: ReducedHamiltonian, model: StarModel | None = None) -> ModeBasis:
-    """Full real-symmetric eigendecomposition of the arrowhead matrix,
-    eigenvalues ascending.  LAPACK non-convergence propagates as
-    ``numpy.linalg.LinAlgError``."""
-    eigenvalues, vectors = np.linalg.eigh(reduced.as_matrix())
+    """Closed-form spectral data of the arrowhead matrix, whose bath
+    frequencies must be strictly increasing.
+
+    One LAPACK eigenvalue solve supplies starting eigenvalues, refined in the
+    shifted-pole representation; no eigenvectors are formed.  Couplings at or
+    below the double-precision resolution of the matrix are deflated.  LAPACK
+    non-convergence propagates as ``numpy.linalg.LinAlgError``."""
+    w1, bath_w = float(reduced.diagonal[0]), reduced.diagonal[1:]
+    if len(bath_w) == 0 or np.any(np.diff(bath_w) <= 0):
+        raise ValueError("closed-form diagonalization needs strictly increasing bath frequencies")
+    g = reduced.arm
+    scale = float(np.max(np.abs(reduced.diagonal))) + float(np.linalg.norm(g))
+    g = np.where(np.abs(g) > np.finfo(float).eps * scale, g, 0.0)
+    active = np.flatnonzero(g)
+
+    # slot 0 and the slots of coupled modes hold the refined eigenvalues; a
+    # deflated bath mode keeps its bare frequency: own pole, shift 0, weight 0
+    n = len(bath_w)
+    poles, shifts, weights, step = np.arange(-1, n), np.zeros(n + 1), np.zeros(n + 1), 0.0
+    if len(active):
+        live = np.r_[0, 1 + active]
+        h = ReducedHamiltonian(np.r_[w1, bath_w[active]], g[active]).as_matrix()
+        # h is symmetric, so its transpose is the Fortran-ordered view LAPACK overwrites without a copy
+        guesses = eigh(h.T, eigvals_only=True, overwrite_a=True, check_finite=False)
+        p, shifts[live], weights[live], step = _refine(w1, bath_w[active], g[active], guesses)
+        poles[live] = active[p]
+    else:
+        poles[0] = np.argmin(np.abs(bath_w - w1))
+        shifts[0], weights[0] = w1 - bath_w[poles[0]], 1.0
+    order = np.argsort(bath_w[poles] + shifts, kind="stable")
     return ModeBasis(
-        eigenvalues=eigenvalues,
-        vectors=vectors,
-        vectors_t=vectors.T,
-        frequencies=reduced.diagonal,
-        model=model,
+        poles[order], shifts[order], weights[order], reduced.diagonal, g, newton_step=step, model=model
     )
 
 
@@ -118,35 +236,25 @@ def initial_coefficients(frequencies: np.ndarray, init: InitialTemperatures) -> 
     return thermal_coefficient(frequencies, temperatures)
 
 
-def _phases(basis: ModeBasis, t: float) -> tuple[np.ndarray, np.ndarray]:
-    phi = basis.eigenvalues * t
-    return np.cos(phi), np.sin(phi)
+def _phase_factors(times, pole_w, shifts):
+    """exp(-i (w_p + d_k) t), grid times as rows.
+
+    w_p t is carried as its rounded value plus the exact rounding error
+    (Dekker's product), so the phase keeps the accuracy of the shifts instead
+    of losing the ulp of l_k t (about 1e-13 rad at the production late times).
+    """
+    t = times[:, None]
+    hi = t * pole_w
+    (th, tl), (wh, wl) = _halves(t), _halves(pole_w)
+    lo = ((th * wh - hi) + th * wl + tl * wh) + tl * wl
+    return np.exp(-1j * hi) * np.exp(-1j * (lo + t * shifts))
 
 
-def _cross_terms(basis: ModeBasis, c0: np.ndarray, cosphi: np.ndarray, sinphi: np.ndarray) -> np.ndarray:
-    # Row 1 of C and S, then x = [C (c0*S_1) - S (c0*C_1)] on the bath rows.
-    Q, QT = basis.vectors, basis.vectors_t
-    crow = (Q[0] * cosphi) @ QT
-    srow = (Q[0] * sinphi) @ QT
-    ca = Q @ (cosphi * (QT @ (c0 * srow)))
-    sb = Q @ (sinphi * (QT @ (c0 * crow)))
-    return (ca - sb)[1:]
-
-
-def snapshot_at(
-    basis: ModeBasis,
-    init: InitialTemperatures,
-    t: float,
-    block: int | None = None,
-) -> CovarianceSnapshot:
-    """Evaluate the covariance data exactly at time ``t`` (t >= 0)."""
-    if t < 0:
-        raise ValueError("time must be non-negative")
-    cosphi, sinphi = _phases(basis, t)
-    c0 = initial_coefficients(basis.frequencies, init)
-    c = kernels.covariance_rows(basis.vectors, basis.vectors_t, cosphi, sinphi, c0, block=block)
-    x = _cross_terms(basis, c0, cosphi, sinphi)
-    return CovarianceSnapshot(time=float(t), c=c, x=x, model=basis.model)
+def _halves(a):
+    """Veltkamp split into two non-overlapping halves of the mantissa."""
+    high = 134217729.0 * a  # 2**27 + 1
+    high -= high - a
+    return high, a - high
 
 
 def _validated_grid(times) -> np.ndarray:
@@ -160,61 +268,129 @@ def _validated_grid(times) -> np.ndarray:
     return grid
 
 
-def snapshot_series(
+def evaluate(
     basis: ModeBasis,
-    init: InitialTemperatures,
+    c0: np.ndarray,
     times,
-    block: int | None = None,
-) -> list[CovarianceSnapshot]:
-    """One snapshot per grid point; each evaluation is independent."""
-    return [snapshot_at(basis, init, t, block=block) for t in _validated_grid(times)]
+    rows=None,
+    cross: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Covariance data for every time of the ascending grid in one batch.
+
+    ``c0`` holds the N+1 initial diagonal coefficients (system first) and
+    ``rows`` selects oscillator indices (0 is the system; default all).
+    Returns ``(c, x)``, each of shape (len(times), len(rows)): the diagonal
+    coefficients c_j(t) and the cross terms x_j(t) = sigma_{1,2j}(t), which
+    vanish identically on the system row; ``x`` is None when ``cross`` is
+    false.  Costs O(N^2 + T N^2) time and O(T N) memory beyond O(N)-row
+    scratch blocks.
+    """
+    grid = _validated_grid(times)
+    n = basis.dimension
+    c0 = np.asarray(c0, dtype=float)
+    if c0.shape != (n,):
+        raise ValueError(f"expected {n} initial coefficients")
+    rows = np.arange(n) if rows is None else np.asarray(rows)
+    if rows.size == 0:
+        rows = rows.astype(np.intp)
+    if rows.ndim != 1 or rows.dtype.kind not in "iu" or np.any((rows < 0) | (rows >= n)):
+        raise ValueError(f"rows must be a 1-d sequence of oscillator indices in [0, {n})")
+    nt = len(grid)
+
+    w, g = basis.frequencies[1:], basis.couplings
+    active = np.flatnonzero(g)
+    live = np.flatnonzero(basis.weights)
+    pole_w, shifts = w[basis.poles[live]], basis.shifts[live]
+    z = basis.weights[live] * _phase_factors(grid, pole_w, shifts)
+    zz = np.concatenate((z.real, z.imag))  # real GEMM operand, (2T, K)
+    system_amp = z.sum(axis=1)  # U_11
+
+    # requested rows of coupled bath modes, as positions into ``active``
+    slot = np.full(n, -1)
+    slot[1 + active] = np.arange(len(active))
+    out_rows = np.flatnonzero(slot[rows] >= 0)
+    act_rows = slot[rows[out_rows]]
+
+    # resolvent sums A_j over all coupled modes, B_j over the requested ones
+    wa, ga = w[active], g[active]
+    A = np.empty((2 * nt, len(active)))
+    B = np.empty_like(A)
+    need_b = np.zeros(len(active), dtype=bool)
+    need_b[act_rows] = True
+    for s in _row_blocks(len(active), len(live)):
+        inv = 1.0 / ((pole_w[:, None] - wa[s]) + shifts[:, None])  # (K, block)
+        A[:, s] = zz @ inv
+        if need_b[s].any():
+            B[:, s] = zz @ np.square(inv, out=inv)
+    A = A[:nt] + 1j * A[nt:]
+    B = (B[:nt] + 1j * B[nt:])[:, act_rows]
+
+    c = np.broadcast_to(c0[rows], (nt, len(rows))).copy()  # deflated rows keep c0
+    x = np.zeros((nt, len(rows))) if cross else None
+    wv = ga * ga * c0[1 + active]
+    sys_rows = np.flatnonzero(rows == 0)
+    if len(sys_rows):
+        c[:, sys_rows] = (np.abs(system_amp) ** 2 * c0[0] + (np.abs(A) ** 2) @ wv)[:, None]
+    if len(act_rows) == 0:
+        return c, x
+
+    W = wv * A
+    R = np.concatenate((wv[None, :], wv * np.abs(A) ** 2, W.real, W.imag))  # (1 + 3T, M)
+    KR = np.empty((len(R), len(act_rows)))
+    LR = np.empty((2 * nt, len(act_rows))) if cross else None
+    for s in _row_blocks(len(act_rows), len(active)):
+        j = act_rows[s]
+        diff = wa - wa[j, None]
+        diff[np.arange(len(j)), j] = np.inf  # zero diagonal in both kernels
+        L = 1.0 / diff  # 1/(w_m - w_j)
+        if cross:
+            LR[:, s] = R[1 + nt :] @ L.T
+        KR[:, s] = R @ np.square(L, out=L).T
+
+    Aj, gj, c0j = A[:, act_rows], ga[act_rows], c0[1 + active[act_rows]]
+    KW2 = KR[1 + nt : 1 + 2 * nt] + 1j * KR[1 + 2 * nt :]
+    c[:, out_rows] = gj**2 * (
+        np.abs(Aj) ** 2 * (KR[0] + c0[0])
+        + KR[1 : 1 + nt]
+        - 2.0 * (Aj * KW2.conj()).real
+        + gj**2 * np.abs(B) ** 2 * c0j
+    )
+    if cross:
+        LW2 = LR[:nt] + 1j * LR[nt:]
+        x[:, out_rows] = gj * (
+            c0[0] * system_amp.conj()[:, None] * Aj
+            + gj**2 * c0j * Aj.conj() * B
+            - Aj * LW2.conj()
+        ).imag
+    return c, x
+
+
+def snapshot_series(basis: ModeBasis, init: InitialTemperatures, times) -> list[CovarianceSnapshot]:
+    """One snapshot per grid point, all from one batched evaluation."""
+    c, x = evaluate(basis, initial_coefficients(basis.frequencies, init), times)
+    return [CovarianceSnapshot(float(t), ci, xi[1:], basis.model) for t, ci, xi in zip(times, c, x)]
+
+
+def snapshot_at(basis: ModeBasis, init: InitialTemperatures, t: float) -> CovarianceSnapshot:
+    """Evaluate the covariance data exactly at time ``t`` (t >= 0)."""
+    return snapshot_series(basis, init, [t])[0]
 
 
 def system_coefficient_series(basis: ModeBasis, init: InitialTemperatures, times) -> np.ndarray:
-    """Fast path for the system coefficient c_1(t) alone (one kernel row
-    per time instead of the full diagonal)."""
-    grid = _validated_grid(times)
-    c0 = initial_coefficients(basis.frequencies, init)
-    out = np.empty(len(grid))
-    for i, t in enumerate(grid):
-        cosphi, sinphi = _phases(basis, t)
-        out[i] = kernels.covariance_rows(
-            basis.vectors, basis.vectors_t, cosphi, sinphi, c0, 0, 1
-        )[0]
-    return out
+    """The system coefficient c_1(t) alone, shape (len(times),)."""
+    return evaluate(basis, initial_coefficients(basis.frequencies, init), times, [0], cross=False)[0][:, 0]
 
 
 def coefficient_rows_series(
-    basis: ModeBasis,
-    init: InitialTemperatures,
-    times,
-    row_start: int,
-    row_stop: int,
+    basis: ModeBasis, init: InitialTemperatures, times, row_start: int, row_stop: int
 ) -> np.ndarray:
     """c_j(t) restricted to oscillator rows [row_start, row_stop), shape
-    (len(times), row_stop - row_start).  Lets near-resonant mode windows be
-    tracked without paying for the full diagonal."""
-    grid = _validated_grid(times)
+    (len(times), row_stop - row_start)."""
     c0 = initial_coefficients(basis.frequencies, init)
-    out = np.empty((len(grid), row_stop - row_start))
-    for i, t in enumerate(grid):
-        cosphi, sinphi = _phases(basis, t)
-        out[i] = kernels.covariance_rows(
-            basis.vectors, basis.vectors_t, cosphi, sinphi, c0, row_start, row_stop
-        )
-    return out
+    return evaluate(basis, c0, times, range(row_start, row_stop), cross=False)[0]
 
 
 def cross_term_series(basis: ModeBasis, init: InitialTemperatures, times) -> np.ndarray:
-    """Cross terms x_j(t) for every grid time, shape (len(times), N).
-
-    Costs O(n^2) per time, so energy-flux series stay cheap even when the
-    full diagonal is not needed.
-    """
-    grid = _validated_grid(times)
+    """Cross terms x_j(t) for every grid time, shape (len(times), N)."""
     c0 = initial_coefficients(basis.frequencies, init)
-    out = np.empty((len(grid), basis.dimension - 1))
-    for i, t in enumerate(grid):
-        cosphi, sinphi = _phases(basis, t)
-        out[i] = _cross_terms(basis, c0, cosphi, sinphi)
-    return out
+    return evaluate(basis, c0, times, range(1, basis.dimension))[1]

@@ -16,10 +16,12 @@ from . import checks
 from .config import ConfigError, ExperimentConfig
 from .constants import HBAR, KB, MHZ, UK, US
 from .evolve import (
-    coefficient_rows_series,
+    EVALUATION_PATH,
+    ModeBasis,
     cross_term_series,
+    evaluate,
+    initial_coefficients,
     mode_basis,
-    snapshot_at,
     snapshot_series,
     system_coefficient_series,
 )
@@ -72,8 +74,12 @@ def _context(cfg: ExperimentConfig, n_modes: int | None = None):
     return spec, model, init, params
 
 
-def derived_constants(cfg: ExperimentConfig, model: StarModel, params: GkslParams) -> dict:
-    """Derived quantities recorded in every manifest."""
+def derived_constants(cfg: ExperimentConfig, basis: ModeBasis, params: GkslParams) -> dict:
+    """Derived quantities recorded in every manifest, with the evaluation
+    path and two O(N) invariants of its eigenvalue refinement: the
+    completeness residual |sum_k Q_1k^2 - 1| and the relative Newton step
+    left at the final shifts."""
+    model = basis.model
     return {
         "delta_omega_rad_per_s": model.delta_omega,
         "Gamma_per_s": params.Gamma,
@@ -82,6 +88,9 @@ def derived_constants(cfg: ExperimentConfig, model: StarModel, params: GkslParam
         "nbar": mean_occupation(model.omega1, params.T_B0),
         "sigma11_initial": thermal_coefficient(model.omega1, params.T_A0),
         "sigma11_equilibrium": thermal_coefficient(model.omega1, params.T_B0),
+        "evaluation_path": EVALUATION_PATH,
+        "weight_sum_residual": abs(float(np.sum(basis.weights)) - 1.0),
+        "newton_step": basis.newton_step,
     }
 
 
@@ -137,9 +146,8 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
     _warn_beyond_recurrence(times, model)
     basis = mode_basis(model)
 
-    baseline = snapshot_at(basis, init, 0.0)
+    baseline, *snapshots = snapshot_series(basis, init, np.r_[0.0, times])
     base_record = totals(baseline, baseline)
-    snapshots = snapshot_series(basis, init, times)
     records = [totals(s, baseline) for s in snapshots]
 
     c1_exact = np.array([s.c[0] for s in snapshots])
@@ -182,7 +190,10 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
     tables = {"simulate": table}
 
     if cfg.emit_modes:
-        mode_table = _mode_map_table(cfg, model, basis, init, times)
+        lo, hi = _mode_window(model, cfg.mode_window_mhz * MHZ)
+        c = np.array([s.c[lo + 1 : hi + 1] for s in snapshots])
+        x = np.array([s.x[lo:hi] for s in snapshots])
+        mode_table = _mode_map_table(model, lo, times, c, x)
         files.append(mode_table.write_csv(out_dir / "simulate_modes.csv"))
         tables["modes"] = mode_table
 
@@ -190,7 +201,7 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
         out_dir / "simulate_manifest.json",
         files=[f.name for f in files],
         parameters=_parameters_dict(cfg),
-        derived=derived_constants(cfg, model, params),
+        derived=derived_constants(cfg, basis, params),
     )
     return {"files": files, "manifest": manifest, "tables": tables}
 
@@ -213,7 +224,7 @@ def run_fig1(cfg: ExperimentConfig) -> dict:
             table.append(t / US, value)
         files.append(table.write_csv(out_dir / f"fig1_sigma11_N{n}.csv"))
         tables[f"N{n}"] = table
-        derived[f"N{n}"] = derived_constants(cfg, model, params)
+        derived[f"N{n}"] = derived_constants(cfg, basis, params)
 
     _, model, init, params = _context(cfg, n_values[0])
     gksl_curve = np.asarray(gksl_sigma11(params, times))
@@ -250,7 +261,7 @@ def run_fig2(cfg: ExperimentConfig) -> dict:
         out_dir / "fig2_manifest.json",
         files=[f.name for f in files],
         parameters=_parameters_dict(cfg),
-        derived=derived_constants(cfg, model, params),
+        derived=derived_constants(cfg, basis, params),
     )
     return {"files": files, "manifest": manifest, "tables": {"fluxes": table}}
 
@@ -265,8 +276,7 @@ def run_fig3(cfg: ExperimentConfig) -> dict:
         spec, model, init, params = _context(cfg, n)
         _warn_beyond_recurrence(times, model)
         basis = mode_basis(model)
-        baseline = snapshot_at(basis, init, 0.0)
-        snapshots = snapshot_series(basis, init, times)
+        baseline, *snapshots = snapshot_series(basis, init, np.r_[0.0, times])
         records = [totals(s, baseline) for s in snapshots]
         c1_exact = np.array([s.c[0] for s in snapshots])
         pivn = _pivn_series(cfg, params, times, c1_exact)
@@ -280,7 +290,7 @@ def run_fig3(cfg: ExperimentConfig) -> dict:
             )
         files.append(table.write_csv(out_dir / f"fig3_rates_N{n}.csv"))
         tables[f"N{n}"] = table
-        derived[f"N{n}"] = derived_constants(cfg, model, params)
+        derived[f"N{n}"] = derived_constants(cfg, basis, params)
     manifest = write_manifest(
         out_dir / "fig3_manifest.json",
         files=[f.name for f in files],
@@ -299,19 +309,19 @@ def run_fig4(cfg: ExperimentConfig) -> dict:
     _warn_beyond_recurrence(times, model)
     basis = mode_basis(model)
 
-    c1 = system_coefficient_series(basis, init, times)
-    _, T_exact = inverse_temperature(c1, model.omega1)
+    lo, hi = _mode_window(model, cfg.mode_window_mhz * MHZ)
+    c0 = initial_coefficients(basis.frequencies, init)
+    coeffs, _ = evaluate(basis, c0, times, np.r_[0, lo + 1 : hi + 1], cross=False)
+    _, T_exact = inverse_temperature(coeffs[:, 0], model.omega1)
     _, T_gksl = inverse_temperature(np.asarray(gksl_sigma11(params, times)), model.omega1)
     system = ResultTable(columns=["t[us]", "T_A_exact[uK]", "T_A_gksl[uK]"])
     for t, te, tg in zip(times, T_exact, T_gksl):
         system.append(t / US, te / UK, tg / UK)
 
-    lo, hi = _mode_window(model, cfg.mode_window_mhz * MHZ)
-    coeffs = coefficient_rows_series(basis, init, times, lo + 1, hi + 1)
     bath = ResultTable(columns=["j[1]", "omega_j[MHz]", "t[us]", "T_j[uK]"])
     for k in range(lo, hi):
         omega_j = model.bath_omegas[k]
-        _, T_j = inverse_temperature(coeffs[:, k - lo], omega_j)
+        _, T_j = inverse_temperature(coeffs[:, 1 + k - lo], omega_j)
         for t, temp in zip(times, np.atleast_1d(T_j)):
             bath.append(k + 2, omega_j / MHZ, t / US, temp / UK)
 
@@ -323,21 +333,20 @@ def run_fig4(cfg: ExperimentConfig) -> dict:
         out_dir / "fig4_manifest.json",
         files=[f.name for f in files],
         parameters={**_parameters_dict(cfg), "mode_window_mhz": cfg.mode_window_mhz},
-        derived=derived_constants(cfg, model, params),
+        derived=derived_constants(cfg, basis, params),
     )
     return {"files": files, "manifest": manifest, "tables": {"system": system, "bath": bath}}
 
 
-def _mode_map_table(cfg, model, basis, init, times) -> ResultTable:
-    lo, hi = _mode_window(model, cfg.mode_window_mhz * MHZ)
-    coeffs = coefficient_rows_series(basis, init, times, lo + 1, hi + 1)
-    xs = cross_term_series(basis, init, times)
+def _mode_map_table(model: StarModel, lo: int, times, c: np.ndarray, x: np.ndarray) -> ResultTable:
+    """Long-format temperatures and fluxes of bath modes lo, lo+1, ...; column
+    i of ``c`` and ``x`` belongs to bath mode lo + i."""
     table = ResultTable(columns=["j[1]", "omega_j[MHz]", "t[us]", "T_j[uK]", "dEj_dt[J/s]"])
-    for k in range(lo, hi):
+    for k in range(lo, lo + c.shape[1]):
         omega_j = model.bath_omegas[k]
         g_j = model.bath_couplings[k]
-        _, T_j = inverse_temperature(coeffs[:, k - lo], omega_j)
-        flux = -HBAR * omega_j * g_j * xs[:, k]
+        _, T_j = inverse_temperature(c[:, k - lo], omega_j)
+        flux = -HBAR * omega_j * g_j * x[:, k - lo]
         for t, temp, de in zip(times, np.atleast_1d(T_j), flux):
             table.append(k + 2, omega_j / MHZ, t / US, temp / UK, de)
     return table
@@ -354,10 +363,13 @@ def run_fig5(cfg: ExperimentConfig) -> dict:
         spec, model, init, params = _context(cfg, n)
         _warn_beyond_recurrence(times, model)
         basis = mode_basis(model)
-        table = _mode_map_table(cfg, model, basis, init, times)
+        lo, hi = _mode_window(model, cfg.mode_window_mhz * MHZ)
+        c0 = initial_coefficients(basis.frequencies, init)
+        c, x = evaluate(basis, c0, times, range(lo + 1, hi + 1))
+        table = _mode_map_table(model, lo, times, c, x)
         files.append(table.write_csv(out_dir / f"fig5_modes_N{n}.csv"))
         tables[f"N{n}"] = table
-        derived[f"N{n}"] = derived_constants(cfg, model, params)
+        derived[f"N{n}"] = derived_constants(cfg, basis, params)
     manifest = write_manifest(
         out_dir / "fig5_manifest.json",
         files=[f.name for f in files],
@@ -403,15 +415,14 @@ def run_sweep_n(cfg: ExperimentConfig) -> dict:
         columns=["N[1]", "invN[1]", "t[us]", "ep_gap[kB]", "dS_vN[kB]", "dS_tot[kB]"]
     )
     gaps: dict[float, list[tuple[int, float]]] = {t: [] for t in sweep_times}
+    derived = {}
     for n in n_values:
         spec, model, init, params = _context(cfg, n)
         _warn_beyond_recurrence(sweep_times, model)
         basis = mode_basis(model)
-        baseline = snapshot_at(basis, init, 0.0)
-        base_record = totals(baseline, baseline)
-        records = [base_record] + [
-            totals(snapshot_at(basis, init, float(t)), baseline) for t in sweep_times
-        ]
+        baseline, *snapshots = snapshot_series(basis, init, np.r_[0.0, sweep_times])
+        records = [totals(baseline, baseline)] + [totals(s, baseline) for s in snapshots]
+        derived[f"N{n}"] = derived_constants(cfg, basis, params)
         diffs = ep_difference(records, params)[1:]
         for t, rec, gap in zip(sweep_times, records[1:], diffs):
             ds_vn = rec.dS_tot + gap
@@ -432,7 +443,7 @@ def run_sweep_n(cfg: ExperimentConfig) -> dict:
         out_dir / "sweep_n_manifest.json",
         files=[f.name for f in files],
         parameters={**_parameters_dict(cfg), "n_list": list(n_values), "sweep_times_us": list(np.asarray(cfg.sweep_times_us, dtype=float))},
-        derived={},
+        derived=derived,
         extra={"fits": fits},
     )
     return {"files": files, "manifest": manifest, "tables": {"sweep": table}, "fits": fits}

@@ -53,13 +53,11 @@ class ProductionContext:
         """Thermo records on the grid (baseline at t = 0 prepended)."""
         key = (n, times_us)
         if key not in self._records:
-            basis = self.basis(n)
-            baseline = sb.snapshot_at(basis, self.init, 0.0)
-            records = [totals(baseline, baseline)]
-            for t_us in times_us:
-                snap = sb.snapshot_at(basis, self.init, t_us * 1e-6)
-                records.append(totals(snap, baseline))
-            self._records[key] = records
+            grid = np.concatenate(([0.0], np.asarray(times_us) * 1e-6))
+            baseline, *snapshots = sb.snapshot_series(self.basis(n), self.init, grid)
+            self._records[key] = [totals(baseline, baseline)] + [
+                totals(snap, baseline) for snap in snapshots
+            ]
         return self._records[key]
 
     def c1_series(self, n: int, times_us: tuple[float, ...]) -> np.ndarray:

@@ -13,6 +13,7 @@ from starbath.checks import (
     reconstruction_residual,
     unitarity_residual,
 )
+from starbath import evolve
 from starbath.evolve import initial_coefficients
 from starbath.oracle import dense_oracle_at, initial_covariance_diagonal
 
@@ -36,13 +37,42 @@ class TestDiagonalize:
         basis = sb.mode_basis(model)
         assert np.all(np.diff(basis.eigenvalues) >= 0)
 
-    def test_decoupled_gives_permutation(self):
+    def test_decoupled_bath_is_deflated(self):
         spec = sb.OhmicBathSpec(eta=0.0, omega_c=3e6, omega_min=1e5, omega_max=1e7, n_modes=9)
         model = sb.discretize_ohmic_bath(spec, 4e6)
         basis = sb.mode_basis(model)
         np.testing.assert_allclose(basis.eigenvalues, np.sort(model.frequencies), rtol=1e-14)
-        # each eigenvector is a bare mode up to sign
-        assert np.max(np.abs(np.abs(basis.vectors).max(axis=0) - 1.0)) < 1e-12
+        init = sb.InitialTemperatures(T_A0=10e-6, T_B0=50e-6)
+        c0 = initial_coefficients(model.frequencies, init)
+        c, x = sb.evaluate(basis, c0, [0.0, 3e-6, 40e-6])
+        np.testing.assert_allclose(c, np.broadcast_to(c0, c.shape), rtol=1e-15)
+        assert np.all(x == 0.0)
+
+    def test_partially_decoupled_matches_oracle(self, rng):
+        model, _ = random_star_model(rng, 14)
+        g = model.bath_couplings.copy()
+        g[[0, 5, 6, 13]] = 0.0
+        model = sb.StarModel(omega1=model.omega1, bath_omegas=model.bath_omegas, bath_couplings=g)
+        init = random_temperatures(rng)
+        basis = sb.mode_basis(model)
+        assert np.count_nonzero(basis.weights) == model.n_modes + 1 - 4
+        assert orthonormality_residual(basis) <= 1e-10
+        assert reconstruction_residual(basis, model) <= 1e-9
+        assert oracle_equivalence_residual(model, init, rng.uniform(0, 40e-6, size=6)) <= 1e-9
+
+    def test_weak_couplings_converge(self):
+        # couplings just above the deflation threshold put roots ~1e-24 from
+        # their poles, far below the absolute error of the starting eigenvalues
+        model, _ = random_star_model(np.random.default_rng(3), 40)
+        g = model.bath_couplings.copy()
+        g[::3] = 1e-8
+        g[[1, 20]] = [3e-6, 1e-3]
+        model = sb.StarModel(omega1=model.omega1, bath_omegas=model.bath_omegas, bath_couplings=g)
+        basis = sb.mode_basis(model)
+        assert basis.newton_step <= 1e-12
+        assert np.all(basis.weights > 0)
+        assert orthonormality_residual(basis) <= 1e-10
+        assert reconstruction_residual(basis, model) <= 1e-9
 
     def test_plain_reduced_matrix_without_model(self):
         reduced = sb.ReducedHamiltonian(diagonal=np.array([1e6, 2e6, 3e6]), arm=np.array([1e5, 2e5]))
@@ -109,6 +139,53 @@ class TestSnapshots:
             assert c1[i] == pytest.approx(snap.c[0], rel=1e-13, abs=0)
             np.testing.assert_allclose(xs[i], snap.x, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(window[i], snap.c[5:11], rtol=1e-13)
+
+
+class TestEvaluate:
+    @pytest.fixture()
+    def setup(self, rng):
+        model, _ = random_star_model(rng, 63)
+        init = random_temperatures(rng)
+        basis = sb.mode_basis(model)
+        c0 = initial_coefficients(basis.frequencies, init)
+        return basis, c0, np.array([0.0, 2.5e-6, 13.7e-6, 13.7e-6, 31e-6])
+
+    def test_row_window_matches_full_diagonal(self, setup):
+        basis, c0, times = setup
+        c, x = sb.evaluate(basis, c0, times)
+        assert c.shape == x.shape == (len(times), basis.dimension)
+        assert np.all(x[:, 0] == 0.0)
+        for rows in (range(5, 17), [0], [40, 3, 0, 40], range(3, 3)):
+            cw, xw = sb.evaluate(basis, c0, times, rows)
+            np.testing.assert_allclose(cw, c[:, list(rows)], rtol=1e-13)
+            np.testing.assert_allclose(xw, x[:, list(rows)], rtol=1e-12, atol=1e-15 * np.abs(x).max())
+        cw, xw = sb.evaluate(basis, c0, times, [7], cross=False)
+        assert xw is None and np.allclose(cw[:, 0], c[:, 7], rtol=1e-13)
+
+    def test_batch_matches_per_time_calls(self, setup):
+        basis, c0, times = setup
+        c, x = sb.evaluate(basis, c0, times)
+        for i, t in enumerate(times):
+            ci, xi = sb.evaluate(basis, c0, [t])
+            np.testing.assert_allclose(ci[0], c[i], rtol=1e-13)
+            np.testing.assert_allclose(xi[0], x[i], rtol=1e-12, atol=1e-15 * np.abs(x).max())
+
+    def test_block_size_invariance(self, setup, monkeypatch):
+        basis, c0, times = setup
+        c, x = sb.evaluate(basis, c0, times, range(2, 50))
+        for block_bytes in (1, 8 * 7 * 64, 8 * 1000 * 64):
+            monkeypatch.setattr(evolve, "_BLOCK_BYTES", block_bytes)
+            cb, xb = sb.evaluate(basis, c0, times, range(2, 50))
+            np.testing.assert_allclose(cb, c, rtol=1e-13)
+            np.testing.assert_allclose(xb, x, rtol=1e-12, atol=1e-15 * np.abs(x).max())
+
+    def test_rejects_bad_rows_and_inputs(self, setup):
+        basis, c0, times = setup
+        for rows in ([basis.dimension], [-1], [1.5], [[1, 2]]):
+            with pytest.raises(ValueError):
+                sb.evaluate(basis, c0, times, rows)
+        with pytest.raises(ValueError):
+            sb.evaluate(basis, c0[1:], times)
 
 
 class TestDenseOracle:

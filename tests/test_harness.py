@@ -120,8 +120,10 @@ class TestSimulateJob:
         manifest = json.loads((tmp_path / "simulate_manifest.json").read_text())
         assert manifest["files"] == ["simulate.csv"]
         derived = manifest["derived"]
-        for key in ("delta_omega_rad_per_s", "Gamma_per_s", "recurrence_time_us", "nbar"):
+        for key in ("delta_omega_rad_per_s", "Gamma_per_s", "recurrence_time_us", "nbar", "evaluation_path"):
             assert key in derived
+        assert derived["weight_sum_residual"] <= 1e-12
+        assert derived["newton_step"] <= 1e-12
 
     def test_emit_modes(self, tmp_path):
         cfg = tiny_cfg(tmp_path, emit_modes=True, mode_window_mhz=20.0, grid_end_us=0.5)
