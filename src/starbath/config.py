@@ -48,7 +48,6 @@ class ExperimentConfig:
     oracle_cap: int = 64
     pivn_mode: str = "gksl"
     mode_window_mhz: float = 0.4
-    emit_modes: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -66,8 +65,8 @@ class ExperimentConfig:
                 raise ConfigError("n_list must not be empty")
             if any(n < 2 for n in self.n_list):
                 raise ConfigError("every entry of n_list must be at least 2")
-            if list(self.n_list) != sorted(self.n_list):
-                raise ConfigError("n_list must be sorted ascending")
+            if any(a >= b for a, b in zip(self.n_list, self.n_list[1:])):
+                raise ConfigError("n_list must be strictly ascending")
         if self.times_us is None:
             if self.grid_points < 1:
                 raise ConfigError("grid_points must be at least 1")

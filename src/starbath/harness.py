@@ -3,12 +3,23 @@
 Figure jobs emit data (one CSV per curve plus a JSON manifest), never
 images; plotting is left to external tools.  Identical configs produce
 bit-identical CSV bytes on the same build.
+
+Every figure job runs one pipeline: for each N it builds a ``_Run`` (model,
+closed-form rates, mode basis and the shared time grid) and hands it to the
+job's curve function, which returns ``{table key: (file name, table)}``.
+The pipeline writes the CSVs, collects the derived constants per N and
+writes the manifest; a job is a ``_Job`` declaration of that curve function
+and its defaults.
 """
 
 from __future__ import annotations
 
+import json
 import warnings
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -16,65 +27,35 @@ from . import checks
 from .config import ConfigError, ExperimentConfig
 from .constants import HBAR, KB, MHZ, UK, US
 from .evolve import (
-    EVALUATION_PATH,
-    ModeBasis,
-    cross_term_series,
-    evaluate,
-    initial_coefficients,
-    mode_basis,
-    snapshot_series,
-    system_coefficient_series,
+    EVALUATION_PATH, ModeBasis, evaluate, initial_coefficients, mode_basis, snapshot_series,
 )
 from .gksl import (
-    GkslParams,
-    ep_difference,
-    epr_difference,
-    gksl_sigma11,
-    von_neumann_ep,
+    GkslParams, ep_difference, epr_difference, gksl_sigma11, gksl_system_temperature, von_neumann_ep,
     von_neumann_epr,
 )
 from .model import (
-    StarModel,
-    discretize_ohmic_bath,
-    mean_occupation,
-    recurrence_time,
-    relaxation_rate,
-    thermal_coefficient,
+    discretize_ohmic_bath, mean_occupation, recurrence_time, relaxation_rate, thermal_coefficient,
 )
 from .table import ResultTable, write_manifest
 from .thermo import fluxes_from_cross_terms, inverse_temperature, totals
 
-__all__ = [
-    "run_simulate",
-    "run_fig1",
-    "run_fig2",
-    "run_fig3",
-    "run_fig4",
-    "run_fig5",
-    "run_fig6",
-    "run_sweep_n",
-    "run_validate",
-    "run_job",
-    "derived_constants",
-    "proportional_fit",
-    "affine_fit",
-]
+__all__ = ["run_job", "run_validate", "derived_constants", "proportional_fit", "affine_fit"]
+
+# Config fields recorded in every manifest's ``parameters``.
+_PARAMETERS = (
+    "omega1_mhz",
+    "omega_c_mhz",
+    "omega_min_mhz",
+    "omega_max_mhz",
+    "eta",
+    "n_modes",
+    "T_A0_uk",
+    "T_B0_uk",
+    "pivn_mode",
+)
 
 
-def _context(cfg: ExperimentConfig, n_modes: int | None = None):
-    spec = cfg.bath_spec(n_modes)
-    model = discretize_ohmic_bath(spec, cfg.omega1)
-    init = cfg.initial_temperatures()
-    params = GkslParams(
-        omega1=cfg.omega1,
-        Gamma=relaxation_rate(model, spec),
-        T_A0=init.T_A0,
-        T_B0=init.T_B0,
-    )
-    return spec, model, init, params
-
-
-def derived_constants(cfg: ExperimentConfig, basis: ModeBasis, params: GkslParams) -> dict:
+def derived_constants(basis: ModeBasis, params: GkslParams) -> dict:
     """Derived quantities recorded in every manifest, with the evaluation
     path and two O(N) invariants of its eigenvalue refinement: the
     completeness residual |sum_k Q_1k^2 - 1| and the relative Newton step
@@ -94,289 +75,183 @@ def derived_constants(cfg: ExperimentConfig, basis: ModeBasis, params: GkslParam
     }
 
 
-def _warn_beyond_recurrence(times: np.ndarray, model: StarModel) -> None:
-    t1 = recurrence_time(model)
-    if np.any(times > t1):
-        warnings.warn(
-            f"time grid extends beyond the recurrence time t1 = {t1 / US:.1f} us "
-            f"(N = {model.n_modes}); the uniformly spaced bath rephases there and "
-            "recurrence-like behavior invalidates the Markovian comparison",
-            RuntimeWarning,
-            stacklevel=3,
+class _Run:
+    """One N of a figure job: model, closed-form rates, mode basis and the
+    time grid, with the exact evaluations built on first use."""
+
+    def __init__(self, cfg: ExperimentConfig, n: int, times: np.ndarray, last: bool) -> None:
+        self.cfg, self.n, self.times, self.last = cfg, n, times, last
+        spec = cfg.bath_spec(n)
+        self.model = discretize_ohmic_bath(spec, cfg.omega1)
+        self.init = cfg.initial_temperatures()
+        self.params = GkslParams(
+            omega1=cfg.omega1,
+            Gamma=relaxation_rate(spec, cfg.omega1),
+            T_A0=self.init.T_A0,
+            T_B0=self.init.T_B0,
         )
+        t1 = recurrence_time(self.model)
+        if np.any(times > t1):
+            warnings.warn(
+                f"time grid extends beyond the recurrence time t1 = {t1 / US:.1f} us "
+                f"(N = {n}); the uniformly spaced bath rephases there and "
+                "recurrence-like behavior invalidates the Markovian comparison",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        self.basis = mode_basis(self.model)
+
+    @cached_property
+    def snapshots(self) -> list:
+        """Full snapshots at t = 0 (the baseline) and at every grid time."""
+        return snapshot_series(self.basis, self.init, np.r_[0.0, self.times])
+
+    @cached_property
+    def records(self) -> list:
+        """Thermo records of ``snapshots``; records[0] is the baseline."""
+        baseline = self.snapshots[0]
+        return [totals(s, baseline) for s in self.snapshots]
+
+    def evaluate(self, rows, cross: bool = True):
+        """(c, x) on the grid for oscillator ``rows``; see ``evolve.evaluate``."""
+        c0 = initial_coefficients(self.basis.frequencies, self.init)
+        return evaluate(self.basis, c0, self.times, rows, cross)
+
+    @property
+    def sigma11(self) -> np.ndarray:
+        """Exact system coefficient c_1 on the grid, from ``snapshots``."""
+        return np.array([s.c[0] for s in self.snapshots[1:]])
+
+    @property
+    def pivn(self) -> np.ndarray:
+        """Conventional rate Pi_vN on the grid, from the configured sigma11."""
+        exact = self.sigma11 if self.cfg.pivn_mode == "exact" else None
+        return np.asarray(von_neumann_epr(self.params, self.times, self.cfg.pivn_mode, exact))
+
+    @property
+    def window(self) -> tuple[int, int]:
+        """Contiguous bath-index range with |w_j - w_1| <= the mode window."""
+        bath = self.model.bath_omegas
+        idx = np.flatnonzero(np.abs(bath - self.model.omega1) <= self.cfg.mode_window_mhz * MHZ)
+        return (int(idx[0]), int(idx[-1]) + 1) if len(idx) else (0, 0)
 
 
-def _parameters_dict(cfg: ExperimentConfig, n_modes: int | None = None) -> dict:
+def _field(items, name: str) -> np.ndarray:
+    """Attribute ``name`` of every item, as an array."""
+    return np.array([getattr(item, name) for item in items])
+
+
+def _grid_table(run: _Run, columns: dict) -> ResultTable:
+    """Table with the grid times in us as its first column."""
+    return ResultTable.from_columns({"t[us]": run.times / US, **columns})
+
+
+# --- curve functions: _Run -> {table key: (file name, table)} ---------------
+
+
+def _simulate_curves(run: _Run) -> dict:
+    """Full observable table on the configured grid."""
+    recs = run.records[1:]
+    S_A = [r.entropies[0] for r in run.records]
+    E_A = [r.energies[0] for r in run.records]
+    table = _grid_table(run, {
+        "sigma11_exact[1]": run.sigma11,
+        "sigma11_gksl[1]": gksl_sigma11(run.params, run.times),
+        "S_tot[kB]": _field(recs, "S_tot") / KB,
+        "dS_tot[kB]": _field(recs, "dS_tot") / KB,
+        "Pi_tot[kB/ms]": _field(recs, "Pi_tot") / KB * 1e-3,
+        "Pi_vN[kB/ms]": run.pivn / KB * 1e-3,
+        "dS_vN[kB]": von_neumann_ep(run.params, S_A, E_A)[1:] / KB,
+        "dEA_dt[J/s]": _field(recs, "dEA_dt"),
+        "dEB_dt[J/s]": _field(recs, "dEB_dt"),
+        "dEI_dt[J/s]": _field(recs, "dEI_dt"),
+    })
+    return {"simulate": ("simulate.csv", table)}
+
+
+def _fig1_curves(run: _Run) -> dict:
+    """System coefficient sigma11(t) per N; the N-independent closed-form
+    curve comes last."""
+    c1 = run.evaluate([0], cross=False)[0][:, 0]
+    curves = {f"N{run.n}": (f"fig1_sigma11_N{run.n}.csv", _grid_table(run, {"sigma11_exact[1]": c1}))}
+    if run.last:
+        gksl = _grid_table(run, {"sigma11_gksl[1]": gksl_sigma11(run.params, run.times)})
+        curves["gksl"] = ("fig1_sigma11_gksl.csv", gksl)
+    return curves
+
+
+def _fig2_curves(run: _Run) -> dict:
+    """Energy-flux triple dE_A/dt, dE_B/dt, dE_I/dt over the grid."""
+    fluxes = [fluxes_from_cross_terms(x, run.model) for x in run.evaluate(range(1, run.n + 1))[1]]
+    names = ("dEA_dt", "dEB_dt", "dEI_dt")
+    table = _grid_table(run, {f"{name}[J/s]": _field(fluxes, name) for name in names})
+    return {"fluxes": ("fig2_fluxes.csv", table)}
+
+
+def _fig3_curves(run: _Run) -> dict:
+    """Entropy production rates Pi_tot and Pi_vN and their exact gap."""
+    recs = run.records[1:]
+    table = _grid_table(run, {
+        "Pi_tot[kB/ms]": _field(recs, "Pi_tot") / KB * 1e-3,
+        "Pi_vN[kB/ms]": run.pivn / KB * 1e-3,
+        "Pi_gap[kB/ms]": np.array([epr_difference(r, run.params) for r in recs]) / KB * 1e-3,
+    })
+    return {f"N{run.n}": (f"fig3_rates_N{run.n}.csv", table)}
+
+
+def _mode_map(run: _Run, c: np.ndarray, x: np.ndarray | None = None) -> ResultTable:
+    """Long-format temperatures of the bath modes in ``run.window``, and
+    their fluxes when cross terms ``x`` are given; column i of ``c`` and
+    ``x`` belongs to window mode i."""
+    lo, hi = run.window
+    omegas, couplings = run.model.bath_omegas[lo:hi], run.model.bath_couplings[lo:hi]
+    nt = len(run.times)
+    _, T = inverse_temperature(c, omegas)
+    columns = {
+        "j[1]": np.repeat(np.arange(lo, hi) + 2, nt),
+        "omega_j[MHz]": np.repeat(omegas / MHZ, nt),
+        "t[us]": np.tile(run.times / US, hi - lo),
+        "T_j[uK]": (T / UK).T.ravel(),
+    }
+    if x is not None:
+        columns["dEj_dt[J/s]"] = (-HBAR * omegas * couplings * x).T.ravel()
+    return ResultTable.from_columns(columns)
+
+
+def _fig4_curves(run: _Run) -> dict:
+    """System temperature, exact and closed form, plus the bath temperatures
+    in the mode window."""
+    lo, hi = run.window
+    c, _ = run.evaluate(np.r_[0, lo + 1 : hi + 1], cross=False)
+    _, T_exact = inverse_temperature(c[:, 0], run.model.omega1)
+    T_gksl = gksl_system_temperature(run.params, run.times)
+    system = _grid_table(run, {"T_A_exact[uK]": T_exact / UK, "T_A_gksl[uK]": T_gksl / UK})
     return {
-        "omega1_mhz": cfg.omega1_mhz,
-        "omega_c_mhz": cfg.omega_c_mhz,
-        "omega_min_mhz": cfg.omega_min_mhz,
-        "omega_max_mhz": cfg.omega_max_mhz,
-        "eta": cfg.eta,
-        "n_modes": cfg.n_modes if n_modes is None else n_modes,
-        "T_A0_uk": cfg.T_A0_uk,
-        "T_B0_uk": cfg.T_B0_uk,
-        "pivn_mode": cfg.pivn_mode,
+        "system": ("fig4_system_temperature.csv", system),
+        "bath": ("fig4_bath_temperatures.csv", _mode_map(run, c[:, 1:])),
     }
 
 
-def _pivn_series(cfg, params, times, c1_exact) -> np.ndarray:
-    if cfg.pivn_mode == "exact":
-        return np.asarray(von_neumann_epr(params, times, mode="exact", exact_sigma11=c1_exact))
-    return np.asarray(von_neumann_epr(params, times))
+def _fig5_curves(run: _Run) -> dict:
+    """Per-mode temperature and flux maps in the mode window."""
+    lo, hi = run.window
+    c, x = run.evaluate(range(lo + 1, hi + 1))
+    return {f"N{run.n}": (f"fig5_modes_N{run.n}.csv", _mode_map(run, c, x))}
 
 
-def _mode_window(model: StarModel, window: float) -> tuple[int, int]:
-    """Contiguous bath-index range with |w_j - w_1| <= window (rad/s)."""
-    mask = np.abs(model.bath_omegas - model.omega1) <= window
-    idx = np.flatnonzero(mask)
-    if len(idx) == 0:
-        return 0, 0
-    return int(idx[0]), int(idx[-1]) + 1
-
-
-# --- jobs -------------------------------------------------------------------
-
-
-def run_simulate(cfg: ExperimentConfig) -> dict:
-    """Full observable table on the configured grid for a single N."""
-    out_dir = Path(cfg.out_dir)
-    spec, model, init, params = _context(cfg)
-    times = cfg.times()
-    _warn_beyond_recurrence(times, model)
-    basis = mode_basis(model)
-
-    baseline, *snapshots = snapshot_series(basis, init, np.r_[0.0, times])
-    base_record = totals(baseline, baseline)
-    records = [totals(s, baseline) for s in snapshots]
-
-    c1_exact = np.array([s.c[0] for s in snapshots])
-    c1_gksl = np.asarray(gksl_sigma11(params, times))
-    pivn = _pivn_series(cfg, params, times, c1_exact)
-    entropy_a = np.concatenate(([base_record.entropies[0]], [r.entropies[0] for r in records]))
-    energy_a = np.concatenate(([base_record.energies[0]], [r.energies[0] for r in records]))
-    ds_vn = von_neumann_ep(params, entropy_a, energy_a)[1:]
-
-    table = ResultTable(
-        columns=[
-            "t[us]",
-            "sigma11_exact[1]",
-            "sigma11_gksl[1]",
-            "S_tot[kB]",
-            "dS_tot[kB]",
-            "Pi_tot[kB/ms]",
-            "Pi_vN[kB/ms]",
-            "dS_vN[kB]",
-            "dEA_dt[J/s]",
-            "dEB_dt[J/s]",
-            "dEI_dt[J/s]",
-        ]
-    )
-    for i, (t, rec) in enumerate(zip(times, records)):
-        table.append(
-            t / US,
-            c1_exact[i],
-            c1_gksl[i],
-            rec.S_tot / KB,
-            rec.dS_tot / KB,
-            rec.Pi_tot / KB * 1e-3,
-            pivn[i] / KB * 1e-3,
-            ds_vn[i] / KB,
-            rec.dEA_dt,
-            rec.dEB_dt,
-            rec.dEI_dt,
-        )
-    files = [table.write_csv(out_dir / "simulate.csv")]
-    tables = {"simulate": table}
-
-    if cfg.emit_modes:
-        lo, hi = _mode_window(model, cfg.mode_window_mhz * MHZ)
-        c = np.array([s.c[lo + 1 : hi + 1] for s in snapshots])
-        x = np.array([s.x[lo:hi] for s in snapshots])
-        mode_table = _mode_map_table(model, lo, times, c, x)
-        files.append(mode_table.write_csv(out_dir / "simulate_modes.csv"))
-        tables["modes"] = mode_table
-
-    manifest = write_manifest(
-        out_dir / "simulate_manifest.json",
-        files=[f.name for f in files],
-        parameters=_parameters_dict(cfg),
-        derived=derived_constants(cfg, basis, params),
-    )
-    return {"files": files, "manifest": manifest, "tables": tables}
-
-
-def run_fig1(cfg: ExperimentConfig) -> dict:
-    """System coefficient sigma11(t): exact curves per N plus the closed-form
-    reference curve."""
-    out_dir = Path(cfg.out_dir)
-    n_values = cfg.n_list or [4000, 6000, 8000]
-    times = cfg.times()
-    files, tables = [], {}
-    derived = {}
-    for n in n_values:
-        spec, model, init, params = _context(cfg, n)
-        _warn_beyond_recurrence(times, model)
-        basis = mode_basis(model)
-        series = system_coefficient_series(basis, init, times)
-        table = ResultTable(columns=["t[us]", "sigma11_exact[1]"])
-        for t, value in zip(times, series):
-            table.append(t / US, value)
-        files.append(table.write_csv(out_dir / f"fig1_sigma11_N{n}.csv"))
-        tables[f"N{n}"] = table
-        derived[f"N{n}"] = derived_constants(cfg, basis, params)
-
-    _, model, init, params = _context(cfg, n_values[0])
-    gksl_curve = np.asarray(gksl_sigma11(params, times))
-    table = ResultTable(columns=["t[us]", "sigma11_gksl[1]"])
-    for t, value in zip(times, gksl_curve):
-        table.append(t / US, value)
-    files.append(table.write_csv(out_dir / "fig1_sigma11_gksl.csv"))
-    tables["gksl"] = table
-
-    manifest = write_manifest(
-        out_dir / "fig1_manifest.json",
-        files=[f.name for f in files],
-        parameters={**_parameters_dict(cfg), "n_list": list(n_values)},
-        derived=derived,
-    )
-    return {"files": files, "manifest": manifest, "tables": tables}
-
-
-def run_fig2(cfg: ExperimentConfig) -> dict:
-    """Energy-flux triple dE_A/dt, dE_B/dt, dE_I/dt over the grid."""
-    out_dir = Path(cfg.out_dir)
-    spec, model, init, params = _context(cfg)
-    times = cfg.times()
-    _warn_beyond_recurrence(times, model)
-    basis = mode_basis(model)
-    xs = cross_term_series(basis, init, times)
-
-    table = ResultTable(columns=["t[us]", "dEA_dt[J/s]", "dEB_dt[J/s]", "dEI_dt[J/s]"])
-    for t, x in zip(times, xs):
-        fluxes = fluxes_from_cross_terms(x, model)
-        table.append(t / US, fluxes.dEA_dt, fluxes.dEB_dt, fluxes.dEI_dt)
-    files = [table.write_csv(out_dir / "fig2_fluxes.csv")]
-    manifest = write_manifest(
-        out_dir / "fig2_manifest.json",
-        files=[f.name for f in files],
-        parameters=_parameters_dict(cfg),
-        derived=derived_constants(cfg, basis, params),
-    )
-    return {"files": files, "manifest": manifest, "tables": {"fluxes": table}}
-
-
-def run_fig3(cfg: ExperimentConfig) -> dict:
-    """Entropy production rates Pi_tot and Pi_vN per N."""
-    out_dir = Path(cfg.out_dir)
-    n_values = cfg.n_list or [1000, 2000, 4000]
-    times = cfg.times()
-    files, tables, derived = [], {}, {}
-    for n in n_values:
-        spec, model, init, params = _context(cfg, n)
-        _warn_beyond_recurrence(times, model)
-        basis = mode_basis(model)
-        baseline, *snapshots = snapshot_series(basis, init, np.r_[0.0, times])
-        records = [totals(s, baseline) for s in snapshots]
-        c1_exact = np.array([s.c[0] for s in snapshots])
-        pivn = _pivn_series(cfg, params, times, c1_exact)
-        table = ResultTable(columns=["t[us]", "Pi_tot[kB/ms]", "Pi_vN[kB/ms]", "Pi_gap[kB/ms]"])
-        for i, (t, rec) in enumerate(zip(times, records)):
-            table.append(
-                t / US,
-                rec.Pi_tot / KB * 1e-3,
-                pivn[i] / KB * 1e-3,
-                epr_difference(rec, params) / KB * 1e-3,
-            )
-        files.append(table.write_csv(out_dir / f"fig3_rates_N{n}.csv"))
-        tables[f"N{n}"] = table
-        derived[f"N{n}"] = derived_constants(cfg, basis, params)
-    manifest = write_manifest(
-        out_dir / "fig3_manifest.json",
-        files=[f.name for f in files],
-        parameters={**_parameters_dict(cfg), "n_list": list(n_values)},
-        derived=derived,
-    )
-    return {"files": files, "manifest": manifest, "tables": tables}
-
-
-def run_fig4(cfg: ExperimentConfig) -> dict:
-    """System temperature, exact and closed form, plus near-resonant bath
-    temperatures in the configured frequency window."""
-    out_dir = Path(cfg.out_dir)
-    spec, model, init, params = _context(cfg)
-    times = cfg.times()
-    _warn_beyond_recurrence(times, model)
-    basis = mode_basis(model)
-
-    lo, hi = _mode_window(model, cfg.mode_window_mhz * MHZ)
-    c0 = initial_coefficients(basis.frequencies, init)
-    coeffs, _ = evaluate(basis, c0, times, np.r_[0, lo + 1 : hi + 1], cross=False)
-    _, T_exact = inverse_temperature(coeffs[:, 0], model.omega1)
-    _, T_gksl = inverse_temperature(np.asarray(gksl_sigma11(params, times)), model.omega1)
-    system = ResultTable(columns=["t[us]", "T_A_exact[uK]", "T_A_gksl[uK]"])
-    for t, te, tg in zip(times, T_exact, T_gksl):
-        system.append(t / US, te / UK, tg / UK)
-
-    bath = ResultTable(columns=["j[1]", "omega_j[MHz]", "t[us]", "T_j[uK]"])
-    for k in range(lo, hi):
-        omega_j = model.bath_omegas[k]
-        _, T_j = inverse_temperature(coeffs[:, 1 + k - lo], omega_j)
-        for t, temp in zip(times, np.atleast_1d(T_j)):
-            bath.append(k + 2, omega_j / MHZ, t / US, temp / UK)
-
-    files = [
-        system.write_csv(out_dir / "fig4_system_temperature.csv"),
-        bath.write_csv(out_dir / "fig4_bath_temperatures.csv"),
-    ]
-    manifest = write_manifest(
-        out_dir / "fig4_manifest.json",
-        files=[f.name for f in files],
-        parameters={**_parameters_dict(cfg), "mode_window_mhz": cfg.mode_window_mhz},
-        derived=derived_constants(cfg, basis, params),
-    )
-    return {"files": files, "manifest": manifest, "tables": {"system": system, "bath": bath}}
-
-
-def _mode_map_table(model: StarModel, lo: int, times, c: np.ndarray, x: np.ndarray) -> ResultTable:
-    """Long-format temperatures and fluxes of bath modes lo, lo+1, ...; column
-    i of ``c`` and ``x`` belongs to bath mode lo + i."""
-    table = ResultTable(columns=["j[1]", "omega_j[MHz]", "t[us]", "T_j[uK]", "dEj_dt[J/s]"])
-    for k in range(lo, lo + c.shape[1]):
-        omega_j = model.bath_omegas[k]
-        g_j = model.bath_couplings[k]
-        _, T_j = inverse_temperature(c[:, k - lo], omega_j)
-        flux = -HBAR * omega_j * g_j * x[:, k - lo]
-        for t, temp, de in zip(times, np.atleast_1d(T_j), flux):
-            table.append(k + 2, omega_j / MHZ, t / US, temp / UK, de)
-    return table
-
-
-def run_fig5(cfg: ExperimentConfig) -> dict:
-    """Long-format per-mode temperature and flux maps in the near-resonant
-    window, one file per N."""
-    out_dir = Path(cfg.out_dir)
-    n_values = cfg.n_list or [4000, 6000, 8000]
-    times = cfg.times()
-    files, tables, derived = [], {}, {}
-    for n in n_values:
-        spec, model, init, params = _context(cfg, n)
-        _warn_beyond_recurrence(times, model)
-        basis = mode_basis(model)
-        lo, hi = _mode_window(model, cfg.mode_window_mhz * MHZ)
-        c0 = initial_coefficients(basis.frequencies, init)
-        c, x = evaluate(basis, c0, times, range(lo + 1, hi + 1))
-        table = _mode_map_table(model, lo, times, c, x)
-        files.append(table.write_csv(out_dir / f"fig5_modes_N{n}.csv"))
-        tables[f"N{n}"] = table
-        derived[f"N{n}"] = derived_constants(cfg, basis, params)
-    manifest = write_manifest(
-        out_dir / "fig5_manifest.json",
-        files=[f.name for f in files],
-        parameters={**_parameters_dict(cfg), "n_list": list(n_values), "mode_window_mhz": cfg.mode_window_mhz},
-        derived=derived,
-    )
-    return {"files": files, "manifest": manifest, "tables": tables}
+def _sweep_curves(run: _Run) -> dict:
+    """Entropy-production gap dS_vN - dS_tot at the sweep times."""
+    gap = ep_difference(run.records, run.params)[1:]
+    dS_tot = _field(run.records[1:], "dS_tot")
+    table = ResultTable.from_columns({
+        "N[1]": run.n,
+        "invN[1]": 1.0 / run.n,
+        "t[us]": run.times / US,
+        "ep_gap[kB]": gap / KB,
+        "dS_vN[kB]": (dS_tot + gap) / KB,
+        "dS_tot[kB]": dS_tot / KB,
+    })
+    return {"sweep": ("sweep_n.csv", table)}
 
 
 def proportional_fit(x: np.ndarray, y: np.ndarray) -> dict:
@@ -402,56 +277,74 @@ def affine_fit(x: np.ndarray, y: np.ndarray) -> dict:
     return {"slope": float(slope), "intercept": float(intercept), "r2": r2}
 
 
-def run_sweep_n(cfg: ExperimentConfig) -> dict:
-    """Entropy-production gap dS_vN - dS_tot against 1/N at the configured
-    sweep times, with proportional and affine fits per time."""
-    out_dir = Path(cfg.out_dir)
-    n_values = cfg.n_list or [1000, 2000, 3000, 4000]
-    if len(n_values) < 3:
-        raise ConfigError("sweep-n needs at least 3 N values")
-    sweep_times = cfg.sweep_times()
-
-    table = ResultTable(
-        columns=["N[1]", "invN[1]", "t[us]", "ep_gap[kB]", "dS_vN[kB]", "dS_tot[kB]"]
-    )
-    gaps: dict[float, list[tuple[int, float]]] = {t: [] for t in sweep_times}
-    derived = {}
-    for n in n_values:
-        spec, model, init, params = _context(cfg, n)
-        _warn_beyond_recurrence(sweep_times, model)
-        basis = mode_basis(model)
-        baseline, *snapshots = snapshot_series(basis, init, np.r_[0.0, sweep_times])
-        records = [totals(baseline, baseline)] + [totals(s, baseline) for s in snapshots]
-        derived[f"N{n}"] = derived_constants(cfg, basis, params)
-        diffs = ep_difference(records, params)[1:]
-        for t, rec, gap in zip(sweep_times, records[1:], diffs):
-            ds_vn = rec.dS_tot + gap
-            table.append(n, 1.0 / n, t / US, gap / KB, ds_vn / KB, rec.dS_tot / KB)
-            gaps[t].append((n, gap / KB))
-
+def _sweep_fits(table: ResultTable) -> dict:
+    """Proportional and affine fits of the gap against 1/N, per sweep time."""
+    t_us, inv_n, gap = (table.column(name) for name in ("t[us]", "invN[1]", "ep_gap[kB]"))
     fits = {}
-    for t, pairs in gaps.items():
-        inv_n = np.array([1.0 / n for n, _ in pairs])
-        y = np.array([gap for _, gap in pairs])
-        fits[f"t_us={t / US:g}"] = {
-            "proportional": proportional_fit(inv_n, y),
-            "affine": affine_fit(inv_n, y),
+    for t in dict.fromkeys(t_us.tolist()):
+        at_t = t_us == t
+        fits[f"t_us={t:g}"] = {
+            "proportional": proportional_fit(inv_n[at_t], gap[at_t]),
+            "affine": affine_fit(inv_n[at_t], gap[at_t]),
         }
+    return fits
 
-    files = [table.write_csv(out_dir / "sweep_n.csv")]
-    manifest = write_manifest(
-        out_dir / "sweep_n_manifest.json",
+
+# --- the pipeline -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Job:
+    """A figure job: manifest stem, curve function and defaults.
+
+    ``n_default`` None runs the single configured ``n_modes`` with flat
+    manifest ``derived``; a tuple is the N list used when the config sets
+    none, with ``derived`` nested per N.  ``params`` names extra config
+    fields for the manifest.  A ``sweep`` job evaluates at the sweep times,
+    stacks its per-N rows into one table and fits the gap against 1/N.
+    """
+
+    stem: str
+    curves: Callable[[_Run], dict]
+    n_default: tuple[int, ...] | None = None
+    params: tuple[str, ...] = ()
+    sweep: bool = False
+
+
+def _run_figure(job: _Job, cfg: ExperimentConfig) -> dict:
+    multi_n = job.n_default is not None
+    n_values = list(cfg.n_list or job.n_default) if multi_n else [cfg.n_modes]
+    if job.sweep and len(n_values) < 3:
+        raise ConfigError("sweep-n needs at least 3 N values")
+    times = cfg.sweep_times() if job.sweep else cfg.times()
+    curves, derived = {}, {}
+    for i, n in enumerate(n_values):
+        run = _Run(cfg, n, times, last=i == len(n_values) - 1)
+        for key, (name, table) in job.curves(run).items():
+            if key in curves:  # one table gathers the rows of every N
+                curves[key][1].rows.extend(table.rows)
+            else:
+                curves[key] = (name, table)
+        derived[f"N{n}"] = derived_constants(run.basis, run.params)
+
+    out_dir = Path(cfg.out_dir)
+    files = [table.write_csv(out_dir / name) for name, table in curves.values()]
+    tables = {key: table for key, (_, table) in curves.items()}
+    parameters = {name: getattr(cfg, name) for name in _PARAMETERS + job.params}
+    if multi_n:
+        parameters["n_list"] = n_values
+    result = {"files": files, "tables": tables}
+    if job.sweep:
+        parameters["sweep_times_us"] = [float(t) for t in cfg.sweep_times_us]
+        result["fits"] = _sweep_fits(tables["sweep"])
+    result["manifest"] = write_manifest(
+        out_dir / f"{job.stem}_manifest.json",
         files=[f.name for f in files],
-        parameters={**_parameters_dict(cfg), "n_list": list(n_values), "sweep_times_us": list(np.asarray(cfg.sweep_times_us, dtype=float))},
-        derived=derived,
-        extra={"fits": fits},
+        parameters=parameters,
+        derived=derived if multi_n else derived[f"N{cfg.n_modes}"],
+        extra={"fits": result["fits"]} if job.sweep else None,
     )
-    return {"files": files, "manifest": manifest, "tables": {"sweep": table}, "fits": fits}
-
-
-def run_fig6(cfg: ExperimentConfig) -> dict:
-    """The N-sweep presented in the figure pipeline."""
-    return run_sweep_n(cfg)
+    return result
 
 
 def run_validate(cfg: ExperimentConfig) -> dict:
@@ -466,24 +359,26 @@ def run_validate(cfg: ExperimentConfig) -> dict:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "validate_report.json"
-    import json
-
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return {"files": [path], "report": report}
 
 
-JOB_RUNNERS = {
-    "simulate": run_simulate,
-    "fig1": run_fig1,
-    "fig2": run_fig2,
-    "fig3": run_fig3,
-    "fig4": run_fig4,
-    "fig5": run_fig5,
-    "fig6": run_fig6,
-    "sweep-n": run_sweep_n,
-    "validate": run_validate,
+_SWEEP = _Job("sweep_n", _sweep_curves, (1000, 2000, 3000, 4000), sweep=True)
+_FIGURES = {
+    "simulate": _Job("simulate", _simulate_curves),
+    "fig1": _Job("fig1", _fig1_curves, (4000, 6000, 8000)),
+    "fig2": _Job("fig2", _fig2_curves),
+    "fig3": _Job("fig3", _fig3_curves, (1000, 2000, 4000)),
+    "fig4": _Job("fig4", _fig4_curves, params=("mode_window_mhz",)),
+    "fig5": _Job("fig5", _fig5_curves, (4000, 6000, 8000), params=("mode_window_mhz",)),
+    "fig6": _SWEEP,  # the N-sweep presented in the figure pipeline
+    "sweep-n": _SWEEP,
 }
 
 
 def run_job(cfg: ExperimentConfig) -> dict:
-    return JOB_RUNNERS[cfg.job](cfg)
+    """Run ``cfg.job`` and return its files, tables and manifest (or, for
+    ``validate``, its report)."""
+    if cfg.job == "validate":
+        return run_validate(cfg)
+    return _run_figure(_FIGURES[cfg.job], cfg)

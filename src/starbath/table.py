@@ -29,7 +29,13 @@ class ResultTable:
 
     columns: list[str]
     rows: list[tuple] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_columns(cls, columns: dict) -> "ResultTable":
+        """Table from ``{name: values}``; scalars broadcast to the common
+        length, and each value keeps its int or float formatting."""
+        arrays = np.broadcast_arrays(*(np.asarray(v) for v in columns.values()))
+        return cls(columns=list(columns), rows=list(zip(*(a.tolist() for a in arrays))))
 
     def append(self, *values) -> None:
         if len(values) != len(self.columns):

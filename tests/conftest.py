@@ -36,10 +36,9 @@ class ProductionContext:
         return self._models[n]
 
     def params(self, n: int) -> sb.GkslParams:
-        model = self.model(n)
         return sb.GkslParams(
-            omega1=model.omega1,
-            Gamma=sb.relaxation_rate(model, self.spec(n)),
+            omega1=self.config(n).omega1,
+            Gamma=sb.relaxation_rate(self.spec(n), self.config(n).omega1),
             T_A0=self.init.T_A0,
             T_B0=self.init.T_B0,
         )

@@ -1,7 +1,12 @@
 import json
 
+import pytest
+
 from starbath import checks
 from starbath.cli import main
+from starbath.config import JOBS
+
+MULTI_N_JOBS = {"fig1", "fig3", "fig5", "fig6", "sweep-n"}
 
 
 def test_simulate_roundtrip(tmp_path, capsys):
@@ -20,6 +25,42 @@ def test_config_file_with_cli_override(tmp_path):
     assert rc == 0
     data = (tmp_path / "out" / "fig2_fluxes.csv").read_bytes()
     assert data.count(b"\r\n") == 5  # header + 4 rows from the CLI grid
+
+
+@pytest.mark.parametrize("job", [job for job in JOBS if job != "validate"])
+def test_job_matrix_manifest_lists_written_files(tmp_path, capsys, job):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(
+        json.dumps(
+            {
+                "n_modes": 16,
+                "n_list": [8, 16, 32],
+                "times_us": [0.0, 0.25, 0.5],
+                "sweep_times_us": [0.0, 0.25],
+                "mode_window_mhz": 20.0,
+            }
+        )
+    )
+    out = tmp_path / "out"
+    assert main([job, "--config", str(cfg_path), "--out", str(out)]) == 0
+    written = [line.removeprefix("wrote ") for line in capsys.readouterr().out.splitlines()]
+    (manifest_path,) = out.glob("*_manifest.json")
+    manifest = json.loads(manifest_path.read_text())
+    assert [str(out / name) for name in manifest["files"]] == written
+    assert sorted(manifest["files"]) == sorted(p.name for p in out.glob("*.csv"))
+    if job in MULTI_N_JOBS:
+        assert sorted(manifest["derived"]) == ["N16", "N32", "N8"]
+        assert manifest["parameters"]["n_list"] == [8, 16, 32]
+    else:
+        assert "Gamma_per_s" in manifest["derived"]
+        assert "n_list" not in manifest["parameters"]
+
+
+def test_config_with_removed_emit_modes_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"emit_modes": True}))
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    assert "emit_modes" in capsys.readouterr().err
 
 
 def test_bad_config_exits_2(tmp_path, capsys):

@@ -106,7 +106,7 @@ class TestVonNeumannProduction:
         init = cfg.initial_temperatures()
         p = GkslParams(
             omega1=cfg.omega1,
-            Gamma=sb.relaxation_rate(model, spec),
+            Gamma=sb.relaxation_rate(spec, cfg.omega1),
             T_A0=init.T_A0,
             T_B0=init.T_B0,
         )
@@ -128,7 +128,7 @@ def evolved():
     init = sb.InitialTemperatures(T_A0=8e-6, T_B0=60e-6)
     p = GkslParams(
         omega1=model.omega1,
-        Gamma=sb.relaxation_rate(model, spec),
+        Gamma=sb.relaxation_rate(spec, model.omega1),
         T_A0=init.T_A0,
         T_B0=init.T_B0,
     )

@@ -6,17 +6,7 @@ import pytest
 import starbath as sb
 from starbath.checks import flux_finite_difference_residual
 from starbath.config import ConfigError, ExperimentConfig, load_config, parse_grid
-from starbath.harness import (
-    affine_fit,
-    proportional_fit,
-    run_fig1,
-    run_fig2,
-    run_fig4,
-    run_fig5,
-    run_simulate,
-    run_sweep_n,
-    run_validate,
-)
+from starbath.harness import affine_fit, proportional_fit, run_job
 from starbath.table import ResultTable
 
 
@@ -55,6 +45,8 @@ class TestConfig:
             ExperimentConfig(pivn_mode="sometimes")
         with pytest.raises(ConfigError):
             ExperimentConfig(n_list=[400, 200])
+        with pytest.raises(ConfigError, match="strictly"):
+            ExperimentConfig(n_list=[200, 200, 400])
         with pytest.raises(ConfigError):
             ExperimentConfig(times_us=[3.0, 1.0])
         with pytest.raises(ConfigError):
@@ -87,6 +79,12 @@ class TestResultTable:
         table.append(1.5)
         np.testing.assert_allclose(table.column("a[1]"), [0.5, 1.5])
 
+    def test_from_columns_bytes(self, tmp_path):
+        table = ResultTable.from_columns({"N[1]": 8, "t[us]": np.array([0.0, 1.0]), "v[1]": [1.25, -3.0]})
+        assert table.rows == [(8, 0.0, 1.25), (8, 1.0, -3.0)]
+        raw = table.write_csv(tmp_path / "t.csv").read_bytes()
+        assert raw == b"N[1],t[us],v[1]\r\n8,0.0,1.25\r\n8,1.0,-3.0\r\n"
+
     def test_rejects_ragged_row(self):
         table = ResultTable(columns=["a[1]", "b[1]"])
         with pytest.raises(ValueError):
@@ -97,7 +95,7 @@ class TestSimulateJob:
     def test_tiny_run_rows_and_invariants(self, tmp_path):
         cfg = tiny_cfg(tmp_path, n_modes=2, grid_points=3, grid_end_us=1.0)
         with pytest.warns(RuntimeWarning, match="recurrence"):
-            result = run_simulate(cfg)
+            result = run_job(cfg)
         table = result["tables"]["simulate"]
         assert len(table.rows) == 3
         # flux sum rule row by row
@@ -110,13 +108,13 @@ class TestSimulateJob:
     def test_deterministic_bytes(self, tmp_path):
         cfg1 = tiny_cfg(tmp_path / "a", grid_end_us=0.5)
         cfg2 = tiny_cfg(tmp_path / "b", grid_end_us=0.5)
-        first = run_simulate(cfg1)["files"][0].read_bytes()
-        second = run_simulate(cfg2)["files"][0].read_bytes()
+        first = run_job(cfg1)["files"][0].read_bytes()
+        second = run_job(cfg2)["files"][0].read_bytes()
         assert first == second
 
     def test_manifest_contents(self, tmp_path):
         cfg = tiny_cfg(tmp_path, grid_end_us=0.5)
-        run_simulate(cfg)
+        run_job(cfg)
         manifest = json.loads((tmp_path / "simulate_manifest.json").read_text())
         assert manifest["files"] == ["simulate.csv"]
         derived = manifest["derived"]
@@ -125,53 +123,86 @@ class TestSimulateJob:
         assert derived["weight_sum_residual"] <= 1e-12
         assert derived["newton_step"] <= 1e-12
 
-    def test_emit_modes(self, tmp_path):
-        cfg = tiny_cfg(tmp_path, emit_modes=True, mode_window_mhz=20.0, grid_end_us=0.5)
-        result = run_simulate(cfg)
-        assert (tmp_path / "simulate_modes.csv").exists()
-        modes = result["tables"]["modes"]
-        assert modes.columns == ["j[1]", "omega_j[MHz]", "t[us]", "T_j[uK]", "dEj_dt[J/s]"]
-        assert len(modes.rows) > 0
-
 
 class TestFigureJobs:
     def test_fig1_files(self, tmp_path):
-        cfg = tiny_cfg(tmp_path, n_list=[8, 16], grid_end_us=0.5)
-        result = run_fig1(cfg)
-        names = sorted(p.name for p in result["files"])
-        assert names == ["fig1_sigma11_N16.csv", "fig1_sigma11_N8.csv", "fig1_sigma11_gksl.csv"]
+        cfg = tiny_cfg(tmp_path, job="fig1", n_list=[8, 16], grid_end_us=0.5)
+        result = run_job(cfg)
+        names = [p.name for p in result["files"]]
+        assert names == ["fig1_sigma11_N8.csv", "fig1_sigma11_N16.csv", "fig1_sigma11_gksl.csv"]
         manifest = json.loads((tmp_path / "fig1_manifest.json").read_text())
-        assert sorted(manifest["files"]) == names
+        assert manifest["files"] == names
 
     def test_fig2_flux_sum(self, tmp_path):
-        cfg = tiny_cfg(tmp_path, grid_end_us=0.5)
-        table = run_fig2(cfg)["tables"]["fluxes"]
+        cfg = tiny_cfg(tmp_path, job="fig2", grid_end_us=0.5)
+        table = run_job(cfg)["tables"]["fluxes"]
         total = table.column("dEA_dt[J/s]") + table.column("dEB_dt[J/s]") + table.column("dEI_dt[J/s]")
         scale = max(np.abs(table.column("dEA_dt[J/s]")).max(), 1e-300)
         assert np.max(np.abs(total)) <= 1e-12 * scale
 
+    def test_fig3_per_n_files_and_derived(self, tmp_path):
+        cfg = tiny_cfg(tmp_path, job="fig3", n_list=[8, 16, 32], grid_end_us=0.5)
+        result = run_job(cfg)
+        names = ["fig3_rates_N8.csv", "fig3_rates_N16.csv", "fig3_rates_N32.csv"]
+        assert [p.name for p in result["files"]] == names
+        assert list(result["tables"]) == ["N8", "N16", "N32"]
+        manifest = json.loads((tmp_path / "fig3_manifest.json").read_text())
+        assert manifest["files"] == names
+        assert manifest["parameters"]["n_list"] == [8, 16, 32]
+        assert list(manifest["derived"]) == ["N16", "N32", "N8"]  # sorted keys
+        assert manifest["derived"]["N16"]["delta_omega_rad_per_s"] == pytest.approx(19.974e6 / 15)
+        for table in result["tables"].values():
+            assert table.column("Pi_tot[kB/ms]")[0] == 0.0
+
     def test_fig4_and_fig5_windows(self, tmp_path):
-        cfg = tiny_cfg(tmp_path, n_list=[16], mode_window_mhz=20.0, grid_end_us=0.5)
-        r4 = run_fig4(cfg)
+        cfg = tiny_cfg(tmp_path, job="fig4", n_list=[16], mode_window_mhz=20.0, grid_end_us=0.5)
+        r4 = run_job(cfg)
         assert set(r4["tables"]["system"].columns) == {"t[us]", "T_A_exact[uK]", "T_A_gksl[uK]"}
         assert len(r4["tables"]["bath"].rows) == 16 * cfg.grid_points
-        r5 = run_fig5(cfg)
+        r5 = run_job(cfg.with_overrides(job="fig5"))
         assert len(r5["tables"]["N16"].rows) == 16 * cfg.grid_points
+
+    def test_fig5_single_n_mode_fluxes_sum_to_bath_flux(self, tmp_path):
+        # a window over the whole bath: the per-mode fluxes add up to the
+        # simulate job's dE_B/dt and the temperatures match fig4's bath table
+        cfg = tiny_cfg(tmp_path, job="fig5", n_list=[16], mode_window_mhz=20.0, grid_end_us=0.5)
+        modes = run_job(cfg)["tables"]["N16"]
+        assert (tmp_path / "fig5_modes_N16.csv").exists()
+        assert modes.columns == ["j[1]", "omega_j[MHz]", "t[us]", "T_j[uK]", "dEj_dt[J/s]"]
+        assert modes.column("j[1]").tolist() == np.repeat(np.arange(2, 18), cfg.grid_points).tolist()
+        flux = modes.column("dEj_dt[J/s]").reshape(16, cfg.grid_points).sum(axis=0)
+        sim = run_job(cfg.with_overrides(job="simulate"))["tables"]["simulate"]
+        dEB = sim.column("dEB_dt[J/s]")
+        np.testing.assert_allclose(flux, dEB, rtol=1e-12, atol=1e-12 * np.abs(dEB).max())
+        bath = run_job(cfg.with_overrides(job="fig4"))["tables"]["bath"]
+        np.testing.assert_array_equal(bath.column("T_j[uK]"), modes.column("T_j[uK]"))
 
 
 class TestSweepJob:
     def test_rejects_short_n_list(self, tmp_path):
-        cfg = tiny_cfg(tmp_path, n_list=[8, 16])
+        cfg = tiny_cfg(tmp_path, job="sweep-n", n_list=[8, 16])
         with pytest.raises(ConfigError, match="at least 3"):
-            run_sweep_n(cfg)
+            run_job(cfg)
 
     def test_zero_time_rows_vanish(self, tmp_path):
-        cfg = tiny_cfg(tmp_path, n_list=[8, 16, 32], sweep_times_us=[0.0])
-        result = run_sweep_n(cfg)
+        cfg = tiny_cfg(tmp_path, job="sweep-n", n_list=[8, 16, 32], sweep_times_us=[0.0])
+        result = run_job(cfg)
         gaps = result["tables"]["sweep"].column("ep_gap[kB]")
         np.testing.assert_allclose(gaps, 0.0, atol=1e-15)
         fit = result["fits"]["t_us=0"]["proportional"]
         assert fit["r2"] == 1.0  # degenerate all-zero fit treated as perfect
+
+    def test_fig6_writes_sweep_n_bytes(self, tmp_path):
+        kwargs = dict(n_list=[8, 16, 32], sweep_times_us=[0.0, 0.2, 0.4])
+        sweep = run_job(tiny_cfg(tmp_path / "sweep", job="sweep-n", **kwargs))
+        fig6 = run_job(tiny_cfg(tmp_path / "fig6", job="fig6", **kwargs))
+        assert [p.name for p in fig6["files"]] == ["sweep_n.csv"]
+        for a, b in zip(sweep["files"] + [sweep["manifest"]], fig6["files"] + [fig6["manifest"]]):
+            assert a.name == b.name and a.read_bytes() == b.read_bytes()
+        assert fig6["fits"] == sweep["fits"]
+        assert list(fig6["fits"]) == ["t_us=0", "t_us=0.2", "t_us=0.4"]
+        table = fig6["tables"]["sweep"]
+        assert table.column("N[1]").tolist() == [8] * 3 + [16] * 3 + [32] * 3
 
     def test_fit_helpers(self):
         x = np.array([1.0, 0.5, 0.25])
@@ -186,7 +217,7 @@ class TestSweepJob:
 class TestValidateJob:
     def test_default_suite_green(self, tmp_path):
         cfg = tiny_cfg(tmp_path, job="validate")
-        result = run_validate(cfg)
+        result = run_job(cfg)
         report = result["report"]
         failing = [c for c in report["checks"] if not c["passed"]]
         assert report["passed"], f"failing checks: {failing}"

@@ -108,30 +108,23 @@ class TestStarModelInvariants:
 
 class TestRelaxationRate:
     def test_production_value(self):
-        spec = production_spec(4000)
-        model = discretize_ohmic_bath(spec, 4e6)
-        assert relaxation_rate(model, spec) == pytest.approx(REFERENCE["Gamma_per_s"], rel=1e-12)
+        assert relaxation_rate(production_spec(4000), 4e6) == pytest.approx(REFERENCE["Gamma_per_s"], rel=1e-12)
 
     def test_zero_eta(self):
         spec = OhmicBathSpec(eta=0.0, omega_c=3e6, omega_min=1e5, omega_max=1e7, n_modes=16)
-        model = discretize_ohmic_bath(spec, 4e6)
-        assert relaxation_rate(model, spec) == 0.0
+        assert relaxation_rate(spec, 4e6) == 0.0
 
     def test_large_cutoff_limit(self):
         spec = OhmicBathSpec(eta=1e-3, omega_c=1e15, omega_min=1e5, omega_max=1e7, n_modes=16)
-        model = discretize_ohmic_bath(spec, 4e6)
-        assert relaxation_rate(model, spec) == pytest.approx(math.pi * 1e-3 * 4e6, rel=1e-6)
+        assert relaxation_rate(spec, 4e6) == pytest.approx(math.pi * 1e-3 * 4e6, rel=1e-6)
 
-    def test_rejects_mismatched_model(self):
-        spec = production_spec(16)
-        other = discretize_ohmic_bath(production_spec(16), 4e6)
-        tampered = StarModel(
-            omega1=other.omega1,
-            bath_omegas=other.bath_omegas,
-            bath_couplings=other.bath_couplings * 2.0,
-        )
-        with pytest.raises(ValueError, match="does not match"):
-            relaxation_rate(tampered, spec)
+    def test_independent_of_n(self):
+        assert relaxation_rate(production_spec(16), 4e6) == relaxation_rate(production_spec(4000), 4e6)
+
+    def test_rejects_bad_omega1(self):
+        for omega1 in (0.0, -4e6, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="omega1"):
+                relaxation_rate(production_spec(16), omega1)
 
 
 class TestMeanOccupation:
