@@ -31,7 +31,7 @@ from .model import (
     ohmic_spectral_density,
     recurrence_time,
 )
-from .oracle import ORACLE_CAP_DEFAULT, dense_oracle_at, full_hamiltonian
+from .oracle import ORACLE_CAP_DEFAULT, dense_oracle_at, dense_oracle_series, full_hamiltonian
 from .thermo import (
     energy_fluxes,
     entropy_kb,
@@ -172,17 +172,13 @@ def oracle_equivalence_residual(
     model: StarModel, init: InitialTemperatures, times, oracle_cap: int = 64
 ) -> float:
     """Max abs difference of reduced-path c_j, x_j against the dense oracle."""
-    basis = mode_basis(model)
-    worst = 0.0
-    for t in np.atleast_1d(times):
-        snap = snapshot_at(basis, init, float(t))
-        dense = dense_oracle_at(model, init, float(t), oracle_cap=oracle_cap)
-        worst = max(
-            worst,
-            float(np.max(np.abs(snap.c - dense.diagonal_coefficients()))),
-            float(np.max(np.abs(snap.x - dense.cross_terms()))),
-        )
-    return worst
+    times = np.sort(np.atleast_1d(times))
+    dense = dense_oracle_series(model, init, times, oracle_cap=oracle_cap)
+    snaps = snapshot_series(mode_basis(model), init, times)
+    return max(
+        float(np.max(np.abs(np.r_[s.c - d.diagonal_coefficients(), s.x - d.cross_terms()])))
+        for s, d in zip(snaps, dense)
+    )
 
 
 def gibbs_block_residual(dense) -> float:
@@ -204,12 +200,8 @@ def positivity_floor(dense) -> float:
 
 
 def energy_conservation_residual(model: StarModel, init: InitialTemperatures, times) -> float:
-    e0 = dense_oracle_at(model, init, 0.0).total_energy()
-    worst = 0.0
-    for t in np.atleast_1d(times):
-        et = dense_oracle_at(model, init, float(t)).total_energy()
-        worst = max(worst, abs(et - e0) / abs(e0))
-    return worst
+    e0, *et = (d.total_energy() for d in dense_oracle_series(model, init, np.r_[0.0, np.atleast_1d(times)]))
+    return max(abs(e - e0) / abs(e0) for e in et)
 
 
 # --- thermo ---------------------------------------------------------------
@@ -320,14 +312,7 @@ def default_suite(seed: int = 0, oracle_cap: int = 64) -> list[CheckResult]:
         _result("model", "coupling_sum_rule", coupling_sum_rule_residual(model, spec), 1e-13)
     )
     err_n = coupling_integral_error(spec, 4e6)
-    spec2 = OhmicBathSpec(
-        eta=spec.eta,
-        omega_c=spec.omega_c,
-        omega_min=spec.omega_min,
-        omega_max=spec.omega_max,
-        n_modes=2 * spec.n_modes,
-    )
-    err_2n = coupling_integral_error(spec2, 4e6)
+    err_2n = coupling_integral_error(replace(spec, n_modes=2 * spec.n_modes), 4e6)
     ratio = err_n / err_2n
     results.append(
         CheckResult(
@@ -399,14 +384,7 @@ def default_suite(seed: int = 0, oracle_cap: int = 64) -> list[CheckResult]:
         )
     )
 
-    mid_spec = OhmicBathSpec(
-        eta=spec.eta,
-        omega_c=spec.omega_c,
-        omega_min=spec.omega_min,
-        omega_max=spec.omega_max,
-        n_modes=512,
-    )
-    mid_basis = mode_basis(discretize_ohmic_bath(mid_spec, 4e6))
+    mid_basis = mode_basis(discretize_ohmic_bath(replace(spec, n_modes=512), 4e6))
     snap = snapshot_at(mid_basis, init, 100e-6)
     results.append(
         _result("thermo", "flux_sum_rule", flux_sum_residual(snap, mid_basis.model), 1e-12)

@@ -99,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
             return 3
         print("validation passed")
     else:
-        for path in result["files"]:
+        for path in [*result["files"], result["manifest"]]:
             print(f"wrote {path}")
     return 0
 

@@ -16,10 +16,10 @@ z_k = Q_1k^2 exp(-i l_k t), A_j = sum_k z_k/(l_k - w_j) and
 B_j = sum_k z_k/(l_k - w_j)^2 this gives U_11 = sum_k z_k, U_1j = g_j A_j,
 U_jj = g_j^2 B_j and U_jm = g_j g_m (A_j - A_m)/(w_j - w_m), so the m-sums
 reduce to products with the kernels 1/(w_j - w_m)^2 and 1/(w_m - w_j): a
-whole time grid costs O(T N^2) after one eigenvalue solve.  Each eigenvalue
-is kept as its nearest bath pole plus a shift, l_k = w_p + d_k, refined on
-the secular equation in that shifted variable, so the small differences
-l_k - w_j keep full relative accuracy.
+whole time grid costs O(T N^2).  The eigenvalues interlace the bath
+frequencies; each is the secular-equation root in its own bracket, kept as
+its nearest bath pole plus a shift, l_k = w_p + d_k, found in that shifted
+variable, so the small differences l_k - w_j keep full relative accuracy.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .model import ReducedHamiltonian, StarModel, build_reduced, thermal_coefficient
 
@@ -47,7 +46,7 @@ __all__ = [
     "cross_term_series",
 ]
 
-EVALUATION_PATH = "arrowhead closed form: LAPACK eigenvalues, shifted secular Newton, blocked resolvent GEMMs"
+EVALUATION_PATH = "arrowhead closed form: bracketed shifted secular Newton, blocked resolvent GEMMs"
 
 # Scratch blocks of the O(N^2) kernels stay near this size.
 _BLOCK_BYTES = 8 * 2**20
@@ -133,40 +132,46 @@ def _row_blocks(n_rows: int, n_cols: int):
 def _secular(offset, shifts, pole_w, bath_w, g2):
     """Secular function f(d) = (w_p - w_1) + d - sum_j g_j^2/((w_p - w_j) + d)
     and its derivative, row-blocked over the eigenvalues."""
-    f = np.empty(len(shifts))
-    fp = np.empty(len(shifts))
+    f, fp = np.empty((2, len(shifts)))
+    scratch = np.empty(max(_BLOCK_BYTES // 8, len(bath_w)))  # holds any row block
     for s in _row_blocks(len(shifts), len(bath_w)):
-        inv = 1.0 / ((pole_w[s, None] - bath_w) + shifts[s, None])
+        inv = scratch[: (s.stop - s.start) * len(bath_w)].reshape(-1, len(bath_w))
+        np.subtract(pole_w[s, None], bath_w, out=inv)
+        inv += shifts[s, None]
+        np.reciprocal(inv, out=inv)
         f[s] = offset[s] + shifts[s] - (inv @ g2)
         np.square(inv, out=inv)
         fp[s] = 1.0 + inv @ g2
     return f, fp
 
 
-def _refine(w1, bath_w, g, guesses):
+def _refine(w1, bath_w, g):
     """Pole indices, shifts, weights and the largest relative Newton step
     left at the final shifts, for the arrowhead matrix with diagonal
     (w1, bath_w) and arm g, all g nonzero and bath_w strictly increasing.
 
     Eigenvalue k lies in the interlacing interval (bath_w[k-1], bath_w[k]);
-    its shift d from the nearer endpoint is refined by Newton steps on the
-    secular equation times d, which removes the pole at d = 0 so that a
-    start far from a root next to the pole still converges quickly; a step
-    that leaves the sign bracket is replaced by bisection.
+    the sign of the secular function at its midpoint picks the half holding
+    the root, and so the pole (as LAPACK dlaed4 does).  The shift d from that
+    pole is refined from the middle of the half by Newton steps on the
+    secular equation times d, which removes the pole at d = 0; a step that
+    leaves the sign bracket is replaced by bisection.
     """
     m = len(bath_w)
     radius = 2.0 * float(np.linalg.norm(g))
     lo = np.concatenate(([min(w1, bath_w[0]) - radius], bath_w))
     hi = np.concatenate((bath_w, [max(w1, bath_w[-1]) + radius]))
+    half = 0.5 * (hi - lo)
     left = np.arange(-1, m)
-    poles = np.clip(np.where(guesses - lo <= hi - guesses, left, left + 1), 0, m - 1)
-    pole_w = bath_w[poles]
-    a, b = lo - pole_w, hi - pole_w  # sign bracket of the shift
-    shifts = guesses - pole_w
-    outside = (shifts <= a) | (shifts >= b)
-    shifts[outside] = 0.5 * (a + b)[outside]
-    offset = pole_w - w1
     g2 = g * g
+    ends = np.clip(left, 0, m - 1)  # each midpoint as a shift from a finite endpoint
+    f, _ = _secular(bath_w[ends] - w1, np.where(left >= 0, half, -half), bath_w[ends], bath_w, g2)
+    poles = np.clip(np.where(f > 0, left, left + 1), 0, m - 1)
+    pole_w = bath_w[poles]
+    a, b = lo - pole_w, hi - pole_w  # sign bracket of the shift, narrowed to the root's half
+    a, b = np.where(f < 0, a + half, a), np.where(f > 0, b - half, b)
+    shifts = 0.5 * (a + b)
+    offset = pole_w - w1
 
     steps = np.zeros(m + 1)  # relative size of each shift's latest step
     todo = np.arange(m + 1)
@@ -176,7 +181,7 @@ def _refine(w1, bath_w, g, guesses):
         a[todo] = np.where(f < 0, d, a[todo])
         b[todo] = np.where(f > 0, d, b[todo])
         new = d - d * f / (f + d * fp)  # Newton on d*f(d), smooth at the pole
-        stray = ~((new > a[todo]) & (new < b[todo]))  # also catches 0/0
+        stray = ~((new > a[todo]) & (new < b[todo])) & (new != d)  # catches 0/0; a zero step has converged
         new[stray] = 0.5 * (a[todo] + b[todo])[stray]
         steps[todo] = np.abs(new - d) / np.abs(new)
         shifts[todo] = new
@@ -191,10 +196,11 @@ def diagonalize(reduced: ReducedHamiltonian, model: StarModel | None = None) -> 
     """Closed-form spectral data of the arrowhead matrix, whose bath
     frequencies must be strictly increasing.
 
-    One LAPACK eigenvalue solve supplies starting eigenvalues, refined in the
-    shifted-pole representation; no eigenvectors are formed.  Couplings at or
-    below the double-precision resolution of the matrix are deflated.  LAPACK
-    non-convergence propagates as ``numpy.linalg.LinAlgError``."""
+    Each eigenvalue is found on the secular equation from its interlacing
+    bracket, in the shifted-pole representation, in O(N^2) time and O(N)-row
+    scratch blocks; neither the dense matrix nor its eigenvectors are formed.
+    Couplings at or below the double-precision resolution of the matrix are
+    deflated."""
     w1, bath_w = float(reduced.diagonal[0]), reduced.diagonal[1:]
     if len(bath_w) == 0 or np.any(np.diff(bath_w) <= 0):
         raise ValueError("closed-form diagonalization needs strictly increasing bath frequencies")
@@ -209,10 +215,7 @@ def diagonalize(reduced: ReducedHamiltonian, model: StarModel | None = None) -> 
     poles, shifts, weights, step = np.arange(-1, n), np.zeros(n + 1), np.zeros(n + 1), 0.0
     if len(active):
         live = np.r_[0, 1 + active]
-        h = ReducedHamiltonian(np.r_[w1, bath_w[active]], g[active]).as_matrix()
-        # h is symmetric, so its transpose is the Fortran-ordered view LAPACK overwrites without a copy
-        guesses = eigh(h.T, eigvals_only=True, overwrite_a=True, check_finite=False)
-        p, shifts[live], weights[live], step = _refine(w1, bath_w[active], g[active], guesses)
+        p, shifts[live], weights[live], step = _refine(w1, bath_w[active], g[active])
         poles[live] = active[p]
     else:
         poles[0] = np.argmin(np.abs(bath_w - w1))
@@ -314,16 +317,15 @@ def evaluate(
     # resolvent sums A_j over all coupled modes, B_j over the requested ones
     wa, ga = w[active], g[active]
     A = np.empty((2 * nt, len(active)))
-    B = np.empty_like(A)
-    need_b = np.zeros(len(active), dtype=bool)
-    need_b[act_rows] = True
+    B = np.empty((2 * nt, len(act_rows)))
     for s in _row_blocks(len(active), len(live)):
         inv = 1.0 / ((pole_w[:, None] - wa[s]) + shifts[:, None])  # (K, block)
         A[:, s] = zz @ inv
-        if need_b[s].any():
-            B[:, s] = zz @ np.square(inv, out=inv)
+        hit = np.flatnonzero((act_rows >= s.start) & (act_rows < s.stop))
+        if len(hit):
+            B[:, hit] = (zz @ np.square(inv, out=inv))[:, act_rows[hit] - s.start]
     A = A[:nt] + 1j * A[nt:]
-    B = (B[:nt] + 1j * B[nt:])[:, act_rows]
+    B = B[:nt] + 1j * B[nt:]
 
     c = np.broadcast_to(c0[rows], (nt, len(rows))).copy()  # deflated rows keep c0
     x = np.zeros((nt, len(rows))) if cross else None

@@ -28,8 +28,10 @@ __all__ = [
     "build_reduced",
 ]
 
-# Relative tolerance for the uniform bath spacing invariant.
+# Uniform bath spacing holds to 1e-12 relative, or to a few ulps of the top
+# frequency, which bound the rounding of omega_min + dw * k at large N.
 _SPACING_RTOL = 1e-12
+_SPACING_ULPS = 4
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -110,8 +112,9 @@ class StarModel:
         if spacing <= 0:
             raise ValueError("bath frequencies must be strictly increasing")
         diffs = np.diff(omegas)
-        if np.any(diffs <= 0) or np.max(np.abs(diffs - spacing)) > _SPACING_RTOL * spacing:
-            raise ValueError("bath frequencies must be uniformly spaced (1e-12 relative)")
+        tol = max(_SPACING_RTOL * spacing, _SPACING_ULPS * float(np.spacing(omegas[-1])))
+        if np.any(diffs <= 0) or np.max(np.abs(diffs - spacing)) > tol:
+            raise ValueError("bath frequencies must be uniformly spaced (to 1e-12 relative or 4 ulps)")
 
         omegas.setflags(write=False)
         couplings.setflags(write=False)

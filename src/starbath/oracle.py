@@ -25,6 +25,7 @@ __all__ = [
     "full_hamiltonian",
     "initial_covariance_diagonal",
     "dense_oracle_at",
+    "dense_oracle_series",
 ]
 
 ORACLE_CAP_DEFAULT = 64
@@ -91,6 +92,33 @@ class DenseSymplectic:
         return float(np.max(np.abs(self.V @ self.Omega @ self.V.T - self.Omega)))
 
 
+def dense_oracle_series(
+    model: StarModel,
+    init: InitialTemperatures,
+    times,
+    oracle_cap: int = ORACLE_CAP_DEFAULT,
+) -> list[DenseSymplectic]:
+    """Evolve the full covariance matrix exactly to each time of ``times``
+    (any order), from one eigendecomposition of H."""
+    if model.n_modes > oracle_cap:
+        raise ValueError(
+            f"dense oracle refuses N={model.n_modes} above cap {oracle_cap} "
+            "(quadratic memory, cubic time)"
+        )
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if np.any(times < 0):
+        raise ValueError("time must be non-negative")
+    H = full_hamiltonian(model)
+    Omega = symplectic_form(model.n_modes + 1)
+    w, P = np.linalg.eigh(H)
+    sigma0 = initial_covariance_diagonal(model, init)
+    out = []
+    for t in times:
+        V = (P * np.cos(w * t)) @ P.T + Omega @ ((P * np.sin(w * t)) @ P.T)
+        out.append(DenseSymplectic(time=float(t), H=H, Omega=Omega, V=V, sigma=(V * sigma0) @ V.T))
+    return out
+
+
 def dense_oracle_at(
     model: StarModel,
     init: InitialTemperatures,
@@ -98,19 +126,4 @@ def dense_oracle_at(
     oracle_cap: int = ORACLE_CAP_DEFAULT,
 ) -> DenseSymplectic:
     """Evolve the full covariance matrix exactly to time ``t``."""
-    if model.n_modes > oracle_cap:
-        raise ValueError(
-            f"dense oracle refuses N={model.n_modes} above cap {oracle_cap} "
-            "(quadratic memory, cubic time)"
-        )
-    if t < 0:
-        raise ValueError("time must be non-negative")
-    H = full_hamiltonian(model)
-    Omega = symplectic_form(model.n_modes + 1)
-    w, P = np.linalg.eigh(H)
-    cos_ht = (P * np.cos(w * t)) @ P.T
-    sin_ht = (P * np.sin(w * t)) @ P.T
-    V = cos_ht + Omega @ sin_ht
-    sigma0 = initial_covariance_diagonal(model, init)
-    sigma = (V * sigma0) @ V.T
-    return DenseSymplectic(time=float(t), H=H, Omega=Omega, V=V, sigma=sigma)
+    return dense_oracle_series(model, init, [t], oracle_cap)[0]

@@ -24,7 +24,7 @@ from starbath.checks import (
 )
 from starbath.gksl import epr_difference, gksl_sigma11, von_neumann_epr
 from starbath.harness import affine_fit, proportional_fit
-from starbath.oracle import dense_oracle_at
+from starbath.oracle import dense_oracle_series
 from starbath.thermo import (
     entropy_kb,
     free_energy,
@@ -207,8 +207,7 @@ def test_criterion_08_oracle_equivalence():
         init = random_temperatures(rng)
         times = rng.uniform(0.0, 50e-6, size=20)
         worst_state = max(worst_state, oracle_equivalence_residual(model, init, times))
-        for t in times[:5]:
-            dense = dense_oracle_at(model, init, float(t))
+        for dense in dense_oracle_series(model, init, times[:5]):
             worst_symplectic = max(worst_symplectic, dense.symplectic_defect())
             worst_gibbs = max(worst_gibbs, gibbs_block_residual(dense))
     ok = worst_state <= 1e-9 and worst_symplectic <= 1e-9 and worst_gibbs <= 1e-10

@@ -43,8 +43,9 @@ def test_job_matrix_manifest_lists_written_files(tmp_path, capsys, job):
     )
     out = tmp_path / "out"
     assert main([job, "--config", str(cfg_path), "--out", str(out)]) == 0
-    written = [line.removeprefix("wrote ") for line in capsys.readouterr().out.splitlines()]
+    *written, last = [line.removeprefix("wrote ") for line in capsys.readouterr().out.splitlines()]
     (manifest_path,) = out.glob("*_manifest.json")
+    assert last == str(manifest_path)
     manifest = json.loads(manifest_path.read_text())
     assert [str(out / name) for name in manifest["files"]] == written
     assert sorted(manifest["files"]) == sorted(p.name for p in out.glob("*.csv"))

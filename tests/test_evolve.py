@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from starbath.checks import (
 )
 from starbath import evolve
 from starbath.evolve import initial_coefficients
+from starbath.harness import derived_constants
 from starbath.oracle import dense_oracle_at, initial_covariance_diagonal
 
 
@@ -73,6 +76,39 @@ class TestDiagonalize:
         assert np.all(basis.weights > 0)
         assert orthonormality_residual(basis) <= 1e-10
         assert reconstruction_residual(basis, model) <= 1e-9
+
+    @pytest.mark.parametrize("omega1", [0.05e6, 4e6, 30e6], ids=["below", "inside", "above"])
+    @pytest.mark.parametrize("couplings", ["ohmic", "weak", "partly_zero"])
+    def test_eigenvalues_match_dense_solver(self, omega1, couplings):
+        spec = sb.OhmicBathSpec(eta=1e-3, omega_c=3e6, omega_min=0.1e6, omega_max=20e6, n_modes=48)
+        model = sb.discretize_ohmic_bath(spec, omega1)
+        g = model.bath_couplings.copy()
+        if couplings == "weak":
+            g[::3] = 1e-8
+        elif couplings == "partly_zero":
+            g[[0, 5, 6, 47]] = 0.0
+        model = sb.StarModel(omega1=omega1, bath_omegas=model.bath_omegas, bath_couplings=g)
+        h = sb.build_reduced(model).as_matrix()
+        basis = sb.mode_basis(model)
+        atol = 64 * np.finfo(float).eps * np.linalg.norm(h, 2)
+        np.testing.assert_allclose(basis.eigenvalues, np.linalg.eigvalsh(h), rtol=0, atol=atol)
+        # quadratic convergence leaves a roundoff-sized step, not the stopping tolerance
+        assert basis.newton_step <= 1e-14
+
+    def test_production_basis_allocates_no_dense_matrix(self, production):
+        model = production.model(4000)
+        tracemalloc.start()
+        try:
+            sb.mode_basis(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20  # the dense (N+1)^2 matrix alone is 122 MiB
+
+    def test_production_basis_far_above_8000(self, production):
+        derived = derived_constants(production.basis(10000), production.params(10000))
+        assert derived["weight_sum_residual"] <= 1e-12
+        assert derived["newton_step"] <= 1e-12
 
     def test_plain_reduced_matrix_without_model(self):
         reduced = sb.ReducedHamiltonian(diagonal=np.array([1e6, 2e6, 3e6]), arm=np.array([1e5, 2e5]))

@@ -5,6 +5,7 @@ import pytest
 
 from starbath import (
     HBAR,
+    ExperimentConfig,
     KB,
     OhmicBathSpec,
     ReducedHamiltonian,
@@ -84,6 +85,16 @@ class TestStarModelInvariants:
         omegas = np.array([1.0e6, 2.0e6, 3.5e6])
         with pytest.raises(ValueError, match="uniformly spaced"):
             StarModel(omega1=4e6, bath_omegas=omegas, bath_couplings=np.ones(3))
+
+    @pytest.mark.parametrize("n", [5000, 6500, 16000, 100000])
+    def test_production_bath_above_4000_is_uniform(self, n):
+        spec = ExperimentConfig(n_modes=n).bath_spec()
+        model = discretize_ohmic_bath(spec, 4e6)
+        assert model.n_modes == n
+        omegas = model.bath_omegas.copy()
+        omegas[n // 2] += 1e-9 * model.delta_omega  # still tens of ulps of the top frequency
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            StarModel(omega1=4e6, bath_omegas=omegas, bath_couplings=model.bath_couplings)
 
     def test_rejects_negative_frequency(self):
         with pytest.raises(ValueError):
