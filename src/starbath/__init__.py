@@ -11,9 +11,7 @@ rate well defined at all times.
 from .constants import HBAR, KB
 from .model import (
     OhmicBathSpec,
-    ReducedHamiltonian,
     StarModel,
-    build_reduced,
     discretize_ohmic_bath,
     mean_occupation,
     ohmic_spectral_density,
@@ -25,29 +23,22 @@ from .evolve import (
     CovarianceSnapshot,
     InitialTemperatures,
     ModeBasis,
-    coefficient_rows_series,
-    cross_term_series,
-    diagonalize,
     evaluate,
     initial_coefficients,
     mode_basis,
     snapshot_at,
     snapshot_series,
-    system_coefficient_series,
 )
 from .oracle import DenseSymplectic, dense_oracle_at, full_hamiltonian, symplectic_form
 from .thermo import (
     EnergyFluxes,
-    OscillatorThermo,
     ThermoRecord,
-    energy_fluxes,
     entropy,
     entropy_kb,
     fluxes_from_cross_terms,
     free_energy,
     inverse_temperature,
     mean_energy,
-    oscillator_thermo,
     partition_function,
     total_epr,
     totals,

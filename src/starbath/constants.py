@@ -15,15 +15,3 @@ KB = 1.380649e-23  # J/K
 MHZ = 1.0e6  # rad/s per MHz
 US = 1.0e-6  # s per microsecond
 UK = 1.0e-6  # K per microkelvin
-
-
-def mhz_to_si(value: float) -> float:
-    return value * MHZ
-
-
-def us_to_si(value: float) -> float:
-    return value * US
-
-
-def uk_to_si(value: float) -> float:
-    return value * UK

@@ -28,22 +28,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ReducedHamiltonian, StarModel, build_reduced, thermal_coefficient
+from .model import StarModel, thermal_coefficient
 
 __all__ = [
     "EVALUATION_PATH",
     "InitialTemperatures",
     "ModeBasis",
     "CovarianceSnapshot",
-    "diagonalize",
     "mode_basis",
     "initial_coefficients",
     "evaluate",
     "snapshot_at",
     "snapshot_series",
-    "system_coefficient_series",
-    "coefficient_rows_series",
-    "cross_term_series",
 ]
 
 EVALUATION_PATH = "arrowhead closed form: bracketed shifted secular Newton, blocked resolvent GEMMs"
@@ -70,30 +66,31 @@ class InitialTemperatures:
 
 @dataclass(frozen=True, eq=False)
 class ModeBasis:
-    """Closed-form spectral data of the reduced arrowhead matrix.
+    """Closed-form spectral data of ``model``'s reduced arrowhead matrix.
 
     Eigenvalue k is l_k = w_p + d_k with p = ``poles[k]`` (a bath index) and
     d_k = ``shifts[k]``; ``weights[k]`` is Q_1k^2, whose eigenvector has the
     bath components Q_jk = g_j Q_1k / (l_k - w_j).  A bath mode with zero (or
-    negligible, then stored as 0) coupling is deflated: its eigenvalue is its
-    own frequency, with shift 0 and weight 0.  ``newton_step`` is the largest
-    relative secular Newton step left at the final shifts.  Immutable and
-    shared read-only.
+    negligible, then stored as 0 in ``couplings``) coupling is deflated: its
+    eigenvalue is its own frequency, with shift 0 and weight 0.
+    ``newton_step`` is the largest relative secular Newton step left at the
+    final shifts.  Immutable and shared read-only.
     """
 
     poles: np.ndarray
     shifts: np.ndarray
     weights: np.ndarray
-    frequencies: np.ndarray  # bare oscillator frequencies, system first
     couplings: np.ndarray  # bath couplings of the diagonalized matrix
+    model: StarModel
     newton_step: float = 0.0
-    model: StarModel | None = None
+    frequencies: np.ndarray = field(init=False)  # bare oscillator frequencies, system first
     eigenvalues: np.ndarray = field(init=False)  # ascending
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "poles", np.ascontiguousarray(self.poles, dtype=np.intp))
-        for name in ("shifts", "weights", "frequencies", "couplings"):
+        for name in ("shifts", "weights", "couplings"):
             object.__setattr__(self, name, np.ascontiguousarray(getattr(self, name), dtype=np.float64))
+        object.__setattr__(self, "frequencies", self.model.frequencies)
         object.__setattr__(self, "eigenvalues", self.frequencies[1 + self.poles] + self.shifts)
         for name in ("poles", "shifts", "weights", "frequencies", "couplings", "eigenvalues"):
             getattr(self, name).setflags(write=False)
@@ -105,21 +102,36 @@ class ModeBasis:
 
 @dataclass(frozen=True, eq=False)
 class CovarianceSnapshot:
-    """Reduced covariance data at one time: the N+1 diagonal coefficients
-    c_j(t) and the N system-bath cross terms x_j(t) = sigma_{1,2j}(t)."""
+    """Reduced covariance data of ``model``: the N+1 diagonal coefficients
+    c_j(t) and the N system-bath cross terms x_j(t) = sigma_{1,2j}(t).
 
-    time: float
+    Oscillators run along the last axis.  At one time ``time`` is a scalar
+    and ``c``, ``x`` are 1-d; on a grid ``time`` has shape (T,) and ``c``,
+    ``x`` have shapes (T, N+1) and (T, N).
+    """
+
+    time: float | np.ndarray
     c: np.ndarray
     x: np.ndarray
-    model: StarModel | None = None
+    model: StarModel
 
     def __post_init__(self) -> None:
+        time = np.array(self.time, dtype=np.float64)
+        object.__setattr__(self, "time", float(time) if time.ndim == 0 else time)
         for name in ("c", "x"):
             arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if len(self.x) != len(self.c) - 1:
-            raise ValueError("expected one cross term per bath mode")
+        shape = time.shape
+        if len(shape) > 1 or self.c.ndim != len(shape) + 1 or self.c.shape[:-1] != shape:
+            raise ValueError("expected N+1 coefficients at each time")
+        if self.x.shape != (*shape, self.c.shape[-1] - 1):
+            raise ValueError("expected one cross term per bath mode at each time")
+        time.setflags(write=False)
+
+    def at(self, i: int) -> "CovarianceSnapshot":
+        """The one-time snapshot at grid index ``i``."""
+        return CovarianceSnapshot(self.time[i], self.c[i], self.x[i], self.model)
 
 
 def _row_blocks(n_rows: int, n_cols: int):
@@ -192,20 +204,17 @@ def _refine(w1, bath_w, g):
     return poles, shifts, 1.0 / fp, float(np.max(np.abs(f / fp / shifts)))
 
 
-def diagonalize(reduced: ReducedHamiltonian, model: StarModel | None = None) -> ModeBasis:
-    """Closed-form spectral data of the arrowhead matrix, whose bath
-    frequencies must be strictly increasing.
+def mode_basis(model: StarModel) -> ModeBasis:
+    """Closed-form spectral data of ``model``'s reduced arrowhead matrix.
 
     Each eigenvalue is found on the secular equation from its interlacing
     bracket, in the shifted-pole representation, in O(N^2) time and O(N)-row
     scratch blocks; neither the dense matrix nor its eigenvectors are formed.
     Couplings at or below the double-precision resolution of the matrix are
     deflated."""
-    w1, bath_w = float(reduced.diagonal[0]), reduced.diagonal[1:]
-    if len(bath_w) == 0 or np.any(np.diff(bath_w) <= 0):
-        raise ValueError("closed-form diagonalization needs strictly increasing bath frequencies")
-    g = reduced.arm
-    scale = float(np.max(np.abs(reduced.diagonal))) + float(np.linalg.norm(g))
+    w1, bath_w = model.omega1, model.bath_omegas
+    g = model.bath_couplings
+    scale = max(w1, float(bath_w[-1])) + float(np.linalg.norm(g))
     g = np.where(np.abs(g) > np.finfo(float).eps * scale, g, 0.0)
     active = np.flatnonzero(g)
 
@@ -221,14 +230,7 @@ def diagonalize(reduced: ReducedHamiltonian, model: StarModel | None = None) -> 
         poles[0] = np.argmin(np.abs(bath_w - w1))
         shifts[0], weights[0] = w1 - bath_w[poles[0]], 1.0
     order = np.argsort(bath_w[poles] + shifts, kind="stable")
-    return ModeBasis(
-        poles[order], shifts[order], weights[order], reduced.diagonal, g, newton_step=step, model=model
-    )
-
-
-def mode_basis(model: StarModel) -> ModeBasis:
-    """Diagonalize ``model``'s reduced matrix, keeping the model reference."""
-    return diagonalize(build_reduced(model), model=model)
+    return ModeBasis(poles[order], shifts[order], weights[order], g, model, newton_step=step)
 
 
 def initial_coefficients(frequencies: np.ndarray, init: InitialTemperatures) -> np.ndarray:
@@ -331,7 +333,7 @@ def evaluate(
     x = np.zeros((nt, len(rows))) if cross else None
     wv = ga * ga * c0[1 + active]
     sys_rows = np.flatnonzero(rows == 0)
-    if len(sys_rows):
+    if len(sys_rows) and len(active):  # with no coupled mode the system keeps c0 too
         c[:, sys_rows] = (np.abs(system_amp) ** 2 * c0[0] + (np.abs(A) ** 2) @ wv)[:, None]
     if len(act_rows) == 0:
         return c, x
@@ -367,32 +369,13 @@ def evaluate(
     return c, x
 
 
-def snapshot_series(basis: ModeBasis, init: InitialTemperatures, times) -> list[CovarianceSnapshot]:
-    """One snapshot per grid point, all from one batched evaluation."""
+def snapshot_series(basis: ModeBasis, init: InitialTemperatures, times) -> CovarianceSnapshot:
+    """One grid snapshot of the ascending ``times``, from one batched
+    evaluation."""
     c, x = evaluate(basis, initial_coefficients(basis.frequencies, init), times)
-    return [CovarianceSnapshot(float(t), ci, xi[1:], basis.model) for t, ci, xi in zip(times, c, x)]
+    return CovarianceSnapshot(times, c, x[:, 1:], basis.model)
 
 
 def snapshot_at(basis: ModeBasis, init: InitialTemperatures, t: float) -> CovarianceSnapshot:
     """Evaluate the covariance data exactly at time ``t`` (t >= 0)."""
-    return snapshot_series(basis, init, [t])[0]
-
-
-def system_coefficient_series(basis: ModeBasis, init: InitialTemperatures, times) -> np.ndarray:
-    """The system coefficient c_1(t) alone, shape (len(times),)."""
-    return evaluate(basis, initial_coefficients(basis.frequencies, init), times, [0], cross=False)[0][:, 0]
-
-
-def coefficient_rows_series(
-    basis: ModeBasis, init: InitialTemperatures, times, row_start: int, row_stop: int
-) -> np.ndarray:
-    """c_j(t) restricted to oscillator rows [row_start, row_stop), shape
-    (len(times), row_stop - row_start)."""
-    c0 = initial_coefficients(basis.frequencies, init)
-    return evaluate(basis, c0, times, range(row_start, row_stop), cross=False)[0]
-
-
-def cross_term_series(basis: ModeBasis, init: InitialTemperatures, times) -> np.ndarray:
-    """Cross terms x_j(t) for every grid time, shape (len(times), N)."""
-    c0 = initial_coefficients(basis.frequencies, init)
-    return evaluate(basis, c0, times, range(1, basis.dimension))[1]
+    return snapshot_series(basis, init, [t]).at(0)

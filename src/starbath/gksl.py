@@ -15,8 +15,6 @@ thermodynamic rate is carried by the bath-temperature drifts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .constants import HBAR
@@ -73,31 +71,21 @@ def gksl_system_temperature(p: GkslParams, t) -> float | np.ndarray:
     return inverse_temperature(gksl_sigma11(p, t), p.omega1)[1]
 
 
-def von_neumann_epr(
-    p: GkslParams,
-    t,
-    mode: str = "gksl",
-    exact_sigma11=None,
-) -> float | np.ndarray:
+def von_neumann_epr(p: GkslParams, t, sigma11=None) -> float | np.ndarray:
     """Conventional entropy production rate (J/K/s),
 
         Pi_vN = hbar*w1*Gamma (1/T_B0 - 1/T_A(t)) [c_1(t) - coth(hw1/2kT_B0)],
 
-    a product of two same-sign factors, hence >= 0 for all t.  ``mode``
-    chooses where c_1(t) comes from: the closed form ("gksl", default) or a
-    caller-supplied exact series ("exact", via ``exact_sigma11``).
+    a product of two same-sign factors, hence >= 0 for all t.  c_1(t) is the
+    given ``sigma11`` series, aligned with ``t``, or else the closed form.
     """
     t = np.asarray(t, dtype=float)
-    if mode == "gksl":
+    if sigma11 is None:
         c1 = np.asarray(gksl_sigma11(p, t))
-    elif mode == "exact":
-        if exact_sigma11 is None:
-            raise ValueError("mode='exact' needs the exact sigma11 series")
-        c1 = np.asarray(exact_sigma11, dtype=float)
-        if c1.shape != t.shape:
-            raise ValueError("exact sigma11 series must align with the time grid")
     else:
-        raise ValueError(f"unknown Pi_vN mode {mode!r}")
+        c1 = np.asarray(sigma11, dtype=float)
+        if c1.shape != t.shape:
+            raise ValueError("sigma11 series must align with the time grid")
     _, T_A = inverse_temperature(c1, p.omega1)
     with np.errstate(divide="ignore"):
         value = HBAR * p.omega1 * p.Gamma * (1.0 / p.T_B0 - 1.0 / np.asarray(T_A)) * (c1 - p.coth_b)
@@ -129,27 +117,21 @@ def von_neumann_ep(p: GkslParams, entropy_A, energy_A) -> np.ndarray:
     return (S_A - S_A[0]) - (E_A - E_A[0]) / p.T_B0
 
 
-def epr_difference(record: ThermoRecord, p: GkslParams) -> float:
+def epr_difference(record: ThermoRecord, p: GkslParams) -> float | np.ndarray:
     """Exact gap Pi_vN - Pi_tot = sum_j (1/T_B0 - 1/T_j(t)) dE_j/dt over the
-    bath modes (J/K/s)."""
-    T_j = record.temperatures[1:]
-    return float(np.sum((1.0 / p.T_B0 - 1.0 / T_j) * record.mode_fluxes))
+    bath modes (J/K/s), at each time of ``record``."""
+    T_j = record.temperatures[..., 1:]
+    gap = np.sum((1.0 / p.T_B0 - 1.0 / T_j) * record.mode_fluxes, axis=-1)
+    return float(gap) if gap.ndim == 0 else gap
 
 
-def ep_difference(records: Sequence[ThermoRecord], p: GkslParams) -> np.ndarray:
-    """Exact gap dS_vN - dS_tot for each record,
+def ep_difference(record: ThermoRecord, p: GkslParams) -> np.ndarray:
+    """Exact gap dS_vN - dS_tot at each time of the grid ``record``,
 
         (E_A(0) - E_A(t)) / T_B0 + sum_j [S_j(0) - S_j(t)],
 
-    with records[0] the t = 0 baseline."""
-    if len(records) == 0:
-        raise ValueError("need at least the baseline record")
-    base = records[0]
-    if base.time != 0.0:
-        raise ValueError("records[0] must be the t = 0 baseline")
-    out = np.empty(len(records))
-    for i, rec in enumerate(records):
-        out[i] = (base.energies[0] - rec.energies[0]) / p.T_B0 + float(
-            np.sum(base.entropies[1:] - rec.entropies[1:])
-        )
-    return out
+    whose first time is the t = 0 baseline."""
+    if np.ndim(record.time) != 1 or record.time[0] != 0.0:
+        raise ValueError("record must be a grid whose first time is the t = 0 baseline")
+    E_A, S_bath = record.energies[:, 0], record.entropies[:, 1:]
+    return (E_A[0] - E_A) / p.T_B0 + np.sum(S_bath[0] - S_bath, axis=-1)

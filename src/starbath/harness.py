@@ -9,7 +9,8 @@ closed-form rates, mode basis and the shared time grid) and hands it to the
 job's curve function, which returns ``{table key: (file name, table)}``.
 The pipeline writes the CSVs, collects the derived constants per N and
 writes the manifest; a job is a ``_Job`` declaration of that curve function
-and its defaults.
+and its defaults.  Evaluated data stay on the time grid throughout: time on
+the first axis, oscillators on the last.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from . import checks
 from .config import ConfigError, ExperimentConfig
 from .constants import HBAR, KB, MHZ, UK, US
 from .evolve import (
-    EVALUATION_PATH, ModeBasis, evaluate, initial_coefficients, mode_basis, snapshot_series,
+    EVALUATION_PATH, CovarianceSnapshot, ModeBasis, evaluate, initial_coefficients, mode_basis,
+    snapshot_series,
 )
 from .gksl import (
     GkslParams, ep_difference, epr_difference, gksl_sigma11, gksl_system_temperature, von_neumann_ep,
@@ -37,7 +39,7 @@ from .model import (
     discretize_ohmic_bath, mean_occupation, recurrence_time, relaxation_rate, thermal_coefficient,
 )
 from .table import ResultTable, write_manifest
-from .thermo import fluxes_from_cross_terms, inverse_temperature, totals
+from .thermo import ThermoRecord, fluxes_from_cross_terms, inverse_temperature, totals
 
 __all__ = ["run_job", "run_validate", "derived_constants", "proportional_fit", "affine_fit"]
 
@@ -64,7 +66,7 @@ def derived_constants(basis: ModeBasis, params: GkslParams) -> dict:
     return {
         "delta_omega_rad_per_s": model.delta_omega,
         "Gamma_per_s": params.Gamma,
-        "relaxation_time_us": 1.0 / (2.0 * params.Gamma) / US if params.Gamma > 0 else float("inf"),
+        "relaxation_time_us": 1.0 / (2.0 * params.Gamma) / US if params.Gamma > 0 else None,
         "recurrence_time_us": recurrence_time(model) / US,
         "nbar": mean_occupation(model.omega1, params.T_B0),
         "sigma11_initial": thermal_coefficient(model.omega1, params.T_A0),
@@ -102,15 +104,14 @@ class _Run:
         self.basis = mode_basis(self.model)
 
     @cached_property
-    def snapshots(self) -> list:
-        """Full snapshots at t = 0 (the baseline) and at every grid time."""
+    def series(self) -> CovarianceSnapshot:
+        """Grid snapshot at t = 0 (the baseline) followed by the grid times."""
         return snapshot_series(self.basis, self.init, np.r_[0.0, self.times])
 
     @cached_property
-    def records(self) -> list:
-        """Thermo records of ``snapshots``; records[0] is the baseline."""
-        baseline = self.snapshots[0]
-        return [totals(s, baseline) for s in self.snapshots]
+    def record(self) -> ThermoRecord:
+        """Thermo record of ``series``; its first time is the baseline."""
+        return totals(self.series, self.series.at(0))
 
     def evaluate(self, rows, cross: bool = True):
         """(c, x) on the grid for oscillator ``rows``; see ``evolve.evaluate``."""
@@ -119,14 +120,14 @@ class _Run:
 
     @property
     def sigma11(self) -> np.ndarray:
-        """Exact system coefficient c_1 on the grid, from ``snapshots``."""
-        return np.array([s.c[0] for s in self.snapshots[1:]])
+        """Exact system coefficient c_1 on the grid, from ``series``."""
+        return self.series.c[1:, 0]
 
     @property
     def pivn(self) -> np.ndarray:
         """Conventional rate Pi_vN on the grid, from the configured sigma11."""
         exact = self.sigma11 if self.cfg.pivn_mode == "exact" else None
-        return np.asarray(von_neumann_epr(self.params, self.times, self.cfg.pivn_mode, exact))
+        return np.asarray(von_neumann_epr(self.params, self.times, exact))
 
     @property
     def window(self) -> tuple[int, int]:
@@ -134,11 +135,6 @@ class _Run:
         bath = self.model.bath_omegas
         idx = np.flatnonzero(np.abs(bath - self.model.omega1) <= self.cfg.mode_window_mhz * MHZ)
         return (int(idx[0]), int(idx[-1]) + 1) if len(idx) else (0, 0)
-
-
-def _field(items, name: str) -> np.ndarray:
-    """Attribute ``name`` of every item, as an array."""
-    return np.array([getattr(item, name) for item in items])
 
 
 def _grid_table(run: _Run, columns: dict) -> ResultTable:
@@ -151,20 +147,18 @@ def _grid_table(run: _Run, columns: dict) -> ResultTable:
 
 def _simulate_curves(run: _Run) -> dict:
     """Full observable table on the configured grid."""
-    recs = run.records[1:]
-    S_A = [r.entropies[0] for r in run.records]
-    E_A = [r.energies[0] for r in run.records]
+    rec = run.record
     table = _grid_table(run, {
         "sigma11_exact[1]": run.sigma11,
         "sigma11_gksl[1]": gksl_sigma11(run.params, run.times),
-        "S_tot[kB]": _field(recs, "S_tot") / KB,
-        "dS_tot[kB]": _field(recs, "dS_tot") / KB,
-        "Pi_tot[kB/ms]": _field(recs, "Pi_tot") / KB * 1e-3,
+        "S_tot[kB]": rec.S_tot[1:] / KB,
+        "dS_tot[kB]": rec.dS_tot[1:] / KB,
+        "Pi_tot[kB/ms]": rec.Pi_tot[1:] / KB * 1e-3,
         "Pi_vN[kB/ms]": run.pivn / KB * 1e-3,
-        "dS_vN[kB]": von_neumann_ep(run.params, S_A, E_A)[1:] / KB,
-        "dEA_dt[J/s]": _field(recs, "dEA_dt"),
-        "dEB_dt[J/s]": _field(recs, "dEB_dt"),
-        "dEI_dt[J/s]": _field(recs, "dEI_dt"),
+        "dS_vN[kB]": von_neumann_ep(run.params, rec.entropies[:, 0], rec.energies[:, 0])[1:] / KB,
+        "dEA_dt[J/s]": rec.dEA_dt[1:],
+        "dEB_dt[J/s]": rec.dEB_dt[1:],
+        "dEI_dt[J/s]": rec.dEI_dt[1:],
     })
     return {"simulate": ("simulate.csv", table)}
 
@@ -182,19 +176,18 @@ def _fig1_curves(run: _Run) -> dict:
 
 def _fig2_curves(run: _Run) -> dict:
     """Energy-flux triple dE_A/dt, dE_B/dt, dE_I/dt over the grid."""
-    fluxes = [fluxes_from_cross_terms(x, run.model) for x in run.evaluate(range(1, run.n + 1))[1]]
+    fluxes = fluxes_from_cross_terms(run.evaluate(range(1, run.n + 1))[1], run.model)
     names = ("dEA_dt", "dEB_dt", "dEI_dt")
-    table = _grid_table(run, {f"{name}[J/s]": _field(fluxes, name) for name in names})
+    table = _grid_table(run, {f"{name}[J/s]": getattr(fluxes, name) for name in names})
     return {"fluxes": ("fig2_fluxes.csv", table)}
 
 
 def _fig3_curves(run: _Run) -> dict:
     """Entropy production rates Pi_tot and Pi_vN and their exact gap."""
-    recs = run.records[1:]
     table = _grid_table(run, {
-        "Pi_tot[kB/ms]": _field(recs, "Pi_tot") / KB * 1e-3,
+        "Pi_tot[kB/ms]": run.record.Pi_tot[1:] / KB * 1e-3,
         "Pi_vN[kB/ms]": run.pivn / KB * 1e-3,
-        "Pi_gap[kB/ms]": np.array([epr_difference(r, run.params) for r in recs]) / KB * 1e-3,
+        "Pi_gap[kB/ms]": epr_difference(run.record, run.params)[1:] / KB * 1e-3,
     })
     return {f"N{run.n}": (f"fig3_rates_N{run.n}.csv", table)}
 
@@ -241,8 +234,8 @@ def _fig5_curves(run: _Run) -> dict:
 
 def _sweep_curves(run: _Run) -> dict:
     """Entropy-production gap dS_vN - dS_tot at the sweep times."""
-    gap = ep_difference(run.records, run.params)[1:]
-    dS_tot = _field(run.records[1:], "dS_tot")
+    gap = ep_difference(run.record, run.params)[1:]
+    dS_tot = run.record.dS_tot[1:]
     table = ResultTable.from_columns({
         "N[1]": run.n,
         "invN[1]": 1.0 / run.n,

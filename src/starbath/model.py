@@ -18,14 +18,12 @@ from .constants import HBAR, KB
 __all__ = [
     "OhmicBathSpec",
     "StarModel",
-    "ReducedHamiltonian",
     "ohmic_spectral_density",
     "discretize_ohmic_bath",
     "relaxation_rate",
     "mean_occupation",
     "thermal_coefficient",
     "recurrence_time",
-    "build_reduced",
 ]
 
 # Uniform bath spacing holds to 1e-12 relative, or to a few ulps of the top
@@ -144,37 +142,6 @@ class StarModel:
         return np.concatenate(([self.omega1], self.bath_omegas))
 
 
-@dataclass(frozen=True, eq=False)
-class ReducedHamiltonian:
-    """Symmetric arrowhead matrix h: diagonal of frequencies, first row/column
-    of couplings.  Tensor-expanding each scalar entry into a 2x2 identity
-    block reproduces the full quadrature-space matrix."""
-
-    diagonal: np.ndarray
-    arm: np.ndarray
-
-    def __post_init__(self) -> None:
-        diagonal = np.ascontiguousarray(self.diagonal, dtype=np.float64)
-        arm = np.ascontiguousarray(self.arm, dtype=np.float64)
-        if len(arm) != len(diagonal) - 1:
-            raise ValueError("arm must couple mode 1 to each of the remaining modes")
-        object.__setattr__(self, "diagonal", diagonal)
-        object.__setattr__(self, "arm", arm)
-        diagonal.setflags(write=False)
-        arm.setflags(write=False)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.diagonal)
-
-    def as_matrix(self) -> np.ndarray:
-        """Dense (N+1) x (N+1) arrowhead matrix."""
-        h = np.diag(self.diagonal)
-        h[0, 1:] = self.arm
-        h[1:, 0] = self.arm
-        return h
-
-
 def discretize_ohmic_bath(spec: OhmicBathSpec, omega1: float) -> StarModel:
     """Place N bath modes uniformly on [omega_min, omega_max] and set the
     couplings by the midpoint rule g_j = sqrt(eta * dw * w_j * exp(-w_j/w_c))."""
@@ -223,9 +190,3 @@ def recurrence_time(model: StarModel) -> float:
     Beyond t1 the finite bath no longer mimics a Markovian reservoir.
     """
     return 2.0 * math.pi / model.delta_omega
-
-
-def build_reduced(model: StarModel) -> ReducedHamiltonian:
-    """Arrowhead matrix underlying the 2x2-identity block structure of the
-    full quadrature Hamiltonian."""
-    return ReducedHamiltonian(diagonal=model.frequencies, arm=model.bath_couplings)

@@ -22,6 +22,7 @@ __all__ = [
     "ORACLE_CAP_DEFAULT",
     "DenseSymplectic",
     "symplectic_form",
+    "arrowhead_matrix",
     "full_hamiltonian",
     "initial_covariance_diagonal",
     "dense_oracle_at",
@@ -38,6 +39,15 @@ def symplectic_form(n_oscillators: int) -> np.ndarray:
     omega[2 * idx, 2 * idx + 1] = 1.0
     omega[2 * idx + 1, 2 * idx] = -1.0
     return omega
+
+
+def arrowhead_matrix(model: StarModel) -> np.ndarray:
+    """Dense (N+1) x (N+1) reduced matrix: frequencies on the diagonal,
+    couplings in the first row and column.  Tensor-expanding each entry into
+    a 2x2 identity block gives ``full_hamiltonian``."""
+    h = np.diag(model.frequencies)
+    h[0, 1:] = h[1:, 0] = model.bath_couplings
+    return h
 
 
 def full_hamiltonian(model: StarModel) -> np.ndarray:

@@ -37,11 +37,6 @@ class ResultTable:
         arrays = np.broadcast_arrays(*(np.asarray(v) for v in columns.values()))
         return cls(columns=list(columns), rows=list(zip(*(a.tolist() for a in arrays))))
 
-    def append(self, *values) -> None:
-        if len(values) != len(self.columns):
-            raise ValueError(f"expected {len(self.columns)} values, got {len(values)}")
-        self.rows.append(tuple(values))
-
     def column(self, name: str) -> np.ndarray:
         idx = self.columns.index(name)
         return np.asarray([row[idx] for row in self.rows], dtype=float)
@@ -65,5 +60,5 @@ def write_manifest(path: str | Path, *, files: list[str], parameters: dict, deri
     payload = {"files": files, "parameters": parameters, "derived": derived}
     if extra:
         payload.update(extra)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return path

@@ -1,5 +1,8 @@
 """Per-oscillator thermodynamics from covariance snapshots.
 
+Oscillators run along the last axis, so every function here serves one time
+and a whole time grid (time on the first axis) alike.
+
 Every oscillator stays in a Gibbs state with time-dependent temperature, so
 its diagonal coefficient c = sigma_{2j-1,2j-1} >= 1 fixes all equilibrium
 quantities: E = hbar*w*c/2, beta = ln((c+1)/(c-1))/(hbar*w),
@@ -24,7 +27,6 @@ from .model import StarModel
 
 __all__ = [
     "BOUNDARY_EPS",
-    "OscillatorThermo",
     "ThermoRecord",
     "EnergyFluxes",
     "mean_energy",
@@ -34,9 +36,7 @@ __all__ = [
     "entropy_kb",
     "entropy",
     "log_coth_ratio",
-    "oscillator_thermo",
     "fluxes_from_cross_terms",
-    "energy_fluxes",
     "total_epr",
     "totals",
 ]
@@ -53,6 +53,12 @@ def _as_coeff(c) -> np.ndarray:
 
 def _scalar_or_array(value: np.ndarray, like) -> float | np.ndarray:
     return float(value) if np.ndim(like) == 0 else value
+
+
+def _row_sum(values: np.ndarray) -> float | np.ndarray:
+    """Sum over the oscillators (last axis): a float at one time."""
+    total = np.sum(values, axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def log_coth_ratio(c) -> float | np.ndarray:
@@ -122,39 +128,18 @@ def entropy(c) -> float | np.ndarray:
     return KB * entropy_kb(c)
 
 
-@dataclass(frozen=True)
-class OscillatorThermo:
-    """Equilibrium quantities of one oscillator at one time (SI units)."""
-
-    E: float
-    T: float
-    beta: float
-    Z: float
-    F: float
-    S: float
-
-
-def oscillator_thermo(c: float, omega: float) -> OscillatorThermo:
-    """All equilibrium quantities of a single mode with coefficient c."""
-    beta, T = inverse_temperature(c, omega)
-    Z = partition_function(c)
-    F = free_energy(Z, T) if Z > 0 else float("nan")
-    return OscillatorThermo(
-        E=mean_energy(c, omega), T=T, beta=beta, Z=Z, F=F, S=entropy(c)
-    )
-
-
 class EnergyFluxes(NamedTuple):
-    """Time derivatives of the mean energies (J/s)."""
+    """Time derivatives of the mean energies (J/s), floats at one time and
+    arrays over a grid."""
 
-    dEA_dt: float
+    dEA_dt: float | np.ndarray
     mode_fluxes: np.ndarray  # dE_j/dt for each bath mode
-    dEB_dt: float
-    dEI_dt: float
+    dEB_dt: float | np.ndarray
+    dEI_dt: float | np.ndarray
 
 
 def fluxes_from_cross_terms(x: np.ndarray, model: StarModel) -> EnergyFluxes:
-    """Heat fluxes from the cross terms:
+    """Heat fluxes from the cross terms (bath modes on the last axis):
 
         dE_A/dt = hbar*w_1 * sum_j g_j x_j
         dE_j/dt = -hbar*w_j * g_j * x_j
@@ -163,18 +148,15 @@ def fluxes_from_cross_terms(x: np.ndarray, model: StarModel) -> EnergyFluxes:
     which sum to zero exactly (total energy conservation)."""
     gx = model.bath_couplings * x
     mode_fluxes = -HBAR * model.bath_omegas * gx
-    dEA_dt = HBAR * model.omega1 * float(np.sum(gx))
-    dEB_dt = float(np.sum(mode_fluxes))
-    dEI_dt = HBAR * float(np.sum((model.bath_omegas - model.omega1) * gx))
-    return EnergyFluxes(dEA_dt=dEA_dt, mode_fluxes=mode_fluxes, dEB_dt=dEB_dt, dEI_dt=dEI_dt)
+    return EnergyFluxes(
+        dEA_dt=HBAR * model.omega1 * _row_sum(gx),
+        mode_fluxes=mode_fluxes,
+        dEB_dt=_row_sum(mode_fluxes),
+        dEI_dt=HBAR * _row_sum((model.bath_omegas - model.omega1) * gx),
+    )
 
 
-def energy_fluxes(snapshot: CovarianceSnapshot, model: StarModel) -> EnergyFluxes:
-    """Heat fluxes of ``snapshot``; see ``fluxes_from_cross_terms``."""
-    return fluxes_from_cross_terms(snapshot.x, model)
-
-
-def total_epr(snapshot: CovarianceSnapshot, model: StarModel) -> float:
+def total_epr(snapshot: CovarianceSnapshot, model: StarModel) -> float | np.ndarray:
     """Total thermodynamic entropy production rate (J/K/s),
 
         Pi_tot = kB * sum_j g_j x_j [ln((c_1+1)/(c_1-1)) - ln((c_j+1)/(c_j-1))].
@@ -185,58 +167,43 @@ def total_epr(snapshot: CovarianceSnapshot, model: StarModel) -> float:
     if np.any(c - 1.0 <= BOUNDARY_EPS):
         raise ValueError("total entropy production rate undefined at the T = 0 boundary")
     lnr = log_coth_ratio(c)
-    return KB * float(np.sum(model.bath_couplings * snapshot.x * (lnr[0] - lnr[1:])))
+    return KB * _row_sum(model.bath_couplings * snapshot.x * (lnr[..., :1] - lnr[..., 1:]))
 
 
 @dataclass(frozen=True, eq=False)
 class ThermoRecord:
-    """Per-oscillator thermodynamics plus totals at one time.
+    """Per-oscillator thermodynamics plus totals, at one time or on a grid.
 
-    Per-mode quantities are stored as arrays (system mode first); the
-    ``per_oscillator`` view materializes OscillatorThermo entries on demand.
+    Per-mode quantities are arrays with the oscillators (system first) on the
+    last axis; on a grid, time runs along the first axis of every field and
+    the totals are arrays of shape (T,).
     """
 
-    time: float
+    time: float | np.ndarray
     energies: np.ndarray
     temperatures: np.ndarray
     betas: np.ndarray
     partition_functions: np.ndarray
     free_energies: np.ndarray
     entropies: np.ndarray
-    S_tot: float
-    dS_tot: float
-    Pi_tot: float
-    dEA_dt: float
-    dEB_dt: float
-    dEI_dt: float
+    S_tot: float | np.ndarray
+    dS_tot: float | np.ndarray
+    Pi_tot: float | np.ndarray
+    dEA_dt: float | np.ndarray
+    dEB_dt: float | np.ndarray
+    dEI_dt: float | np.ndarray
     mode_fluxes: np.ndarray
-
-    @property
-    def per_oscillator(self) -> list[OscillatorThermo]:
-        return [
-            OscillatorThermo(E=e, T=t, beta=b, Z=z, F=f, S=s)
-            for e, t, b, z, f, s in zip(
-                self.energies,
-                self.temperatures,
-                self.betas,
-                self.partition_functions,
-                self.free_energies,
-                self.entropies,
-            )
-        ]
 
 
 def totals(snapshot: CovarianceSnapshot, baseline: CovarianceSnapshot) -> ThermoRecord:
-    """Assemble the full thermodynamic record for ``snapshot`` relative to
-    the t = 0 ``baseline`` of the same model."""
+    """Assemble the full thermodynamic record of ``snapshot`` (one time or a
+    grid) relative to the one-time t = 0 ``baseline`` of the same model."""
     model = snapshot.model
-    if model is None:
-        raise ValueError("snapshot carries no model; build it via mode_basis(model)")
-    if baseline.model is None or baseline.model != model:
+    if baseline.model != model:
         raise ValueError("baseline was computed for a different model")
-    if baseline.time != 0.0:
+    if np.ndim(baseline.time) != 0 or baseline.time != 0.0:
         raise ValueError("baseline must be the t = 0 snapshot")
-    if len(baseline.c) != len(snapshot.c):
+    if baseline.c.shape[-1] != snapshot.c.shape[-1]:
         raise ValueError("baseline and snapshot sizes disagree")
 
     freqs = model.frequencies
@@ -245,9 +212,9 @@ def totals(snapshot: CovarianceSnapshot, baseline: CovarianceSnapshot) -> Thermo
     with np.errstate(divide="ignore"):
         F = np.where(Z > 0, -KB * T * np.log(np.where(Z > 0, Z, 1.0)), np.nan)
     S = entropy(snapshot.c)
-    S_tot = float(np.sum(S))
-    dS_tot = S_tot - float(np.sum(entropy(baseline.c)))
-    fluxes = energy_fluxes(snapshot, model)
+    S_tot = _row_sum(S)
+    dS_tot = S_tot - _row_sum(entropy(baseline.c))
+    fluxes = fluxes_from_cross_terms(snapshot.x, model)
     return ThermoRecord(
         time=snapshot.time,
         energies=mean_energy(snapshot.c, freqs),

@@ -1,6 +1,6 @@
 """Shared fixtures.
 
-The production-parameter eigenbases and thermodynamic record series are
+The production-parameter eigenbases and grid thermodynamic records are
 expensive at N = 4000, so a session-scoped cache hands them to every test
 that needs them (most acceptance criteria share the same grids).
 """
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import starbath as sb
+from starbath.evolve import evaluate, initial_coefficients
 from starbath.thermo import totals
 
 
@@ -21,7 +22,7 @@ class ProductionContext:
         self.init = sb.InitialTemperatures(T_A0=10e-6, T_B0=50e-6)
         self._models: dict[int, sb.StarModel] = {}
         self._bases: dict[int, sb.ModeBasis] = {}
-        self._records: dict[tuple, list] = {}
+        self._records: dict[tuple, sb.ThermoRecord] = {}
         self._c1: dict[tuple, np.ndarray] = {}
 
     def config(self, n: int) -> sb.ExperimentConfig:
@@ -48,23 +49,23 @@ class ProductionContext:
             self._bases[n] = sb.mode_basis(self.model(n))
         return self._bases[n]
 
-    def records(self, n: int, times_us: tuple[float, ...]) -> list:
-        """Thermo records on the grid (baseline at t = 0 prepended)."""
+    def record(self, n: int, times_us: tuple[float, ...]) -> sb.ThermoRecord:
+        """Grid thermo record whose first time is the t = 0 baseline,
+        followed by the grid."""
         key = (n, times_us)
         if key not in self._records:
             grid = np.concatenate(([0.0], np.asarray(times_us) * 1e-6))
-            baseline, *snapshots = sb.snapshot_series(self.basis(n), self.init, grid)
-            self._records[key] = [totals(baseline, baseline)] + [
-                totals(snap, baseline) for snap in snapshots
-            ]
+            series = sb.snapshot_series(self.basis(n), self.init, grid)
+            self._records[key] = totals(series, series.at(0))
         return self._records[key]
 
     def c1_series(self, n: int, times_us: tuple[float, ...]) -> np.ndarray:
         key = (n, times_us)
         if key not in self._c1:
-            self._c1[key] = sb.system_coefficient_series(
-                self.basis(n), self.init, np.asarray(times_us) * 1e-6
-            )
+            basis = self.basis(n)
+            c0 = initial_coefficients(basis.frequencies, self.init)
+            c, _ = evaluate(basis, c0, np.asarray(times_us) * 1e-6, [0], cross=False)
+            self._c1[key] = c[:, 0]
         return self._c1[key]
 
 

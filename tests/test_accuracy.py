@@ -15,6 +15,7 @@ import pytest
 
 import starbath as sb
 from starbath.evolve import evaluate, initial_coefficients
+from starbath.oracle import arrowhead_matrix
 
 LD = np.longdouble
 pytestmark = pytest.mark.skipif(
@@ -29,7 +30,7 @@ def reference(model: sb.StarModel, c0: np.ndarray, times) -> tuple[np.ndarray, n
     """c_j(t) and x_j(t) in extended precision, shape (len(times), N+1)."""
     w1, w, g = LD(model.omega1), model.bath_omegas.astype(LD), model.bath_couplings.astype(LD)
     g2 = g * g
-    guess = np.linalg.eigvalsh(sb.build_reduced(model).as_matrix())
+    guess = np.linalg.eigvalsh(arrowhead_matrix(model))
     # interlacing: eigenvalue k lies between bath frequencies k-1 and k
     k = np.arange(N + 1)
     left, right = np.clip(k - 1, 0, N - 1), np.clip(k, 0, N - 1)

@@ -18,7 +18,7 @@ from starbath.checks import (
 from starbath import evolve
 from starbath.evolve import initial_coefficients
 from starbath.harness import derived_constants
-from starbath.oracle import dense_oracle_at, initial_covariance_diagonal
+from starbath.oracle import arrowhead_matrix, dense_oracle_at, initial_covariance_diagonal
 
 
 def small_setup(seed=3, n=12):
@@ -33,7 +33,7 @@ class TestDiagonalize:
         model, _ = random_star_model(rng, 16)
         basis = sb.mode_basis(model)
         assert orthonormality_residual(basis) <= 1e-10
-        assert reconstruction_residual(basis, model) <= 1e-9
+        assert reconstruction_residual(basis) <= 1e-9
 
     def test_eigenvalues_ascending(self, rng):
         model, _ = random_star_model(rng, 24)
@@ -60,7 +60,7 @@ class TestDiagonalize:
         basis = sb.mode_basis(model)
         assert np.count_nonzero(basis.weights) == model.n_modes + 1 - 4
         assert orthonormality_residual(basis) <= 1e-10
-        assert reconstruction_residual(basis, model) <= 1e-9
+        assert reconstruction_residual(basis) <= 1e-9
         assert oracle_equivalence_residual(model, init, rng.uniform(0, 40e-6, size=6)) <= 1e-9
 
     def test_weak_couplings_converge(self):
@@ -75,7 +75,7 @@ class TestDiagonalize:
         assert basis.newton_step <= 1e-12
         assert np.all(basis.weights > 0)
         assert orthonormality_residual(basis) <= 1e-10
-        assert reconstruction_residual(basis, model) <= 1e-9
+        assert reconstruction_residual(basis) <= 1e-9
 
     @pytest.mark.parametrize("omega1", [0.05e6, 4e6, 30e6], ids=["below", "inside", "above"])
     @pytest.mark.parametrize("couplings", ["ohmic", "weak", "partly_zero"])
@@ -88,7 +88,7 @@ class TestDiagonalize:
         elif couplings == "partly_zero":
             g[[0, 5, 6, 47]] = 0.0
         model = sb.StarModel(omega1=omega1, bath_omegas=model.bath_omegas, bath_couplings=g)
-        h = sb.build_reduced(model).as_matrix()
+        h = arrowhead_matrix(model)
         basis = sb.mode_basis(model)
         atol = 64 * np.finfo(float).eps * np.linalg.norm(h, 2)
         np.testing.assert_allclose(basis.eigenvalues, np.linalg.eigvalsh(h), rtol=0, atol=atol)
@@ -109,12 +109,6 @@ class TestDiagonalize:
         derived = derived_constants(production.basis(10000), production.params(10000))
         assert derived["weight_sum_residual"] <= 1e-12
         assert derived["newton_step"] <= 1e-12
-
-    def test_plain_reduced_matrix_without_model(self):
-        reduced = sb.ReducedHamiltonian(diagonal=np.array([1e6, 2e6, 3e6]), arm=np.array([1e5, 2e5]))
-        basis = sb.diagonalize(reduced)
-        assert basis.model is None
-        assert basis.dimension == 3
 
 
 class TestSnapshots:
@@ -141,8 +135,11 @@ class TestSnapshots:
         t = 17.3e-6
         coarse = sb.snapshot_series(basis, init, [0.0, t])
         fine = sb.snapshot_series(basis, init, [0.0, t / 3, t / 2, t])
-        assert np.array_equal(coarse[1].c, fine[3].c)
-        assert np.array_equal(coarse[1].x, fine[3].x)
+        assert coarse.c.shape == (2, model.n_modes + 1) and fine.x.shape == (4, model.n_modes)
+        assert np.array_equal(coarse.c[1], fine.c[3])
+        assert np.array_equal(coarse.x[1], fine.x[3])
+        point = fine.at(3)
+        assert point.time == t and np.array_equal(point.c, fine.c[3])
 
     def test_series_validation(self):
         model, init, _ = small_setup()
@@ -151,6 +148,14 @@ class TestSnapshots:
             sb.snapshot_series(basis, init, [2e-6, 1e-6])
         with pytest.raises(ValueError):
             sb.snapshot_at(basis, init, -1e-9)
+        series = sb.snapshot_series(basis, init, [0.0, 1e-6])
+        for time, c, x in (
+            ([0.0, 1e-6], series.c[:, :-1], series.x),  # one coefficient short
+            ([0.0, 1e-6], series.c, series.x[:1]),  # cross terms at one time only
+            (0.0, series.c, series.x),  # grid data at a single time
+        ):
+            with pytest.raises(ValueError):
+                sb.CovarianceSnapshot(time, c, x, model)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_convex_envelope_and_unitarity(self, seed):
@@ -167,14 +172,14 @@ class TestSnapshots:
         model, init, _ = small_setup(n=24)
         basis = sb.mode_basis(model)
         times = np.array([0.0, 3e-6, 11e-6])
-        snaps = sb.snapshot_series(basis, init, times)
-        c1 = sb.system_coefficient_series(basis, init, times)
-        xs = sb.cross_term_series(basis, init, times)
-        window = sb.coefficient_rows_series(basis, init, times, 5, 11)
-        for i, snap in enumerate(snaps):
-            assert c1[i] == pytest.approx(snap.c[0], rel=1e-13, abs=0)
-            np.testing.assert_allclose(xs[i], snap.x, rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(window[i], snap.c[5:11], rtol=1e-13)
+        c0 = initial_coefficients(basis.frequencies, init)
+        series = sb.snapshot_series(basis, init, times)
+        c1 = sb.evaluate(basis, c0, times, [0], cross=False)[0][:, 0]
+        xs = sb.evaluate(basis, c0, times, range(1, basis.dimension))[1]
+        window = sb.evaluate(basis, c0, times, range(5, 11), cross=False)[0]
+        np.testing.assert_allclose(c1, series.c[:, 0], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(xs, series.x, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(window, series.c[:, 5:11], rtol=1e-13)
 
 
 class TestEvaluate:

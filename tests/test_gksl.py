@@ -63,19 +63,23 @@ class TestVonNeumannRate:
         assert pivn_nonnegativity_floor(params, np.linspace(0, 1500e-6, 777)) >= -1e-15
 
     def test_exact_mode_requires_series(self, params):
-        with pytest.raises(ValueError):
-            von_neumann_epr(params, np.array([0.0, 1e-6]), mode="exact")
-        with pytest.raises(ValueError):
-            von_neumann_epr(params, 0.0, mode="bogus")
+        # the given series must align with the time grid
+        with pytest.raises(ValueError, match="align"):
+            von_neumann_epr(params, np.array([0.0, 1e-6]), np.array([1.2, 1.3, 1.4]))
+        with pytest.raises(ValueError, match="align"):
+            von_neumann_epr(params, 0.0, np.array([1.2]))
 
     def test_exact_mode_consumes_series(self, params):
         ts = np.array([0.0, 100e-6])
         c1 = np.asarray(gksl_sigma11(params, ts))
-        np.testing.assert_allclose(
-            von_neumann_epr(params, ts, mode="exact", exact_sigma11=c1),
-            von_neumann_epr(params, ts),
-            rtol=1e-12,
-        )
+        np.testing.assert_array_equal(von_neumann_epr(params, ts, c1), von_neumann_epr(params, ts))
+        # an exact series that differs from the closed form is the one used
+        shifted = c1 + 0.05
+        assert np.all(von_neumann_epr(params, ts, shifted) != von_neumann_epr(params, ts))
+        _, T_A = inverse_temperature(shifted, params.omega1)
+        rate = sb.HBAR * params.omega1 * params.Gamma
+        expected = rate * (1 / params.T_B0 - 1 / T_A) * (shifted - params.coth_b)
+        np.testing.assert_allclose(von_neumann_epr(params, ts, shifted), expected, rtol=1e-14)
 
 
 class TestVonNeumannProduction:
@@ -112,8 +116,8 @@ class TestVonNeumannProduction:
         )
         basis = sb.mode_basis(model)
         ts = np.linspace(0, 100e-6, 801)
-        c1 = sb.system_coefficient_series(basis, init, ts)
-        xs = sb.cross_term_series(basis, init, ts)
+        series = sb.snapshot_series(basis, init, ts)
+        c1, xs = series.c[:, 0], series.x
         dEA = sb.HBAR * model.omega1 * xs @ model.bath_couplings
         _, T_A = inverse_temperature(c1, model.omega1)
         rate = von_neumann_epr_from_fluxes(T_A, dEA, -dEA, p.T_B0)
@@ -133,39 +137,37 @@ def evolved():
         T_B0=init.T_B0,
     )
     basis = sb.mode_basis(model)
-    baseline = sb.snapshot_at(basis, init, 0.0)
-    base_rec = totals(baseline, baseline)
-    recs = [base_rec] + [
-        totals(sb.snapshot_at(basis, init, t), baseline) for t in (5e-6, 15e-6, 30e-6)
-    ]
-    return p, recs
+    series = sb.snapshot_series(basis, init, [0.0, 5e-6, 15e-6, 30e-6])
+    return p, totals(series, series.at(0)), series
 
 
 class TestDifferences:
     def test_zero_at_time_zero(self, evolved):
-        p, recs = evolved
-        assert epr_difference(recs[0], p) == 0.0
-        assert ep_difference(recs, p)[0] == 0.0
+        p, record, series = evolved
+        assert epr_difference(record, p)[0] == 0.0
+        assert epr_difference(totals(series.at(0), series.at(0)), p) == 0.0
+        assert ep_difference(record, p)[0] == 0.0
 
     def test_rate_gap_identity(self, evolved):
         # flux-form Pi_vN minus Pi_tot equals the closed gap formula
-        p, recs = evolved
-        for rec in recs[1:]:
-            assert epr_identity_residual(rec, p) <= 1e-10
+        p, _, series = evolved
+        for i in range(1, len(series.time)):
+            assert epr_identity_residual(totals(series.at(i), series.at(0)), p) <= 1e-10
 
     def test_production_gap_matches_direct_difference(self, evolved):
-        p, recs = evolved
-        gaps = ep_difference(recs, p)
-        for rec, gap in zip(recs, gaps):
-            ds_vn = (rec.entropies[0] - recs[0].entropies[0]) - (
-                rec.energies[0] - recs[0].energies[0]
-            ) / p.T_B0
-            assert gap == pytest.approx(ds_vn - rec.dS_tot, abs=1e-12 * KB + abs(ds_vn) * 1e-10)
+        p, record, _ = evolved
+        gaps = ep_difference(record, p)
+        S_A, E_A = record.entropies[:, 0], record.energies[:, 0]
+        for i, gap in enumerate(gaps):
+            ds_vn = (S_A[i] - S_A[0]) - (E_A[i] - E_A[0]) / p.T_B0
+            assert gap == pytest.approx(ds_vn - record.dS_tot[i], abs=1e-12 * KB + abs(ds_vn) * 1e-10)
 
     def test_baseline_required(self, evolved):
-        p, recs = evolved
-        with pytest.raises(ValueError, match="baseline"):
-            ep_difference(recs[1:], p)
+        p, _, series = evolved
+        late = sb.CovarianceSnapshot(series.time[1:], series.c[1:], series.x[1:], series.model)
+        for record in (totals(late, series.at(0)), totals(series.at(1), series.at(0))):
+            with pytest.raises(ValueError, match="baseline"):
+                ep_difference(record, p)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import starbath as sb
 from starbath.checks import flux_finite_difference_residual
 from starbath.config import ConfigError, ExperimentConfig, load_config, parse_grid
 from starbath.harness import affine_fit, proportional_fit, run_job
-from starbath.table import ResultTable
+from starbath.table import ResultTable, write_manifest
 
 
 def tiny_cfg(tmp_path, **kwargs) -> ExperimentConfig:
@@ -66,17 +66,13 @@ class TestConfig:
 
 class TestResultTable:
     def test_rfc4180_bytes(self, tmp_path):
-        table = ResultTable(columns=["t[us]", "v[1]"])
-        table.append(0.0, 1.25)
-        table.append(1.0, -3.0)
+        table = ResultTable.from_columns({"t[us]": [0.0, 1.0], "v[1]": [1.25, -3.0]})
         path = table.write_csv(tmp_path / "t.csv")
         raw = path.read_bytes()
         assert raw == b"t[us],v[1]\r\n0.0,1.25\r\n1.0,-3.0\r\n"
 
     def test_round_trip_column(self):
-        table = ResultTable(columns=["a[1]"])
-        table.append(0.5)
-        table.append(1.5)
+        table = ResultTable.from_columns({"a[1]": np.array([0.5, 1.5])})
         np.testing.assert_allclose(table.column("a[1]"), [0.5, 1.5])
 
     def test_from_columns_bytes(self, tmp_path):
@@ -85,10 +81,14 @@ class TestResultTable:
         raw = table.write_csv(tmp_path / "t.csv").read_bytes()
         assert raw == b"N[1],t[us],v[1]\r\n8,0.0,1.25\r\n8,1.0,-3.0\r\n"
 
+    def test_manifest_refuses_non_finite_values(self, tmp_path):
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                write_manifest(tmp_path / "m.json", files=[], parameters={}, derived={"x": value})
+
     def test_rejects_ragged_row(self):
-        table = ResultTable(columns=["a[1]", "b[1]"])
         with pytest.raises(ValueError):
-            table.append(1.0)
+            ResultTable.from_columns({"a[1]": [1.0, 2.0], "b[1]": [1.0, 2.0, 3.0]})
 
 
 class TestSimulateJob:
@@ -104,6 +104,32 @@ class TestSimulateJob:
         assert np.max(np.abs(total)) <= 1e-12 * scale
         assert table.column("Pi_tot[kB/ms]")[0] == 0.0
         assert (tmp_path / "simulate_manifest.json").exists()
+
+    def test_decoupled_bath_gives_valid_manifest_and_frozen_state(self, tmp_path):
+        # eta = 0: Gamma = 0, so the relaxation time is recorded as null, and
+        # nothing evolves: no entropy production, no flux, c_1 constant
+        cfg = tiny_cfg(tmp_path, eta=0.0, n_modes=40, grid_end_us=10.0, grid_points=41)
+        result = run_job(cfg)
+
+        def refuse(name):
+            raise ValueError(f"non-finite JSON constant {name}")
+
+        manifest = json.loads(result["manifest"].read_text(), parse_constant=refuse)
+        assert manifest["derived"]["relaxation_time_us"] is None
+        table = result["tables"]["simulate"]
+        for name in ("Pi_tot[kB/ms]", "dS_tot[kB]", "dEA_dt[J/s]", "dEB_dt[J/s]", "dEI_dt[J/s]"):
+            assert np.all(table.column(name) == 0.0), name
+        c1 = table.column("sigma11_exact[1]")
+        assert np.all(c1 == c1[0])
+        assert c1[0] == manifest["derived"]["sigma11_initial"]
+
+    @pytest.mark.xfail(strict=True, raises=ValueError, reason="cold baths: evolved c_j falls below 1")
+    def test_cold_bath_simulate(self, tmp_path):
+        # T_A0 = 1 uK, T_B0 = 3 uK: the roundoff floor of the evolved
+        # coefficients c_j ~ 1 + 2 nbar exceeds nbar, so totals refuses c < 1
+        cfg = tiny_cfg(tmp_path, n_modes=200, T_A0_uk=1.0, T_B0_uk=3.0, grid_end_us=60.0, grid_points=61)
+        table = run_job(cfg)["tables"]["simulate"]
+        assert np.all(table.column("sigma11_exact[1]") >= 1.0)
 
     def test_deterministic_bytes(self, tmp_path):
         cfg1 = tiny_cfg(tmp_path / "a", grid_end_us=0.5)

@@ -8,9 +8,7 @@ from starbath import (
     ExperimentConfig,
     KB,
     OhmicBathSpec,
-    ReducedHamiltonian,
     StarModel,
-    build_reduced,
     discretize_ohmic_bath,
     mean_occupation,
     recurrence_time,
@@ -23,6 +21,7 @@ from starbath.checks import (
     random_star_model,
     tensor_expansion_residual,
 )
+from starbath.oracle import arrowhead_matrix
 
 from highprec import REFERENCE
 
@@ -187,29 +186,28 @@ class TestRecurrenceTime:
 
 class TestReducedHamiltonian:
     def test_two_mode_analytic_eigenvalues(self):
-        w1, w2, g = 4e6, 6e6, 2e5
-        reduced = ReducedHamiltonian(diagonal=np.array([w1, w2]), arm=np.array([g]))
-        eigs = np.linalg.eigvalsh(reduced.as_matrix())
+        # a second, uncoupled bath mode (a star needs two) keeps its bare frequency
+        w1, w2, w3, g = 4e6, 6e6, 9e6, 2e5
+        model = StarModel(omega1=w1, bath_omegas=np.array([w2, w3]), bath_couplings=np.array([g, 0.0]))
+        eigs = np.linalg.eigvalsh(arrowhead_matrix(model))
         mid, split = (w1 + w2) / 2, math.hypot((w1 - w2) / 2, g)
-        np.testing.assert_allclose(eigs, [mid - split, mid + split], rtol=1e-14)
+        np.testing.assert_allclose(eigs, [mid - split, mid + split, w3], rtol=1e-14)
 
     def test_decoupled_eigenvalues_are_bare(self):
         spec = OhmicBathSpec(eta=0.0, omega_c=3e6, omega_min=1e5, omega_max=1e7, n_modes=32)
         model = discretize_ohmic_bath(spec, 4e6)
-        eigs = np.linalg.eigvalsh(build_reduced(model).as_matrix())
+        eigs = np.linalg.eigvalsh(arrowhead_matrix(model))
         np.testing.assert_allclose(eigs, np.sort(model.frequencies), rtol=1e-14)
 
     def test_arrowhead_structure(self):
         model = discretize_ohmic_bath(production_spec(16), 4e6)
-        h = build_reduced(model).as_matrix()
+        h = arrowhead_matrix(model)
         assert np.array_equal(h, h.T)
+        assert np.array_equal(np.diag(h), model.frequencies)
+        assert np.array_equal(h[0, 1:], model.bath_couplings)
         interior = h[1:, 1:]
         assert np.all(interior[~np.eye(16, dtype=bool)] == 0.0)
 
     def test_tensor_expansion_matches_full_matrix(self, rng):
         model, _ = random_star_model(rng, 3)
         assert tensor_expansion_residual(model) == 0.0
-
-    def test_rejects_bad_arm_length(self):
-        with pytest.raises(ValueError):
-            ReducedHamiltonian(diagonal=np.ones(4), arm=np.ones(4))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -23,8 +24,8 @@ from starbath.thermo import (
     inverse_temperature,
     log_coth_ratio,
     mean_energy,
-    oscillator_thermo,
     partition_function,
+    ThermoRecord,
     total_epr,
     totals,
 )
@@ -140,11 +141,6 @@ class TestConsistency:
         for c in (1.2, 2.7, 10.0):
             assert entropy_energy_slope_residual(c) <= 1e-6
 
-    def test_oscillator_thermo_bundles_consistently(self):
-        ot = oscillator_thermo(2.5, 4e6)
-        assert ot.S == pytest.approx((ot.E - ot.F) / ot.T, rel=1e-12)
-        assert entropy(2.5) == pytest.approx(ot.S, rel=1e-14)
-
 
 def evolved_record(n=48, t=20e-6, seed=5):
     rng = np.random.default_rng(seed)
@@ -159,7 +155,7 @@ def evolved_record(n=48, t=20e-6, seed=5):
 class TestFluxesAndTotals:
     def test_fluxes_vanish_initially(self):
         model, _, init, baseline, _ = evolved_record()
-        fx = sb.energy_fluxes(baseline, model)
+        fx = sb.fluxes_from_cross_terms(baseline.x, model)
         assert fx.dEA_dt == 0.0 and fx.dEB_dt == 0.0 and fx.dEI_dt == 0.0
         assert total_epr(baseline, model) == 0.0
 
@@ -183,10 +179,11 @@ class TestFluxesAndTotals:
         cfg = sb.ExperimentConfig(n_modes=512)
         model = sb.discretize_ohmic_bath(cfg.bath_spec(), cfg.omega1)
         basis = sb.mode_basis(model)
-        xs = sb.cross_term_series(basis, cfg.initial_temperatures(), np.linspace(5e-6, 150e-6, 16))
-        for x in xs:
-            fx = sb.fluxes_from_cross_terms(x, model)
-            assert abs(fx.dEI_dt) <= 0.1 * abs(fx.dEA_dt)
+        c0 = sb.initial_coefficients(basis.frequencies, cfg.initial_temperatures())
+        xs = sb.evaluate(basis, c0, np.linspace(5e-6, 150e-6, 16), range(1, basis.dimension))[1]
+        fx = sb.fluxes_from_cross_terms(xs, model)
+        assert fx.dEI_dt.shape == (16,)
+        assert np.all(np.abs(fx.dEI_dt) <= 0.1 * np.abs(fx.dEA_dt))
 
     def test_epr_rejects_boundary(self):
         model, _, init, _, snap = evolved_record()
@@ -207,8 +204,7 @@ class TestFluxesAndTotals:
         model, _, init, baseline, snap = evolved_record()
         rec = totals(snap, baseline)
         assert rec.S_tot == pytest.approx(float(np.sum(rec.entropies)), rel=1e-14)
-        assert len(rec.per_oscillator) == model.n_modes + 1
-        assert rec.per_oscillator[0].S == pytest.approx(rec.entropies[0], rel=1e-14)
+        assert rec.entropies.shape == (model.n_modes + 1,)
 
     def test_totals_model_mismatch(self):
         model, basis, init, baseline, snap = evolved_record()
@@ -225,3 +221,17 @@ class TestFluxesAndTotals:
     def test_log_coth_ratio_boundary(self):
         assert math.isinf(log_coth_ratio(1.0))
         assert log_coth_ratio(3.0) == pytest.approx(math.log(2.0), rel=1e-14)
+
+    def test_grid_totals_match_one_time_totals_bit_for_bit(self):
+        # one totals call on a grid snapshot gives, row by row, exactly the
+        # record of each one-time snapshot (built positionally, as a caller
+        # holding 1-d data would)
+        model, basis, init, _, _ = evolved_record()
+        series = sb.snapshot_series(basis, init, np.linspace(0.0, 40e-6, 9))
+        grid = totals(series, series.at(0))
+        assert grid.S_tot.shape == (9,) and grid.mode_fluxes.shape == (9, model.n_modes)
+        for i in range(9):
+            one = totals(CovarianceSnapshot(series.time[i], series.c[i], series.x[i], model), series.at(0))
+            for f in fields(ThermoRecord):
+                assert np.array_equal(getattr(grid, f.name)[i], getattr(one, f.name)), f.name
+            assert isinstance(one.Pi_tot, float) and isinstance(one.time, float)
