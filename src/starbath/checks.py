@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 from scipy.integrate import quad
 
+from .config import ExperimentConfig
 from .constants import HBAR, KB
 from .evolve import (
     CovarianceSnapshot,
@@ -29,6 +30,7 @@ from .model import (
     discretize_ohmic_bath,
     ohmic_spectral_density,
     recurrence_time,
+    relaxation_rate,
 )
 from .oracle import (
     ORACLE_CAP_DEFAULT, arrowhead_matrix, dense_oracle_at, dense_oracle_series, full_hamiltonian,
@@ -134,12 +136,13 @@ def tensor_expansion_residual(model: StarModel) -> float:
 # --- evolve / oracle ------------------------------------------------------
 
 
-def closed_form_vectors(basis: ModeBasis, oracle_cap: int = ORACLE_CAP_DEFAULT) -> np.ndarray:
+def closed_form_vectors(basis: ModeBasis) -> np.ndarray:
     """Dense eigenvectors Q_1k = sqrt(weight_k), Q_jk = g_j Q_1k / (l_k - w_j)
     as columns, deflated modes as unit vectors.  Quadratic memory, so only
     for N up to the oracle cap."""
-    if basis.dimension - 1 > oracle_cap:
-        raise ValueError(f"dense eigenvectors refused for N={basis.dimension - 1} above cap {oracle_cap}")
+    n = basis.dimension - 1
+    if n > ORACLE_CAP_DEFAULT:
+        raise ValueError(f"dense eigenvectors refused for N={n} above cap {ORACLE_CAP_DEFAULT}")
     w, g, q1 = basis.frequencies[1:], basis.couplings, np.sqrt(basis.weights)
     live, act, dead = np.flatnonzero(q1), np.flatnonzero(g), np.flatnonzero(q1 == 0)
     Q = np.zeros((basis.dimension, basis.dimension))
@@ -150,14 +153,14 @@ def closed_form_vectors(basis: ModeBasis, oracle_cap: int = ORACLE_CAP_DEFAULT) 
     return Q
 
 
-def orthonormality_residual(basis: ModeBasis, oracle_cap: int = ORACLE_CAP_DEFAULT) -> float:
-    Q = closed_form_vectors(basis, oracle_cap)
+def orthonormality_residual(basis: ModeBasis) -> float:
+    Q = closed_form_vectors(basis)
     return float(np.max(np.abs(Q.T @ Q - np.eye(basis.dimension))))
 
 
-def reconstruction_residual(basis: ModeBasis, oracle_cap: int = ORACLE_CAP_DEFAULT) -> float:
+def reconstruction_residual(basis: ModeBasis) -> float:
     h = arrowhead_matrix(basis.model)
-    Q = closed_form_vectors(basis, oracle_cap)
+    Q = closed_form_vectors(basis)
     rebuilt = (Q * basis.eigenvalues) @ Q.T
     return float(np.linalg.norm(rebuilt - h) / np.linalg.norm(h))
 
@@ -168,12 +171,10 @@ def unitarity_residual(basis: ModeBasis, t: float) -> float:
     return float(np.max(np.abs(row_sums - 1.0)))
 
 
-def oracle_equivalence_residual(
-    model: StarModel, init: InitialTemperatures, times, oracle_cap: int = 64
-) -> float:
+def oracle_equivalence_residual(model: StarModel, init: InitialTemperatures, times) -> float:
     """Max abs difference of reduced-path c_j, x_j against the dense oracle."""
     times = np.sort(np.atleast_1d(times))
-    dense = dense_oracle_series(model, init, times, oracle_cap=oracle_cap)
+    dense = dense_oracle_series(model, init, times)
     snap = snapshot_series(mode_basis(model), init, times)
     c = np.array([d.diagonal_coefficients() for d in dense])
     x = np.array([d.cross_terms() for d in dense])
@@ -294,20 +295,20 @@ def epr_identity_residual(record, p: GkslParams) -> float:
 # --- suite ----------------------------------------------------------------
 
 
-def default_suite(seed: int = 0, oracle_cap: int = 64) -> list[CheckResult]:
+def default_suite(seed: int = 0) -> list[CheckResult]:
     """Run every invariant on seeded small models; used by the validate job."""
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
 
-    spec = OhmicBathSpec(eta=1e-3, omega_c=3e6, omega_min=0.026e6, omega_max=20e6, n_modes=128)
-    model = discretize_ohmic_bath(spec, 4e6)
-    init = InitialTemperatures(T_A0=10e-6, T_B0=50e-6)
+    cfg = ExperimentConfig(n_modes=128)  # the production bath at a validation size
+    spec, omega1, init = cfg.bath_spec(), cfg.omega1, cfg.initial_temperatures()
+    model = discretize_ohmic_bath(spec, omega1)
 
     results.append(
         _result("model", "coupling_sum_rule", coupling_sum_rule_residual(model, spec), 1e-13)
     )
-    err_n = coupling_integral_error(spec, 4e6)
-    err_2n = coupling_integral_error(replace(spec, n_modes=2 * spec.n_modes), 4e6)
+    err_n = coupling_integral_error(spec, omega1)
+    err_2n = coupling_integral_error(replace(spec, n_modes=2 * spec.n_modes), omega1)
     ratio = err_n / err_2n
     results.append(
         CheckResult(
@@ -331,11 +332,11 @@ def default_suite(seed: int = 0, oracle_cap: int = 64) -> list[CheckResult]:
     small, _ = random_star_model(rng, 5)
     results.append(_result("model", "tensor_expansion", tensor_expansion_residual(small), 0.0))
 
-    capped = discretize_ohmic_bath(replace(spec, n_modes=min(spec.n_modes, oracle_cap)), 4e6)
+    capped = discretize_ohmic_bath(replace(spec, n_modes=ORACLE_CAP_DEFAULT), omega1)
     capped_basis = mode_basis(capped)
     note = f"closed-form eigenvectors at N={capped.n_modes}"
-    ortho = orthonormality_residual(capped_basis, oracle_cap)
-    rebuilt = reconstruction_residual(capped_basis, oracle_cap)
+    ortho = orthonormality_residual(capped_basis)
+    rebuilt = reconstruction_residual(capped_basis)
     results.append(_result("evolve", "orthonormality", ortho, 1e-10, note))
     results.append(_result("evolve", "reconstruction", rebuilt, 1e-9, note))
     basis = mode_basis(model)
@@ -350,12 +351,12 @@ def default_suite(seed: int = 0, oracle_cap: int = 64) -> list[CheckResult]:
         _result(
             "evolve",
             "oracle_equivalence",
-            oracle_equivalence_residual(oracle_model, oracle_init, times, oracle_cap),
+            oracle_equivalence_residual(oracle_model, oracle_init, times),
             1e-9,
             note="N=16 random model, 20 random times",
         )
     )
-    dense = dense_oracle_at(oracle_model, oracle_init, 17e-6, oracle_cap=oracle_cap)
+    dense = dense_oracle_at(oracle_model, oracle_init, 17e-6)
     results.append(_result("evolve", "symplecticity", dense.symplectic_defect(), 1e-9))
     results.append(_result("evolve", "gibbs_blocks", gibbs_block_residual(dense), 1e-10))
     floor = positivity_floor(dense)
@@ -379,7 +380,7 @@ def default_suite(seed: int = 0, oracle_cap: int = 64) -> list[CheckResult]:
         )
     )
 
-    mid_basis = mode_basis(discretize_ohmic_bath(replace(spec, n_modes=512), 4e6))
+    mid_basis = mode_basis(discretize_ohmic_bath(replace(spec, n_modes=512), omega1))
     snap = snapshot_at(mid_basis, init, 100e-6)
     results.append(
         _result("thermo", "flux_sum_rule", flux_sum_residual(snap, mid_basis.model), 1e-12)
@@ -435,7 +436,7 @@ def default_suite(seed: int = 0, oracle_cap: int = 64) -> list[CheckResult]:
         _result("thermo", "entropy_energy_slope", entropy_energy_slope_residual(2.7), 1e-6)
     )
 
-    p = GkslParams(omega1=4e6, Gamma=np.pi * 1e-3 * 4e6 * np.exp(-4.0 / 3.0), T_A0=10e-6, T_B0=50e-6)
+    p = GkslParams(omega1=omega1, Gamma=relaxation_rate(spec, omega1), T_A0=init.T_A0, T_B0=init.T_B0)
     floor = pivn_nonnegativity_floor(p, np.linspace(0, 1200e-6, 241))
     results.append(
         CheckResult(

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import JOBS, ConfigError, ExperimentConfig, load_config, parse_grid
+from .config import JOBS, PIVN_MODES, ConfigError, ExperimentConfig, load_config, parse_grid
 from .harness import run_job
 
 
@@ -33,8 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help="comma-separated list of N values for multi-N jobs, e.g. 1000,2000,4000",
         )
         p.add_argument("--grid", help="time grid start:end:points in microseconds")
-        p.add_argument("--pivn-mode", choices=("gksl", "exact"), help="Pi_vN evaluation mode")
-        p.add_argument("--oracle-cap", type=int, help="largest N the dense oracle accepts")
+        p.add_argument("--pivn-mode", choices=PIVN_MODES, help="Pi_vN evaluation mode")
         p.add_argument("--eta", type=float, help="bath coupling strength")
         p.add_argument("--window", type=float, help="per-mode window half-width in MHz")
         p.add_argument("--seed", type=int, help="seed for the validate suite")
@@ -55,12 +54,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"bad --n-list {args.n_list!r}: {exc}") from exc
     if args.grid is not None:
         start, end, points = parse_grid(args.grid)
-        overrides.update(grid_start_us=start, grid_end_us=end, grid_points=points)
-        cfg.times_us = None  # an explicit --grid displaces any times list from the file
+        # an explicit --grid displaces any times list from the file
+        overrides.update(grid_start_us=start, grid_end_us=end, grid_points=points, times_us=None)
     if args.pivn_mode is not None:
         overrides["pivn_mode"] = args.pivn_mode
-    if args.oracle_cap is not None:
-        overrides["oracle_cap"] = args.oracle_cap
     if args.eta is not None:
         overrides["eta"] = args.eta
     if args.window is not None:
@@ -79,12 +76,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    try:
-        result = run_job(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
+    result = run_job(cfg)
     if cfg.job == "validate":
         report = result["report"]
         for check in report["checks"]:

@@ -60,8 +60,8 @@ class InitialTemperatures:
     T_B0: float
 
     def __post_init__(self) -> None:
-        if self.T_A0 <= 0 or self.T_B0 <= 0:
-            raise ValueError("initial temperatures must be positive")
+        if not (0 < self.T_A0 < np.inf and 0 < self.T_B0 < np.inf):
+            raise ValueError("initial temperatures must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)

@@ -182,9 +182,6 @@ class ThermoRecord:
     time: float | np.ndarray
     energies: np.ndarray
     temperatures: np.ndarray
-    betas: np.ndarray
-    partition_functions: np.ndarray
-    free_energies: np.ndarray
     entropies: np.ndarray
     S_tot: float | np.ndarray
     dS_tot: float | np.ndarray
@@ -207,10 +204,7 @@ def totals(snapshot: CovarianceSnapshot, baseline: CovarianceSnapshot) -> Thermo
         raise ValueError("baseline and snapshot sizes disagree")
 
     freqs = model.frequencies
-    beta, T = inverse_temperature(snapshot.c, freqs)
-    Z = partition_function(snapshot.c)
-    with np.errstate(divide="ignore"):
-        F = np.where(Z > 0, -KB * T * np.log(np.where(Z > 0, Z, 1.0)), np.nan)
+    _, T = inverse_temperature(snapshot.c, freqs)
     S = entropy(snapshot.c)
     S_tot = _row_sum(S)
     dS_tot = S_tot - _row_sum(entropy(baseline.c))
@@ -219,9 +213,6 @@ def totals(snapshot: CovarianceSnapshot, baseline: CovarianceSnapshot) -> Thermo
         time=snapshot.time,
         energies=mean_energy(snapshot.c, freqs),
         temperatures=T,
-        betas=beta,
-        partition_functions=Z,
-        free_energies=F,
         entropies=S,
         S_tot=S_tot,
         dS_tot=dS_tot,

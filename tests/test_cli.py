@@ -18,13 +18,13 @@ def test_simulate_roundtrip(tmp_path, capsys):
 
 def test_config_file_with_cli_override(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"n_modes": 8, "grid_points": 3, "grid_end_us": 1.0}))
+    cfg_path.write_text(json.dumps({"n_modes": 8, "grid_points": 3, "times_us": [0.0, 1.0]}))
     rc = main(
         ["fig2", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--grid", "0:2:4"]
     )
     assert rc == 0
     data = (tmp_path / "out" / "fig2_fluxes.csv").read_bytes()
-    assert data.count(b"\r\n") == 5  # header + 4 rows from the CLI grid
+    assert data.count(b"\r\n") == 5  # header + 4 rows from the CLI grid, not the file's times
 
 
 @pytest.mark.parametrize("job", [job for job in JOBS if job != "validate"])
@@ -62,6 +62,38 @@ def test_config_with_removed_emit_modes_exits_2(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"emit_modes": True}))
     assert main(["simulate", "--config", str(cfg_path)]) == 2
     assert "emit_modes" in capsys.readouterr().err
+
+
+def test_config_with_removed_oracle_cap_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"oracle_cap": 64}))
+    assert main(["validate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert "oracle_cap" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "args, file_values",
+    [
+        (["--eta", "nan"], None),
+        (["--grid", "0:inf:3"], None),
+        (["--window", "nan"], None),
+        (["--n", "1", "--n-list", "8,16,32"], None),
+        ([], {"times_us": [0.0, float("nan")]}),
+        ([], {"T_A0_uk": float("nan")}),
+        ([], {"omega1_mhz": float("inf")}),
+    ],
+)
+def test_non_finite_or_out_of_range_exits_2(tmp_path, capsys, args, file_values):
+    out = tmp_path / "out"
+    argv = ["simulate", "--n", "8", "--out", str(out), *args]
+    if file_values is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(file_values))  # writes NaN/Infinity, which json reads back
+        argv += ["--config", str(cfg_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
 
 
 def test_bad_config_exits_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from starbath.checks import flux_finite_difference_residual
 from starbath.config import ConfigError, ExperimentConfig, load_config, parse_grid
 from starbath.harness import affine_fit, proportional_fit, run_job
 from starbath.table import ResultTable, write_manifest
+
+
+FLOAT_FIELDS = [f.name for f in fields(ExperimentConfig) if f.type == "float"]
 
 
 def tiny_cfg(tmp_path, **kwargs) -> ExperimentConfig:
@@ -51,6 +55,42 @@ class TestConfig:
             ExperimentConfig(times_us=[3.0, 1.0])
         with pytest.raises(ConfigError):
             ExperimentConfig(grid_points=0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(eta=-1e-3),
+            dict(omega1_mhz=0.0),
+            dict(omega_c_mhz=-3.0),
+            dict(omega_min_mhz=0.0),
+            dict(omega_min_mhz=20.0, omega_max_mhz=4.0),
+            dict(T_A0_uk=0.0),
+            dict(T_B0_uk=-50.0),
+            dict(n_modes=1),
+            dict(n_modes=1, n_list=[8, 16, 32]),
+            dict(n_list=[1, 8, 16]),
+            dict(grid_start_us=-1.0),
+            dict(grid_start_us=2.0, grid_end_us=1.0),
+            dict(times_us=[-1.0, 1.0]),
+            dict(sweep_times_us=[]),
+            dict(mode_window_mhz=0.0),
+        ],
+    )
+    def test_rejects_out_of_range_values(self, kwargs):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_rejects_non_finite_floats(self, name, value):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["times_us", "sweep_times_us"])
+    def test_rejects_non_finite_times(self, name, value):
+        with pytest.raises(ConfigError, match="finite"):
+            ExperimentConfig(**{name: [0.0, value]})
 
     def test_parse_grid(self):
         assert parse_grid("0:1200:121") == (0.0, 1200.0, 121)
@@ -206,9 +246,12 @@ class TestFigureJobs:
 
 class TestSweepJob:
     def test_rejects_short_n_list(self, tmp_path):
-        cfg = tiny_cfg(tmp_path, job="sweep-n", n_list=[8, 16])
-        with pytest.raises(ConfigError, match="at least 3"):
-            run_job(cfg)
+        cfg = tiny_cfg(tmp_path, n_list=[8, 16])  # fine for a job that is no sweep
+        for job in ("sweep-n", "fig6"):
+            with pytest.raises(ConfigError, match="at least 3"):
+                tiny_cfg(tmp_path, job=job, n_list=[8, 16])
+            with pytest.raises(ConfigError, match="at least 3"):
+                cfg.with_overrides(job=job)
 
     def test_zero_time_rows_vanish(self, tmp_path):
         cfg = tiny_cfg(tmp_path, job="sweep-n", n_list=[8, 16, 32], sweep_times_us=[0.0])
