@@ -7,10 +7,10 @@ models with a seeded generator and reports machine-readable results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from .config import ExperimentConfig
 from .constants import HBAR, KB
@@ -28,7 +28,6 @@ from .model import (
     OhmicBathSpec,
     StarModel,
     discretize_ohmic_bath,
-    ohmic_spectral_density,
     recurrence_time,
     relaxation_rate,
 )
@@ -108,21 +107,25 @@ def coupling_sum_rule_residual(model: StarModel, spec: OhmicBathSpec) -> float:
     return abs(lhs - rhs) / abs(rhs)
 
 
-def coupling_integral_error(spec: OhmicBathSpec, omega1: float) -> float:
-    """Relative error of sum g_j^2 against the continuum integral of J over
-    the half-cell-extended window [w_min - dw/2, w_max + dw/2].
-
-    The coupling sum is exactly the midpoint rule on that window, hence
-    O(N^-2); against the bare [w_min, w_max] window the uncovered boundary
-    half-cells would degrade the rate to O(N^-1)."""
-    model = discretize_ohmic_bath(spec, omega1)
+def ohmic_window_integral(spec: OhmicBathSpec) -> float:
+    """Continuum integral of J over the half-cell-extended window
+    [a, b] = [w_min - dw/2, w_max + dw/2], in closed form:
+    eta w_c^2 [(1 + u) e^-u - (1 + v) e^-v] with u = a/w_c and v = b/w_c,
+    evaluated as eta w_c^2 e^-u [-(1 + u) expm1(-d) - d e^-d], d = v - u."""
     half = 0.5 * spec.delta_omega
-    integral, _ = quad(
-        lambda w: ohmic_spectral_density(w, spec.eta, spec.omega_c),
-        spec.omega_min - half,
-        spec.omega_max + half,
-        limit=200,
-    )
+    lo, hi = spec.omega_min - half, spec.omega_max + half
+    u, d = lo / spec.omega_c, (hi - lo) / spec.omega_c
+    return spec.eta * spec.omega_c**2 * math.exp(-u) * (-(1.0 + u) * math.expm1(-d) - d * math.exp(-d))
+
+
+def coupling_integral_error(spec: OhmicBathSpec, omega1: float) -> float:
+    """Relative error of sum g_j^2 against ``ohmic_window_integral``.
+
+    The coupling sum is exactly the midpoint rule on that half-cell-extended
+    window, hence O(N^-2); against the bare [w_min, w_max] window the
+    uncovered boundary half-cells would degrade the rate to O(N^-1)."""
+    model = discretize_ohmic_bath(spec, omega1)
+    integral = ohmic_window_integral(spec)
     return abs(float(np.sum(model.bath_couplings**2)) - integral) / integral
 
 

@@ -164,10 +164,14 @@ def _refine(w1, bath_w, g):
 
     Eigenvalue k lies in the interlacing interval (bath_w[k-1], bath_w[k]);
     the sign of the secular function at its midpoint picks the half holding
-    the root, and so the pole (as LAPACK dlaed4 does).  The shift d from that
-    pole is refined from the middle of the half by Newton steps on the
-    secular equation times d, which removes the pole at d = 0; a step that
-    leaves the sign bracket is replaced by bisection.
+    the root, and so the pole (as LAPACK dlaed4 does).  Between two poles of
+    a uniform comb f ~ S - K cot(pi u), u the position in the interval, with
+    S = f and K = (f' - 1) width/pi at the midpoint (cot = 0 there); the root
+    of that model starts the shift d from the pole when it lies strictly
+    inside the root's half, else (and in the two outer intervals) the middle
+    of the half does.  d is refined by Newton steps on the secular equation
+    times d, which removes the pole at d = 0; a step that leaves the sign
+    bracket is replaced by bisection.
     """
     m = len(bath_w)
     radius = 2.0 * float(np.linalg.norm(g))
@@ -177,12 +181,16 @@ def _refine(w1, bath_w, g):
     left = np.arange(-1, m)
     g2 = g * g
     ends = np.clip(left, 0, m - 1)  # each midpoint as a shift from a finite endpoint
-    f, _ = _secular(bath_w[ends] - w1, np.where(left >= 0, half, -half), bath_w[ends], bath_w, g2)
+    f, fp = _secular(bath_w[ends] - w1, np.where(left >= 0, half, -half), bath_w[ends], bath_w, g2)
     poles = np.clip(np.where(f > 0, left, left + 1), 0, m - 1)
     pole_w = bath_w[poles]
     a, b = lo - pole_w, hi - pole_w  # sign bracket of the shift, narrowed to the root's half
     a, b = np.where(f < 0, a + half, a), np.where(f > 0, b - half, b)
-    shifts = 0.5 * (a + b)
+    # the cot model's root, as a shift from the pole: +-(width/pi) atan2(K, |S|)
+    scale = (hi - lo) / np.pi
+    seed = np.sign(f) * scale * np.arctan2((fp - 1.0) * scale, np.abs(f))
+    inner = (left >= 0) & (left < m - 1) & (seed > a) & (seed < b)
+    shifts = np.where(inner, seed, 0.5 * (a + b))
     offset = pole_w - w1
 
     steps = np.zeros(m + 1)  # relative size of each shift's latest step

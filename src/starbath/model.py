@@ -9,6 +9,7 @@ with couplings fixed by the midpoint rule g_j^2 = eta * dw * w_j * exp(-w_j/w_c)
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +65,13 @@ class OhmicBathSpec:
             raise ValueError("omega_c must be positive")
         if not 0 < self.omega_min < self.omega_max:
             raise ValueError("require 0 < omega_min < omega_max")
+        if not isinstance(self.n_modes, numbers.Integral):
+            raise ValueError(f"n_modes must be an integer, got {self.n_modes!r}")
         if self.n_modes < 2:
             raise ValueError("n_modes must be at least 2 (bath spacing undefined otherwise)")
+        # g_j^2 = eta * dw * w_j * exp(-w_j/w_c) is formed left to right
+        if not math.isfinite(self.eta * self.delta_omega * self.omega_max):
+            raise ValueError(f"eta = {self.eta!r} is too large: the bath couplings overflow")
 
     @property
     def delta_omega(self) -> float:
@@ -157,7 +163,10 @@ def relaxation_rate(spec: OhmicBathSpec, omega1: float) -> float:
     _require_finite("omega1", omega1)
     if omega1 <= 0:
         raise ValueError("omega1 must be positive")
-    return math.pi * spec.eta * omega1 * math.exp(-omega1 / spec.omega_c)
+    rate = math.pi * spec.eta * omega1 * math.exp(-omega1 / spec.omega_c)
+    if not math.isfinite(rate):
+        raise ValueError(f"eta = {spec.eta!r} is too large: the relaxation rate overflows")
+    return rate
 
 
 def mean_occupation(omega: float, temperature: float) -> float:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import starbath
 from starbath import checks
 from starbath.cli import main
 from starbath.config import JOBS
@@ -82,6 +87,8 @@ def test_config_with_removed_oracle_cap_exits_2(tmp_path, capsys):
         ([], {"times_us": [0.0, float("nan")]}),
         ([], {"T_A0_uk": float("nan")}),
         ([], {"omega1_mhz": float("inf")}),
+        ([], {"n_list": [8.5, 16, 32]}),
+        (["--grid", "0:1:3", "--eta", "1e300"], None),
     ],
 )
 def test_non_finite_or_out_of_range_exits_2(tmp_path, capsys, args, file_values):
@@ -94,6 +101,21 @@ def test_non_finite_or_out_of_range_exits_2(tmp_path, capsys, args, file_values)
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not out.exists()
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    code = (
+        "import sys\n"
+        "import starbath, starbath.checks, starbath.cli\n"
+        f"assert starbath.cli.main(['simulate', '--n', '8', '--grid', '0:1:3', '--out', {str(tmp_path)!r}]) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(Path(starbath.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "simulate.csv").exists()
 
 
 def test_bad_config_exits_2(tmp_path, capsys):

@@ -95,6 +95,22 @@ class TestDiagonalize:
         # quadratic convergence leaves a roundoff-sized step, not the stopping tolerance
         assert basis.newton_step <= 1e-14
 
+    def test_secular_row_passes_at_production_size(self, production, monkeypatch):
+        # the midpoint cot-model start saves 1.6 of the 6.0 passes over all
+        # roots that a start at the middle of the half-bracket takes
+        model = production.model(4000)
+        rows = []
+        secular = evolve._secular
+
+        def counting(offset, shifts, *args):
+            rows.append(len(shifts))
+            return secular(offset, shifts, *args)
+
+        monkeypatch.setattr(evolve, "_secular", counting)
+        basis = sb.mode_basis(model)
+        assert basis.newton_step <= 1e-14
+        assert sum(rows) / (model.n_modes + 1) < 4.5
+
     def test_production_basis_allocates_no_dense_matrix(self, production):
         model = production.model(4000)
         tracemalloc.start()

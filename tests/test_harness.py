@@ -74,6 +74,9 @@ class TestConfig:
             dict(times_us=[-1.0, 1.0]),
             dict(sweep_times_us=[]),
             dict(mode_window_mhz=0.0),
+            dict(n_modes=8.5),
+            dict(n_list=[8.5, 16, 32]),
+            dict(eta=1e300),
         ],
     )
     def test_rejects_out_of_range_values(self, kwargs):

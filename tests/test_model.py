@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,6 +19,7 @@ from starbath import (
 from starbath.checks import (
     coupling_integral_error,
     coupling_sum_rule_residual,
+    ohmic_window_integral,
     random_star_model,
     tensor_expansion_residual,
 )
@@ -62,6 +64,16 @@ class TestDiscretization:
         with pytest.raises(ValueError):
             OhmicBathSpec(eta=1e-3, omega_c=3e6, omega_min=1e5, omega_max=1e7, n_modes=1)
 
+    @pytest.mark.parametrize("n_modes", [8.5, 16.0, "16"])
+    def test_rejects_non_integral_n(self, n_modes):
+        with pytest.raises(ValueError, match="integer"):
+            OhmicBathSpec(eta=1e-3, omega_c=3e6, omega_min=1e5, omega_max=1e7, n_modes=n_modes)
+
+    def test_rejects_overflowing_couplings(self):
+        # eta * dw * w_max = 1e300 * 1.4e6 * 1e7 overflows, so every g_j would be inf
+        with pytest.raises(ValueError, match="couplings overflow"):
+            OhmicBathSpec(eta=1e300, omega_c=3e6, omega_min=1e5, omega_max=1e7, n_modes=8)
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             OhmicBathSpec(eta=float("nan"), omega_c=3e6, omega_min=1e5, omega_max=1e7, n_modes=8)
@@ -72,6 +84,16 @@ class TestDiscretization:
         spec = production_spec(512)
         model = discretize_ohmic_bath(spec, 4e6)
         assert coupling_sum_rule_residual(model, spec) <= 1e-13
+
+    @pytest.mark.parametrize("n", [128, 4000])
+    def test_window_integral_matches_quadrature(self, n):
+        spec = ExperimentConfig(n_modes=n).bath_spec()
+        half = 0.5 * spec.delta_omega
+        with mpmath.workdps(40):
+            eta, omega_c = mpmath.mpf(spec.eta), mpmath.mpf(spec.omega_c)
+            window = [mpmath.mpf(spec.omega_min - half), mpmath.mpf(spec.omega_max + half)]
+            reference = mpmath.quad(lambda w: eta * w * mpmath.exp(-w / omega_c), window)
+            assert abs(ohmic_window_integral(spec) / reference - 1) <= 1e-14
 
     def test_integral_convergence_quadratic(self):
         err_n = coupling_integral_error(production_spec(128), 4e6)
@@ -135,6 +157,12 @@ class TestRelaxationRate:
         for omega1 in (0.0, -4e6, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="omega1"):
                 relaxation_rate(production_spec(16), omega1)
+
+    def test_rejects_overflowing_rate(self):
+        # finite couplings (eta * dw * w_max ~ 4e298), but pi * eta * omega1 overflows
+        spec = OhmicBathSpec(eta=1e290, omega_c=3e6, omega_min=0.026e6, omega_max=20e6, n_modes=10**6)
+        with pytest.raises(ValueError, match="rate overflows"):
+            relaxation_rate(spec, 1e19)
 
 
 class TestMeanOccupation:
