@@ -44,7 +44,12 @@ __all__ = [
 
 EVALUATION_PATH = "arrowhead closed form: bracketed shifted secular Newton, blocked resolvent GEMMs"
 
-# Scratch blocks of the O(N^2) kernels stay near this size.
+# Scratch budgets of the O(N^2) blocks.  A secular block is swept four times
+# elementwise and twice by a GEMV per pass, so it is kept small enough to stay
+# in L2 (2 MiB per core) between sweeps; the resolvent and kernel panels of
+# ``evaluate`` feed GEMMs, which block for the cache themselves and run best
+# on wide panels.
+_SECULAR_BLOCK_BYTES = 2**20
 _BLOCK_BYTES = 8 * 2**20
 # Newton stops once a step moves the shift by at most this relative amount;
 # convergence is quadratic, so the step taken leaves an error near its square.
@@ -134,20 +139,27 @@ class CovarianceSnapshot:
         return CovarianceSnapshot(self.time[i], self.c[i], self.x[i], self.model)
 
 
-def _row_blocks(n_rows: int, n_cols: int):
-    """Row slices whose (rows x n_cols) float64 blocks fit the scratch budget."""
-    step = max(1, _BLOCK_BYTES // (8 * max(n_cols, 1)))
-    for lo in range(0, n_rows, step):
-        yield slice(lo, min(lo + step, n_rows))
+def _row_blocks(n_rows: int, n_cols: int, budget: int) -> tuple[list[slice], int]:
+    """Row slices whose (rows x n_cols) float64 blocks fit ``budget`` bytes
+    (one row at least), and the element count of the largest block."""
+    step = max(1, budget // (8 * max(n_cols, 1)))
+    blocks = [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+    return blocks, min(step, n_rows) * n_cols
+
+
+def _panel(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """A C-ordered (rows, cols) view of the front of ``buffer``."""
+    return buffer[: rows * cols].reshape(rows, cols)
 
 
 def _secular(offset, shifts, pole_w, bath_w, g2):
     """Secular function f(d) = (w_p - w_1) + d - sum_j g_j^2/((w_p - w_j) + d)
     and its derivative, row-blocked over the eigenvalues."""
     f, fp = np.empty((2, len(shifts)))
-    scratch = np.empty(max(_BLOCK_BYTES // 8, len(bath_w)))  # holds any row block
-    for s in _row_blocks(len(shifts), len(bath_w)):
-        inv = scratch[: (s.stop - s.start) * len(bath_w)].reshape(-1, len(bath_w))
+    blocks, size = _row_blocks(len(shifts), len(bath_w), _SECULAR_BLOCK_BYTES)
+    scratch = np.empty(size)
+    for s in blocks:
+        inv = _panel(scratch, s.stop - s.start, len(bath_w))
         np.subtract(pole_w[s, None], bath_w, out=inv)
         inv += shifts[s, None]
         np.reciprocal(inv, out=inv)
@@ -216,8 +228,10 @@ def mode_basis(model: StarModel) -> ModeBasis:
     """Closed-form spectral data of ``model``'s reduced arrowhead matrix.
 
     Each eigenvalue is found on the secular equation from its interlacing
-    bracket, in the shifted-pole representation, in O(N^2) time and O(N)-row
-    scratch blocks; neither the dense matrix nor its eigenvectors are formed.
+    bracket, in the shifted-pole representation, in O(N^2) time; the
+    secular sums run on one reused scratch block of about 1 MiB (a single row
+    when a row is larger), so memory stays O(N) and neither the dense matrix
+    nor its eigenvectors are formed.
     Couplings at or below the double-precision resolution of the matrix are
     deflated."""
     w1, bath_w = model.omega1, model.bath_omegas
@@ -274,6 +288,8 @@ def _validated_grid(times) -> np.ndarray:
     grid = np.asarray(times, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
         raise ValueError("time grid must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("time grid must be finite")
     if grid[0] < 0:
         raise ValueError("time grid must be non-negative")
     if np.any(np.diff(grid) < 0):
@@ -295,8 +311,9 @@ def evaluate(
     Returns ``(c, x)``, each of shape (len(times), len(rows)): the diagonal
     coefficients c_j(t) and the cross terms x_j(t) = sigma_{1,2j}(t), which
     vanish identically on the system row; ``x`` is None when ``cross`` is
-    false.  Costs O(N^2 + T N^2) time and O(T N) memory beyond O(N)-row
-    scratch blocks.
+    false.  Costs O(N^2 + T N^2) time and O(T N) memory beyond one scratch
+    panel of at most about 8 MiB (a single row or column when one is
+    larger), which the resolvent and the kernel blocks share.
     """
     grid = _validated_grid(times)
     n = basis.dimension
@@ -324,12 +341,20 @@ def evaluate(
     out_rows = np.flatnonzero(slot[rows] >= 0)
     act_rows = slot[rows[out_rows]]
 
-    # resolvent sums A_j over all coupled modes, B_j over the requested ones
+    # one scratch panel holds the largest block of both loops below
     wa, ga = w[active], g[active]
+    res_blocks, res_size = _row_blocks(len(active), len(live), _BLOCK_BYTES)
+    ker_blocks, ker_size = _row_blocks(len(act_rows), len(active), _BLOCK_BYTES)
+    panel = np.empty(max(res_size, ker_size))
+
+    # resolvent sums A_j over all coupled modes, B_j over the requested ones
     A = np.empty((2 * nt, len(active)))
     B = np.empty((2 * nt, len(act_rows)))
-    for s in _row_blocks(len(active), len(live)):
-        inv = 1.0 / ((pole_w[:, None] - wa[s]) + shifts[:, None])  # (K, block)
+    for s in res_blocks:
+        inv = _panel(panel, len(live), s.stop - s.start)  # 1/((w_p - w_j) + d_k)
+        np.subtract(pole_w[:, None], wa[s], out=inv)
+        inv += shifts[:, None]
+        np.reciprocal(inv, out=inv)
         A[:, s] = zz @ inv
         hit = np.flatnonzero((act_rows >= s.start) & (act_rows < s.stop))
         if len(hit):
@@ -350,11 +375,12 @@ def evaluate(
     R = np.concatenate((wv[None, :], wv * np.abs(A) ** 2, W.real, W.imag))  # (1 + 3T, M)
     KR = np.empty((len(R), len(act_rows)))
     LR = np.empty((2 * nt, len(act_rows))) if cross else None
-    for s in _row_blocks(len(act_rows), len(active)):
+    for s in ker_blocks:
         j = act_rows[s]
-        diff = wa - wa[j, None]
-        diff[np.arange(len(j)), j] = np.inf  # zero diagonal in both kernels
-        L = 1.0 / diff  # 1/(w_m - w_j)
+        L = _panel(panel, len(j), len(active))
+        np.subtract(wa, wa[j, None], out=L)
+        L[np.arange(len(j)), j] = np.inf  # zero diagonal in both kernels
+        np.reciprocal(L, out=L)  # 1/(w_m - w_j)
         if cross:
             LR[:, s] = R[1 + nt :] @ L.T
         KR[:, s] = R @ np.square(L, out=L).T

@@ -17,12 +17,6 @@ import numpy as np
 __all__ = ["ResultTable", "write_manifest"]
 
 
-def _format_value(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 @dataclass
 class ResultTable:
     """Rectangular numeric table with unit-annotated column names."""
@@ -47,8 +41,7 @@ class ResultTable:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, dialect="excel")  # RFC-4180 CRLF
             writer.writerow(self.columns)
-            for row in self.rows:
-                writer.writerow([_format_value(v) for v in row])
+            writer.writerows(self.rows)  # Python ints and floats; csv writes floats by repr
         return path
 
 

@@ -119,7 +119,20 @@ class TestDiagonalize:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 48 * 2**20  # the dense (N+1)^2 matrix alone is 122 MiB
+        # the dense (N+1)^2 matrix alone is 122 MiB; one reused ~1 MiB
+        # secular block plus O(N) vectors measure 2.0 MiB
+        assert peak <= 3 * 2**20
+
+    def test_secular_block_size_invariance(self, production, monkeypatch):
+        model = production.model(1000)
+        basis = sb.mode_basis(model)
+        n = model.n_modes
+        for block_bytes in (1, 8 * 7 * n, 8 * (n + 1) * n):  # 1 row, 7 rows, all rows
+            monkeypatch.setattr(evolve, "_SECULAR_BLOCK_BYTES", block_bytes)
+            blocked = sb.mode_basis(model)
+            assert np.array_equal(blocked.poles, basis.poles)
+            np.testing.assert_allclose(blocked.shifts, basis.shifts, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(blocked.weights, basis.weights, rtol=1e-14, atol=0)
 
     def test_production_basis_far_above_8000(self, production):
         derived = derived_constants(production.basis(10000), production.params(10000))
@@ -164,6 +177,12 @@ class TestSnapshots:
             sb.snapshot_series(basis, init, [2e-6, 1e-6])
         with pytest.raises(ValueError):
             sb.snapshot_at(basis, init, -1e-9)
+        for t in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                sb.snapshot_at(basis, init, t)
+        for grid in ([np.nan], [0.0, np.inf], [1e-6, np.nan, 2e-6]):
+            with pytest.raises(ValueError, match="finite"):
+                sb.snapshot_series(basis, init, grid)
         series = sb.snapshot_series(basis, init, [0.0, 1e-6])
         for time, c, x in (
             ([0.0, 1e-6], series.c[:, :-1], series.x),  # one coefficient short
@@ -243,6 +262,21 @@ class TestEvaluate:
                 sb.evaluate(basis, c0, times, rows)
         with pytest.raises(ValueError):
             sb.evaluate(basis, c0[1:], times)
+        for grid in ([np.nan], [0.0, np.inf], [1e-6, np.nan, 2e-6], [-np.inf, 0.0]):
+            with pytest.raises(ValueError, match="finite"):
+                sb.evaluate(basis, c0, grid)
+
+    def test_series_scratch_is_one_panel(self, production):
+        # N=2000, T=10: the two panel loops share one ~8 MiB buffer; with a
+        # fresh N^2/4-sized temporary per block the peak was 33.9 MiB
+        basis = production.basis(2000)
+        tracemalloc.start()
+        try:
+            sb.snapshot_series(basis, production.init, np.linspace(0.0, 100e-6, 10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
 
 class TestDenseOracle:

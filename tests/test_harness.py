@@ -124,6 +124,12 @@ class TestResultTable:
         raw = table.write_csv(tmp_path / "t.csv").read_bytes()
         assert raw == b"N[1],t[us],v[1]\r\n8,0.0,1.25\r\n8,1.0,-3.0\r\n"
 
+    def test_special_float_bytes(self, tmp_path):
+        values = [float("nan"), -0.0, 1e16, 5e-324]
+        table = ResultTable.from_columns({"i[1]": np.arange(4), "v[1]": np.array(values)})
+        raw = table.write_csv(tmp_path / "t.csv").read_bytes()
+        assert raw == b"i[1],v[1]\r\n0,nan\r\n1,-0.0\r\n2,1e+16\r\n3,5e-324\r\n"
+
     def test_manifest_refuses_non_finite_values(self, tmp_path):
         for value in (float("inf"), float("nan")):
             with pytest.raises(ValueError):
