@@ -2,20 +2,22 @@
 
 The CLI boundary speaks MHz / us / uK; everything downstream is SI.  Config
 files are flat JSON with exactly the field names below; unknown keys are
-rejected with a diagnostic.
+rejected with a diagnostic.  ``times_us`` is the time grid, which ``--grid``
+sets through ``parse_grid``; the N-sweep reads ``sweep_times_us`` instead.
+Evolve's grid validator checks both lists.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .constants import MHZ, UK, US
-from .evolve import InitialTemperatures
+from .evolve import InitialTemperatures, validated_grid
 from .model import OhmicBathSpec, relaxation_rate
 
 __all__ = ["JOBS", "PIVN_MODES", "ConfigError", "ExperimentConfig", "load_config", "parse_grid"]
@@ -40,10 +42,7 @@ class ExperimentConfig:
     n_list: list[int] | None = None
     T_A0_uk: float = 10.0
     T_B0_uk: float = 50.0
-    grid_start_us: float = 0.0
-    grid_end_us: float = 1200.0
-    grid_points: int = 121
-    times_us: list[float] | None = None
+    times_us: list[float] = field(default_factory=lambda: np.linspace(0.0, 1200.0, 121).tolist())
     sweep_times_us: list[float] = field(default_factory=lambda: [100.0, 200.0, 300.0, 400.0])
     out_dir: str = "out"
     pivn_mode: str = "gksl"
@@ -54,8 +53,9 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
-        """Check the rules only config knows; the physical ranges are the
-        domain types' own, so build those for every N a job can run."""
+        """Check the rules only config knows.  The time lists go through
+        evolve's grid validator; the physical ranges are the domain types'
+        own, so build those for every N a job can run."""
         if self.job not in JOBS:
             raise ConfigError(f"unknown job {self.job!r}; expected one of {JOBS}")
         if self.pivn_mode not in PIVN_MODES:
@@ -67,16 +67,13 @@ class ExperimentConfig:
                 raise ConfigError("n_list must be strictly ascending")
             if self.job in ("sweep-n", "fig6") and len(self.n_list) < 3:
                 raise ConfigError("sweep-n needs at least 3 N values")
-        if self.times_us is None:
-            if self.grid_points < 1:
-                raise ConfigError("grid_points must be at least 1")
-            if not 0 <= self.grid_start_us <= self.grid_end_us < math.inf:
-                raise ConfigError("grid must satisfy 0 <= start <= end, both finite")
-        else:
-            _check_times("times_us", self.times_us)
-        _check_times("sweep_times_us", self.sweep_times_us)
         if not 0 < self.mode_window_mhz < math.inf:
             raise ConfigError("mode_window_mhz must be positive and finite")
+        for name in ("times_us", "sweep_times_us"):
+            try:
+                validated_grid(getattr(self, name))
+            except ValueError as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
         try:
             for n in [self.n_modes, *(self.n_list or ())]:
                 relaxation_rate(self.bath_spec(n), self.omega1)
@@ -104,24 +101,13 @@ class ExperimentConfig:
 
     def times(self) -> np.ndarray:
         """Output time grid in seconds."""
-        if self.times_us is not None:
-            return np.asarray(self.times_us, dtype=float) * US
-        return np.linspace(self.grid_start_us, self.grid_end_us, self.grid_points) * US
+        return np.asarray(self.times_us, dtype=float) * US
 
     def sweep_times(self) -> np.ndarray:
         return np.asarray(self.sweep_times_us, dtype=float) * US
 
-    def with_overrides(self, **kwargs) -> "ExperimentConfig":
-        return replace(self, **kwargs)
-
 
 _FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
-
-
-def _check_times(name: str, values) -> None:
-    t = list(values)
-    if not t or not all(map(math.isfinite, t)) or t != sorted(t) or t[0] < 0:
-        raise ConfigError(f"{name} must be non-empty, finite, sorted and non-negative")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -143,13 +129,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def parse_grid(text: str) -> tuple[float, float, int]:
-    """Parse a ``start:end:points`` grid spec in microseconds."""
+def parse_grid(text: str) -> list[float]:
+    """Expand a ``start:end:points`` grid spec in microseconds into the
+    ``times_us`` list; the config's validation judges the times."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid must look like start:end:points, got {text!r}")
     try:
-        start, end, points = float(parts[0]), float(parts[1]), int(parts[2])
+        # a non-finite end gives nan/inf times, which the validation rejects
+        with np.errstate(invalid="ignore", over="ignore"):
+            return np.linspace(float(parts[0]), float(parts[1]), int(parts[2])).tolist()
     except ValueError as exc:
         raise ConfigError(f"bad grid spec {text!r}: {exc}") from exc
-    return start, end, points

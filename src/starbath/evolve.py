@@ -40,6 +40,7 @@ __all__ = [
     "evaluate",
     "snapshot_at",
     "snapshot_series",
+    "validated_grid",
 ]
 
 EVALUATION_PATH = "arrowhead closed form: bracketed shifted secular Newton, blocked resolvent GEMMs"
@@ -284,7 +285,9 @@ def _halves(a):
     return high, a - high
 
 
-def _validated_grid(times) -> np.ndarray:
+def validated_grid(times) -> np.ndarray:
+    """``times`` as a float array; ValueError unless it is a non-empty 1-d
+    sequence of finite, non-negative, ascending numbers."""
     grid = np.asarray(times, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
         raise ValueError("time grid must be a non-empty 1-d sequence")
@@ -315,7 +318,7 @@ def evaluate(
     panel of at most about 8 MiB (a single row or column when one is
     larger), which the resolvent and the kernel blocks share.
     """
-    grid = _validated_grid(times)
+    grid = validated_grid(times)
     n = basis.dimension
     c0 = np.asarray(c0, dtype=float)
     if c0.shape != (n,):

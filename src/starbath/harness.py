@@ -41,7 +41,7 @@ from .model import (
 from .table import ResultTable, write_manifest
 from .thermo import ThermoRecord, fluxes_from_cross_terms, inverse_temperature, totals
 
-__all__ = ["run_job", "run_validate", "derived_constants", "proportional_fit", "affine_fit"]
+__all__ = ["run_job", "run_validate", "JOB_INPUTS", "derived_constants", "proportional_fit", "affine_fit"]
 
 # Config fields recorded in every manifest's ``parameters``.
 _PARAMETERS = (
@@ -363,6 +363,13 @@ _FIGURES = {
     "fig5": _Job("fig5", _fig5_curves, (4000, 6000, 8000), params=("mode_window_mhz",)),
     "fig6": _SWEEP,  # the N-sweep presented in the figure pipeline
     "sweep-n": _SWEEP,
+}
+
+
+# The config fields each job reads for its N values and its times.
+JOB_INPUTS = {"validate": ()} | {
+    job: ("n_modes" if spec.n_default is None else "n_list", "sweep_times_us" if spec.sweep else "times_us")
+    for job, spec in _FIGURES.items()
 }
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +9,18 @@ import pytest
 
 import starbath
 from starbath import checks
-from starbath.cli import main
+from starbath.cli import _build_parser, _config_from_args, main
 from starbath.config import JOBS
 
 MULTI_N_JOBS = {"fig1", "fig3", "fig5", "fig6", "sweep-n"}
+# the N and grid flags each job reads; it refuses the others
+JOB_FLAGS = {
+    **{job: {"--n", "--grid"} for job in ("simulate", "fig2", "fig4")},
+    **{job: {"--n-list", "--grid"} for job in ("fig1", "fig3", "fig5")},
+    **{job: {"--n-list"} for job in ("fig6", "sweep-n")},
+    "validate": set(),
+}
+FLAG_VALUES = {"--n": "16", "--n-list": "8,16,32", "--grid": "0:0.5:3"}
 
 
 def test_simulate_roundtrip(tmp_path, capsys):
@@ -23,7 +32,7 @@ def test_simulate_roundtrip(tmp_path, capsys):
 
 def test_config_file_with_cli_override(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"n_modes": 8, "grid_points": 3, "times_us": [0.0, 1.0]}))
+    cfg_path.write_text(json.dumps({"n_modes": 8, "times_us": [0.0, 1.0]}))
     rc = main(
         ["fig2", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--grid", "0:2:4"]
     )
@@ -83,12 +92,13 @@ def test_config_with_removed_oracle_cap_exits_2(tmp_path, capsys):
         (["--eta", "nan"], None),
         (["--grid", "0:inf:3"], None),
         (["--window", "nan"], None),
-        (["--n", "1", "--n-list", "8,16,32"], None),
+        (["--grid", "0:1:-1"], None),
         ([], {"times_us": [0.0, float("nan")]}),
         ([], {"T_A0_uk": float("nan")}),
         ([], {"omega1_mhz": float("inf")}),
         ([], {"n_list": [8.5, 16, 32]}),
         (["--grid", "0:1:3", "--eta", "1e300"], None),
+        (["--n", "1"], {"n_list": [8, 16, 32]}),  # the job runs n_modes, whatever n_list holds
     ],
 )
 def test_non_finite_or_out_of_range_exits_2(tmp_path, capsys, args, file_values):
@@ -101,6 +111,90 @@ def test_non_finite_or_out_of_range_exits_2(tmp_path, capsys, args, file_values)
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "values", [{"grid_start_us": 0.0}, {"grid_end_us": 1.0}, {"grid_points": 2.5}, {"grid_points": True}]
+)
+def test_removed_grid_fields_exit_2(tmp_path, capsys, values):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(values))
+    out = tmp_path / "out"
+    assert main(["simulate", "--n", "8", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown config keys") and next(iter(values)) in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "args, file_values, name",
+    [
+        ([], {"times_us": "0,1"}, "times_us"),
+        ([], {"times_us": [[0.0, 1.0]]}, "times_us"),
+        ([], {"times_us": None}, "times_us"),
+        (["--grid", "0:inf:3"], None, "times_us"),
+        ([], {"sweep_times_us": ["a"]}, "sweep_times_us"),
+    ],
+)
+def test_bad_time_list_names_its_field(tmp_path, capsys, args, file_values, name):
+    out = tmp_path / "out"
+    argv = ["simulate", "--n", "8", "--out", str(out), *args]
+    if file_values is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(file_values))
+        argv += ["--config", str(cfg_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {name}: ")
+    assert not out.exists()
+
+
+def test_grid_flag_equals_times_us_file(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"times_us": [0.0, 0.5, 1.0, 1.5, 2.0]}))
+    assert main(["simulate", "--n", "8", "--grid", "0:2:5", "--out", str(tmp_path / "flag")]) == 0
+    assert main(["simulate", "--n", "8", "--config", str(cfg_path), "--out", str(tmp_path / "file")]) == 0
+    for name in ("simulate.csv", "simulate_manifest.json"):
+        assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+
+
+@pytest.mark.parametrize("flag", FLAG_VALUES)
+@pytest.mark.parametrize("job", JOBS)
+def test_n_and_grid_flags_per_job(tmp_path, capsys, job, flag):
+    argv = [job, flag, FLAG_VALUES[flag], "--out", str(tmp_path / "out")]
+    if flag in JOB_FLAGS[job]:
+        assert _config_from_args(_build_parser().parse_args(argv)).job == job
+    else:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {job} takes no {flag}")
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig1", "--n", "64", "--grid", "0:10:3"],
+        ["simulate", "--n-list", "32,64"],
+        ["sweep-n", "--n-list", "8,16,32", "--grid", "0:5:3"],
+    ],
+)
+def test_ignored_flag_combinations_exit_2(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_examples_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    examples = [
+        shlex.split(line.partition("#")[0])[1:]
+        for line in readme.read_text().splitlines()
+        if line.startswith("starbath ")
+    ]
+    assert len(examples) >= len(JOBS)
+    for argv in examples:
+        assert _config_from_args(_build_parser().parse_args(argv)).job == argv[0]
 
 
 def test_runtime_imports_no_scipy(tmp_path):

@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ import pytest
 import starbath as sb
 from starbath.checks import flux_finite_difference_residual
 from starbath.config import ConfigError, ExperimentConfig, load_config, parse_grid
+from starbath.constants import US
 from starbath.harness import affine_fit, proportional_fit, run_job
 from starbath.table import ResultTable, write_manifest
 
@@ -14,14 +15,13 @@ from starbath.table import ResultTable, write_manifest
 FLOAT_FIELDS = [f.name for f in fields(ExperimentConfig) if f.type == "float"]
 
 
+def grid(end_us: float, points: int = 4) -> list[float]:
+    """``times_us`` of ``points`` even steps from 0 to ``end_us``."""
+    return np.linspace(0.0, end_us, points).tolist()
+
+
 def tiny_cfg(tmp_path, **kwargs) -> ExperimentConfig:
-    defaults = dict(
-        n_modes=16,
-        grid_start_us=0.0,
-        grid_end_us=3.0,
-        grid_points=4,
-        out_dir=str(tmp_path),
-    )
+    defaults = dict(n_modes=16, times_us=grid(3.0), out_dir=str(tmp_path))
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)
 
@@ -53,8 +53,8 @@ class TestConfig:
             ExperimentConfig(n_list=[200, 200, 400])
         with pytest.raises(ConfigError):
             ExperimentConfig(times_us=[3.0, 1.0])
-        with pytest.raises(ConfigError):
-            ExperimentConfig(grid_points=0)
+        with pytest.raises(ConfigError, match="times_us"):
+            ExperimentConfig(times_us=[])
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -69,8 +69,8 @@ class TestConfig:
             dict(n_modes=1),
             dict(n_modes=1, n_list=[8, 16, 32]),
             dict(n_list=[1, 8, 16]),
-            dict(grid_start_us=-1.0),
-            dict(grid_start_us=2.0, grid_end_us=1.0),
+            dict(times_us=[[0.0, 1.0]]),
+            dict(sweep_times_us=[2.0, 1.0]),
             dict(times_us=[-1.0, 1.0]),
             dict(sweep_times_us=[]),
             dict(mode_window_mhz=0.0),
@@ -96,11 +96,15 @@ class TestConfig:
             ExperimentConfig(**{name: [0.0, value]})
 
     def test_parse_grid(self):
-        assert parse_grid("0:1200:121") == (0.0, 1200.0, 121)
-        with pytest.raises(ConfigError):
-            parse_grid("0:1200")
-        with pytest.raises(ConfigError):
-            parse_grid("a:b:c")
+        assert parse_grid("0:1200:121") == np.linspace(0.0, 1200.0, 121).tolist()
+        assert parse_grid("0:2:3") == [0.0, 1.0, 2.0]
+        for bad in ("0:1200", "a:b:c", "0:1:2.5", "0:1:-1"):
+            with pytest.raises(ConfigError):
+                parse_grid(bad)
+
+    def test_default_times_are_the_production_grid(self):
+        times = ExperimentConfig().times()
+        assert times.tobytes() == (np.linspace(0.0, 1200.0, 121) * US).tobytes()
 
     def test_times_in_seconds(self):
         cfg = ExperimentConfig(times_us=[0.0, 10.0])
@@ -142,7 +146,7 @@ class TestResultTable:
 
 class TestSimulateJob:
     def test_tiny_run_rows_and_invariants(self, tmp_path):
-        cfg = tiny_cfg(tmp_path, n_modes=2, grid_points=3, grid_end_us=1.0)
+        cfg = tiny_cfg(tmp_path, n_modes=2, times_us=grid(1.0, 3))
         with pytest.warns(RuntimeWarning, match="recurrence"):
             result = run_job(cfg)
         table = result["tables"]["simulate"]
@@ -157,7 +161,7 @@ class TestSimulateJob:
     def test_decoupled_bath_gives_valid_manifest_and_frozen_state(self, tmp_path):
         # eta = 0: Gamma = 0, so the relaxation time is recorded as null, and
         # nothing evolves: no entropy production, no flux, c_1 constant
-        cfg = tiny_cfg(tmp_path, eta=0.0, n_modes=40, grid_end_us=10.0, grid_points=41)
+        cfg = tiny_cfg(tmp_path, eta=0.0, n_modes=40, times_us=grid(10.0, 41))
         result = run_job(cfg)
 
         def refuse(name):
@@ -176,19 +180,19 @@ class TestSimulateJob:
     def test_cold_bath_simulate(self, tmp_path):
         # T_A0 = 1 uK, T_B0 = 3 uK: the roundoff floor of the evolved
         # coefficients c_j ~ 1 + 2 nbar exceeds nbar, so totals refuses c < 1
-        cfg = tiny_cfg(tmp_path, n_modes=200, T_A0_uk=1.0, T_B0_uk=3.0, grid_end_us=60.0, grid_points=61)
+        cfg = tiny_cfg(tmp_path, n_modes=200, T_A0_uk=1.0, T_B0_uk=3.0, times_us=grid(60.0, 61))
         table = run_job(cfg)["tables"]["simulate"]
         assert np.all(table.column("sigma11_exact[1]") >= 1.0)
 
     def test_deterministic_bytes(self, tmp_path):
-        cfg1 = tiny_cfg(tmp_path / "a", grid_end_us=0.5)
-        cfg2 = tiny_cfg(tmp_path / "b", grid_end_us=0.5)
+        cfg1 = tiny_cfg(tmp_path / "a", times_us=grid(0.5))
+        cfg2 = tiny_cfg(tmp_path / "b", times_us=grid(0.5))
         first = run_job(cfg1)["files"][0].read_bytes()
         second = run_job(cfg2)["files"][0].read_bytes()
         assert first == second
 
     def test_manifest_contents(self, tmp_path):
-        cfg = tiny_cfg(tmp_path, grid_end_us=0.5)
+        cfg = tiny_cfg(tmp_path, times_us=grid(0.5))
         run_job(cfg)
         manifest = json.loads((tmp_path / "simulate_manifest.json").read_text())
         assert manifest["files"] == ["simulate.csv"]
@@ -201,7 +205,7 @@ class TestSimulateJob:
 
 class TestFigureJobs:
     def test_fig1_files(self, tmp_path):
-        cfg = tiny_cfg(tmp_path, job="fig1", n_list=[8, 16], grid_end_us=0.5)
+        cfg = tiny_cfg(tmp_path, job="fig1", n_list=[8, 16], times_us=grid(0.5))
         result = run_job(cfg)
         names = [p.name for p in result["files"]]
         assert names == ["fig1_sigma11_N8.csv", "fig1_sigma11_N16.csv", "fig1_sigma11_gksl.csv"]
@@ -209,14 +213,14 @@ class TestFigureJobs:
         assert manifest["files"] == names
 
     def test_fig2_flux_sum(self, tmp_path):
-        cfg = tiny_cfg(tmp_path, job="fig2", grid_end_us=0.5)
+        cfg = tiny_cfg(tmp_path, job="fig2", times_us=grid(0.5))
         table = run_job(cfg)["tables"]["fluxes"]
         total = table.column("dEA_dt[J/s]") + table.column("dEB_dt[J/s]") + table.column("dEI_dt[J/s]")
         scale = max(np.abs(table.column("dEA_dt[J/s]")).max(), 1e-300)
         assert np.max(np.abs(total)) <= 1e-12 * scale
 
     def test_fig3_per_n_files_and_derived(self, tmp_path):
-        cfg = tiny_cfg(tmp_path, job="fig3", n_list=[8, 16, 32], grid_end_us=0.5)
+        cfg = tiny_cfg(tmp_path, job="fig3", n_list=[8, 16, 32], times_us=grid(0.5))
         result = run_job(cfg)
         names = ["fig3_rates_N8.csv", "fig3_rates_N16.csv", "fig3_rates_N32.csv"]
         assert [p.name for p in result["files"]] == names
@@ -230,26 +234,26 @@ class TestFigureJobs:
             assert table.column("Pi_tot[kB/ms]")[0] == 0.0
 
     def test_fig4_and_fig5_windows(self, tmp_path):
-        cfg = tiny_cfg(tmp_path, job="fig4", n_list=[16], mode_window_mhz=20.0, grid_end_us=0.5)
+        cfg = tiny_cfg(tmp_path, job="fig4", n_list=[16], mode_window_mhz=20.0, times_us=grid(0.5))
         r4 = run_job(cfg)
         assert set(r4["tables"]["system"].columns) == {"t[us]", "T_A_exact[uK]", "T_A_gksl[uK]"}
-        assert len(r4["tables"]["bath"].rows) == 16 * cfg.grid_points
-        r5 = run_job(cfg.with_overrides(job="fig5"))
-        assert len(r5["tables"]["N16"].rows) == 16 * cfg.grid_points
+        assert len(r4["tables"]["bath"].rows) == 16 * len(cfg.times_us)
+        r5 = run_job(replace(cfg, job="fig5"))
+        assert len(r5["tables"]["N16"].rows) == 16 * len(cfg.times_us)
 
     def test_fig5_single_n_mode_fluxes_sum_to_bath_flux(self, tmp_path):
         # a window over the whole bath: the per-mode fluxes add up to the
         # simulate job's dE_B/dt and the temperatures match fig4's bath table
-        cfg = tiny_cfg(tmp_path, job="fig5", n_list=[16], mode_window_mhz=20.0, grid_end_us=0.5)
+        cfg = tiny_cfg(tmp_path, job="fig5", n_list=[16], mode_window_mhz=20.0, times_us=grid(0.5))
         modes = run_job(cfg)["tables"]["N16"]
         assert (tmp_path / "fig5_modes_N16.csv").exists()
         assert modes.columns == ["j[1]", "omega_j[MHz]", "t[us]", "T_j[uK]", "dEj_dt[J/s]"]
-        assert modes.column("j[1]").tolist() == np.repeat(np.arange(2, 18), cfg.grid_points).tolist()
-        flux = modes.column("dEj_dt[J/s]").reshape(16, cfg.grid_points).sum(axis=0)
-        sim = run_job(cfg.with_overrides(job="simulate"))["tables"]["simulate"]
+        assert modes.column("j[1]").tolist() == np.repeat(np.arange(2, 18), len(cfg.times_us)).tolist()
+        flux = modes.column("dEj_dt[J/s]").reshape(16, len(cfg.times_us)).sum(axis=0)
+        sim = run_job(replace(cfg, job="simulate"))["tables"]["simulate"]
         dEB = sim.column("dEB_dt[J/s]")
         np.testing.assert_allclose(flux, dEB, rtol=1e-12, atol=1e-12 * np.abs(dEB).max())
-        bath = run_job(cfg.with_overrides(job="fig4"))["tables"]["bath"]
+        bath = run_job(replace(cfg, job="fig4"))["tables"]["bath"]
         np.testing.assert_array_equal(bath.column("T_j[uK]"), modes.column("T_j[uK]"))
 
 
@@ -260,7 +264,7 @@ class TestSweepJob:
             with pytest.raises(ConfigError, match="at least 3"):
                 tiny_cfg(tmp_path, job=job, n_list=[8, 16])
             with pytest.raises(ConfigError, match="at least 3"):
-                cfg.with_overrides(job=job)
+                replace(cfg, job=job)
 
     def test_zero_time_rows_vanish(self, tmp_path):
         cfg = tiny_cfg(tmp_path, job="sweep-n", n_list=[8, 16, 32], sweep_times_us=[0.0])
