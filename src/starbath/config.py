@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -56,6 +57,17 @@ class ExperimentConfig:
         """Check the rules only config knows.  The time lists go through
         evolve's grid validator; the physical ranges are the domain types'
         own, so build those for every N a job can run."""
+        for f in fields(self):  # JSON true/false arrive as bools, which Python counts as ints
+            kind = {"float": numbers.Real, "int": numbers.Integral}.get(f.type.removeprefix("list[").partition("]")[0])
+            value, listed = getattr(self, f.name), f.type.startswith("list[")
+            if kind is None or (value is None and f.type.endswith("None")):
+                continue
+            if listed and not isinstance(value, (list, tuple, np.ndarray)):
+                raise ConfigError(f"{f.name}: expected a list of numbers, got {value!r}")
+            for item in value if listed else [value]:
+                if isinstance(item, bool) or not isinstance(item, kind):
+                    noun = "an integer" if kind is numbers.Integral else "a number"
+                    raise ConfigError(f"{f.name}: expected {noun}, got {item!r}")
         if self.job not in JOBS:
             raise ConfigError(f"unknown job {self.job!r}; expected one of {JOBS}")
         if self.pivn_mode not in PIVN_MODES:

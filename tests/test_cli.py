@@ -149,6 +149,27 @@ def test_bad_time_list_names_its_field(tmp_path, capsys, args, file_values, name
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "values, name",
+    [
+        ({"eta": True}, "eta"),
+        ({"times_us": [0, True, 2]}, "times_us"),
+        ({"n_modes": True}, "n_modes"),
+        ({"T_A0_uk": "10"}, "T_A0_uk"),
+        ({"n_list": [8, "16", 32]}, "n_list"),
+        ({"sweep_times_us": [100.0, False]}, "sweep_times_us"),
+        ({"seed": False}, "seed"),
+    ],
+)
+def test_bool_or_string_in_numeric_field_exits_2(tmp_path, capsys, values, name):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(values))
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {name}: expected ")
+    assert not out.exists()
+
+
 def test_grid_flag_equals_times_us_file(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"times_us": [0.0, 0.5, 1.0, 1.5, 2.0]}))

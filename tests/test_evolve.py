@@ -78,8 +78,8 @@ class TestDiagonalize:
         assert reconstruction_residual(basis) <= 1e-9
 
     @pytest.mark.parametrize("omega1", [0.05e6, 4e6, 30e6], ids=["below", "inside", "above"])
-    @pytest.mark.parametrize("couplings", ["ohmic", "weak", "partly_zero"])
-    def test_eigenvalues_match_dense_solver(self, omega1, couplings):
+    @pytest.mark.parametrize("couplings", ["ohmic", "weak", "partly_zero", "alternate_zero"])
+    def test_eigenvalues_match_dense_solver(self, omega1, couplings, monkeypatch):
         spec = sb.OhmicBathSpec(eta=1e-3, omega_c=3e6, omega_min=0.1e6, omega_max=20e6, n_modes=48)
         model = sb.discretize_ohmic_bath(spec, omega1)
         g = model.bath_couplings.copy()
@@ -87,13 +87,60 @@ class TestDiagonalize:
             g[::3] = 1e-8
         elif couplings == "partly_zero":
             g[[0, 5, 6, 47]] = 0.0
+        elif couplings == "alternate_zero":
+            g[1::2] = 0.0
         model = sb.StarModel(omega1=omega1, bath_omegas=model.bath_omegas, bath_couplings=g)
+        tables, direct = [], []
+        build, secular = evolve._comb, evolve._secular
+
+        def recording_build(bath_w, g2):
+            tables.append(len(g2))
+            return build(bath_w, g2)
+
+        def recording(offset, shifts, poles, comb):
+            nearest = poles + np.rint(shifts / comb[0])
+            direct.append(np.count_nonzero((nearest < 0) | (nearest >= model.n_modes)))
+            return secular(offset, shifts, poles, comb)
+
+        monkeypatch.setattr(evolve, "_comb", recording_build)
+        monkeypatch.setattr(evolve, "_secular", recording)
         h = arrowhead_matrix(model)
         basis = sb.mode_basis(model)
         atol = 64 * np.finfo(float).eps * np.linalg.norm(h, 2)
         np.testing.assert_allclose(basis.eigenvalues, np.linalg.eigvalsh(h), rtol=0, atol=atol)
         # quadratic convergence leaves a roundoff-sized step, not the stopping tolerance
         assert basis.newton_step <= 1e-14
+        # one far-field table over the whole grid, deflated modes included; only
+        # the two outer roots can lie beyond the grid and take the direct sum
+        assert tables == [48]
+        assert max(direct) <= 2
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended-precision longdouble")
+    @pytest.mark.parametrize("bath", ["uniform", "jittered"])
+    def test_secular_sums_match_extended_precision(self, production, bath):
+        # f and f' at off-root shifts against the direct sum in longdouble,
+        # relative to the sum of the magnitudes of their terms; the O(N^2)
+        # float64 GEMV this path replaced reaches 2e-15 to 4e-15 on f'
+        model = production.model(2000)
+        w, g2 = model.bath_omegas, model.bath_couplings**2
+        rng = np.random.default_rng(7)
+        if bath == "jittered":  # per-step spacing jitter at StarModel's 1e-12 limit
+            steps = model.delta_omega * (1.0 + 0.999e-12 * rng.uniform(-1.0, 1.0, len(w) - 1))
+            w = w[0] + np.concatenate(([0.0], np.cumsum(steps)))
+            model = sb.StarModel(omega1=model.omega1, bath_omegas=w, bath_couplings=model.bath_couplings)
+        comb = evolve._comb(w, g2)
+        shifts = rng.choice([-1.0, 1.0], len(w)) * rng.uniform(0.05, 0.95, len(w)) * comb[0]
+        offset = w - model.omega1
+        f, fp = evolve._secular(offset, shifts, np.arange(len(w)), comb)
+        L = np.longdouble
+        for rows in np.array_split(np.arange(len(w)), 8):
+            den = (w[rows, None].astype(L) - w.astype(L)) + shifts[rows, None].astype(L)
+            terms = g2.astype(L) / den
+            f_ref = offset[rows].astype(L) + shifts[rows] - terms.sum(axis=1)
+            f_abs = np.abs(offset[rows]) + np.abs(shifts[rows]) + np.abs(terms).sum(axis=1)
+            fp_ref = 1 + (terms / den).sum(axis=1)
+            assert np.max(np.abs(f[rows] - f_ref) / f_abs) <= 1e-15
+            assert np.max(np.abs(fp[rows] - fp_ref) / fp_ref) <= 1e-15
 
     def test_secular_row_passes_at_production_size(self, production, monkeypatch):
         # the midpoint cot-model start saves 1.6 of the 6.0 passes over all
@@ -119,25 +166,22 @@ class TestDiagonalize:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the dense (N+1)^2 matrix alone is 122 MiB; one reused ~1 MiB
-        # secular block plus O(N) vectors measure 2.0 MiB
+        # the dense (N+1)^2 matrix alone is 122 MiB; the far-field tables and
+        # their FFT scratch plus O(N) vectors measure 2.1 MiB
         assert peak <= 3 * 2**20
-
-    def test_secular_block_size_invariance(self, production, monkeypatch):
-        model = production.model(1000)
-        basis = sb.mode_basis(model)
-        n = model.n_modes
-        for block_bytes in (1, 8 * 7 * n, 8 * (n + 1) * n):  # 1 row, 7 rows, all rows
-            monkeypatch.setattr(evolve, "_SECULAR_BLOCK_BYTES", block_bytes)
-            blocked = sb.mode_basis(model)
-            assert np.array_equal(blocked.poles, basis.poles)
-            np.testing.assert_allclose(blocked.shifts, basis.shifts, rtol=1e-14, atol=0)
-            np.testing.assert_allclose(blocked.weights, basis.weights, rtol=1e-14, atol=0)
 
     def test_production_basis_far_above_8000(self, production):
         derived = derived_constants(production.basis(10000), production.params(10000))
         assert derived["weight_sum_residual"] <= 1e-12
         assert derived["newton_step"] <= 1e-12
+
+    def test_production_basis_at_100000(self, production):
+        basis = production.basis(100000)
+        derived = derived_constants(basis, production.params(100000))
+        l, w = basis.eigenvalues, basis.model.bath_omegas
+        assert np.all(l[:-1] < w) and np.all(w < l[1:])  # strict interlacing
+        assert derived["weight_sum_residual"] <= 1e-12
+        assert derived["newton_step"] <= 1e-14
 
 
 class TestSnapshots:
