@@ -26,7 +26,6 @@ from .evolve import (
     evaluate,
     initial_coefficients,
     mode_basis,
-    snapshot_at,
     snapshot_series,
 )
 from .oracle import DenseSymplectic, dense_oracle_at, full_hamiltonian, symplectic_form

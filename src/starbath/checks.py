@@ -20,7 +20,6 @@ from .evolve import (
     ModeBasis,
     evaluate,
     mode_basis,
-    snapshot_at,
     snapshot_series,
 )
 from .gksl import GkslParams, epr_difference, von_neumann_epr, von_neumann_epr_from_fluxes
@@ -384,7 +383,7 @@ def default_suite(seed: int = 0) -> list[CheckResult]:
     )
 
     mid_basis = mode_basis(discretize_ohmic_bath(replace(spec, n_modes=512), omega1))
-    snap = snapshot_at(mid_basis, init, 100e-6)
+    snap = snapshot_series(mid_basis, init, [100e-6]).at(0)
     results.append(
         _result("thermo", "flux_sum_rule", flux_sum_residual(snap, mid_basis.model), 1e-12)
     )
@@ -451,7 +450,7 @@ def default_suite(seed: int = 0) -> list[CheckResult]:
             note="min Pi_vN over grid in kB/s",
         )
     )
-    baseline = snapshot_at(mid_basis, init, 0.0)
+    baseline = snapshot_series(mid_basis, init, [0.0]).at(0)
     record = totals(snap, baseline)
     results.append(
         _result("gksl", "epr_difference_identity", epr_identity_residual(record, p), 1e-10)

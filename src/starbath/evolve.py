@@ -40,7 +40,6 @@ __all__ = [
     "mode_basis",
     "initial_coefficients",
     "evaluate",
-    "snapshot_at",
     "snapshot_series",
     "validated_grid",
 ]
@@ -458,8 +457,3 @@ def snapshot_series(basis: ModeBasis, init: InitialTemperatures, times) -> Covar
     evaluation."""
     c, x = evaluate(basis, initial_coefficients(basis.frequencies, init), times)
     return CovarianceSnapshot(times, c, x[:, 1:], basis.model)
-
-
-def snapshot_at(basis: ModeBasis, init: InitialTemperatures, t: float) -> CovarianceSnapshot:
-    """Evaluate the covariance data exactly at time ``t`` (t >= 0)."""
-    return snapshot_series(basis, init, [t]).at(0)

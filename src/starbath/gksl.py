@@ -62,8 +62,7 @@ class GkslParams:
 def gksl_sigma11(p: GkslParams, t) -> float | np.ndarray:
     """System coefficient c_1(t) under the closed-form solution."""
     t = np.asarray(t, dtype=float)
-    value = p.coth_b + (p.coth_a - p.coth_b) * np.exp(-2.0 * p.Gamma * t)
-    return float(value) if value.ndim == 0 else value
+    return p.coth_b + (p.coth_a - p.coth_b) * np.exp(-2.0 * p.Gamma * t)
 
 
 def gksl_system_temperature(p: GkslParams, t) -> float | np.ndarray:
@@ -81,15 +80,14 @@ def von_neumann_epr(p: GkslParams, t, sigma11=None) -> float | np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     if sigma11 is None:
-        c1 = np.asarray(gksl_sigma11(p, t))
+        c1 = gksl_sigma11(p, t)
     else:
         c1 = np.asarray(sigma11, dtype=float)
         if c1.shape != t.shape:
             raise ValueError("sigma11 series must align with the time grid")
     _, T_A = inverse_temperature(c1, p.omega1)
     with np.errstate(divide="ignore"):
-        value = HBAR * p.omega1 * p.Gamma * (1.0 / p.T_B0 - 1.0 / np.asarray(T_A)) * (c1 - p.coth_b)
-    return float(value) if value.ndim == 0 else value
+        return HBAR * p.omega1 * p.Gamma * (1.0 / p.T_B0 - 1.0 / T_A) * (c1 - p.coth_b)
 
 
 def von_neumann_epr_from_fluxes(T_A, dEA_dt, dEB_dt, T_B0: float) -> float | np.ndarray:
@@ -100,8 +98,7 @@ def von_neumann_epr_from_fluxes(T_A, dEA_dt, dEB_dt, T_B0: float) -> float | np.
     Pi_vN - Pi_tot = sum_j (1/T_B0 - 1/T_j) dE_j/dt to machine precision.
     """
     T_A = np.asarray(T_A, dtype=float)
-    value = np.asarray(dEA_dt) / T_A + np.asarray(dEB_dt) / T_B0
-    return float(value) if value.ndim == 0 else value
+    return np.asarray(dEA_dt) / T_A + np.asarray(dEB_dt) / T_B0
 
 
 def von_neumann_ep(p: GkslParams, entropy_A, energy_A) -> np.ndarray:
@@ -121,8 +118,7 @@ def epr_difference(record: ThermoRecord, p: GkslParams) -> float | np.ndarray:
     """Exact gap Pi_vN - Pi_tot = sum_j (1/T_B0 - 1/T_j(t)) dE_j/dt over the
     bath modes (J/K/s), at each time of ``record``."""
     T_j = record.temperatures[..., 1:]
-    gap = np.sum((1.0 / p.T_B0 - 1.0 / T_j) * record.mode_fluxes, axis=-1)
-    return float(gap) if gap.ndim == 0 else gap
+    return np.sum((1.0 / p.T_B0 - 1.0 / T_j) * record.mode_fluxes, axis=-1)
 
 
 def ep_difference(record: ThermoRecord, p: GkslParams) -> np.ndarray:

@@ -189,8 +189,7 @@ def thermal_coefficient(omega, temperature):
         raise ValueError("omega must be positive")
     if np.any(np.asarray(temperature) <= 0):
         raise ValueError("temperature must be positive")
-    value = 1.0 / np.tanh(HBAR * omega / (2.0 * KB * temperature))
-    return float(value) if value.ndim == 0 else value
+    return 1.0 / np.tanh(HBAR * omega / (2.0 * KB * temperature))
 
 
 def recurrence_time(model: StarModel) -> float:

@@ -1,7 +1,8 @@
 """Per-oscillator thermodynamics from covariance snapshots.
 
 Oscillators run along the last axis, so every function here serves one time
-and a whole time grid (time on the first axis) alike.
+and a whole time grid (time on the first axis) alike, through the same numpy
+expressions: a one-time result is a numpy float64, which is a ``float``.
 
 Every oscillator stays in a Gibbs state with time-dependent temperature, so
 its diagonal coefficient c = sigma_{2j-1,2j-1} >= 1 fixes all equilibrium
@@ -51,29 +52,18 @@ def _as_coeff(c) -> np.ndarray:
     return c
 
 
-def _scalar_or_array(value: np.ndarray, like) -> float | np.ndarray:
-    return float(value) if np.ndim(like) == 0 else value
-
-
-def _row_sum(values: np.ndarray) -> float | np.ndarray:
-    """Sum over the oscillators (last axis): a float at one time."""
-    total = np.sum(values, axis=-1)
-    return float(total) if total.ndim == 0 else total
-
-
 def log_coth_ratio(c) -> float | np.ndarray:
     """ln((c+1)/(c-1)) = beta*hbar*w, computed cancellation-free; inf at the
     c -> 1+ boundary."""
     c = _as_coeff(c)
     with np.errstate(divide="ignore"):
-        value = np.log1p(2.0 / (c - 1.0))
-    return _scalar_or_array(value, c)
+        return np.log1p(2.0 / (c - 1.0))
 
 
 def mean_energy(c, omega) -> float | np.ndarray:
     """Mean oscillator energy E = hbar * w * c / 2 (c >= 1)."""
     c = _as_coeff(c)
-    return _scalar_or_array(0.5 * HBAR * np.asarray(omega, dtype=float) * c, c)
+    return 0.5 * HBAR * np.asarray(omega, dtype=float) * c
 
 
 def inverse_temperature(c, omega) -> tuple:
@@ -84,20 +74,18 @@ def inverse_temperature(c, omega) -> tuple:
     """
     c = _as_coeff(c)
     omega = np.asarray(omega, dtype=float)
-    lnr = np.asarray(log_coth_ratio(c))
-    beta = lnr / (HBAR * omega)
-    boundary = np.asarray(c - 1.0 <= BOUNDARY_EPS)
-    beta = np.where(boundary, np.inf, beta)
+    boundary = c - 1.0 <= BOUNDARY_EPS
+    beta = np.where(boundary, np.inf, log_coth_ratio(c) / (HBAR * omega))
     with np.errstate(divide="ignore"):
         T = np.where(boundary, 0.0, 1.0 / (KB * beta))
-    return _scalar_or_array(beta, c), _scalar_or_array(T, c)
+    return beta[()], T[()]  # np.where gives 0-d arrays at one time
 
 
 def partition_function(c) -> float | np.ndarray:
     """Z = sqrt(c^2 - 1) / 2, factored as sqrt((c-1)(c+1)) for accuracy;
     Z = 0 at the c = 1 boundary."""
     c = _as_coeff(c)
-    return _scalar_or_array(0.5 * np.sqrt((c - 1.0) * (c + 1.0)), c)
+    return 0.5 * np.sqrt((c - 1.0) * (c + 1.0))
 
 
 def free_energy(Z, T) -> float | np.ndarray:
@@ -105,7 +93,7 @@ def free_energy(Z, T) -> float | np.ndarray:
     Z = np.asarray(Z, dtype=float)
     if np.any(Z <= 0):
         raise ValueError("free energy undefined at the Z = 0 boundary")
-    return _scalar_or_array(-KB * np.asarray(T, dtype=float) * np.log(Z), Z)
+    return -KB * np.asarray(T, dtype=float) * np.log(Z)
 
 
 def entropy_kb(c) -> float | np.ndarray:
@@ -119,8 +107,7 @@ def entropy_kb(c) -> float | np.ndarray:
     e = 0.5 * (c - 1.0)
     positive = e > 0
     safe = np.where(positive, e, 1.0)
-    value = (1.0 + e) * np.log1p(e) - np.where(positive, safe * np.log(safe), 0.0)
-    return _scalar_or_array(value, c)
+    return (1.0 + e) * np.log1p(e) - np.where(positive, safe * np.log(safe), 0.0)
 
 
 def entropy(c) -> float | np.ndarray:
@@ -149,10 +136,10 @@ def fluxes_from_cross_terms(x: np.ndarray, model: StarModel) -> EnergyFluxes:
     gx = model.bath_couplings * x
     mode_fluxes = -HBAR * model.bath_omegas * gx
     return EnergyFluxes(
-        dEA_dt=HBAR * model.omega1 * _row_sum(gx),
+        dEA_dt=HBAR * model.omega1 * np.sum(gx, axis=-1),
         mode_fluxes=mode_fluxes,
-        dEB_dt=_row_sum(mode_fluxes),
-        dEI_dt=HBAR * _row_sum((model.bath_omegas - model.omega1) * gx),
+        dEB_dt=np.sum(mode_fluxes, axis=-1),
+        dEI_dt=HBAR * np.sum((model.bath_omegas - model.omega1) * gx, axis=-1),
     )
 
 
@@ -167,7 +154,7 @@ def total_epr(snapshot: CovarianceSnapshot, model: StarModel) -> float | np.ndar
     if np.any(c - 1.0 <= BOUNDARY_EPS):
         raise ValueError("total entropy production rate undefined at the T = 0 boundary")
     lnr = log_coth_ratio(c)
-    return KB * _row_sum(model.bath_couplings * snapshot.x * (lnr[..., :1] - lnr[..., 1:]))
+    return KB * np.sum(model.bath_couplings * snapshot.x * (lnr[..., :1] - lnr[..., 1:]), axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,8 +193,8 @@ def totals(snapshot: CovarianceSnapshot, baseline: CovarianceSnapshot) -> Thermo
     freqs = model.frequencies
     _, T = inverse_temperature(snapshot.c, freqs)
     S = entropy(snapshot.c)
-    S_tot = _row_sum(S)
-    dS_tot = S_tot - _row_sum(entropy(baseline.c))
+    S_tot = np.sum(S, axis=-1)
+    dS_tot = S_tot - np.sum(entropy(baseline.c), axis=-1)
     fluxes = fluxes_from_cross_terms(snapshot.x, model)
     return ThermoRecord(
         time=snapshot.time,

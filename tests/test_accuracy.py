@@ -18,23 +18,24 @@ from starbath.evolve import evaluate, initial_coefficients
 from starbath.oracle import arrowhead_matrix
 
 LD = np.longdouble
-pytestmark = pytest.mark.skipif(
-    np.finfo(LD).eps > 1e-18, reason="np.longdouble is not extended precision here"
-)
+EXTENDED = bool(np.finfo(LD).eps <= 1e-18)
+pytestmark = pytest.mark.skipif(not EXTENDED, reason="np.longdouble is not extended precision here")
 
 N = 2000
 TIMES = (137e-6, 411e-6)
 
 
 def reference(model: sb.StarModel, c0: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
-    """c_j(t) and x_j(t) in extended precision, shape (len(times), N+1)."""
+    """c_j(t) and x_j(t) in extended precision, shape (len(times), N+1),
+    with x = 0 in the system column."""
+    n = model.n_modes
     w1, w, g = LD(model.omega1), model.bath_omegas.astype(LD), model.bath_couplings.astype(LD)
     g2 = g * g
     guess = np.linalg.eigvalsh(arrowhead_matrix(model))
     # interlacing: eigenvalue k lies between bath frequencies k-1 and k
-    k = np.arange(N + 1)
-    left, right = np.clip(k - 1, 0, N - 1), np.clip(k, 0, N - 1)
-    nearer_left = (k == N) | ((k > 0) & (guess - model.bath_omegas[left] <= model.bath_omegas[right] - guess))
+    k = np.arange(n + 1)
+    left, right = np.clip(k - 1, 0, n - 1), np.clip(k, 0, n - 1)
+    nearer_left = (k == n) | ((k > 0) & (guess - model.bath_omegas[left] <= model.bath_omegas[right] - guess))
     poles = np.where(nearer_left, left, right)
     wp = w[poles]
     gap = wp[:, None] - w[None, :]  # exact differences of bath frequencies
@@ -63,11 +64,11 @@ def reference(model: sb.StarModel, c0: np.ndarray, times) -> tuple[np.ndarray, n
         row0 = np.concatenate(([z.sum()], g * A))  # U_1m
         v = c0 * row0.conj()
         c, x = [c0[0] * np.abs(row0[0]) ** 2 + c0[1:] @ np.abs(row0[1:]) ** 2], [LD(0)]
-        for lo in range(0, N, 250):
-            j = np.arange(lo, min(lo + 250, N))
+        for lo in range(0, n, 250):
+            j = np.arange(lo, min(lo + 250, n))
             dw = w[j, None] - w[None, :]
             dw[np.arange(len(j)), j] = 1
-            U = np.empty((len(j), N + 1), dtype=np.clongdouble)  # rows U_jm, m = 1..N+1
+            U = np.empty((len(j), n + 1), dtype=np.clongdouble)  # rows U_jm, m = 1..N+1
             U[:, 0] = row0[1 + j]
             U[:, 1:] = g[j, None] * g[None, :] * (A[j, None] - A[None, :]) / dw
             U[np.arange(len(j)), 1 + j] = g2[j] * B[j]

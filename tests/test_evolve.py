@@ -188,7 +188,7 @@ class TestSnapshots:
     def test_initial_snapshot(self):
         model, init, _ = small_setup()
         basis = sb.mode_basis(model)
-        snap = sb.snapshot_at(basis, init, 0.0)
+        snap = sb.snapshot_series(basis, init, [0.0]).at(0)
         c0 = initial_coefficients(basis.frequencies, init)
         np.testing.assert_allclose(snap.c, c0, rtol=1e-12)
         np.testing.assert_allclose(snap.x, 0.0, atol=1e-12 * c0.max())
@@ -220,11 +220,8 @@ class TestSnapshots:
         with pytest.raises(ValueError):
             sb.snapshot_series(basis, init, [2e-6, 1e-6])
         with pytest.raises(ValueError):
-            sb.snapshot_at(basis, init, -1e-9)
-        for t in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="finite"):
-                sb.snapshot_at(basis, init, t)
-        for grid in ([np.nan], [0.0, np.inf], [1e-6, np.nan, 2e-6]):
+            sb.snapshot_series(basis, init, [-1e-9])
+        for grid in ([np.nan], [np.inf], [0.0, np.inf], [1e-6, np.nan, 2e-6]):
             with pytest.raises(ValueError, match="finite"):
                 sb.snapshot_series(basis, init, grid)
         series = sb.snapshot_series(basis, init, [0.0, 1e-6])
@@ -242,7 +239,7 @@ class TestSnapshots:
         basis = sb.mode_basis(model)
         c0 = initial_coefficients(basis.frequencies, init)
         for t in rng.uniform(0, 40e-6, size=4):
-            snap = sb.snapshot_at(basis, init, t)
+            snap = sb.snapshot_series(basis, init, [t]).at(0)
             assert snap.c.min() >= c0.min() - 1e-9
             assert snap.c.max() <= c0.max() + 1e-9
             assert unitarity_residual(basis, t) <= 1e-9
@@ -365,7 +362,7 @@ class TestDenseOracle:
         basis = sb.mode_basis(model)
         t = 7.7e-6
         dense = dense_oracle_at(model, init, t)
-        snap = sb.snapshot_at(basis, init, t)
+        snap = sb.snapshot_series(basis, init, [t]).at(0)
         mode_energy = float(np.sum(0.5 * sb.HBAR * model.frequencies * snap.c))
         # interaction part from the dense sigma: hbar * sum_j g_j sigma_{1,2j-1}
         sigma_pos = dense.sigma[0, 2::2]

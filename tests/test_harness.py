@@ -212,6 +212,19 @@ class TestFigureJobs:
         manifest = json.loads((tmp_path / "fig1_manifest.json").read_text())
         assert manifest["files"] == names
 
+    def test_fig1_above_n8000(self, tmp_path):
+        # N = 16000 over [0, 200] us, well inside t1 = 5033 us: c_1 follows
+        # the closed form to criterion 01's 2%, and the refined basis keeps
+        # its sum rule and Newton step at roundoff
+        cfg = tiny_cfg(tmp_path, job="fig1", n_list=[16000], times_us=grid(200.0, 5))
+        tables = run_job(cfg)["tables"]
+        c1 = tables["N16000"].column("sigma11_exact[1]")
+        gksl = tables["gksl"].column("sigma11_gksl[1]")
+        assert np.max(np.abs(c1 - gksl) / gksl) <= 0.02
+        derived = json.loads((tmp_path / "fig1_manifest.json").read_text())["derived"]["N16000"]
+        assert derived["weight_sum_residual"] <= 1e-12
+        assert derived["newton_step"] <= 1e-12
+
     def test_fig2_flux_sum(self, tmp_path):
         cfg = tiny_cfg(tmp_path, job="fig2", times_us=grid(0.5))
         table = run_job(cfg)["tables"]["fluxes"]
@@ -315,7 +328,7 @@ class TestValidateJob:
         t = 20e-6
         clean = flux_finite_difference_residual(basis, init, t)
         corrupted = flux_finite_difference_residual(
-            basis, init, t, x_override=-sb.snapshot_at(basis, init, t).x
+            basis, init, t, x_override=-sb.snapshot_series(basis, init, [t]).at(0).x
         )
         assert clean <= 1e-6
         assert corrupted > 1e-2

@@ -1,5 +1,7 @@
+import json
 import math
 from dataclasses import fields
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -147,8 +149,8 @@ def evolved_record(n=48, t=20e-6, seed=5):
     model, _ = random_star_model(rng, n)
     init = random_temperatures(rng)
     basis = sb.mode_basis(model)
-    baseline = sb.snapshot_at(basis, init, 0.0)
-    snap = sb.snapshot_at(basis, init, t)
+    baseline = sb.snapshot_series(basis, init, [0.0]).at(0)
+    snap = sb.snapshot_series(basis, init, [t]).at(0)
     return model, basis, init, baseline, snap
 
 
@@ -235,3 +237,72 @@ class TestFluxesAndTotals:
             for f in fields(ThermoRecord):
                 assert np.array_equal(getattr(grid, f.name)[i], getattr(one, f.name)), f.name
             assert isinstance(one.Pi_tot, float) and isinstance(one.time, float)
+
+
+class _Inputs(NamedTuple):
+    """Arguments of the one-time contract cases: a grid, or its element k."""
+
+    p: sb.GkslParams
+    t: float | np.ndarray
+    omega: float | np.ndarray
+    c: float | np.ndarray  # off the c = 1 boundary
+    cold: float | np.ndarray  # at the boundary for k = 0, 1
+    snap: CovarianceSnapshot
+    rec: ThermoRecord
+
+
+ONE_TIME_CASES = {
+    "thermal_coefficient": lambda v: sb.thermal_coefficient(v.omega, v.p.T_B0),
+    "gksl_sigma11": lambda v: sb.gksl_sigma11(v.p, v.t),
+    "gksl_system_temperature": lambda v: sb.gksl_system_temperature(v.p, v.t),
+    "von_neumann_epr": lambda v: sb.von_neumann_epr(v.p, v.t),
+    "von_neumann_epr_of_series": lambda v: sb.von_neumann_epr(v.p, v.t, v.snap.c[..., 0]),
+    "von_neumann_epr_from_fluxes": lambda v: sb.von_neumann_epr_from_fluxes(
+        v.rec.temperatures[..., 0], v.rec.dEA_dt, v.rec.dEB_dt, v.p.T_B0
+    ),
+    "log_coth_ratio": lambda v: log_coth_ratio(v.c),
+    "mean_energy": lambda v: mean_energy(v.c, v.omega),
+    "partition_function": lambda v: partition_function(v.c),
+    "free_energy": lambda v: free_energy(partition_function(v.c), inverse_temperature(v.c, v.omega)[1]),
+    "entropy": lambda v: entropy(v.c),
+    "inverse_temperature_beta": lambda v: inverse_temperature(v.c, v.omega)[0],
+    "inverse_temperature_T": lambda v: inverse_temperature(v.c, v.omega)[1],
+    "entropy_kb": lambda v: entropy_kb(v.c),
+    "inverse_temperature_beta_at_1": lambda v: inverse_temperature(v.cold, v.omega)[0],
+    "inverse_temperature_T_at_1": lambda v: inverse_temperature(v.cold, v.omega)[1],
+    "entropy_kb_at_1": lambda v: entropy_kb(v.cold),
+    **{f"totals_{name}": (lambda v, name=name: getattr(v.rec, name))
+       for name in ("S_tot", "dS_tot", "Pi_tot", "dEA_dt", "dEB_dt", "dEI_dt")},
+    "epr_difference": lambda v: sb.epr_difference(v.rec, v.p),
+}
+
+
+@pytest.fixture(scope="module")
+def contract_inputs() -> tuple[_Inputs, list[_Inputs]]:
+    model, basis, init, _, _ = evolved_record()
+    p = sb.GkslParams(omega1=model.omega1, Gamma=1e4, T_A0=init.T_A0, T_B0=init.T_B0)
+    t = np.array([0.0, 5e-6, 20e-6, 40e-6])
+    omega = model.frequencies[:4]
+    c = np.array([1.5, C_EQ, 10.0, 40.0])
+    cold = np.array([1.0, 1.0 + 1e-13, 1.0 + 1e-6, 3.0])
+    series = sb.snapshot_series(basis, init, t)
+    grid = _Inputs(p, t, omega, c, cold, series, totals(series, series.at(0)))
+    ones = [
+        _Inputs(p, t[k], omega[k], c[k], cold[k], series.at(k), totals(series.at(k), series.at(0)))
+        for k in range(len(t))
+    ]
+    return grid, ones
+
+
+@pytest.mark.parametrize("name", ONE_TIME_CASES)
+def test_one_time_result_is_the_grid_element(contract_inputs, name):
+    # a one-time call returns a float that json writes as float(v) does, and
+    # that equals, bit for bit, the matching element of the grid call
+    grid, ones = contract_inputs
+    case = ONE_TIME_CASES[name]
+    values = case(grid)
+    for k, one in enumerate(ones):
+        v = case(one)
+        assert isinstance(v, float), (k, type(v))
+        assert json.dumps(v) == json.dumps(float(v))
+        assert np.asarray(v).tobytes() == np.asarray(values)[k].tobytes(), k
