@@ -14,7 +14,6 @@ from .model import (
     StarModel,
     discretize_ohmic_bath,
     mean_occupation,
-    ohmic_spectral_density,
     recurrence_time,
     relaxation_rate,
     thermal_coefficient,

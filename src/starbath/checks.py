@@ -361,16 +361,8 @@ def default_suite(seed: int = 0) -> list[CheckResult]:
     dense = dense_oracle_at(oracle_model, oracle_init, 17e-6)
     results.append(_result("evolve", "symplecticity", dense.symplectic_defect(), 1e-9))
     results.append(_result("evolve", "gibbs_blocks", gibbs_block_residual(dense), 1e-10))
-    floor = positivity_floor(dense)
     results.append(
-        CheckResult(
-            module="evolve",
-            name="uncertainty_positivity",
-            residual=floor,
-            tolerance=-1e-9,
-            passed=bool(floor >= -1e-9),
-            note="min eigenvalue of sigma + i*Omega",
-        )
+        _result("evolve", "uncertainty_positivity", -positivity_floor(dense), 1e-9, "min eigenvalue of sigma + i*Omega")
     )
     cons_model, _ = random_star_model(rng, 32)
     results.append(
@@ -440,16 +432,7 @@ def default_suite(seed: int = 0) -> list[CheckResult]:
 
     p = GkslParams(omega1=omega1, Gamma=relaxation_rate(spec, omega1), T_A0=init.T_A0, T_B0=init.T_B0)
     floor = pivn_nonnegativity_floor(p, np.linspace(0, 1200e-6, 241))
-    results.append(
-        CheckResult(
-            module="gksl",
-            name="pivn_nonnegative",
-            residual=floor,
-            tolerance=-1e-15,
-            passed=bool(floor >= -1e-15),
-            note="min Pi_vN over grid in kB/s",
-        )
-    )
+    results.append(_result("gksl", "pivn_nonnegative", -floor, 1e-15, note="min Pi_vN over grid in kB/s"))
     baseline = snapshot_series(mid_basis, init, [0.0]).at(0)
     record = totals(snap, baseline)
     results.append(

@@ -13,8 +13,17 @@ from dataclasses import replace
 from .config import JOBS, PIVN_MODES, ConfigError, ExperimentConfig, load_config, parse_grid
 from .harness import JOB_INPUTS, run_job
 
-# N and grid flags by the config field they set; a job refuses those it does not read
-_JOB_FLAGS = {"n_modes": "--n", "n_list": "--n-list", "times_us": "--grid"}
+# Flags that set one config field each, keyed by that field; a job refuses
+# every one whose field is not in its JOB_INPUTS
+_FIELD_FLAGS = {
+    "n_modes": ("--n", {"type": int, "help": "number of bath modes N"}),
+    "n_list": ("--n-list", {"help": "comma-separated N values for multi-N jobs, e.g. 1000,2000,4000"}),
+    "times_us": ("--grid", {"help": "time grid start:end:points in microseconds"}),
+    "pivn_mode": ("--pivn-mode", {"choices": PIVN_MODES, "help": "Pi_vN evaluation mode"}),
+    "eta": ("--eta", {"type": float, "help": "bath coupling strength"}),
+    "mode_window_mhz": ("--window", {"type": float, "help": "per-mode window half-width in MHz"}),
+    "seed": ("--seed", {"type": int, "help": "seed for the validate suite"}),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -31,13 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(job, help=f"run the {job} job")
         p.add_argument("--config", help="JSON config file (unknown keys rejected)")
         p.add_argument("--out", dest="out_dir", help="output directory")
-        p.add_argument("--n", dest="n_modes", type=int, help="number of bath modes N")
-        p.add_argument("--n-list", help="comma-separated N values for multi-N jobs, e.g. 1000,2000,4000")
-        p.add_argument("--grid", dest="times_us", help="time grid start:end:points in microseconds")
-        p.add_argument("--pivn-mode", choices=PIVN_MODES, help="Pi_vN evaluation mode")
-        p.add_argument("--eta", type=float, help="bath coupling strength")
-        p.add_argument("--window", dest="mode_window_mhz", type=float, help="per-mode window half-width in MHz")
-        p.add_argument("--seed", type=int, help="seed for the validate suite")
+        for name, (flag, kwargs) in _FIELD_FLAGS.items():
+            p.add_argument(flag, dest=name, **kwargs)
     return parser
 
 
@@ -45,10 +49,9 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     overrides = {name: value for name, value in vars(args).items() if value is not None}  # dest = field
     path = overrides.pop("config", None)
     reads = JOB_INPUTS[args.job]
-    unread = [flag for name, flag in _JOB_FLAGS.items() if name in overrides and name not in reads]
+    unread = [flag for name, (flag, _) in _FIELD_FLAGS.items() if name in overrides and name not in reads]
     if unread:
-        fields = ", ".join(reads) or "no N or times"
-        raise ConfigError(f"{args.job} takes no {', '.join(unread)}; it reads {fields}")
+        raise ConfigError(f"{args.job} takes no {', '.join(unread)}; it reads {', '.join(reads)}")
     if args.n_list is not None:
         try:
             overrides["n_list"] = [int(part) for part in args.n_list.split(",") if part]

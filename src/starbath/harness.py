@@ -8,9 +8,11 @@ Every figure job runs one pipeline: for each N it builds a ``_Run`` (model,
 closed-form rates, mode basis and the shared time grid) and hands it to the
 job's curve function, which returns ``{table key: (file name, table)}``.
 The pipeline writes the CSVs, collects the derived constants per N and
-writes the manifest; a job is a ``_Job`` declaration of that curve function
-and its defaults.  Evaluated data stay on the time grid throughout: time on
-the first axis, oscillators on the last.
+writes the manifest.  A job is a ``_Job`` declaration of that curve
+function and the config fields it reads; those fields are exactly the
+manifest's ``parameters`` and the fields the CLI takes flags for.  Evaluated
+data stay on the time grid throughout: time on the first axis, oscillators
+on the last.
 """
 
 from __future__ import annotations
@@ -43,18 +45,8 @@ from .thermo import ThermoRecord, fluxes_from_cross_terms, inverse_temperature, 
 
 __all__ = ["run_job", "run_validate", "JOB_INPUTS", "derived_constants", "proportional_fit", "affine_fit"]
 
-# Config fields recorded in every manifest's ``parameters``.
-_PARAMETERS = (
-    "omega1_mhz",
-    "omega_c_mhz",
-    "omega_min_mhz",
-    "omega_max_mhz",
-    "eta",
-    "n_modes",
-    "T_A0_uk",
-    "T_B0_uk",
-    "pivn_mode",
-)
+# Config fields every figure job reads: the bath and the initial temperatures.
+_BATH = ("omega1_mhz", "omega_c_mhz", "omega_min_mhz", "omega_max_mhz", "eta", "T_A0_uk", "T_B0_uk")
 
 
 def derived_constants(basis: ModeBasis, params: GkslParams) -> dict:
@@ -288,26 +280,27 @@ def _sweep_fits(table: ResultTable) -> dict:
 
 @dataclass(frozen=True)
 class _Job:
-    """A figure job: manifest stem, curve function and defaults.
+    """A figure job: manifest stem, curve function, the config fields it
+    reads besides ``_BATH``, and the N list used when the config sets none.
 
-    ``n_default`` None runs the single configured ``n_modes`` with flat
-    manifest ``derived``; a tuple is the N list used when the config sets
-    none, with ``derived`` nested per N.  ``params`` names extra config
-    fields for the manifest.  A ``sweep`` job evaluates at the sweep times,
-    stacks its per-N rows into one table and fits the gap against 1/N.
+    Everything else follows from ``reads``.  A job that reads ``n_list``
+    runs each of those N with manifest ``derived`` nested per N; otherwise it
+    runs ``n_modes`` with flat ``derived``.  A job that reads
+    ``sweep_times_us`` evaluates there, stacks its per-N rows into one table
+    and fits the gap against 1/N.  The manifest's ``parameters`` hold exactly
+    the fields the job read, with ``n_list`` resolved to the N values run.
     """
 
     stem: str
     curves: Callable[[_Run], dict]
-    n_default: tuple[int, ...] | None = None
-    params: tuple[str, ...] = ()
-    sweep: bool = False
+    reads: tuple[str, ...]
+    n_default: tuple[int, ...] = ()
 
 
 def _run_figure(job: _Job, cfg: ExperimentConfig) -> dict:
-    multi_n = job.n_default is not None
+    multi_n, sweep = "n_list" in job.reads, "sweep_times_us" in job.reads
     n_values = list(cfg.n_list or job.n_default) if multi_n else [cfg.n_modes]
-    times = cfg.sweep_times() if job.sweep else cfg.times()
+    times = cfg.sweep_times() if sweep else cfg.times()
     curves, derived = {}, {}
     for i, n in enumerate(n_values):
         run = _Run(cfg, n, times, last=i == len(n_values) - 1)
@@ -321,19 +314,18 @@ def _run_figure(job: _Job, cfg: ExperimentConfig) -> dict:
     out_dir = Path(cfg.out_dir)
     files = [table.write_csv(out_dir / name) for name, table in curves.values()]
     tables = {key: table for key, (_, table) in curves.items()}
-    parameters = {name: getattr(cfg, name) for name in _PARAMETERS + job.params}
+    parameters = {name: getattr(cfg, name) for name in _BATH + job.reads}
     if multi_n:
         parameters["n_list"] = n_values
     result = {"files": files, "tables": tables}
-    if job.sweep:
-        parameters["sweep_times_us"] = [float(t) for t in cfg.sweep_times_us]
+    if sweep:
         result["fits"] = _sweep_fits(tables["sweep"])
     result["manifest"] = write_manifest(
         out_dir / f"{job.stem}_manifest.json",
         files=[f.name for f in files],
         parameters=parameters,
         derived=derived if multi_n else derived[f"N{cfg.n_modes}"],
-        extra={"fits": result["fits"]} if job.sweep else None,
+        extra={"fits": result["fits"]} if sweep else None,
     )
     return result
 
@@ -353,24 +345,20 @@ def run_validate(cfg: ExperimentConfig) -> dict:
     return {"files": [path], "report": report}
 
 
-_SWEEP = _Job("sweep_n", _sweep_curves, (1000, 2000, 3000, 4000), sweep=True)
+_SWEEP = _Job("sweep_n", _sweep_curves, ("n_list", "sweep_times_us"), (1000, 2000, 3000, 4000))
 _FIGURES = {
-    "simulate": _Job("simulate", _simulate_curves),
-    "fig1": _Job("fig1", _fig1_curves, (4000, 6000, 8000)),
-    "fig2": _Job("fig2", _fig2_curves),
-    "fig3": _Job("fig3", _fig3_curves, (1000, 2000, 4000)),
-    "fig4": _Job("fig4", _fig4_curves, params=("mode_window_mhz",)),
-    "fig5": _Job("fig5", _fig5_curves, (4000, 6000, 8000), params=("mode_window_mhz",)),
+    "simulate": _Job("simulate", _simulate_curves, ("n_modes", "times_us", "pivn_mode")),
+    "fig1": _Job("fig1", _fig1_curves, ("n_list", "times_us"), (4000, 6000, 8000)),
+    "fig2": _Job("fig2", _fig2_curves, ("n_modes", "times_us")),
+    "fig3": _Job("fig3", _fig3_curves, ("n_list", "times_us", "pivn_mode"), (1000, 2000, 4000)),
+    "fig4": _Job("fig4", _fig4_curves, ("n_modes", "times_us", "mode_window_mhz")),
+    "fig5": _Job("fig5", _fig5_curves, ("n_list", "times_us", "mode_window_mhz"), (4000, 6000, 8000)),
     "fig6": _SWEEP,  # the N-sweep presented in the figure pipeline
     "sweep-n": _SWEEP,
 }
 
-
-# The config fields each job reads for its N values and its times.
-JOB_INPUTS = {"validate": ()} | {
-    job: ("n_modes" if spec.n_default is None else "n_list", "sweep_times_us" if spec.sweep else "times_us")
-    for job, spec in _FIGURES.items()
-}
+# The config fields each job reads; the CLI refuses flags for any other field.
+JOB_INPUTS = {"validate": ("seed",)} | {job: _BATH + spec.reads for job, spec in _FIGURES.items()}
 
 
 def run_job(cfg: ExperimentConfig) -> dict:

@@ -19,7 +19,6 @@ from .constants import HBAR, KB
 __all__ = [
     "OhmicBathSpec",
     "StarModel",
-    "ohmic_spectral_density",
     "discretize_ohmic_bath",
     "relaxation_rate",
     "mean_occupation",
@@ -36,11 +35,6 @@ _SPACING_ULPS = 4
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-def ohmic_spectral_density(omega, eta: float, omega_c: float):
-    """Continuum Ohmic spectral density J(w) = eta * w * exp(-w / w_c)."""
-    return eta * omega * np.exp(-np.asarray(omega, dtype=float) / omega_c)
 
 
 @dataclass(frozen=True)

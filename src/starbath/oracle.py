@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR
-from .evolve import InitialTemperatures
-from .model import StarModel, thermal_coefficient
+from .evolve import InitialTemperatures, initial_coefficients
+from .model import StarModel
 
 __all__ = [
     "ORACLE_CAP_DEFAULT",
@@ -24,7 +24,6 @@ __all__ = [
     "symplectic_form",
     "arrowhead_matrix",
     "full_hamiltonian",
-    "initial_covariance_diagonal",
     "dense_oracle_at",
     "dense_oracle_series",
 ]
@@ -64,15 +63,6 @@ def full_hamiltonian(model: StarModel) -> np.ndarray:
         H[0, 2 * j] = H[2 * j, 0] = g
         H[1, 2 * j + 1] = H[2 * j + 1, 1] = g
     return H
-
-
-def initial_covariance_diagonal(model: StarModel, init: InitialTemperatures) -> np.ndarray:
-    """Diagonal of sigma(0): coth coefficients repeated over each mode pair."""
-    c0 = thermal_coefficient(
-        model.frequencies,
-        np.concatenate(([init.T_A0], np.full(model.n_modes, init.T_B0))),
-    )
-    return np.repeat(c0, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +111,7 @@ def dense_oracle_series(
     H = full_hamiltonian(model)
     Omega = symplectic_form(model.n_modes + 1)
     w, P = np.linalg.eigh(H)
-    sigma0 = initial_covariance_diagonal(model, init)
+    sigma0 = np.repeat(initial_coefficients(model.frequencies, init), 2)  # one c per quadrature pair
     out = []
     for t in times:
         V = (P * np.cos(w * t)) @ P.T + Omega @ ((P * np.sin(w * t)) @ P.T)

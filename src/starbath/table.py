@@ -53,5 +53,7 @@ def write_manifest(path: str | Path, *, files: list[str], parameters: dict, deri
     payload = {"files": files, "parameters": parameters, "derived": derived}
     if extra:
         payload.update(extra)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    # ``default`` writes array-valued config fields, such as numpy time grids, as lists
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=np.ndarray.tolist)
+    path.write_text(text + "\n")
     return path

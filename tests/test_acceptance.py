@@ -62,9 +62,9 @@ def test_criterion_01_gksl_agreement(production):
         1,
         ok,
         f"exact vs closed-form sigma11 on [0, 0.8*t1], N=4000: max rel dev "
-        f"{dev:.3%} (tol 2%), temperature dev {temp_dev:.3%} (tol 2%); "
-        f"runtime {elapsed:.1f} s (target 600 s)",
+        f"{dev:.3%} (tol 2%), temperature dev {temp_dev:.3%} (tol 2%)",
     )
+    print(f"criterion 01 runtime {elapsed:.1f} s (target 600 s)", flush=True)
     assert dev <= 0.02
     assert temp_dev <= 0.02
 

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import shlex
@@ -11,17 +12,30 @@ import starbath
 from starbath import checks
 from starbath.cli import _build_parser, _config_from_args, main
 from starbath.config import JOBS
+from starbath.harness import JOB_INPUTS
 
 MULTI_N_JOBS = {"fig1", "fig3", "fig5", "fig6", "sweep-n"}
-# the N and grid flags each job reads; it refuses the others
+# the field flags each job reads; it refuses the others
 JOB_FLAGS = {
-    **{job: {"--n", "--grid"} for job in ("simulate", "fig2", "fig4")},
-    **{job: {"--n-list", "--grid"} for job in ("fig1", "fig3", "fig5")},
-    **{job: {"--n-list"} for job in ("fig6", "sweep-n")},
-    "validate": set(),
+    "simulate": {"--n", "--grid", "--pivn-mode", "--eta"},
+    "fig1": {"--n-list", "--grid", "--eta"},
+    "fig2": {"--n", "--grid", "--eta"},
+    "fig3": {"--n-list", "--grid", "--pivn-mode", "--eta"},
+    "fig4": {"--n", "--grid", "--window", "--eta"},
+    "fig5": {"--n-list", "--grid", "--window", "--eta"},
+    "fig6": {"--n-list", "--eta"},
+    "sweep-n": {"--n-list", "--eta"},
+    "validate": {"--seed"},
 }
-FLAG_VALUES = {"--n": "16", "--n-list": "8,16,32", "--grid": "0:0.5:3"}
-
+FLAG_VALUES = {
+    "--n": "16",
+    "--n-list": "8,16,32",
+    "--grid": "0:0.5:3",
+    "--pivn-mode": "exact",
+    "--eta": "0.002",
+    "--window": "0.3",
+    "--seed": "5",
+}
 
 def test_simulate_roundtrip(tmp_path, capsys):
     rc = main(["simulate", "--n", "8", "--grid", "0:1:3", "--out", str(tmp_path)])
@@ -63,6 +77,7 @@ def test_job_matrix_manifest_lists_written_files(tmp_path, capsys, job):
     manifest = json.loads(manifest_path.read_text())
     assert [str(out / name) for name in manifest["files"]] == written
     assert sorted(manifest["files"]) == sorted(p.name for p in out.glob("*.csv"))
+    assert sorted(manifest["parameters"]) == sorted(JOB_INPUTS[job])
     if job in MULTI_N_JOBS:
         assert sorted(manifest["derived"]) == ["N16", "N32", "N8"]
         assert manifest["parameters"]["n_list"] == [8, 16, 32]
@@ -103,13 +118,14 @@ def test_config_with_removed_oracle_cap_exits_2(tmp_path, capsys):
 )
 def test_non_finite_or_out_of_range_exits_2(tmp_path, capsys, args, file_values):
     out = tmp_path / "out"
-    argv = ["simulate", "--n", "8", "--out", str(out), *args]
+    argv = ["fig4", "--n", "8", "--out", str(out), *args]  # fig4 takes every flag used here
     if file_values is not None:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(file_values))  # writes NaN/Infinity, which json reads back
         argv += ["--config", str(cfg_path)]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "takes no" not in err
     assert not out.exists()
 
 
@@ -182,6 +198,7 @@ def test_grid_flag_equals_times_us_file(tmp_path):
 @pytest.mark.parametrize("flag", FLAG_VALUES)
 @pytest.mark.parametrize("job", JOBS)
 def test_n_and_grid_flags_per_job(tmp_path, capsys, job, flag):
+    """A job takes exactly the field flags of the fields it reads."""
     argv = [job, flag, FLAG_VALUES[flag], "--out", str(tmp_path / "out")]
     if flag in JOB_FLAGS[job]:
         assert _config_from_args(_build_parser().parse_args(argv)).job == job
@@ -204,6 +221,22 @@ def test_ignored_flag_combinations_exit_2(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not (tmp_path / "out").exists()
+
+
+def test_benchmark_argv_is_accepted(tmp_path, monkeypatch):
+    """Every benchmark workload's CLI arguments, full size and warm-up, pass the flag rules."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look their module up there
+    spec.loader.exec_module(workloads)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"times_us": workloads.warmup_grid(workloads.DEFAULT_SEED)}))
+    for w in workloads.WORKLOADS.values():
+        for n_values in (w.n_values, (workloads.WARMUP_N,)):
+            argv = w.argv(n_values, str(config), str(tmp_path / "out"))
+            cfg = _config_from_args(_build_parser().parse_args(argv))
+            assert (cfg.job, cfg.n_list or [cfg.n_modes]) == (w.job, list(n_values))
 
 
 def test_readme_examples_parse():

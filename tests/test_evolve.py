@@ -18,7 +18,7 @@ from starbath.checks import (
 from starbath import evolve
 from starbath.evolve import initial_coefficients
 from starbath.harness import derived_constants
-from starbath.oracle import arrowhead_matrix, dense_oracle_at, initial_covariance_diagonal
+from starbath.oracle import arrowhead_matrix, dense_oracle_at
 
 
 def small_setup(seed=3, n=12):
@@ -326,7 +326,7 @@ class TestDenseOracle:
         dense = dense_oracle_at(model, init, 0.0)
         np.testing.assert_allclose(dense.V, np.eye(2 * (model.n_modes + 1)), atol=1e-12)
         np.testing.assert_allclose(
-            np.diag(dense.sigma), initial_covariance_diagonal(model, init), rtol=1e-12
+            np.diag(dense.sigma), np.repeat(initial_coefficients(model.frequencies, init), 2), rtol=1e-12
         )
         assert np.max(np.abs(dense.sigma - np.diag(np.diag(dense.sigma)))) < 1e-12
 

@@ -192,10 +192,11 @@ class TestSimulateJob:
         assert first == second
 
     def test_manifest_contents(self, tmp_path):
-        cfg = tiny_cfg(tmp_path, times_us=grid(0.5))
+        cfg = tiny_cfg(tmp_path, times_us=np.asarray(grid(0.5)))  # the config accepts an array grid
         run_job(cfg)
         manifest = json.loads((tmp_path / "simulate_manifest.json").read_text())
         assert manifest["files"] == ["simulate.csv"]
+        assert manifest["parameters"]["times_us"] == grid(0.5)
         derived = manifest["derived"]
         for key in ("delta_omega_rad_per_s", "Gamma_per_s", "recurrence_time_us", "nbar", "evaluation_path"):
             assert key in derived
