@@ -361,9 +361,8 @@ def default_suite(seed: int = 0) -> list[CheckResult]:
     dense = dense_oracle_at(oracle_model, oracle_init, 17e-6)
     results.append(_result("evolve", "symplecticity", dense.symplectic_defect(), 1e-9))
     results.append(_result("evolve", "gibbs_blocks", gibbs_block_residual(dense), 1e-10))
-    results.append(
-        _result("evolve", "uncertainty_positivity", -positivity_floor(dense), 1e-9, "min eigenvalue of sigma + i*Omega")
-    )
+    floor = positivity_floor(dense)
+    results.append(_result("evolve", "uncertainty_positivity", -floor, 1e-9, "minus the min eigenvalue of sigma + i*Omega"))
     cons_model, _ = random_star_model(rng, 32)
     results.append(
         _result(
@@ -432,7 +431,7 @@ def default_suite(seed: int = 0) -> list[CheckResult]:
 
     p = GkslParams(omega1=omega1, Gamma=relaxation_rate(spec, omega1), T_A0=init.T_A0, T_B0=init.T_B0)
     floor = pivn_nonnegativity_floor(p, np.linspace(0, 1200e-6, 241))
-    results.append(_result("gksl", "pivn_nonnegative", -floor, 1e-15, note="min Pi_vN over grid in kB/s"))
+    results.append(_result("gksl", "pivn_nonnegative", -floor, 1e-15, note="minus the min Pi_vN over the grid in kB/s"))
     baseline = snapshot_series(mid_basis, init, [0.0]).at(0)
     record = totals(snap, baseline)
     results.append(

@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
-from .config import JOBS, PIVN_MODES, ConfigError, ExperimentConfig, load_config, parse_grid
-from .harness import JOB_INPUTS, run_job
+from .config import JOB_INPUTS, JOBS, PIVN_MODES, ConfigError, ExperimentConfig, load_config, parse_grid
+from .harness import run_job
 
 # Flags that set one config field each, keyed by that field; a job refuses
 # every one whose field is not in its JOB_INPUTS
@@ -59,8 +58,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"bad --n-list {args.n_list!r}: {exc}") from exc
     if args.times_us is not None:
         overrides["times_us"] = parse_grid(args.times_us)
-    cfg = load_config(path) if path else ExperimentConfig()
-    return replace(cfg, **overrides)
+    return load_config(path, **overrides) if path else ExperimentConfig(**overrides)
 
 
 def main(argv: list[str] | None = None) -> int:

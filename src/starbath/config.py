@@ -21,9 +21,33 @@ from .constants import MHZ, UK, US
 from .evolve import InitialTemperatures, validated_grid
 from .model import OhmicBathSpec, relaxation_rate
 
-__all__ = ["JOBS", "PIVN_MODES", "ConfigError", "ExperimentConfig", "load_config", "parse_grid"]
+__all__ = ["JOBS", "JOB_INPUTS", "PIVN_MODES", "ConfigError", "ExperimentConfig", "load_config", "parse_grid"]
 
-JOBS = ("simulate", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "sweep-n", "validate")
+# The config fields each job reads.  Validation checks the ranges of these
+# alone, the CLI refuses flags for any other field, and a manifest records
+# exactly these.  A job that reads n_list runs each of those N (or its
+# _N_DEFAULTS when the config sets none); one that reads sweep_times_us is an
+# N-sweep and needs 3 N at least.
+_BATH = ("omega1_mhz", "omega_c_mhz", "omega_min_mhz", "omega_max_mhz", "eta", "T_A0_uk", "T_B0_uk")
+JOB_INPUTS = {
+    "simulate": _BATH + ("n_modes", "times_us", "pivn_mode"),
+    "fig1": _BATH + ("n_list", "times_us"),
+    "fig2": _BATH + ("n_modes", "times_us"),
+    "fig3": _BATH + ("n_list", "times_us", "pivn_mode"),
+    "fig4": _BATH + ("n_modes", "times_us", "mode_window_mhz"),
+    "fig5": _BATH + ("n_list", "times_us", "mode_window_mhz"),
+    "fig6": _BATH + ("n_list", "sweep_times_us"),
+    "sweep-n": _BATH + ("n_list", "sweep_times_us"),
+    "validate": ("seed",),
+}
+_N_DEFAULTS = {
+    "fig1": (4000, 6000, 8000),
+    "fig3": (1000, 2000, 4000),
+    "fig5": (4000, 6000, 8000),
+    "fig6": (1000, 2000, 3000, 4000),
+    "sweep-n": (1000, 2000, 3000, 4000),
+}
+JOBS = tuple(JOB_INPUTS)
 PIVN_MODES = ("gksl", "exact")
 
 
@@ -54,9 +78,10 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
-        """Check the rules only config knows.  The time lists go through
-        evolve's grid validator; the physical ranges are the domain types'
-        own, so build those for every N a job can run."""
+        """Check every field's type, and the ranges of the fields the job
+        reads.  The time lists go through evolve's grid validator; the
+        physical ranges are the domain types' own, so build those for every N
+        the job runs."""
         for f in fields(self):  # JSON true/false arrive as bools, which Python counts as ints
             kind = {"float": numbers.Real, "int": numbers.Integral}.get(f.type.removeprefix("list[").partition("]")[0])
             value, listed = getattr(self, f.name), f.type.startswith("list[")
@@ -70,28 +95,39 @@ class ExperimentConfig:
                     raise ConfigError(f"{f.name}: expected {noun}, got {item!r}")
         if self.job not in JOBS:
             raise ConfigError(f"unknown job {self.job!r}; expected one of {JOBS}")
-        if self.pivn_mode not in PIVN_MODES:
+        reads = JOB_INPUTS[self.job]
+        if "pivn_mode" in reads and self.pivn_mode not in PIVN_MODES:
             raise ConfigError(f"pivn_mode must be one of {PIVN_MODES}")
-        if self.n_list is not None:
+        if "n_list" in reads and self.n_list is not None:
             if len(self.n_list) == 0:
                 raise ConfigError("n_list must not be empty")
             if any(a >= b for a, b in zip(self.n_list, self.n_list[1:])):
                 raise ConfigError("n_list must be strictly ascending")
-            if self.job in ("sweep-n", "fig6") and len(self.n_list) < 3:
-                raise ConfigError("sweep-n needs at least 3 N values")
-        if not 0 < self.mode_window_mhz < math.inf:
+            if "sweep_times_us" in reads and len(self.n_list) < 3:
+                raise ConfigError(f"{self.job} needs at least 3 N values")
+        if "mode_window_mhz" in reads and not 0 < self.mode_window_mhz < math.inf:
             raise ConfigError("mode_window_mhz must be positive and finite")
         for name in ("times_us", "sweep_times_us"):
+            if name not in reads:
+                continue
             try:
                 validated_grid(getattr(self, name))
             except ValueError as exc:
                 raise ConfigError(f"{name}: {exc}") from exc
         try:
-            for n in [self.n_modes, *(self.n_list or ())]:
+            for n in self.n_values():
                 relaxation_rate(self.bath_spec(n), self.omega1)
-            self.initial_temperatures()
+            if "T_A0_uk" in reads:
+                self.initial_temperatures()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+
+    def n_values(self) -> list[int]:
+        """The bath sizes the job runs, in order (none for ``validate``)."""
+        reads = JOB_INPUTS[self.job]
+        if "n_list" in reads:
+            return list(self.n_list or _N_DEFAULTS[self.job])
+        return [self.n_modes] if "n_modes" in reads else []
 
     # --- SI accessors -----------------------------------------------------
 
@@ -122,8 +158,9 @@ class ExperimentConfig:
 _FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse a JSON config file, rejecting unknown keys."""
+def load_config(path: str | Path, **overrides) -> ExperimentConfig:
+    """Parse a JSON config file, rejecting unknown keys; ``overrides`` replace
+    its fields before the config is validated."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -136,7 +173,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     try:
-        return ExperimentConfig(**raw)
+        return ExperimentConfig(**(raw | overrides))
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
 

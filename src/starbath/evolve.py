@@ -15,8 +15,12 @@ The arrowhead eigenvectors have the closed form Q_jk = g_j Q_1k / (l_k - w_j)
 z_k = Q_1k^2 exp(-i l_k t), A_j = sum_k z_k/(l_k - w_j) and
 B_j = sum_k z_k/(l_k - w_j)^2 this gives U_11 = sum_k z_k, U_1j = g_j A_j,
 U_jj = g_j^2 B_j and U_jm = g_j g_m (A_j - A_m)/(w_j - w_m), so the m-sums
-reduce to products with the kernels 1/(w_j - w_m)^2 and 1/(w_m - w_j): a
-whole time grid costs O(T N^2).  The eigenvalues interlace the bath
+reduce to products with the kernels 1/(w_j - w_m)^2 and 1/(w_m - w_j), O(T N)
+per requested bath row.  The resolvent sums take O(T N log N): Lagrange
+weights spread each eigenvalue onto the uniform bath grid, an FFT per time
+and power correlates those charges with the kernel, and the eigenvalues
+near each target are summed exactly (after Dutt & Rokhlin's nonequispaced
+FFT, SIAM J. Sci. Comput. 14 (1993)).  The eigenvalues interlace the bath
 frequencies; each is the secular-equation root in its own bracket, kept as
 its nearest bath pole plus a shift, l_k = w_p + d_k, found in that shifted
 variable, so the small differences l_k - w_j keep full relative accuracy.
@@ -26,6 +30,7 @@ tables built by FFT on the uniform bath, so the basis costs O(N log N).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,15 +49,28 @@ __all__ = [
     "validated_grid",
 ]
 
-EVALUATION_PATH = "arrowhead closed form: shifted secular Newton, near-field plus FFT far-field sums, blocked resolvent GEMMs"
+EVALUATION_PATH = (
+    "arrowhead closed form: shifted secular Newton; secular and resolvent sums as exact near field plus FFT far field; "
+    "blocked kernel GEMMs"
+)
 
 # Secular sums: bath poles beyond _NEAR spacings of the grid point nearest the
 # root take _TAYLOR_TERMS terms in the root's offset from that point, at most
 # half a spacing or 1/18 of their distance, so truncation leaves < 18^-14 *
-# 18/17 < 3e-18 of each.  The panels of ``evaluate`` feed GEMMs, which block
-# for the cache themselves and run best on wide panels.
+# 18/17 < 3e-18 of each.
 _NEAR, _TAYLOR_TERMS = 8, 14
+# Resolvent sums: each root is spread by Lagrange weights onto the _SPREAD
+# half-integer grid nodes around its cell; the cells within _BAND of a target
+# are summed exactly instead, in blocks of _CELLS targets.  Interpolating
+# 1/(x - y) on 16 unit-spaced nodes leaves |prod(x - node) / prod(y - node)|
+# < 4.2e-17 of each term whose target is more than 32 cells from the root's.
+_SPREAD, _BAND, _CELLS = 16, 32, 32
+# The kernel panels of ``evaluate`` feed GEMMs, which block for the cache
+# themselves and run best on wide panels; its FFT chunks of rows and groups of
+# spreading and near-band blocks each take about _CHUNK_BYTES, so they stay
+# in the cache.
 _BLOCK_BYTES = 8 * 2**20
+_CHUNK_BYTES = 2**19
 # Newton stops once a step moves the shift by at most this relative amount;
 # convergence is quadratic, so the step taken leaves an error near its square.
 _NEWTON_TOL = 1e-12
@@ -154,6 +172,15 @@ def _panel(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return buffer[: rows * cols].reshape(rows, cols)
 
 
+def _grid_rounding(bath_w):
+    """Spacing of the uniform bath and its grid rounding eps_j = (w_j - w_0)/step - j,
+    formed exactly from j*step and w_j - w_0 before the one division."""
+    step = (bath_w[-1] - bath_w[0]) / (len(bath_w) - 1)
+    jh, jl = _two_product(np.arange(len(bath_w), dtype=float), step)
+    dh = bath_w - bath_w[0]
+    return step, ((dh - jh) + (((bath_w - dh) - bath_w[0]) - jl)) / step
+
+
 def _comb(bath_w, g2):
     """The uniform bath of the secular sums: spacing, frequencies and g2 padded
     by _NEAR points at each end, where, as at deflated modes, w = inf and g2 = 0
@@ -163,10 +190,7 @@ def _comb(bath_w, g2):
     to first order in eps their sum is sum_n D_n[q] v^n / step.  Each D_n is a
     Toeplitz product over the grid, done by FFT one term at a time."""
     n = len(bath_w)
-    step = (bath_w[-1] - bath_w[0]) / (n - 1)
-    jh, jl = _two_product(np.arange(n, dtype=float), step)  # j*step and w_j - w_0 exactly
-    dh = bath_w - bath_w[0]
-    eps = ((dh - jh) + (((bath_w - dh) - bath_w[0]) - jl)) / step
+    step, eps = _grid_rounding(bath_w)
     size = 1 << (2 * n - 2).bit_length()  # >= 2N - 1: no lag wraps onto another
     lag = np.fft.fftfreq(size, 1.0 / size)
     inv = np.divide(1.0, lag, out=np.zeros(size), where=(np.abs(lag) > _NEAR) & (np.abs(lag) < n))
@@ -331,6 +355,160 @@ def _halves(a):
     return high, a - high
 
 
+def _fft_size(n):
+    """The smallest 2^a 3^b 5^c >= n: the FFT runs fast at these lengths, and
+    large powers of 2 alone run slowly in the cache."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _lagrange_weights(u):
+    """Lagrange weights at offsets ``u`` (K,) on the _SPREAD unit-spaced nodes
+    -_SPREAD//2 ... _SPREAD - 1 - _SPREAD//2, as (K, _SPREAD); each is the
+    product over the other nodes, from prefix and suffix products."""
+    nodes = np.arange(_SPREAD) - _SPREAD // 2
+    diff = u[:, None] - nodes
+    left, right = np.ones_like(diff), np.ones_like(diff)
+    left[:, 1:] = np.cumprod(diff[:, :-1], axis=1)
+    right[:, :-1] = np.cumprod(diff[:, :0:-1], axis=1)[:, ::-1]
+    scale = [(-1) ** (_SPREAD - 1 - i) * math.factorial(i) * math.factorial(_SPREAD - 1 - i) for i in range(_SPREAD)]
+    return left * right / np.array(scale, dtype=float)
+
+
+def _resolvents(basis, z, b_cols):
+    """Resolvent sums at every bath mode j, the real and imaginary parts of time
+    t in rows 2t and 2t+1: A_j = sum_k z_k/(l_k - w_j) over the live roots,
+    whose z_k are the columns of ``z`` (T, K), and B_j = sum_k z_k/(l_k - w_j)^2
+    on the bath indices ``b_cols`` (None: B is not formed).
+
+    In spacing units root k sits at x_k = p + eps_p + d_k/step, in the cell
+    (m_k - 1, m_k) with m_k = p + ceil(d_k/step), and target j at j + eps_j;
+    interlacing leaves at most one live root in a cell.  The far field comes
+    from the charges that each root's _SPREAD Lagrange weights put on the
+    half-integer nodes around its cell: per row, FFTs correlate them with
+    1/r^p and 1/r^(p+1) at the node-target lags r, and (S_p + p eps_j S_(p+1))
+    / step^p is the sum for the power p = 1 (A) or 2 (B), to first order in
+    the target's grid rounding.  The cells within _BAND of a target take the
+    exact shifted differences instead: a time-independent correction, exact
+    minus grid value, applied as block GEMMs of _CELLS targets.  Roots beyond
+    cells 0 ... N take the direct sum.  Besides the (2T, N) sums and charges
+    and O(N) cell data, the scratch buffers take a few _CHUNK_BYTES.
+    """
+    w, n, nt = basis.model.bath_omegas, len(basis.couplings), len(z)
+    P, R, W = _SPREAD, _BAND, _CELLS
+    step, eps = _grid_rounding(w)
+    live = np.flatnonzero(basis.weights)
+    p, d = basis.poles[live], basis.shifts[live]
+    m = p + np.clip(np.ceil(d / step), -n - 2, n + 2).astype(np.intp)
+    inside = (m >= 0) & (m <= n)
+
+    # cells -R ... nb W + R - 1 in blocks of W, empty ones at w = -inf with weight 0,
+    # so their exact and grid values vanish; targets padded to nb W, deflated
+    # and padding ones at w = +inf, whose (discarded) exact values vanish too
+    nb = -(-n // W)
+    cells = -(-(nb * W + 2 * R) // W) * W
+    at = m[inside] + R
+    zc = np.zeros((nt, 2, cells))
+    zc[:, 0, at], zc[:, 1, at] = z.real[:, inside], z.imag[:, inside]
+    zc = zc.reshape(2 * nt, cells)
+    cell_w, cell_d, weights = np.full(cells, -np.inf), np.zeros(cells), np.zeros((cells, P))
+    cell_w[at], cell_d[at] = w[p[inside]], d[inside]
+    weights[at] = _lagrange_weights((p - m + 0.5)[inside] + (eps[p] + d / step)[inside])
+    wt, et = np.full(nb * W, np.inf), np.zeros(nb * W)
+    wt[:n], et[:n] = np.where(basis.couplings != 0, w, np.inf), eps
+    A = np.empty((2 * nt, nb * W))
+    B = None if b_cols is None else np.zeros((2 * nt, nb * W))
+
+    # near band: target block b meets cells bW - R ... bW + W + R - 1 (span);
+    # row c of the table weights @ kernels holds cell c's grid values at the
+    # offsets cell - target = R + W - 1 ... -(R + W - 1), read for each block
+    # as a strided view; the block GEMMs write straight into A and B
+    span, lags = W + 2 * R, 2 * (R + W) - 1
+    dist = (R + W - 1) - np.arange(lags) + (np.arange(P)[:, None] - (P // 2 + 0.5))  # node - target
+    inverse = np.cumprod(np.broadcast_to(1.0 / dist, (3, P, lags)), axis=0)  # 1/r, 1/r^2, 1/r^3
+    window, strided = np.lib.stride_tricks.sliding_window_view, np.lib.stride_tricks.as_strided
+    charges = window(zc, span, axis=1)[:, ::W].transpose(1, 0, 2)  # (nb, 2T, span)
+    near_w, near_d = window(cell_w, span)[::W, :, None], window(cell_d, span)[::W, :, None]
+    group = min(nb, max(1, _CHUNK_BYTES // (8 * span * W)))
+    table = np.empty((2, group * W + 2 * R, lags))
+    row, col = table.strides[1:]
+    corr, value = np.empty((2, group, span, W))
+    b_blocks = None if B is None else np.flatnonzero(np.bincount(b_cols // W))  # the blocks of requested rows
+    for out, power, blocks in ((A, 1, np.arange(nb)), (B, 2, b_blocks)):
+        if out is None:
+            continue
+        kernels = inverse[power - 1 : power + 1] * (np.array([1, power])[:, None, None] / step**power)
+        for run in np.split(blocks, np.flatnonzero(np.diff(blocks) != 1) + 1):
+            for b0 in range(run[0], run[-1] + 1, group):
+                g = min(group, run[-1] + 1 - b0)
+                blk, tgt = slice(b0, b0 + g), slice(b0 * W, (b0 + g) * W)
+                tab = np.matmul(weights[b0 * W : (b0 + g) * W + 2 * R], kernels, out=table[:, : g * W + 2 * R])
+                grid, rounding = (strided(t[0, lags - W :], (g, span, W), (W * row, row - col, col)) for t in tab)
+                np.multiply(rounding, et[tgt].reshape(g, 1, W), out=value[:g])
+                value[:g] += grid
+                exact = np.subtract(near_w[blk], wt[tgt].reshape(g, 1, W), out=corr[:g])
+                exact += near_d[blk]
+                np.reciprocal(exact, out=exact)
+                if power == 2:
+                    np.square(exact, out=exact)
+                exact -= value[:g]
+                np.matmul(charges[blk], exact, out=out[:, tgt].reshape(2 * nt, g, W).transpose(1, 0, 2))
+
+    # far field: padded cell c spreads onto nodes c ... c + P - 1 (node k sits at
+    # k - R - P//2 - 1/2 spacings) as block GEMMs of W cells, then one real FFT
+    # correlation per row and power, in chunks of rows that reuse their buffers
+    span = 2 * n + P - 1  # every node-target lag, none wrapped onto another
+    size = _fft_size(span)
+    lag = np.arange(-(n + P - 1), n)  # target minus node
+    powers = 2 if B is None else 3
+    kernels = np.zeros((powers, size))  # 1/r, 1/r^2 and 1/r^3 at node-target lags r
+    kernels[:, lag % size] = np.cumprod(np.broadcast_to(-1.0 / (lag + (P // 2 + 0.5)), (powers, len(lag))), axis=0)
+    spectra = np.fft.rfft(kernels)
+    group = min(cells // W, max(1, _CHUNK_BYTES // (8 * (W + P - 1) * max(W, 2 * nt))))
+    spread = np.zeros((group, W, W + P - 1))  # row s of block c holds its P weights from column s on
+    band = strided(spread, (group, W, P), (spread.strides[0], sum(spread.strides[1:]), spread.strides[2]), writeable=True)
+    part = np.empty((group, 2 * nt, W + P - 1))
+    nodes = np.zeros((2 * nt, cells // W + 1, W))
+    for c0 in range(0, cells // W, group):
+        g = min(group, cells // W - c0)
+        band[:g] = weights[c0 * W : (c0 + g) * W].reshape(g, W, P)
+        np.matmul(zc[:, c0 * W : (c0 + g) * W].reshape(2 * nt, g, W).transpose(1, 0, 2), spread[:g], out=part[:g])
+        nodes[:, c0 : c0 + g] += part[:g, :, :W].transpose(1, 0, 2)
+        nodes[:, c0 + 1 : c0 + g + 1, : P - 1] += part[:g, :, W:].transpose(1, 0, 2)
+    nodes = nodes.reshape(2 * nt, -1)[:, R : R + n + P]
+    chunk = min(2 * nt, max(2, _CHUNK_BYTES // (8 * size) // 2 * 2))  # rows, whole times
+    spectrum, product = np.empty((2, chunk, size // 2 + 1), dtype=complex)
+    sums = np.empty((powers, chunk, size))
+    for r0 in range(0, 2 * nt, chunk):
+        k = min(chunk, 2 * nt - r0)
+        rows = slice(r0, r0 + k)
+        np.fft.rfft(nodes[rows], size, out=spectrum[:k])
+        for s, spec in zip(sums, spectra):
+            np.fft.irfft(np.multiply(spectrum[:k], spec, out=product[:k]), size, out=s[:k])
+        for out, power in ((B, 2), (A, 1)):  # B before A, which overwrites S_2
+            if out is not None:
+                far = sums[power, :k, :n]
+                far *= power * eps
+                far += sums[power - 1, :k, :n]
+                far /= step**power
+                out[rows, :n] += far
+
+    outer = np.flatnonzero(~inside)
+    if len(outer):
+        inv = 1.0 / ((w[p[outer], None] - wt[:n]) + d[outer, None])
+        zo = np.stack((z.real[:, outer], z.imag[:, outer]), axis=1).reshape(2 * nt, -1)
+        A[:, :n] += zo @ inv
+        if B is not None:
+            B[:, :n] += zo @ np.square(inv)
+    return A[:, :n], None if B is None else B[:, b_cols]
+
+
 def validated_grid(times) -> np.ndarray:
     """``times`` as a float array; ValueError unless it is a non-empty 1-d
     sequence of finite, non-negative, ascending numbers."""
@@ -360,9 +538,11 @@ def evaluate(
     Returns ``(c, x)``, each of shape (len(times), len(rows)): the diagonal
     coefficients c_j(t) and the cross terms x_j(t) = sigma_{1,2j}(t), which
     vanish identically on the system row; ``x`` is None when ``cross`` is
-    false.  Costs O(N^2 + T N^2) time and O(T N) memory beyond one scratch
-    panel of at most about 8 MiB (a single row or column when one is
-    larger), which the resolvent and the kernel blocks share.
+    false.  Costs O(T N log N) time for the resolvent sums plus O(T N) per
+    requested bath row for the kernel products, so O(T N^2) for every row;
+    memory is O(T N) beyond the kernel products' one scratch panel of at
+    most about 8 MiB (a single row when one is larger) and the resolvent
+    sums' buffers of about _CHUNK_BYTES each.
     """
     grid = validated_grid(times)
     n = basis.dimension
@@ -379,9 +559,7 @@ def evaluate(
     w, g = basis.frequencies[1:], basis.couplings
     active = np.flatnonzero(g)
     live = np.flatnonzero(basis.weights)
-    pole_w, shifts = w[basis.poles[live]], basis.shifts[live]
-    z = basis.weights[live] * _phase_factors(grid, pole_w, shifts)
-    zz = np.concatenate((z.real, z.imag))  # real GEMM operand, (2T, K)
+    z = basis.weights[live] * _phase_factors(grid, w[basis.poles[live]], basis.shifts[live])
     system_amp = z.sum(axis=1)  # U_11
 
     # requested rows of coupled bath modes, as positions into ``active``
@@ -390,26 +568,13 @@ def evaluate(
     out_rows = np.flatnonzero(slot[rows] >= 0)
     act_rows = slot[rows[out_rows]]
 
-    # one scratch panel holds the largest block of both loops below
-    wa, ga = w[active], g[active]
-    res_blocks, res_size = _row_blocks(len(active), len(live), _BLOCK_BYTES)
-    ker_blocks, ker_size = _row_blocks(len(act_rows), len(active), _BLOCK_BYTES)
-    panel = np.empty(max(res_size, ker_size))
-
     # resolvent sums A_j over all coupled modes, B_j over the requested ones
-    A = np.empty((2 * nt, len(active)))
-    B = np.empty((2 * nt, len(act_rows)))
-    for s in res_blocks:
-        inv = _panel(panel, len(live), s.stop - s.start)  # 1/((w_p - w_j) + d_k)
-        np.subtract(pole_w[:, None], wa[s], out=inv)
-        inv += shifts[:, None]
-        np.reciprocal(inv, out=inv)
-        A[:, s] = zz @ inv
-        hit = np.flatnonzero((act_rows >= s.start) & (act_rows < s.stop))
-        if len(hit):
-            B[:, hit] = (zz @ np.square(inv, out=inv))[:, act_rows[hit] - s.start]
-    A = A[:nt] + 1j * A[nt:]
-    B = B[:nt] + 1j * B[nt:]
+    wa, ga = w[active], g[active]
+    A = B = np.zeros((nt, 0), dtype=complex)
+    if len(active):
+        A, B = _resolvents(basis, z, active[act_rows] if len(act_rows) else None)
+        A = A[0::2, active] + 1j * A[1::2, active]
+        B = B if B is None else B[0::2] + 1j * B[1::2]
 
     c = np.broadcast_to(c0[rows], (nt, len(rows))).copy()  # deflated rows keep c0
     x = np.zeros((nt, len(rows))) if cross else None
@@ -424,6 +589,8 @@ def evaluate(
     R = np.concatenate((wv[None, :], wv * np.abs(A) ** 2, W.real, W.imag))  # (1 + 3T, M)
     KR = np.empty((len(R), len(act_rows)))
     LR = np.empty((2 * nt, len(act_rows))) if cross else None
+    ker_blocks, ker_size = _row_blocks(len(act_rows), len(active), _BLOCK_BYTES)
+    panel = np.empty(ker_size)  # one scratch panel holds every kernel block
     for s in ker_blocks:
         j = act_rows[s]
         L = _panel(panel, len(j), len(active))

@@ -9,7 +9,7 @@ closed-form rates, mode basis and the shared time grid) and hands it to the
 job's curve function, which returns ``{table key: (file name, table)}``.
 The pipeline writes the CSVs, collects the derived constants per N and
 writes the manifest.  A job is a ``_Job`` declaration of that curve
-function and the config fields it reads; those fields are exactly the
+function; the config fields it reads (``config.JOB_INPUTS``) are exactly the
 manifest's ``parameters`` and the fields the CLI takes flags for.  Evaluated
 data stay on the time grid throughout: time on the first axis, oscillators
 on the last.
@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import checks
-from .config import ExperimentConfig
+from .config import JOB_INPUTS, ExperimentConfig
 from .constants import HBAR, KB, MHZ, UK, US
 from .evolve import (
     EVALUATION_PATH, CovarianceSnapshot, ModeBasis, evaluate, initial_coefficients, mode_basis,
@@ -43,10 +43,7 @@ from .model import (
 from .table import ResultTable, write_manifest
 from .thermo import ThermoRecord, fluxes_from_cross_terms, inverse_temperature, totals
 
-__all__ = ["run_job", "run_validate", "JOB_INPUTS", "derived_constants", "proportional_fit", "affine_fit"]
-
-# Config fields every figure job reads: the bath and the initial temperatures.
-_BATH = ("omega1_mhz", "omega_c_mhz", "omega_min_mhz", "omega_max_mhz", "eta", "T_A0_uk", "T_B0_uk")
+__all__ = ["run_job", "run_validate", "derived_constants", "proportional_fit", "affine_fit"]
 
 
 def derived_constants(basis: ModeBasis, params: GkslParams) -> dict:
@@ -280,26 +277,25 @@ def _sweep_fits(table: ResultTable) -> dict:
 
 @dataclass(frozen=True)
 class _Job:
-    """A figure job: manifest stem, curve function, the config fields it
-    reads besides ``_BATH``, and the N list used when the config sets none.
+    """A figure job: manifest stem and curve function.
 
-    Everything else follows from ``reads``.  A job that reads ``n_list``
-    runs each of those N with manifest ``derived`` nested per N; otherwise it
-    runs ``n_modes`` with flat ``derived``.  A job that reads
-    ``sweep_times_us`` evaluates there, stacks its per-N rows into one table
-    and fits the gap against 1/N.  The manifest's ``parameters`` hold exactly
-    the fields the job read, with ``n_list`` resolved to the N values run.
+    Everything else follows from the fields the job reads, ``JOB_INPUTS``.
+    A job that reads ``n_list`` runs each of its N (``cfg.n_values()``) with
+    manifest ``derived`` nested per N; otherwise it runs ``n_modes`` with
+    flat ``derived``.  A job that reads ``sweep_times_us`` evaluates there,
+    stacks its per-N rows into one table and fits the gap against 1/N.  The
+    manifest's ``parameters`` hold exactly the fields the job read, with
+    ``n_list`` resolved to the N values run.
     """
 
     stem: str
     curves: Callable[[_Run], dict]
-    reads: tuple[str, ...]
-    n_default: tuple[int, ...] = ()
 
 
 def _run_figure(job: _Job, cfg: ExperimentConfig) -> dict:
-    multi_n, sweep = "n_list" in job.reads, "sweep_times_us" in job.reads
-    n_values = list(cfg.n_list or job.n_default) if multi_n else [cfg.n_modes]
+    reads = JOB_INPUTS[cfg.job]
+    multi_n, sweep = "n_list" in reads, "sweep_times_us" in reads
+    n_values = cfg.n_values()
     times = cfg.sweep_times() if sweep else cfg.times()
     curves, derived = {}, {}
     for i, n in enumerate(n_values):
@@ -314,7 +310,7 @@ def _run_figure(job: _Job, cfg: ExperimentConfig) -> dict:
     out_dir = Path(cfg.out_dir)
     files = [table.write_csv(out_dir / name) for name, table in curves.values()]
     tables = {key: table for key, (_, table) in curves.items()}
-    parameters = {name: getattr(cfg, name) for name in _BATH + job.reads}
+    parameters = {name: getattr(cfg, name) for name in reads}
     if multi_n:
         parameters["n_list"] = n_values
     result = {"files": files, "tables": tables}
@@ -345,20 +341,17 @@ def run_validate(cfg: ExperimentConfig) -> dict:
     return {"files": [path], "report": report}
 
 
-_SWEEP = _Job("sweep_n", _sweep_curves, ("n_list", "sweep_times_us"), (1000, 2000, 3000, 4000))
+_SWEEP = _Job("sweep_n", _sweep_curves)
 _FIGURES = {
-    "simulate": _Job("simulate", _simulate_curves, ("n_modes", "times_us", "pivn_mode")),
-    "fig1": _Job("fig1", _fig1_curves, ("n_list", "times_us"), (4000, 6000, 8000)),
-    "fig2": _Job("fig2", _fig2_curves, ("n_modes", "times_us")),
-    "fig3": _Job("fig3", _fig3_curves, ("n_list", "times_us", "pivn_mode"), (1000, 2000, 4000)),
-    "fig4": _Job("fig4", _fig4_curves, ("n_modes", "times_us", "mode_window_mhz")),
-    "fig5": _Job("fig5", _fig5_curves, ("n_list", "times_us", "mode_window_mhz"), (4000, 6000, 8000)),
+    "simulate": _Job("simulate", _simulate_curves),
+    "fig1": _Job("fig1", _fig1_curves),
+    "fig2": _Job("fig2", _fig2_curves),
+    "fig3": _Job("fig3", _fig3_curves),
+    "fig4": _Job("fig4", _fig4_curves),
+    "fig5": _Job("fig5", _fig5_curves),
     "fig6": _SWEEP,  # the N-sweep presented in the figure pipeline
     "sweep-n": _SWEEP,
 }
-
-# The config fields each job reads; the CLI refuses flags for any other field.
-JOB_INPUTS = {"validate": ("seed",)} | {job: _BATH + spec.reads for job, spec in _FIGURES.items()}
 
 
 def run_job(cfg: ExperimentConfig) -> dict:

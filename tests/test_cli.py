@@ -11,8 +11,7 @@ import pytest
 import starbath
 from starbath import checks
 from starbath.cli import _build_parser, _config_from_args, main
-from starbath.config import JOBS
-from starbath.harness import JOB_INPUTS
+from starbath.config import JOB_INPUTS, JOBS
 
 MULTI_N_JOBS = {"fig1", "fig3", "fig5", "fig6", "sweep-n"}
 # the field flags each job reads; it refuses the others
@@ -272,6 +271,19 @@ def test_bad_config_exits_2(tmp_path, capsys):
     rc = main(["simulate", "--config", str(cfg_path)])
     assert rc == 2
     assert "mystery" in capsys.readouterr().err
+
+
+def test_config_field_the_job_does_not_read_is_not_checked(tmp_path, capsys):
+    # fig1 never reads the window, so an out-of-range one in its file is left alone
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"mode_window_mhz": -1, "n_modes": 1}))
+    out = tmp_path / "out"
+    assert main(["fig1", "--n-list", "8,16", "--grid", "0:1:3", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert (out / "fig1_manifest.json").exists()
+    capsys.readouterr()
+    assert main(["fig4", "--n", "8", "--grid", "0:1:3", "--config", str(cfg_path), "--out", str(out / "fig4")]) == 2
+    assert capsys.readouterr().err.startswith("config error: mode_window_mhz must be positive and finite")
+    assert not (out / "fig4").exists()
 
 
 def test_bad_n_list_exits_2(tmp_path):

@@ -28,6 +28,29 @@ def small_setup(seed=3, n=12):
     return model, init, rng
 
 
+def coupling_variant(omega1, couplings):
+    """An N = 48 Ohmic bath with ``omega1`` below, inside or above the band and
+    its couplings as they are, partly tiny or partly zero (deflated)."""
+    spec = sb.OhmicBathSpec(eta=1e-3, omega_c=3e6, omega_min=0.1e6, omega_max=20e6, n_modes=48)
+    model = sb.discretize_ohmic_bath(spec, omega1)
+    g = model.bath_couplings.copy()
+    if couplings == "weak":
+        g[::3] = 1e-8
+    elif couplings == "partly_zero":
+        g[[0, 5, 6, 47]] = 0.0
+    elif couplings == "alternate_zero":
+        g[1::2] = 0.0
+    return sb.StarModel(omega1=omega1, bath_omegas=model.bath_omegas, bath_couplings=g)
+
+
+def jittered(model, rng):
+    """``model`` with per-step spacing jitter at StarModel's 1e-12 limit."""
+    w = model.bath_omegas
+    steps = model.delta_omega * (1.0 + 0.999e-12 * rng.uniform(-1.0, 1.0, len(w) - 1))
+    w = w[0] + np.concatenate(([0.0], np.cumsum(steps)))
+    return sb.StarModel(omega1=model.omega1, bath_omegas=w, bath_couplings=model.bath_couplings)
+
+
 class TestDiagonalize:
     def test_orthonormal_and_reconstructs(self, rng):
         model, _ = random_star_model(rng, 16)
@@ -80,16 +103,7 @@ class TestDiagonalize:
     @pytest.mark.parametrize("omega1", [0.05e6, 4e6, 30e6], ids=["below", "inside", "above"])
     @pytest.mark.parametrize("couplings", ["ohmic", "weak", "partly_zero", "alternate_zero"])
     def test_eigenvalues_match_dense_solver(self, omega1, couplings, monkeypatch):
-        spec = sb.OhmicBathSpec(eta=1e-3, omega_c=3e6, omega_min=0.1e6, omega_max=20e6, n_modes=48)
-        model = sb.discretize_ohmic_bath(spec, omega1)
-        g = model.bath_couplings.copy()
-        if couplings == "weak":
-            g[::3] = 1e-8
-        elif couplings == "partly_zero":
-            g[[0, 5, 6, 47]] = 0.0
-        elif couplings == "alternate_zero":
-            g[1::2] = 0.0
-        model = sb.StarModel(omega1=omega1, bath_omegas=model.bath_omegas, bath_couplings=g)
+        model = coupling_variant(omega1, couplings)
         tables, direct = [], []
         build, secular = evolve._comb, evolve._secular
 
@@ -121,13 +135,9 @@ class TestDiagonalize:
         # f and f' at off-root shifts against the direct sum in longdouble,
         # relative to the sum of the magnitudes of their terms; the O(N^2)
         # float64 GEMV this path replaced reaches 2e-15 to 4e-15 on f'
-        model = production.model(2000)
-        w, g2 = model.bath_omegas, model.bath_couplings**2
         rng = np.random.default_rng(7)
-        if bath == "jittered":  # per-step spacing jitter at StarModel's 1e-12 limit
-            steps = model.delta_omega * (1.0 + 0.999e-12 * rng.uniform(-1.0, 1.0, len(w) - 1))
-            w = w[0] + np.concatenate(([0.0], np.cumsum(steps)))
-            model = sb.StarModel(omega1=model.omega1, bath_omegas=w, bath_couplings=model.bath_couplings)
+        model = production.model(2000) if bath == "uniform" else jittered(production.model(2000), rng)
+        w, g2 = model.bath_omegas, model.bath_couplings**2
         comb = evolve._comb(w, g2)
         shifts = rng.choice([-1.0, 1.0], len(w)) * rng.uniform(0.05, 0.95, len(w)) * comb[0]
         offset = w - model.omega1
@@ -296,6 +306,15 @@ class TestEvaluate:
             np.testing.assert_allclose(cb, c, rtol=1e-13)
             np.testing.assert_allclose(xb, x, rtol=1e-12, atol=1e-15 * np.abs(x).max())
 
+    def test_chunk_size_invariance(self, setup, monkeypatch):
+        # FFT chunks of rows and groups of cell blocks change no bit of the result
+        basis, c0, times = setup
+        c, x = sb.evaluate(basis, c0, times, range(2, 50))
+        for chunk_bytes in (1, 8 * 7 * 64, 2**24):
+            monkeypatch.setattr(evolve, "_CHUNK_BYTES", chunk_bytes)
+            cb, xb = sb.evaluate(basis, c0, times, range(2, 50))
+            assert np.array_equal(cb, c) and np.array_equal(xb, x)
+
     def test_rejects_bad_rows_and_inputs(self, setup):
         basis, c0, times = setup
         for rows in ([basis.dimension], [-1], [1.5], [[1, 2]]):
@@ -308,8 +327,9 @@ class TestEvaluate:
                 sb.evaluate(basis, c0, grid)
 
     def test_series_scratch_is_one_panel(self, production):
-        # N=2000, T=10: the two panel loops share one ~8 MiB buffer; with a
-        # fresh N^2/4-sized temporary per block the peak was 33.9 MiB
+        # N=2000, T=10: the kernel loop reuses one ~8 MiB panel and the
+        # resolvent sums need only chunk-sized buffers; with a fresh
+        # N^2/4-sized temporary per block the peak was 33.9 MiB
         basis = production.basis(2000)
         tracemalloc.start()
         try:
@@ -318,6 +338,67 @@ class TestEvaluate:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
+
+
+class TestResolventSums:
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended-precision longdouble")
+    @pytest.mark.parametrize("bath", ["uniform", "jittered"])
+    def test_match_extended_precision(self, production, bath):
+        # A_j and B_j at every bath mode against the direct sums in longdouble.
+        # Measured relative to the sum of the magnitudes of the terms: A 8.1e-14
+        # (uniform) and 8.9e-14 (jittered), B 9.8e-16 and 7.9e-16; FFT roundoff
+        # is spread over all modes, so it shows most relative to the small terms
+        # far from the weight peak at omega_1.  Relative to max |A|, max |B|: A
+        # 3.5e-16 and 3.7e-16, B 4.1e-16 and 4.5e-16.  The bounds are about 3x.
+        rng = np.random.default_rng(7)
+        model = production.model(2000) if bath == "uniform" else jittered(production.model(2000), rng)
+        basis = sb.mode_basis(model)
+        w = model.bath_omegas
+        live = np.flatnonzero(basis.weights)
+        p, d = basis.poles[live], basis.shifts[live]
+        z = basis.weights[live] * evolve._phase_factors(np.array([0.0, 137e-6, 411e-6, 600e-6]), w[p], d)
+        A, B = evolve._resolvents(basis, z, np.arange(len(w)))
+        A, B = A[0::2] + 1j * A[1::2], B[0::2] + 1j * B[1::2]
+        L, zl = np.longdouble, z.astype(np.clongdouble)
+        err, size = np.empty((2, *A.shape)), np.empty((2, *A.shape))
+        for cols in np.array_split(np.arange(len(w)), 8):
+            inv = 1 / ((w[p, None].astype(L) - w[cols].astype(L)) + d[:, None].astype(L))
+            for i, (got, power) in enumerate(((A, inv), (B, inv * inv))):
+                err[i][:, cols] = np.abs(got[:, cols] - zl @ power).astype(float)
+                size[i][:, cols] = np.abs(z) @ np.abs(power).astype(float)
+        assert np.max(err[0] / size[0]) <= 3e-13 and np.max(err[0]) <= 1.2e-15 * np.max(np.abs(A))
+        assert np.max(err[1] / size[1]) <= 3e-15 and np.max(err[1]) <= 1.5e-15 * np.max(np.abs(B))
+
+    @pytest.mark.parametrize("omega1", [0.05e6, 4e6, 30e6], ids=["below", "inside", "above"])
+    @pytest.mark.parametrize("couplings", ["weak", "partly_zero", "alternate_zero"])
+    def test_evaluate_matches_dense_oracle(self, omega1, couplings, rng):
+        model = coupling_variant(omega1, couplings)
+        basis = sb.mode_basis(model)
+        # above the band the top root lies beyond the bath's cells and takes the direct sum
+        step, _ = evolve._grid_rounding(model.bath_omegas)
+        live = np.flatnonzero(basis.weights)
+        cells = basis.poles[live] + np.ceil(basis.shifts[live] / step)
+        assert np.any(cells > model.n_modes) == (omega1 > model.bath_omegas[-1])
+        times = rng.uniform(0, 40e-6, size=6)
+        assert oracle_equivalence_residual(model, random_temperatures(rng), times) <= 1e-9
+
+    def test_system_row_at_100000(self, production):
+        # 41 times on [0, 400] us, far below t1 = 31 ms: c_1 follows the closed
+        # form to criterion 01's 2% (measured 0.13%), and the traced peak stays
+        # O(T N): 298 MiB, 9.5 x 8 T N bytes, for the phase factors and the
+        # (2T, N) charges, node charges and sums
+        basis = production.basis(100000)
+        times = np.linspace(0.0, 400e-6, 41)
+        c0 = initial_coefficients(basis.frequencies, production.init)
+        tracemalloc.start()
+        try:
+            c, _ = sb.evaluate(basis, c0, times, [0], cross=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        gksl = sb.gksl_sigma11(production.params(100000), times)
+        assert np.max(np.abs(c[:, 0] - gksl) / gksl) <= 0.02
+        assert peak <= 12 * 8 * len(times) * basis.dimension
 
 
 class TestDenseOracle:

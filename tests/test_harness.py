@@ -6,7 +6,7 @@ import pytest
 
 import starbath as sb
 from starbath.checks import flux_finite_difference_residual
-from starbath.config import ConfigError, ExperimentConfig, load_config, parse_grid
+from starbath.config import JOB_INPUTS, JOBS, ConfigError, ExperimentConfig, load_config, parse_grid
 from starbath.constants import US
 from starbath.harness import affine_fit, proportional_fit, run_job
 from starbath.table import ResultTable, write_manifest
@@ -48,9 +48,9 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(pivn_mode="sometimes")
         with pytest.raises(ConfigError):
-            ExperimentConfig(n_list=[400, 200])
+            ExperimentConfig(job="fig1", n_list=[400, 200])
         with pytest.raises(ConfigError, match="strictly"):
-            ExperimentConfig(n_list=[200, 200, 400])
+            ExperimentConfig(job="fig1", n_list=[200, 200, 400])
         with pytest.raises(ConfigError):
             ExperimentConfig(times_us=[3.0, 1.0])
         with pytest.raises(ConfigError, match="times_us"):
@@ -68,12 +68,12 @@ class TestConfig:
             dict(T_B0_uk=-50.0),
             dict(n_modes=1),
             dict(n_modes=1, n_list=[8, 16, 32]),
-            dict(n_list=[1, 8, 16]),
+            dict(job="fig1", n_list=[1, 8, 16]),
             dict(times_us=[[0.0, 1.0]]),
-            dict(sweep_times_us=[2.0, 1.0]),
+            dict(job="sweep-n", sweep_times_us=[2.0, 1.0]),
             dict(times_us=[-1.0, 1.0]),
-            dict(sweep_times_us=[]),
-            dict(mode_window_mhz=0.0),
+            dict(job="sweep-n", sweep_times_us=[]),
+            dict(job="fig4", mode_window_mhz=0.0),
             dict(n_modes=8.5),
             dict(n_list=[8.5, 16, 32]),
             dict(eta=1e300),
@@ -87,13 +87,29 @@ class TestConfig:
     @pytest.mark.parametrize("name", FLOAT_FIELDS)
     def test_rejects_non_finite_floats(self, name, value):
         with pytest.raises(ConfigError):
-            ExperimentConfig(**{name: value})
+            ExperimentConfig(job="fig4", **{name: value})  # fig4 reads every float field
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("name", ["times_us", "sweep_times_us"])
     def test_rejects_non_finite_times(self, name, value):
+        job = "simulate" if name == "times_us" else "sweep-n"  # a job that reads the list
         with pytest.raises(ConfigError, match="finite"):
-            ExperimentConfig(**{name: [0.0, value]})
+            ExperimentConfig(job=job, **{name: [0.0, value]})
+
+    @pytest.mark.parametrize("job", JOBS)
+    def test_checks_only_the_fields_the_job_reads(self, job):
+        # every field out of range; only a field the job reads may be refused
+        bad = dict(
+            eta=-1.0, n_modes=1, n_list=[1], times_us=[], sweep_times_us=[], pivn_mode="x", mode_window_mhz=-1.0
+        )
+        for name, value in bad.items():
+            if name in JOB_INPUTS[job]:
+                with pytest.raises(ConfigError):
+                    ExperimentConfig(job=job, **{name: value})
+            else:
+                ExperimentConfig(job=job, **{name: value})
+        unread = {name: value for name, value in bad.items() if name not in JOB_INPUTS[job]}
+        assert ExperimentConfig(job=job, **unread).job == job
 
     def test_parse_grid(self):
         assert parse_grid("0:1200:121") == np.linspace(0.0, 1200.0, 121).tolist()
