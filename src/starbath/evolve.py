@@ -15,12 +15,15 @@ The arrowhead eigenvectors have the closed form Q_jk = g_j Q_1k / (l_k - w_j)
 z_k = Q_1k^2 exp(-i l_k t), A_j = sum_k z_k/(l_k - w_j) and
 B_j = sum_k z_k/(l_k - w_j)^2 this gives U_11 = sum_k z_k, U_1j = g_j A_j,
 U_jj = g_j^2 B_j and U_jm = g_j g_m (A_j - A_m)/(w_j - w_m), so the m-sums
-reduce to products with the kernels 1/(w_j - w_m)^2 and 1/(w_m - w_j), O(T N)
-per requested bath row.  The resolvent sums take O(T N log N): Lagrange
-weights spread each eigenvalue onto the uniform bath grid, an FFT per time
-and power correlates those charges with the kernel, and the eigenvalues
-near each target are summed exactly (after Dutt & Rokhlin's nonequispaced
-FFT, SIAM J. Sci. Comput. 14 (1993)).  The eigenvalues interlace the bath
+reduce to products with the kernels 1/(w_j - w_m)^2 and 1/(w_m - w_j).  On
+the uniform bath these are Toeplitz in the bath index: for many requested
+bath rows they are FFT correlations, O(T N log N) for all rows together, and
+for a few rows blocked GEMMs, O(T N) per row; the row count picks the path.
+The resolvent sums take O(T N log N): Lagrange weights spread each
+eigenvalue onto the uniform bath grid, an FFT per time and power correlates
+those charges with the kernel, and the eigenvalues near each target are
+summed exactly (after Dutt & Rokhlin's nonequispaced FFT, SIAM J. Sci.
+Comput. 14 (1993)).  The eigenvalues interlace the bath
 frequencies; each is the secular-equation root in its own bracket, kept as
 its nearest bath pole plus a shift, l_k = w_p + d_k, found in that shifted
 variable, so the small differences l_k - w_j keep full relative accuracy.
@@ -51,7 +54,7 @@ __all__ = [
 
 EVALUATION_PATH = (
     "arrowhead closed form: shifted secular Newton; secular and resolvent sums as exact near field plus FFT far field; "
-    "blocked kernel GEMMs"
+    "bath-row kernel sums as FFT Toeplitz correlations from 64 log2(FFT length) requested rows, blocked GEMMs below"
 )
 
 # Secular sums: bath poles beyond _NEAR spacings of the grid point nearest the
@@ -71,6 +74,15 @@ _SPREAD, _BAND, _CELLS = 16, 32, 32
 # in the cache.
 _BLOCK_BYTES = 8 * 2**20
 _CHUNK_BYTES = 2**19
+# The bath-row kernel sums of ``evaluate`` cost O(T N) per requested row as
+# GEMMs and O(T N log N) in all as FFT correlations, so the correlations take
+# over once the requested coupled rows reach _KAPPA * log2(FFT length).  The
+# measured crossover on 2 x86_64 cores is 41-44 log2(length) rows at N = 2000,
+# T = 10, and 70-81 at N = 3000-8000, T = 31-41.  Their FFTs take _FFT_ROWS
+# rows per call, the fastest count there from length 4000 to 32000: one row
+# per call made the correlations 20-40% slower, 16 rows 10% and 32 rows 30%.
+_KAPPA = 64
+_FFT_ROWS = 8
 # Newton stops once a step moves the shift by at most this relative amount;
 # convergence is quadratic, so the step taken leaves an error near its square.
 _NEWTON_TOL = 1e-12
@@ -191,7 +203,7 @@ def _comb(bath_w, g2):
     Toeplitz product over the grid, done by FFT one term at a time."""
     n = len(bath_w)
     step, eps = _grid_rounding(bath_w)
-    size = 1 << (2 * n - 2).bit_length()  # >= 2N - 1: no lag wraps onto another
+    size = _fft_size(2 * n - 1)  # no lag wraps onto another
     lag = np.fft.fftfreq(size, 1.0 / size)
     inv = np.divide(1.0, lag, out=np.zeros(size), where=(np.abs(lag) > _NEAR) & (np.abs(lag) < n))
     weights = np.fft.rfft(np.stack((g2, g2 * eps)), size)
@@ -298,7 +310,7 @@ def mode_basis(model: StarModel) -> ModeBasis:
     Each eigenvalue is found on the secular equation from its interlacing
     bracket, in the shifted-pole representation, with exact near-field plus
     FFT-built far-field secular sums: O(N log N) time (0.015 s at N = 4000,
-    0.5 s at N = 100000 on 2 x86_64 cores) and O(N) memory; neither the
+    0.27 s at N = 100000 on 2 x86_64 cores) and O(N) memory; neither the
     dense matrix nor its eigenvectors are formed.  Couplings at or below the
     double-precision resolution of the matrix are deflated."""
     w1, bath_w = model.omega1, model.bath_omegas
@@ -509,6 +521,77 @@ def _resolvents(basis, z, b_cols):
     return A[:, :n], None if B is None else B[:, b_cols]
 
 
+def _kernel_products(wa, R, rows, nt, cross):
+    """The kernel sums K_j = sum_{m != j} R_m/(w_m - w_j)^2 of every row of
+    ``R`` (1 + 3T, M) and, when ``cross``, L_j = sum_{m != j} W_m/(w_m - w_j)
+    of its last 2T rows W, at the positions ``rows`` into the M coupled
+    frequencies ``wa``: GEMMs against blocks of kernel rows formed in place
+    in one scratch panel."""
+    KR = np.empty((len(R), len(rows)))
+    LR = np.empty((2 * nt, len(rows))) if cross else None
+    ker_blocks, ker_size = _row_blocks(len(rows), len(wa), _BLOCK_BYTES)
+    panel = np.empty(ker_size)  # one scratch panel holds every kernel block
+    for s in ker_blocks:
+        j = rows[s]
+        L = _panel(panel, len(j), len(wa))
+        np.subtract(wa, wa[j, None], out=L)
+        L[np.arange(len(j)), j] = np.inf  # zero diagonal in both kernels
+        np.reciprocal(L, out=L)  # 1/(w_m - w_j)
+        if cross:
+            LR[:, s] = R[1 + nt :] @ L.T
+        KR[:, s] = R @ np.square(L, out=L).T
+    return KR, LR
+
+
+def _kernel_correlations(w, active, R, targets, nt, cross, size):
+    """The kernel sums of ``_kernel_products`` at the bath indices ``targets``,
+    the columns of ``R`` sitting on the coupled modes ``active`` of the
+    uniform bath ``w``: Toeplitz correlations by real FFTs of length ``size``.
+
+    With w_m - w_j = step ((m - j) + eps_m - eps_j) and S_p[X]_j the sum over
+    m != j of X_m/(m - j)^p, to first order in the grid rounding eps the sums
+    are K = (S_2[R] - 2 S_3[R eps] + 2 eps_j S_3[R])/step^2 and
+    L = (S_1[W] - S_2[W eps] + eps_j S_2[W])/step, each a correlation with the
+    kernel 1/r^p and its slope p/r^(p+1), both over step^p: per row one
+    forward FFT each of R and R eps, and two inverse ones per kernel, in
+    chunks of _FFT_ROWS rows that reuse their buffers.
+    """
+    n = len(w)
+    step, eps = _grid_rounding(w)
+    lag = np.r_[np.arange(1 - n, 0), np.arange(1, n)]  # target minus source; lag 0 stays 0
+    inverse = np.cumprod(np.broadcast_to(-1.0 / lag, (3, len(lag))), axis=0)  # 1/r^p at r = -lag
+    kernels = np.zeros((4, size))  # kernel and slope of L, then of K
+    kernels[:, lag % size] = inverse[[0, 1, 1, 2]] * np.array([[1 / step], [1 / step], [step**-2], [2 * step**-2]])
+    spectra = np.fft.rfft(kernels).reshape(2, 2, -1)
+    et = eps[targets]
+    KR = np.empty((len(R), len(targets)))
+    LR = np.empty((2 * nt, len(targets))) if cross else None
+    chunk = min(len(R), _FFT_ROWS)
+    source, scaled = np.zeros((2, chunk, size))  # deflated modes and padding keep weight 0
+    spectrum, rounding, product, term = np.empty((4, chunk, size // 2 + 1), dtype=complex)
+    sums, picked = np.empty((chunk, size)), np.empty((chunk, len(targets)))
+    for r0 in range(0, len(R), chunk):
+        k = min(chunk, len(R) - r0)
+        source[:k, active] = R[r0 : r0 + k]
+        np.multiply(source[:k, :n], eps, out=scaled[:k, :n])
+        np.fft.rfft(source[:k], out=spectrum[:k])
+        np.fft.rfft(scaled[:k], out=rounding[:k])
+        for out, first, (kernel, slope) in ((KR, 0, spectra[1]), (LR, 1 + nt, spectra[0])):
+            lo = max(first - r0, 0)
+            if out is None or lo >= k:
+                continue
+            rows, dest = slice(lo, k), out[r0 + lo - first : r0 + k - first]
+            np.multiply(spectrum[rows], slope, out=product[rows])
+            np.fft.irfft(product[rows], size, out=sums[rows])
+            np.take(sums[rows], targets, axis=1, out=dest, mode="clip")  # "clip" writes out unbuffered
+            dest *= et
+            np.multiply(spectrum[rows], kernel, out=product[rows])
+            product[rows] -= np.multiply(rounding[rows], slope, out=term[rows])
+            np.fft.irfft(product[rows], size, out=sums[rows])
+            dest += np.take(sums[rows], targets, axis=1, out=picked[: k - lo], mode="clip")
+    return KR, LR
+
+
 def validated_grid(times) -> np.ndarray:
     """``times`` as a float array; ValueError unless it is a non-empty 1-d
     sequence of finite, non-negative, ascending numbers."""
@@ -538,11 +621,14 @@ def evaluate(
     Returns ``(c, x)``, each of shape (len(times), len(rows)): the diagonal
     coefficients c_j(t) and the cross terms x_j(t) = sigma_{1,2j}(t), which
     vanish identically on the system row; ``x`` is None when ``cross`` is
-    false.  Costs O(T N log N) time for the resolvent sums plus O(T N) per
-    requested bath row for the kernel products, so O(T N^2) for every row;
-    memory is O(T N) beyond the kernel products' one scratch panel of at
-    most about 8 MiB (a single row when one is larger) and the resolvent
-    sums' buffers of about _CHUNK_BYTES each.
+    false.  Costs O(T N log N) time for the resolvent sums.  The kernel
+    sums over the requested coupled bath rows cost O(T N log N) in all as FFT
+    correlations once those rows number at least _KAPPA * log2(FFT length),
+    and O(T N) per row as blocked GEMMs below that, so all rows together
+    cost O(T N log N).  Memory is O(T N) beyond a few reused buffers: of about
+    _CHUNK_BYTES each for the resolvent sums, of _FFT_ROWS FFT rows for the
+    kernel correlations and, on the GEMM path, one kernel panel of at most
+    about 8 MiB (a single row when one is larger).
     """
     grid = validated_grid(times)
     n = basis.dimension
@@ -587,19 +673,11 @@ def evaluate(
 
     W = wv * A
     R = np.concatenate((wv[None, :], wv * np.abs(A) ** 2, W.real, W.imag))  # (1 + 3T, M)
-    KR = np.empty((len(R), len(act_rows)))
-    LR = np.empty((2 * nt, len(act_rows))) if cross else None
-    ker_blocks, ker_size = _row_blocks(len(act_rows), len(active), _BLOCK_BYTES)
-    panel = np.empty(ker_size)  # one scratch panel holds every kernel block
-    for s in ker_blocks:
-        j = act_rows[s]
-        L = _panel(panel, len(j), len(active))
-        np.subtract(wa, wa[j, None], out=L)
-        L[np.arange(len(j)), j] = np.inf  # zero diagonal in both kernels
-        np.reciprocal(L, out=L)  # 1/(w_m - w_j)
-        if cross:
-            LR[:, s] = R[1 + nt :] @ L.T
-        KR[:, s] = R @ np.square(L, out=L).T
+    size = _fft_size(2 * len(w) - 1)
+    if len(act_rows) >= _KAPPA * math.log2(size):
+        KR, LR = _kernel_correlations(w, active, R, active[act_rows], nt, cross, size)
+    else:
+        KR, LR = _kernel_products(wa, R, act_rows, nt, cross)
 
     Aj, gj, c0j = A[:, act_rows], ga[act_rows], c0[1 + active[act_rows]]
     KW2 = KR[1 + nt : 1 + 2 * nt] + 1j * KR[1 + 2 * nt :]

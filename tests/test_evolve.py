@@ -16,6 +16,7 @@ from starbath.checks import (
     unitarity_residual,
 )
 from starbath import evolve
+from starbath.constants import MHZ
 from starbath.evolve import initial_coefficients
 from starbath.harness import derived_constants
 from starbath.oracle import arrowhead_matrix, dense_oracle_at
@@ -41,6 +42,11 @@ def coupling_variant(omega1, couplings):
     elif couplings == "alternate_zero":
         g[1::2] = 0.0
     return sb.StarModel(omega1=omega1, bath_omegas=model.bath_omegas, bath_couplings=g)
+
+
+# _KAPPA values that put the bath-row kernel sums of ``evaluate`` on the
+# blocked GEMMs or on the FFT correlations whatever the row count
+KERNEL_PATHS = {"gemm": np.inf, "fft": 0.0}
 
 
 def jittered(model, rng):
@@ -277,17 +283,19 @@ class TestEvaluate:
         c0 = initial_coefficients(basis.frequencies, init)
         return basis, c0, np.array([0.0, 2.5e-6, 13.7e-6, 13.7e-6, 31e-6])
 
-    def test_row_window_matches_full_diagonal(self, setup):
+    def test_row_window_matches_full_diagonal(self, setup, monkeypatch):
         basis, c0, times = setup
-        c, x = sb.evaluate(basis, c0, times)
-        assert c.shape == x.shape == (len(times), basis.dimension)
-        assert np.all(x[:, 0] == 0.0)
-        for rows in (range(5, 17), [0], [40, 3, 0, 40], range(3, 3)):
-            cw, xw = sb.evaluate(basis, c0, times, rows)
-            np.testing.assert_allclose(cw, c[:, list(rows)], rtol=1e-13)
-            np.testing.assert_allclose(xw, x[:, list(rows)], rtol=1e-12, atol=1e-15 * np.abs(x).max())
-        cw, xw = sb.evaluate(basis, c0, times, [7], cross=False)
-        assert xw is None and np.allclose(cw[:, 0], c[:, 7], rtol=1e-13)
+        for kappa in KERNEL_PATHS.values():
+            monkeypatch.setattr(evolve, "_KAPPA", kappa)
+            c, x = sb.evaluate(basis, c0, times)
+            assert c.shape == x.shape == (len(times), basis.dimension)
+            assert np.all(x[:, 0] == 0.0)
+            for rows in (range(5, 17), [0], [40, 3, 0, 40], range(3, 3)):
+                cw, xw = sb.evaluate(basis, c0, times, rows)
+                np.testing.assert_allclose(cw, c[:, list(rows)], rtol=1e-13)
+                np.testing.assert_allclose(xw, x[:, list(rows)], rtol=1e-12, atol=1e-15 * np.abs(x).max())
+            cw, xw = sb.evaluate(basis, c0, times, [7], cross=False)
+            assert xw is None and np.allclose(cw[:, 0], c[:, 7], rtol=1e-13)
 
     def test_batch_matches_per_time_calls(self, setup):
         basis, c0, times = setup
@@ -298,22 +306,71 @@ class TestEvaluate:
             np.testing.assert_allclose(xi[0], x[i], rtol=1e-12, atol=1e-15 * np.abs(x).max())
 
     def test_block_size_invariance(self, setup, monkeypatch):
+        # panel sizes move the GEMM path by roundoff only, and the FFT path
+        # (which forms no panel) matches the same GEMM result
         basis, c0, times = setup
         c, x = sb.evaluate(basis, c0, times, range(2, 50))
-        for block_bytes in (1, 8 * 7 * 64, 8 * 1000 * 64):
-            monkeypatch.setattr(evolve, "_BLOCK_BYTES", block_bytes)
-            cb, xb = sb.evaluate(basis, c0, times, range(2, 50))
-            np.testing.assert_allclose(cb, c, rtol=1e-13)
-            np.testing.assert_allclose(xb, x, rtol=1e-12, atol=1e-15 * np.abs(x).max())
+        for kappa in KERNEL_PATHS.values():
+            monkeypatch.setattr(evolve, "_KAPPA", kappa)
+            for block_bytes in (1, 8 * 7 * 64, 8 * 1000 * 64):
+                monkeypatch.setattr(evolve, "_BLOCK_BYTES", block_bytes)
+                cb, xb = sb.evaluate(basis, c0, times, range(2, 50))
+                np.testing.assert_allclose(cb, c, rtol=1e-13)
+                np.testing.assert_allclose(xb, x, rtol=1e-12, atol=1e-15 * np.abs(x).max())
 
     def test_chunk_size_invariance(self, setup, monkeypatch):
-        # FFT chunks of rows and groups of cell blocks change no bit of the result
+        # FFT chunks of rows and groups of cell blocks change no bit of the
+        # result, on either kernel path
         basis, c0, times = setup
-        c, x = sb.evaluate(basis, c0, times, range(2, 50))
-        for chunk_bytes in (1, 8 * 7 * 64, 2**24):
-            monkeypatch.setattr(evolve, "_CHUNK_BYTES", chunk_bytes)
-            cb, xb = sb.evaluate(basis, c0, times, range(2, 50))
-            assert np.array_equal(cb, c) and np.array_equal(xb, x)
+        for kappa in KERNEL_PATHS.values():
+            monkeypatch.setattr(evolve, "_KAPPA", kappa)
+            monkeypatch.setattr(evolve, "_CHUNK_BYTES", 2**19)
+            monkeypatch.setattr(evolve, "_FFT_ROWS", 8)
+            c, x = sb.evaluate(basis, c0, times, range(2, 50))
+            for chunk_bytes, fft_rows in ((1, 1), (8 * 7 * 64, 3), (2**24, 64)):
+                monkeypatch.setattr(evolve, "_CHUNK_BYTES", chunk_bytes)
+                monkeypatch.setattr(evolve, "_FFT_ROWS", fft_rows)
+                cb, xb = sb.evaluate(basis, c0, times, range(2, 50))
+                assert np.array_equal(cb, c) and np.array_equal(xb, x)
+
+    def test_kernel_paths_agree_at_production_size(self, production, monkeypatch):
+        # N = 2000, every row, 10 times below t1 = 629 us: measured c 4.1e-16
+        # relative and x 8.5e-16 of max |x| apart
+        basis = production.basis(2000)
+        c0 = initial_coefficients(basis.frequencies, production.init)
+        times = np.linspace(0.0, 600e-6, 10)
+        results = {}
+        for path, kappa in KERNEL_PATHS.items():
+            monkeypatch.setattr(evolve, "_KAPPA", kappa)
+            results[path] = sb.evaluate(basis, c0, times)
+        (cg, xg), (cf, xf) = results["gemm"], results["fft"]
+        assert np.max(np.abs(cf - cg) / cg) <= 1e-13
+        assert np.max(np.abs(xf - xg)) <= 1e-12 * np.max(np.abs(xg))
+
+    def test_kernel_path_choice(self, production, monkeypatch):
+        # simulate's full snapshot at N = 2000 takes the FFT correlations and
+        # fig5's 0.4 MHz window of 120 rows at N = 3000 the GEMMs
+        calls = []
+
+        def recording(name):
+            kernel = getattr(evolve, name)
+
+            def record(*args):
+                calls.append(name)
+                return kernel(*args)
+
+            return record
+
+        for name in ("_kernel_products", "_kernel_correlations"):
+            monkeypatch.setattr(evolve, name, recording(name))
+        for n, window in ((2000, None), (3000, 0.4 * MHZ)):
+            basis = production.basis(n)
+            rows = None
+            if window is not None:
+                rows = 1 + np.flatnonzero(np.abs(basis.model.bath_omegas - basis.model.omega1) <= window)
+                assert len(rows) == 120
+            sb.evaluate(basis, initial_coefficients(basis.frequencies, production.init), [100e-6], rows)
+        assert calls == ["_kernel_correlations", "_kernel_products"]
 
     def test_rejects_bad_rows_and_inputs(self, setup):
         basis, c0, times = setup
@@ -327,9 +384,11 @@ class TestEvaluate:
                 sb.evaluate(basis, c0, grid)
 
     def test_series_scratch_is_one_panel(self, production):
-        # N=2000, T=10: the kernel loop reuses one ~8 MiB panel and the
-        # resolvent sums need only chunk-sized buffers; with a fresh
-        # N^2/4-sized temporary per block the peak was 33.9 MiB
+        # N=2000, T=10: all 2000 rows take the FFT kernel correlations, which
+        # like the resolvent sums need only chunk-sized buffers besides the
+        # O(T N) sums: the traced peak measures 8.4 MiB.  The blocked GEMMs'
+        # reused ~8 MiB panel peaked at 13.0 MiB, and a fresh N^2/4-sized
+        # temporary per block at 33.9 MiB
         basis = production.basis(2000)
         tracemalloc.start()
         try:
@@ -337,7 +396,7 @@ class TestEvaluate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 2**20
+        assert peak <= 10 * 2**20
 
 
 class TestResolventSums:
@@ -371,7 +430,7 @@ class TestResolventSums:
 
     @pytest.mark.parametrize("omega1", [0.05e6, 4e6, 30e6], ids=["below", "inside", "above"])
     @pytest.mark.parametrize("couplings", ["weak", "partly_zero", "alternate_zero"])
-    def test_evaluate_matches_dense_oracle(self, omega1, couplings, rng):
+    def test_evaluate_matches_dense_oracle(self, omega1, couplings, rng, monkeypatch):
         model = coupling_variant(omega1, couplings)
         basis = sb.mode_basis(model)
         # above the band the top root lies beyond the bath's cells and takes the direct sum
@@ -380,7 +439,10 @@ class TestResolventSums:
         cells = basis.poles[live] + np.ceil(basis.shifts[live] / step)
         assert np.any(cells > model.n_modes) == (omega1 > model.bath_omegas[-1])
         times = rng.uniform(0, 40e-6, size=6)
-        assert oracle_equivalence_residual(model, random_temperatures(rng), times) <= 1e-9
+        init = random_temperatures(rng)
+        for kappa in KERNEL_PATHS.values():  # deflated modes weigh 0 on both kernel paths
+            monkeypatch.setattr(evolve, "_KAPPA", kappa)
+            assert oracle_equivalence_residual(model, init, times) <= 1e-9
 
     def test_system_row_at_100000(self, production):
         # 41 times on [0, 400] us, far below t1 = 31 ms: c_1 follows the closed

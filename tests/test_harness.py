@@ -192,6 +192,21 @@ class TestSimulateJob:
         assert np.all(c1 == c1[0])
         assert c1[0] == manifest["derived"]["sigma11_initial"]
 
+    def test_simulate_at_32000(self, tmp_path):
+        # every bath row at N = 32000 on [0, 400] us, far below t1 = 10 ms:
+        # the fluxes keep their sum rule, the basis its sum rule and Newton
+        # step, and the total entropy does not fall below its initial value
+        cfg = tiny_cfg(tmp_path, n_modes=32000, times_us=grid(400.0, 5))
+        result = run_job(cfg)
+        table = result["tables"]["simulate"]
+        fluxes = [table.column(f"dE{part}_dt[J/s]") for part in "ABI"]
+        assert np.max(np.abs(sum(fluxes))) <= 1e-12 * np.max(np.abs(fluxes))
+        s_tot = table.column("S_tot[kB]")
+        assert table.column("t[us]")[0] == 0.0 and np.all(s_tot >= s_tot[0])
+        derived = json.loads(result["manifest"].read_text())["derived"]
+        assert derived["weight_sum_residual"] <= 1e-12
+        assert derived["newton_step"] <= 1e-12
+
     @pytest.mark.xfail(strict=True, raises=ValueError, reason="cold baths: evolved c_j falls below 1")
     def test_cold_bath_simulate(self, tmp_path):
         # T_A0 = 1 uK, T_B0 = 3 uK: the roundoff floor of the evolved
