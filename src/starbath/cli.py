@@ -7,6 +7,7 @@ job reports a failed invariant.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .config import JOB_INPUTS, JOBS, PIVN_MODES, ConfigError, ExperimentConfig, load_config, parse_grid
@@ -25,6 +26,7 @@ _FIELD_FLAGS = {
 }
 
 
+@functools.cache  # built once per process: parsing leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="starbath",

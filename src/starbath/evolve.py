@@ -15,20 +15,20 @@ The arrowhead eigenvectors have the closed form Q_jk = g_j Q_1k / (l_k - w_j)
 z_k = Q_1k^2 exp(-i l_k t), A_j = sum_k z_k/(l_k - w_j) and
 B_j = sum_k z_k/(l_k - w_j)^2 this gives U_11 = sum_k z_k, U_1j = g_j A_j,
 U_jj = g_j^2 B_j and U_jm = g_j g_m (A_j - A_m)/(w_j - w_m), so the m-sums
-reduce to products with the kernels 1/(w_j - w_m)^2 and 1/(w_m - w_j).  On
-the uniform bath these are Toeplitz in the bath index: for many requested
-bath rows they are FFT correlations, O(T N log N) for all rows together, and
-for a few rows blocked GEMMs, O(T N) per row; the row count picks the path.
-The resolvent sums take O(T N log N): Lagrange weights spread each
-eigenvalue onto the uniform bath grid, an FFT per time and power correlates
-those charges with the kernel, and the eigenvalues near each target are
-summed exactly (after Dutt & Rokhlin's nonequispaced FFT, SIAM J. Sci.
-Comput. 14 (1993)).  The eigenvalues interlace the bath
-frequencies; each is the secular-equation root in its own bracket, kept as
-its nearest bath pole plus a shift, l_k = w_p + d_k, found in that shifted
-variable, so the small differences l_k - w_j keep full relative accuracy.
-Its secular sums add the poles near each root exactly and the rest from Taylor
-tables built by FFT on the uniform bath, so the basis costs O(N log N).
+reduce to products with the kernels 1/(w_j - w_m)^2 and 1/(w_m - w_j).  The
+bath is exactly uniform, w_j = w_0 + j dw, so these kernels are Toeplitz in
+the bath index and the sums are FFT correlations, O(T N log N) for all rows
+together.  The resolvent sums take O(T N log N) too: Lagrange weights spread
+each eigenvalue onto the uniform bath grid, an FFT per time and power
+correlates those charges with the kernel, and the eigenvalues near each
+target are summed exactly (after Dutt & Rokhlin's nonequispaced FFT, SIAM J.
+Sci. Comput. 14 (1993)).  The eigenvalues interlace the bath frequencies;
+each is the secular-equation root in its own bracket, kept as its nearest
+bath pole plus a shift, l_k = w_p + d_k, found in that shifted variable, so
+the small differences l_k - w_j = dw (p - j) + d_k keep full relative
+accuracy.  Its secular sums add the poles near each root exactly and the
+rest from Taylor tables built by FFT on the uniform bath, so the basis costs
+O(N log N).  All three kinds of sum share one FFT Toeplitz correlation.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ __all__ = [
 ]
 
 EVALUATION_PATH = (
-    "arrowhead closed form: shifted secular Newton; secular and resolvent sums as exact near field plus FFT far field; "
-    "bath-row kernel sums as FFT Toeplitz correlations from 64 log2(FFT length) requested rows, blocked GEMMs below"
+    "arrowhead closed form on the exactly uniform bath: shifted secular Newton; secular and resolvent sums as "
+    "exact near field plus FFT far field; bath-row kernel sums as FFT Toeplitz correlations"
 )
 
 # Secular sums: bath poles beyond _NEAR spacings of the grid point nearest the
@@ -68,21 +68,15 @@ _NEAR, _TAYLOR_TERMS = 8, 14
 # 1/(x - y) on 16 unit-spaced nodes leaves |prod(x - node) / prod(y - node)|
 # < 4.2e-17 of each term whose target is more than 32 cells from the root's.
 _SPREAD, _BAND, _CELLS = 16, 32, 32
-# The kernel panels of ``evaluate`` feed GEMMs, which block for the cache
-# themselves and run best on wide panels; its FFT chunks of rows and groups of
-# spreading and near-band blocks each take about _CHUNK_BYTES, so they stay
-# in the cache.
-_BLOCK_BYTES = 8 * 2**20
+# Groups of spreading and near-band blocks take about _CHUNK_BYTES each, so
+# they stay in the cache.  The FFT correlations take _FFT_ROWS rows per call,
+# the fastest count on 2 x86_64 cores from length 4000 to 64000 (one row per
+# call made them 20-40% slower, 16 rows 10% and 32 rows 30%; with 2 rows a
+# full evaluate at N = 16000-32000 took 8-10% longer), but no more than fit
+# _FFT_BYTES per buffer: at N = 100000 a system row with 8 rows per call
+# peaks 50 MiB above its 2.
 _CHUNK_BYTES = 2**19
-# The bath-row kernel sums of ``evaluate`` cost O(T N) per requested row as
-# GEMMs and O(T N log N) in all as FFT correlations, so the correlations take
-# over once the requested coupled rows reach _KAPPA * log2(FFT length).  The
-# measured crossover on 2 x86_64 cores is 41-44 log2(length) rows at N = 2000,
-# T = 10, and 70-81 at N = 3000-8000, T = 31-41.  Their FFTs take _FFT_ROWS
-# rows per call, the fastest count there from length 4000 to 32000: one row
-# per call made the correlations 20-40% slower, 16 rows 10% and 32 rows 30%.
-_KAPPA = 64
-_FFT_ROWS = 8
+_FFT_ROWS, _FFT_BYTES = 8, 2**22
 # Newton stops once a step moves the shift by at most this relative amount;
 # convergence is quadratic, so the step taken leaves an error near its square.
 _NEWTON_TOL = 1e-12
@@ -171,70 +165,48 @@ class CovarianceSnapshot:
         return CovarianceSnapshot(self.time[i], self.c[i], self.x[i], self.model)
 
 
-def _row_blocks(n_rows: int, n_cols: int, budget: int) -> tuple[list[slice], int]:
-    """Row slices whose (rows x n_cols) float64 blocks fit ``budget`` bytes
-    (one row at least), and the element count of the largest block."""
-    step = max(1, budget // (8 * max(n_cols, 1)))
-    blocks = [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
-    return blocks, min(step, n_rows) * n_cols
+def _comb(step, g2):
+    """The uniform bath of the secular sums: spacing, bath indices and g2 padded
+    by _NEAR points at each end, where, as at deflated modes, the index is inf
+    and g2 = 0 (so their terms vanish); tables D_n[q] = sum over |q - j| > _NEAR
+    of g2_j (q - j)^-(n+1).  With v = -(l - w_0)/step + q, far term j is
+    g2_j/(step (q - j - v)), so their sum is sum_n D_n[q] v^n / step.  Each D_n
+    is a Toeplitz correlation over the grid."""
+    n = len(g2)
+    taylor = np.zeros((_TAYLOR_TERMS, n))
+    targets = np.arange(n)
+    _correlate(g2[None, :], _taylor_kernels, [(taylor[t : t + 1], t, 0, targets) for t in range(_TAYLOR_TERMS)])
+    index = np.pad(np.where(g2 > 0, targets, np.inf), _NEAR, constant_values=np.inf)
+    return step, index, np.pad(g2, _NEAR), taylor
 
 
-def _panel(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """A C-ordered (rows, cols) view of the front of ``buffer``."""
-    return buffer[: rows * cols].reshape(rows, cols)
-
-
-def _grid_rounding(bath_w):
-    """Spacing of the uniform bath and its grid rounding eps_j = (w_j - w_0)/step - j,
-    formed exactly from j*step and w_j - w_0 before the one division."""
-    step = (bath_w[-1] - bath_w[0]) / (len(bath_w) - 1)
-    jh, jl = _two_product(np.arange(len(bath_w), dtype=float), step)
-    dh = bath_w - bath_w[0]
-    return step, ((dh - jh) + (((bath_w - dh) - bath_w[0]) - jl)) / step
-
-
-def _comb(bath_w, g2):
-    """The uniform bath of the secular sums: spacing, frequencies and g2 padded
-    by _NEAR points at each end, where, as at deflated modes, w = inf and g2 = 0
-    (so their terms vanish); grid rounding eps_j = (w_j - w_0)/step - j; tables
-    D_n[q] = sum over |q - j| > _NEAR of g2_j ((q-j)^-(n+1) + (n+1) eps_j (q-j)^-(n+2)).
-    With v = -(l - w_0)/step + q, far term j is g2_j/(step (q - j - v - eps_j)), so
-    to first order in eps their sum is sum_n D_n[q] v^n / step.  Each D_n is a
-    Toeplitz product over the grid, done by FFT one term at a time."""
-    n = len(bath_w)
-    step, eps = _grid_rounding(bath_w)
-    size = _fft_size(2 * n - 1)  # no lag wraps onto another
-    lag = np.fft.fftfreq(size, 1.0 / size)
-    inv = np.divide(1.0, lag, out=np.zeros(size), where=(np.abs(lag) > _NEAR) & (np.abs(lag) < n))
-    weights = np.fft.rfft(np.stack((g2, g2 * eps)), size)
-    kernel, spectrum = inv.copy(), np.fft.rfft(inv)
-    taylor = np.empty((_TAYLOR_TERMS, n))
-    for t in range(_TAYLOR_TERMS):
-        kernel *= inv
-        following = np.fft.rfft(kernel)
-        taylor[t] = np.fft.irfft(weights[0] * spectrum + (t + 1) * weights[1] * following, size)[:n]
-        spectrum = following
-    w = np.pad(np.where(g2 > 0, bath_w, np.inf), _NEAR, constant_values=np.inf)
-    return step, w, np.pad(g2, _NEAR), eps, taylor
+def _taylor_kernels(lag):
+    """The kernels of ``_comb``'s tables: lag^-(n+1) for n = 0 ... _TAYLOR_TERMS - 1
+    at lags beyond _NEAR, else 0, one at a time so that only their spectra
+    are held together."""
+    inv = np.divide(1.0, lag, out=np.zeros(len(lag)), where=np.abs(lag) > _NEAR)
+    power = inv
+    for _ in range(_TAYLOR_TERMS):
+        yield power
+        power = power * inv
 
 
 def _secular(offset, shifts, poles, comb):
-    """Secular function f(d) = (w_p - w_1) + d - sum_j g_j^2/((w_p - w_j) + d)
+    """Secular function f(d) = (w_p - w_1) + d - sum_j g_j^2/(step (p - j) + d)
     and its derivative at roots with bath poles ``poles``: near-field plus far-field
     Taylor sums about each root's nearest grid point, direct sums beyond the grid."""
-    step, w, g2, eps, taylor = comb
+    step, index, g2, taylor = comb
     f, fp = offset + shifts, np.ones(len(shifts))
     nearest = poles + np.rint(shifts / step)
-    fast = (nearest >= 0) & (nearest < len(eps))
+    fast = (nearest >= 0) & (nearest < taylor.shape[1])
     q, p, d = nearest[fast].astype(np.intp), poles[fast], shifts[fast]
     near, dnear = np.zeros((2, len(q)))
-    pole_w = w[p + _NEAR]
     for i in range(2 * _NEAR + 1):  # the exact shifted differences, as in the direct sum
-        inv = 1.0 / ((pole_w - w[q + i]) + d)
+        inv = 1.0 / (step * (p - index[q + i]) + d)
         term = g2[q + i] * inv
         near += term
         dnear += term * inv
-    v = -((p - q) + (eps[p] + d / step))
+    v = -((p - q) + d / step)
     far, dfar = taylor[-1, q], np.zeros(len(q))
     for coef in taylor[-2::-1]:  # Horner for the sum and its v-derivative
         dfar = dfar * v + far
@@ -242,16 +214,17 @@ def _secular(offset, shifts, poles, comb):
     f[fast] -= near + far / step
     fp[fast] += dnear + dfar / step**2
     for k in np.flatnonzero(~fast):
-        inv = 1.0 / ((w[poles[k] + _NEAR] - w) + shifts[k])
+        inv = 1.0 / (step * (poles[k] - index) + shifts[k])
         f[k] -= inv @ g2
         fp[k] += np.square(inv) @ g2
     return f, fp
 
 
-def _refine(w1, bath_w, g):
+def _refine(w1, bath_w, step, g):
     """Pole indices, shifts, weights and the largest relative Newton step
     left at the final shifts, for the arrowhead matrix with diagonal
-    (w1, bath_w) and arm g, bath_w uniform and g zero only at deflated modes.
+    (w1, bath_w) and arm g, bath_w uniform with spacing ``step`` and g zero
+    only at deflated modes.
 
     Eigenvalue k lies in the interlacing interval of coupled modes k-1 and k;
     the sign of the secular function at its midpoint picks the half holding
@@ -271,7 +244,7 @@ def _refine(w1, bath_w, g):
     hi = np.concatenate((aw, [max(w1, aw[-1]) + radius]))
     half = 0.5 * (hi - lo)
     left = np.arange(-1, m)
-    comb = _comb(bath_w, g * g)
+    comb = _comb(step, g * g)
     ends = active[np.clip(left, 0, m - 1)]  # each midpoint as a shift from a finite endpoint
     f, fp = _secular(bath_w[ends] - w1, np.where(left >= 0, half, -half), ends, comb)
     poles = active[np.clip(np.where(f > 0, left, left + 1), 0, m - 1)]
@@ -325,7 +298,7 @@ def mode_basis(model: StarModel) -> ModeBasis:
     poles, shifts, weights, step = np.arange(-1, n), np.zeros(n + 1), np.zeros(n + 1), 0.0
     if len(active):
         live = np.r_[0, 1 + active]
-        poles[live], shifts[live], weights[live], step = _refine(w1, bath_w, g)
+        poles[live], shifts[live], weights[live], step = _refine(w1, bath_w, model.delta_omega, g)
     else:
         poles[0] = np.argmin(np.abs(bath_w - w1))
         shifts[0], weights[0] = w1 - bath_w[poles[0]], 1.0
@@ -397,91 +370,81 @@ def _resolvents(basis, z, b_cols):
     """Resolvent sums at every bath mode j, the real and imaginary parts of time
     t in rows 2t and 2t+1: A_j = sum_k z_k/(l_k - w_j) over the live roots,
     whose z_k are the columns of ``z`` (T, K), and B_j = sum_k z_k/(l_k - w_j)^2
-    on the bath indices ``b_cols`` (None: B is not formed).
+    on the bath indices ``b_cols`` (None: B is not formed).  A_j at deflated
+    modes is some finite value that no caller reads.
 
-    In spacing units root k sits at x_k = p + eps_p + d_k/step, in the cell
-    (m_k - 1, m_k) with m_k = p + ceil(d_k/step), and target j at j + eps_j;
+    In spacing units root k sits at x_k = p + d_k/step, in the cell
+    (m_k - 1, m_k) with m_k = p + ceil(d_k/step), and target j at j;
     interlacing leaves at most one live root in a cell.  The far field comes
     from the charges that each root's _SPREAD Lagrange weights put on the
     half-integer nodes around its cell: per row, FFTs correlate them with
-    1/r^p and 1/r^(p+1) at the node-target lags r, and (S_p + p eps_j S_(p+1))
-    / step^p is the sum for the power p = 1 (A) or 2 (B), to first order in
-    the target's grid rounding.  The cells within _BAND of a target take the
-    exact shifted differences instead: a time-independent correction, exact
-    minus grid value, applied as block GEMMs of _CELLS targets.  Roots beyond
-    cells 0 ... N take the direct sum.  Besides the (2T, N) sums and charges
-    and O(N) cell data, the scratch buffers take a few _CHUNK_BYTES.
+    1/(step r)^p at the node-target lags r, for the power p = 1 (A) or 2 (B).
+    The cells within _BAND of a target take the exact shifted differences
+    step (p - j) + d_k instead: a time-independent correction, exact minus
+    grid value, applied as block GEMMs of _CELLS targets.  Roots beyond cells
+    0 ... N take the direct sum.  Besides the (2T, N) sums and charges and
+    O(N) cell data, the scratch buffers take a few _CHUNK_BYTES.
     """
-    w, n, nt = basis.model.bath_omegas, len(basis.couplings), len(z)
+    n, nt, step = len(basis.couplings), len(z), basis.model.delta_omega
     P, R, W = _SPREAD, _BAND, _CELLS
-    step, eps = _grid_rounding(w)
     live = np.flatnonzero(basis.weights)
     p, d = basis.poles[live], basis.shifts[live]
     m = p + np.clip(np.ceil(d / step), -n - 2, n + 2).astype(np.intp)
     inside = (m >= 0) & (m <= n)
 
-    # cells -R ... nb W + R - 1 in blocks of W, empty ones at w = -inf with weight 0,
-    # so their exact and grid values vanish; targets padded to nb W, deflated
-    # and padding ones at w = +inf, whose (discarded) exact values vanish too
+    # cells -R ... nb W + R - 1 in blocks of W, empty ones at index -inf with
+    # weight 0, so their exact and grid values vanish; targets padded to nb W,
+    # deflated and padding ones at index +inf, whose (unread) exact values vanish too
     nb = -(-n // W)
     cells = -(-(nb * W + 2 * R) // W) * W
     at = m[inside] + R
     zc = np.zeros((nt, 2, cells))
     zc[:, 0, at], zc[:, 1, at] = z.real[:, inside], z.imag[:, inside]
     zc = zc.reshape(2 * nt, cells)
-    cell_w, cell_d, weights = np.full(cells, -np.inf), np.zeros(cells), np.zeros((cells, P))
-    cell_w[at], cell_d[at] = w[p[inside]], d[inside]
-    weights[at] = _lagrange_weights((p - m + 0.5)[inside] + (eps[p] + d / step)[inside])
-    wt, et = np.full(nb * W, np.inf), np.zeros(nb * W)
-    wt[:n], et[:n] = np.where(basis.couplings != 0, w, np.inf), eps
+    cell_p, cell_d, weights = np.full(cells, -np.inf), np.zeros(cells), np.zeros((cells, P))
+    cell_p[at], cell_d[at] = p[inside], d[inside]
+    weights[at] = _lagrange_weights((p - m + 0.5)[inside] + (d / step)[inside])
+    index = np.full(nb * W, np.inf)
+    index[:n] = np.where(basis.couplings != 0, np.arange(n), np.inf)
     A = np.empty((2 * nt, nb * W))
     B = None if b_cols is None else np.zeros((2 * nt, nb * W))
 
     # near band: target block b meets cells bW - R ... bW + W + R - 1 (span);
-    # row c of the table weights @ kernels holds cell c's grid values at the
+    # row c of the table weights @ kernel holds cell c's grid values at the
     # offsets cell - target = R + W - 1 ... -(R + W - 1), read for each block
     # as a strided view; the block GEMMs write straight into A and B
     span, lags = W + 2 * R, 2 * (R + W) - 1
     dist = (R + W - 1) - np.arange(lags) + (np.arange(P)[:, None] - (P // 2 + 0.5))  # node - target
-    inverse = np.cumprod(np.broadcast_to(1.0 / dist, (3, P, lags)), axis=0)  # 1/r, 1/r^2, 1/r^3
     window, strided = np.lib.stride_tricks.sliding_window_view, np.lib.stride_tricks.as_strided
     charges = window(zc, span, axis=1)[:, ::W].transpose(1, 0, 2)  # (nb, 2T, span)
-    near_w, near_d = window(cell_w, span)[::W, :, None], window(cell_d, span)[::W, :, None]
+    near_p, near_d = window(cell_p, span)[::W, :, None], window(cell_d, span)[::W, :, None]
     group = min(nb, max(1, _CHUNK_BYTES // (8 * span * W)))
-    table = np.empty((2, group * W + 2 * R, lags))
-    row, col = table.strides[1:]
-    corr, value = np.empty((2, group, span, W))
+    table = np.empty((group * W + 2 * R, lags))
+    row, col = table.strides
+    exact = np.empty((group, span, W))
     b_blocks = None if B is None else np.flatnonzero(np.bincount(b_cols // W))  # the blocks of requested rows
     for out, power, blocks in ((A, 1, np.arange(nb)), (B, 2, b_blocks)):
         if out is None:
             continue
-        kernels = inverse[power - 1 : power + 1] * (np.array([1, power])[:, None, None] / step**power)
+        kernel = (step * dist) ** -power
         for run in np.split(blocks, np.flatnonzero(np.diff(blocks) != 1) + 1):
             for b0 in range(run[0], run[-1] + 1, group):
                 g = min(group, run[-1] + 1 - b0)
                 blk, tgt = slice(b0, b0 + g), slice(b0 * W, (b0 + g) * W)
-                tab = np.matmul(weights[b0 * W : (b0 + g) * W + 2 * R], kernels, out=table[:, : g * W + 2 * R])
-                grid, rounding = (strided(t[0, lags - W :], (g, span, W), (W * row, row - col, col)) for t in tab)
-                np.multiply(rounding, et[tgt].reshape(g, 1, W), out=value[:g])
-                value[:g] += grid
-                exact = np.subtract(near_w[blk], wt[tgt].reshape(g, 1, W), out=corr[:g])
-                exact += near_d[blk]
-                np.reciprocal(exact, out=exact)
+                tab = np.matmul(weights[b0 * W : (b0 + g) * W + 2 * R], kernel, out=table[: g * W + 2 * R])
+                grid = strided(tab[0, lags - W :], (g, span, W), (W * row, row - col, col))
+                diff = np.subtract(near_p[blk], index[tgt].reshape(g, 1, W), out=exact[:g])
+                diff *= step
+                diff += near_d[blk]
+                np.reciprocal(diff, out=diff)
                 if power == 2:
-                    np.square(exact, out=exact)
-                exact -= value[:g]
-                np.matmul(charges[blk], exact, out=out[:, tgt].reshape(2 * nt, g, W).transpose(1, 0, 2))
+                    np.square(diff, out=diff)
+                diff -= grid
+                np.matmul(charges[blk], diff, out=out[:, tgt].reshape(2 * nt, g, W).transpose(1, 0, 2))
 
     # far field: padded cell c spreads onto nodes c ... c + P - 1 (node k sits at
     # k - R - P//2 - 1/2 spacings) as block GEMMs of W cells, then one real FFT
-    # correlation per row and power, in chunks of rows that reuse their buffers
-    span = 2 * n + P - 1  # every node-target lag, none wrapped onto another
-    size = _fft_size(span)
-    lag = np.arange(-(n + P - 1), n)  # target minus node
-    powers = 2 if B is None else 3
-    kernels = np.zeros((powers, size))  # 1/r, 1/r^2 and 1/r^3 at node-target lags r
-    kernels[:, lag % size] = np.cumprod(np.broadcast_to(-1.0 / (lag + (P // 2 + 0.5)), (powers, len(lag))), axis=0)
-    spectra = np.fft.rfft(kernels)
+    # correlation per row and power
     group = min(cells // W, max(1, _CHUNK_BYTES // (8 * (W + P - 1) * max(W, 2 * nt))))
     spread = np.zeros((group, W, W + P - 1))  # row s of block c holds its P weights from column s on
     band = strided(spread, (group, W, P), (spread.strides[0], sum(spread.strides[1:]), spread.strides[2]), writeable=True)
@@ -494,102 +457,75 @@ def _resolvents(basis, z, b_cols):
         nodes[:, c0 : c0 + g] += part[:g, :, :W].transpose(1, 0, 2)
         nodes[:, c0 + 1 : c0 + g + 1, : P - 1] += part[:g, :, W:].transpose(1, 0, 2)
     nodes = nodes.reshape(2 * nt, -1)[:, R : R + n + P]
-    chunk = min(2 * nt, max(2, _CHUNK_BYTES // (8 * size) // 2 * 2))  # rows, whole times
-    spectrum, product = np.empty((2, chunk, size // 2 + 1), dtype=complex)
-    sums = np.empty((powers, chunk, size))
-    for r0 in range(0, 2 * nt, chunk):
-        k = min(chunk, 2 * nt - r0)
-        rows = slice(r0, r0 + k)
-        np.fft.rfft(nodes[rows], size, out=spectrum[:k])
-        for s, spec in zip(sums, spectra):
-            np.fft.irfft(np.multiply(spectrum[:k], spec, out=product[:k]), size, out=s[:k])
-        for out, power in ((B, 2), (A, 1)):  # B before A, which overwrites S_2
-            if out is not None:
-                far = sums[power, :k, :n]
-                far *= power * eps
-                far += sums[power - 1, :k, :n]
-                far /= step**power
-                out[rows, :n] += far
+    outs = [(A[:, :n], 0, 0, np.arange(n))]
+    if B is not None:
+        B = B[:, b_cols]
+        outs.append((B, 1, 0, b_cols))
+    powers = np.arange(1, len(outs) + 1)[:, None]
+    # node k sits at k - P//2 - 1/2 in bath-index units, so node - target = -(lag + P//2 + 1/2)
+    _correlate(nodes, lambda lag: (-step * (lag + (P // 2 + 0.5))) ** -powers, outs)
 
     outer = np.flatnonzero(~inside)
     if len(outer):
-        inv = 1.0 / ((w[p[outer], None] - wt[:n]) + d[outer, None])
+        inv = 1.0 / (step * (p[outer, None] - index[:n]) + d[outer, None])
         zo = np.stack((z.real[:, outer], z.imag[:, outer]), axis=1).reshape(2 * nt, -1)
         A[:, :n] += zo @ inv
         if B is not None:
-            B[:, :n] += zo @ np.square(inv)
-    return A[:, :n], None if B is None else B[:, b_cols]
+            B += zo @ np.square(inv[:, b_cols])
+    return A[:, :n], B
 
 
-def _kernel_products(wa, R, rows, nt, cross):
+def _kernel_sums(R, targets, step, cross):
     """The kernel sums K_j = sum_{m != j} R_m/(w_m - w_j)^2 of every row of
-    ``R`` (1 + 3T, M) and, when ``cross``, L_j = sum_{m != j} W_m/(w_m - w_j)
-    of its last 2T rows W, at the positions ``rows`` into the M coupled
-    frequencies ``wa``: GEMMs against blocks of kernel rows formed in place
-    in one scratch panel."""
-    KR = np.empty((len(R), len(rows)))
-    LR = np.empty((2 * nt, len(rows))) if cross else None
-    ker_blocks, ker_size = _row_blocks(len(rows), len(wa), _BLOCK_BYTES)
-    panel = np.empty(ker_size)  # one scratch panel holds every kernel block
-    for s in ker_blocks:
-        j = rows[s]
-        L = _panel(panel, len(j), len(wa))
-        np.subtract(wa, wa[j, None], out=L)
-        L[np.arange(len(j)), j] = np.inf  # zero diagonal in both kernels
-        np.reciprocal(L, out=L)  # 1/(w_m - w_j)
-        if cross:
-            LR[:, s] = R[1 + nt :] @ L.T
-        KR[:, s] = R @ np.square(L, out=L).T
+    ``R`` (1 + 3T, N) and, when ``cross``, L_j = sum_{m != j} W_m/(w_m - w_j)
+    of its last 2T rows W, at the bath indices ``targets`` of the uniform bath
+    with spacing ``step``: Toeplitz correlations at the lags j - m."""
+    nt = (len(R) - 1) // 3
+    KR = np.zeros((len(R), len(targets)))
+    LR = np.zeros((2 * nt, len(targets))) if cross else None
+    outs = [(KR, 0, 0, targets), (LR, 1, 1 + nt, targets)][: 2 if cross else 1]
+
+    def kernels(lag):  # 1/(w_m - w_j)^2 and 1/(w_m - w_j), zero at lag 0
+        inv = np.divide(-1.0 / step, lag, out=np.zeros(len(lag)), where=lag != 0)
+        return (inv * inv, inv)[: len(outs)]
+
+    _correlate(R, kernels, outs)
     return KR, LR
 
 
-def _kernel_correlations(w, active, R, targets, nt, cross, size):
-    """The kernel sums of ``_kernel_products`` at the bath indices ``targets``,
-    the columns of ``R`` sitting on the coupled modes ``active`` of the
-    uniform bath ``w``: Toeplitz correlations by real FFTs of length ``size``.
-
-    With w_m - w_j = step ((m - j) + eps_m - eps_j) and S_p[X]_j the sum over
-    m != j of X_m/(m - j)^p, to first order in the grid rounding eps the sums
-    are K = (S_2[R] - 2 S_3[R eps] + 2 eps_j S_3[R])/step^2 and
-    L = (S_1[W] - S_2[W eps] + eps_j S_2[W])/step, each a correlation with the
-    kernel 1/r^p and its slope p/r^(p+1), both over step^p: per row one
-    forward FFT each of R and R eps, and two inverse ones per kernel, in
-    chunks of _FFT_ROWS rows that reuse their buffers.
-    """
-    n = len(w)
-    step, eps = _grid_rounding(w)
-    lag = np.r_[np.arange(1 - n, 0), np.arange(1, n)]  # target minus source; lag 0 stays 0
-    inverse = np.cumprod(np.broadcast_to(-1.0 / lag, (3, len(lag))), axis=0)  # 1/r^p at r = -lag
-    kernels = np.zeros((4, size))  # kernel and slope of L, then of K
-    kernels[:, lag % size] = inverse[[0, 1, 1, 2]] * np.array([[1 / step], [1 / step], [step**-2], [2 * step**-2]])
-    spectra = np.fft.rfft(kernels).reshape(2, 2, -1)
-    et = eps[targets]
-    KR = np.empty((len(R), len(targets)))
-    LR = np.empty((2 * nt, len(targets))) if cross else None
-    chunk = min(len(R), _FFT_ROWS)
-    source, scaled = np.zeros((2, chunk, size))  # deflated modes and padding keep weight 0
-    spectrum, rounding, product, term = np.empty((4, chunk, size // 2 + 1), dtype=complex)
-    sums, picked = np.empty((chunk, size)), np.empty((chunk, len(targets)))
-    for r0 in range(0, len(R), chunk):
-        k = min(chunk, len(R) - r0)
-        source[:k, active] = R[r0 : r0 + k]
-        np.multiply(source[:k, :n], eps, out=scaled[:k, :n])
-        np.fft.rfft(source[:k], out=spectrum[:k])
-        np.fft.rfft(scaled[:k], out=rounding[:k])
-        for out, first, (kernel, slope) in ((KR, 0, spectra[1]), (LR, 1 + nt, spectra[0])):
-            lo = max(first - r0, 0)
-            if out is None or lo >= k:
+def _correlate(sources, kernels, outs):
+    """Toeplitz correlations by real FFTs.  For each (out, p, first, targets)
+    of ``outs``, adds to row i of ``out``, at each target t, the sum over the
+    columns s of sources[first + i, s] * K_p(t - s), where K_p is the p-th
+    kernel that ``kernels`` yields for an array of integer lags (target minus
+    source column).  The FFT length covers the sources' width plus the
+    targets' span, so no lag wraps onto another; chunks of rows are copied
+    into one reused zero-padded buffer, and each kernel's spectrum is formed
+    once."""
+    width = sources.shape[1]
+    lo, hi = min(int(t.min()) for *_, t in outs), max(int(t.max()) for *_, t in outs)
+    size = _fft_size(width + hi - lo)
+    lag = np.arange(lo, lo + size)
+    lag[hi - lo + 1 :] -= size  # position (t - s - lo) mod size holds lag t - s
+    spectra = [np.fft.rfft(kernel) for kernel in kernels(lag)]
+    chunk = min(len(sources), _FFT_ROWS, max(1, _FFT_BYTES // (8 * size)))
+    buffer = np.zeros((chunk, size))  # columns past the sources' width stay zero
+    spectrum, product = np.empty((2, chunk, size // 2 + 1), dtype=complex)
+    sums = np.empty((chunk, size))
+    reads = [targets - lo for *_, targets in outs]
+    picked = np.empty(chunk * max(map(len, reads)))
+    for r0 in range(0, len(sources), chunk):
+        k = min(chunk, len(sources) - r0)
+        buffer[:k, :width] = sources[r0 : r0 + k]
+        np.fft.rfft(buffer[:k], out=spectrum[:k])
+        for (out, p, first, _), read in zip(outs, reads):
+            a, b = max(first - r0, 0), min(first + len(out) - r0, k)
+            if a >= b:
                 continue
-            rows, dest = slice(lo, k), out[r0 + lo - first : r0 + k - first]
-            np.multiply(spectrum[rows], slope, out=product[rows])
-            np.fft.irfft(product[rows], size, out=sums[rows])
-            np.take(sums[rows], targets, axis=1, out=dest, mode="clip")  # "clip" writes out unbuffered
-            dest *= et
-            np.multiply(spectrum[rows], kernel, out=product[rows])
-            product[rows] -= np.multiply(rounding[rows], slope, out=term[rows])
-            np.fft.irfft(product[rows], size, out=sums[rows])
-            dest += np.take(sums[rows], targets, axis=1, out=picked[: k - lo], mode="clip")
-    return KR, LR
+            np.multiply(spectrum[a:b], spectra[p], out=product[a:b])
+            np.fft.irfft(product[a:b], size, out=sums[a:b])
+            dest = picked[: (b - a) * len(read)].reshape(b - a, len(read))
+            out[r0 + a - first : r0 + b - first] += np.take(sums[a:b], read, axis=1, out=dest, mode="clip")
 
 
 def validated_grid(times) -> np.ndarray:
@@ -621,14 +557,11 @@ def evaluate(
     Returns ``(c, x)``, each of shape (len(times), len(rows)): the diagonal
     coefficients c_j(t) and the cross terms x_j(t) = sigma_{1,2j}(t), which
     vanish identically on the system row; ``x`` is None when ``cross`` is
-    false.  Costs O(T N log N) time for the resolvent sums.  The kernel
-    sums over the requested coupled bath rows cost O(T N log N) in all as FFT
-    correlations once those rows number at least _KAPPA * log2(FFT length),
-    and O(T N) per row as blocked GEMMs below that, so all rows together
-    cost O(T N log N).  Memory is O(T N) beyond a few reused buffers: of about
-    _CHUNK_BYTES each for the resolvent sums, of _FFT_ROWS FFT rows for the
-    kernel correlations and, on the GEMM path, one kernel panel of at most
-    about 8 MiB (a single row when one is larger).
+    false.  Costs O(T N log N) time: the resolvent sums correlate over the
+    whole bath, and the kernel sums over the requested coupled bath rows take
+    FFTs whose length covers N plus the span of those rows, so a window of
+    rows costs about half of all rows.  Memory is O(T N) beyond a few
+    reused buffers of about _CHUNK_BYTES or _FFT_BYTES each.
     """
     grid = validated_grid(times)
     n = basis.dimension
@@ -643,43 +576,35 @@ def evaluate(
     nt = len(grid)
 
     w, g = basis.frequencies[1:], basis.couplings
-    active = np.flatnonzero(g)
     live = np.flatnonzero(basis.weights)
     z = basis.weights[live] * _phase_factors(grid, w[basis.poles[live]], basis.shifts[live])
     system_amp = z.sum(axis=1)  # U_11
 
-    # requested rows of coupled bath modes, as positions into ``active``
-    slot = np.full(n, -1)
-    slot[1 + active] = np.arange(len(active))
-    out_rows = np.flatnonzero(slot[rows] >= 0)
-    act_rows = slot[rows[out_rows]]
-
-    # resolvent sums A_j over all coupled modes, B_j over the requested ones
-    wa, ga = w[active], g[active]
-    A = B = np.zeros((nt, 0), dtype=complex)
-    if len(active):
-        A, B = _resolvents(basis, z, active[act_rows] if len(act_rows) else None)
-        A = A[0::2, active] + 1j * A[1::2, active]
-        B = B if B is None else B[0::2] + 1j * B[1::2]
-
     c = np.broadcast_to(c0[rows], (nt, len(rows))).copy()  # deflated rows keep c0
     x = np.zeros((nt, len(rows))) if cross else None
-    wv = ga * ga * c0[1 + active]
+    if not np.any(g):  # with no coupled mode the system keeps c0 too
+        return c, x
+    # requested rows of coupled bath modes, and their bath indices
+    out_rows = np.flatnonzero(np.r_[False, g != 0][rows])
+    targets = rows[out_rows] - 1
+
+    # resolvent sums A_j over the bath, B_j over the requested coupled modes;
+    # the weights wv vanish at deflated modes, so no sum reads A_j there
+    A, B = _resolvents(basis, z, targets if len(targets) else None)
+    A = A[0::2] + 1j * A[1::2]
+    wv = g * g * c0[1:]
     sys_rows = np.flatnonzero(rows == 0)
-    if len(sys_rows) and len(active):  # with no coupled mode the system keeps c0 too
+    if len(sys_rows):
         c[:, sys_rows] = (np.abs(system_amp) ** 2 * c0[0] + (np.abs(A) ** 2) @ wv)[:, None]
-    if len(act_rows) == 0:
+    if len(targets) == 0:
         return c, x
 
+    B = B[0::2] + 1j * B[1::2]
     W = wv * A
-    R = np.concatenate((wv[None, :], wv * np.abs(A) ** 2, W.real, W.imag))  # (1 + 3T, M)
-    size = _fft_size(2 * len(w) - 1)
-    if len(act_rows) >= _KAPPA * math.log2(size):
-        KR, LR = _kernel_correlations(w, active, R, active[act_rows], nt, cross, size)
-    else:
-        KR, LR = _kernel_products(wa, R, act_rows, nt, cross)
+    R = np.concatenate((wv[None, :], wv * np.abs(A) ** 2, W.real, W.imag))  # (1 + 3T, N)
+    KR, LR = _kernel_sums(R, targets, basis.model.delta_omega, cross)
 
-    Aj, gj, c0j = A[:, act_rows], ga[act_rows], c0[1 + active[act_rows]]
+    Aj, gj, c0j = A[:, targets], g[targets], c0[1 + targets]
     KW2 = KR[1 + nt : 1 + 2 * nt] + 1j * KR[1 + 2 * nt :]
     c[:, out_rows] = gj**2 * (
         np.abs(Aj) ** 2 * (KR[0] + c0[0])

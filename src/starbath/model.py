@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,12 +25,6 @@ __all__ = [
     "thermal_coefficient",
     "recurrence_time",
 ]
-
-# Uniform bath spacing holds to 1e-12 relative, or to a few ulps of the top
-# frequency, which bound the rounding of omega_min + dw * k at large N.
-_SPACING_RTOL = 1e-12
-_SPACING_ULPS = 4
-
 
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
@@ -76,65 +70,50 @@ class OhmicBathSpec:
 class StarModel:
     """Frequencies and couplings defining the star Hamiltonian.
 
-    ``bath_omegas`` must be strictly increasing and uniformly spaced; both
-    arrays are frozen read-only after construction so the model can be shared
-    across threads.
+    The bath is exactly uniform: mode j has frequency omega_min + j *
+    delta_omega, j = 0 ... N-1, with N = len(bath_couplings).
+    ``bath_omegas`` holds those frequencies rounded to within 1 ulp; it and
+    ``bath_couplings`` are frozen read-only after construction so the model
+    can be shared across threads.
     """
 
     omega1: float
-    bath_omegas: np.ndarray
+    omega_min: float
+    delta_omega: float
     bath_couplings: np.ndarray
+    bath_omegas: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        omegas = np.ascontiguousarray(self.bath_omegas, dtype=np.float64)
-        couplings = np.ascontiguousarray(self.bath_couplings, dtype=np.float64)
-        object.__setattr__(self, "bath_omegas", omegas)
-        object.__setattr__(self, "bath_couplings", couplings)
-
-        _require_finite("omega1", self.omega1)
-        if self.omega1 <= 0:
-            raise ValueError("omega1 must be positive")
-        if omegas.ndim != 1 or couplings.ndim != 1:
-            raise ValueError("bath arrays must be one-dimensional")
-        if len(omegas) != len(couplings):
-            raise ValueError("bath_omegas and bath_couplings must have equal length")
-        if len(omegas) < 2:
-            raise ValueError("a star model needs at least 2 bath modes")
-        if not np.all(np.isfinite(omegas)) or not np.all(np.isfinite(couplings)):
-            raise ValueError("bath parameters must be finite")
-        if np.any(omegas <= 0):
-            raise ValueError("bath frequencies must be strictly positive")
+        for name in ("omega1", "omega_min", "delta_omega"):
+            _require_finite(name, getattr(self, name))
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        couplings = np.array(self.bath_couplings, dtype=np.float64)
+        if couplings.ndim != 1 or len(couplings) < 2:
+            raise ValueError("a star model needs a 1-d array of at least 2 bath couplings")
+        if not np.all(np.isfinite(couplings)):
+            raise ValueError("bath couplings must be finite")
         if np.any(couplings < 0):
             raise ValueError("bath couplings must be non-negative")
-        spacing = (omegas[-1] - omegas[0]) / (len(omegas) - 1)
-        if spacing <= 0:
-            raise ValueError("bath frequencies must be strictly increasing")
-        diffs = np.diff(omegas)
-        tol = max(_SPACING_RTOL * spacing, _SPACING_ULPS * float(np.spacing(omegas[-1])))
-        if np.any(diffs <= 0) or np.max(np.abs(diffs - spacing)) > tol:
-            raise ValueError("bath frequencies must be uniformly spaced (to 1e-12 relative or 4 ulps)")
-
-        omegas.setflags(write=False)
-        couplings.setflags(write=False)
+        if not math.isfinite(self.omega_min + self.delta_omega * (len(couplings) - 1)):
+            raise ValueError("the top bath frequency overflows")
+        omegas = self.omega_min + self.delta_omega * np.arange(len(couplings))
+        for name, arr in (("bath_couplings", couplings), ("bath_omegas", omegas)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StarModel):
             return NotImplemented
         return (
-            self.omega1 == other.omega1
-            and np.array_equal(self.bath_omegas, other.bath_omegas)
+            (self.omega1, self.omega_min, self.delta_omega) == (other.omega1, other.omega_min, other.delta_omega)
             and np.array_equal(self.bath_couplings, other.bath_couplings)
         )
 
     @property
     def n_modes(self) -> int:
         """Number of bath oscillators N."""
-        return len(self.bath_omegas)
-
-    @property
-    def delta_omega(self) -> float:
-        """Uniform bath spacing dw."""
-        return (self.bath_omegas[-1] - self.bath_omegas[0]) / (self.n_modes - 1)
+        return len(self.bath_couplings)
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -145,11 +124,10 @@ class StarModel:
 def discretize_ohmic_bath(spec: OhmicBathSpec, omega1: float) -> StarModel:
     """Place N bath modes uniformly on [omega_min, omega_max] and set the
     couplings by the midpoint rule g_j = sqrt(eta * dw * w_j * exp(-w_j/w_c))."""
-    _require_finite("omega1", omega1)
     dw = spec.delta_omega
     omegas = spec.omega_min + dw * np.arange(spec.n_modes)
     couplings = np.sqrt(spec.eta * dw * omegas * np.exp(-omegas / spec.omega_c))
-    return StarModel(omega1=omega1, bath_omegas=omegas, bath_couplings=couplings)
+    return StarModel(omega1, spec.omega_min, dw, couplings)
 
 
 def relaxation_rate(spec: OhmicBathSpec, omega1: float) -> float:

@@ -70,7 +70,8 @@ def test_criterion_01_gksl_agreement(production):
 
 
 @pytest.mark.xfail(
-    strict=False,
+    strict=True,
+    raises=AssertionError,
     reason=(
         "the recurrence echo develops strictly after t1: the deviation is flat "
         "(~7e-4) throughout [0.9, 1.0]*t1 and only ramps to several percent over "

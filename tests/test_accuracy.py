@@ -1,8 +1,9 @@
 """Accuracy of the batched closed-form evaluation against an extended-precision
 reference on the production bath.
 
-The reference repeats the arrowhead closed form in ``np.longdouble``: its own
-pole assignment, shifted secular Newton iterations to 1e-18, and every
+The reference repeats the arrowhead closed form in ``np.longdouble`` on the
+model's exactly uniform bath w_0 + j dw, formed in longdouble: its own pole
+assignment, shifted secular Newton iterations to 1e-18, and every
 propagator entry U_jm formed pairwise, so the m-sums need no kernel split.
 The bounds sit between what the shifted-pole representation reaches and
 what eigenvalue differences taken from plain ``eigvalsh`` output give
@@ -29,7 +30,9 @@ def reference(model: sb.StarModel, c0: np.ndarray, times) -> tuple[np.ndarray, n
     """c_j(t) and x_j(t) in extended precision, shape (len(times), N+1),
     with x = 0 in the system column."""
     n = model.n_modes
-    w1, w, g = LD(model.omega1), model.bath_omegas.astype(LD), model.bath_couplings.astype(LD)
+    w = LD(model.omega_min) + np.arange(n) * LD(model.delta_omega)  # the exactly uniform bath
+    assert np.max(np.abs(model.bath_omegas - w) / np.spacing(model.bath_omegas)) <= 1.0  # rounded to 1 ulp
+    w1, g = LD(model.omega1), model.bath_couplings.astype(LD)
     g2 = g * g
     guess = np.linalg.eigvalsh(arrowhead_matrix(model))
     # interlacing: eigenvalue k lies between bath frequencies k-1 and k
@@ -38,7 +41,7 @@ def reference(model: sb.StarModel, c0: np.ndarray, times) -> tuple[np.ndarray, n
     nearer_left = (k == n) | ((k > 0) & (guess - model.bath_omegas[left] <= model.bath_omegas[right] - guess))
     poles = np.where(nearer_left, left, right)
     wp = w[poles]
-    gap = wp[:, None] - w[None, :]  # exact differences of bath frequencies
+    gap = wp[:, None] - w[None, :]
     delta = guess.astype(LD) - wp
     for _ in range(20):
         inv = 1 / (gap + delta[:, None])

@@ -208,6 +208,19 @@ def test_n_and_grid_flags_per_job(tmp_path, capsys, job, flag):
         assert not (tmp_path / "out").exists()
 
 
+def test_repeated_main_calls_keep_the_flag_rules(tmp_path, capsys):
+    """The parser is built once per process; each call still applies its own job's flag rules."""
+    assert _build_parser() is _build_parser()
+    for _ in range(2):
+        assert main(["fig1", "--n", "8", "--out", str(tmp_path / "refused")]) == 2
+        assert capsys.readouterr().err.startswith("config error: fig1 takes no --n")
+        assert main(["simulate", "--n", "8", "--grid", "0:1:3", "--out", str(tmp_path / "simulate")]) == 0
+        assert main(["fig1", "--n-list", "8,16", "--grid", "0:1:3", "--out", str(tmp_path / "fig1")]) == 0
+        assert main(["simulate", "--n-list", "8,16", "--out", str(tmp_path / "refused")]) == 2
+        assert capsys.readouterr().err.startswith("config error: simulate takes no --n-list")
+    assert not (tmp_path / "refused").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

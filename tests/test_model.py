@@ -102,33 +102,63 @@ class TestDiscretization:
 
 
 class TestStarModelInvariants:
-    def test_rejects_non_uniform_spacing(self):
-        omegas = np.array([1.0e6, 2.0e6, 3.5e6])
-        with pytest.raises(ValueError, match="uniformly spaced"):
-            StarModel(omega1=4e6, bath_omegas=omegas, bath_couplings=np.ones(3))
-
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended-precision longdouble")
     @pytest.mark.parametrize("n", [5000, 6500, 16000, 100000])
     def test_production_bath_above_4000_is_uniform(self, n):
+        # the production bath is exactly uniform, w_j = w_0 + j dw, and
+        # bath_omegas rounds it to within 1 ulp (N = 2000: tests/test_accuracy.py)
         spec = ExperimentConfig(n_modes=n).bath_spec()
         model = discretize_ohmic_bath(spec, 4e6)
         assert model.n_modes == n
-        omegas = model.bath_omegas.copy()
-        omegas[n // 2] += 1e-9 * model.delta_omega  # still tens of ulps of the top frequency
-        with pytest.raises(ValueError, match="uniformly spaced"):
-            StarModel(omega1=4e6, bath_omegas=omegas, bath_couplings=model.bath_couplings)
+        assert (model.omega_min, model.delta_omega) == (spec.omega_min, spec.delta_omega)
+        exact = np.longdouble(model.omega_min) + np.arange(n) * np.longdouble(model.delta_omega)
+        ulps = np.abs(model.bath_omegas - exact) / np.spacing(model.bath_omegas)
+        assert np.max(ulps) <= 1.0
+        assert abs(model.bath_omegas[-1] - spec.omega_max) <= 4 * np.spacing(spec.omega_max)
+        # t1 = 2 pi / dw, as from the spacing of the end frequencies
+        span = (model.bath_omegas[-1] - model.bath_omegas[0]) / (n - 1)
+        assert recurrence_time(model) == pytest.approx(2 * math.pi / span, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "omega_min,delta_omega,couplings",
+        [
+            (float("nan"), 1e6, [1.0, 1.0]),
+            (float("inf"), 1e6, [1.0, 1.0]),
+            (0.0, 1e6, [1.0, 1.0]),
+            (1e6, float("nan"), [1.0, 1.0]),
+            (1e6, float("inf"), [1.0, 1.0]),
+            (1e6, 0.0, [1.0, 1.0]),
+            (1e6, -1e6, [1.0, 1.0]),
+            (1e6, 1e6, [1.0]),
+            (1e6, 1e6, [[1.0, 1.0]]),
+            (1e6, 1e6, [1.0, -1.0]),
+            (1e6, 1e6, [1.0, float("nan")]),
+            (1e6, 1e306, [1.0] * 1000),
+        ],
+        ids=[
+            "nan_omega_min", "inf_omega_min", "zero_omega_min", "nan_step", "inf_step", "zero_step",
+            "negative_step", "one_coupling", "2d_couplings", "negative_coupling", "nan_coupling", "overflow",
+        ],
+    )
+    def test_rejects_bad_bath(self, omega_min, delta_omega, couplings):
+        with pytest.raises(ValueError):
+            StarModel(4e6, omega_min, delta_omega, np.array(couplings))
 
     def test_rejects_negative_frequency(self):
-        with pytest.raises(ValueError):
-            StarModel(omega1=4e6, bath_omegas=np.array([-1e6, 1e6]), bath_couplings=np.ones(2))
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            StarModel(omega1=4e6, bath_omegas=np.array([1e6, 2e6]), bath_couplings=np.ones(3))
+        with pytest.raises(ValueError, match="omega_min"):
+            StarModel(omega1=4e6, omega_min=-1e6, delta_omega=2e6, bath_couplings=np.ones(2))
+        with pytest.raises(ValueError, match="omega1"):
+            StarModel(omega1=-4e6, omega_min=1e6, delta_omega=2e6, bath_couplings=np.ones(2))
 
     def test_arrays_read_only(self):
-        model = discretize_ohmic_bath(production_spec(8), 4e6)
-        with pytest.raises(ValueError):
-            model.bath_omegas[0] = 0.0
+        g = np.ones(8)
+        model = StarModel(4e6, 1e6, 2e6, g)
+        for arr in (model.bath_omegas, model.bath_couplings):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        g[0] = 2.0  # the model holds its own copy; the caller's array stays writable
+        assert model.bath_couplings[0] == 1.0
+        np.testing.assert_array_equal(model.bath_omegas, 1e6 + 2e6 * np.arange(8))
 
     def test_equality(self):
         a = discretize_ohmic_bath(production_spec(8), 4e6)
@@ -216,7 +246,7 @@ class TestReducedHamiltonian:
     def test_two_mode_analytic_eigenvalues(self):
         # a second, uncoupled bath mode (a star needs two) keeps its bare frequency
         w1, w2, w3, g = 4e6, 6e6, 9e6, 2e5
-        model = StarModel(omega1=w1, bath_omegas=np.array([w2, w3]), bath_couplings=np.array([g, 0.0]))
+        model = StarModel(omega1=w1, omega_min=w2, delta_omega=w3 - w2, bath_couplings=np.array([g, 0.0]))
         eigs = np.linalg.eigvalsh(arrowhead_matrix(model))
         mid, split = (w1 + w2) / 2, math.hypot((w1 - w2) / 2, g)
         np.testing.assert_allclose(eigs, [mid - split, mid + split, w3], rtol=1e-14)
