@@ -5,7 +5,9 @@ The covariance matrix of the whole star is evolved exactly through the
 closed-form spectral data of the reduced arrowhead matrix; every oscillator
 stays in a Gibbs state with a time-dependent temperature, which makes per-mode
 thermodynamic entropies, energy fluxes, and the total entropy production
-rate well defined at all times.
+rate well defined at all times.  The jobs in ``harness`` (run from ``cli``)
+write figure data, and the validate job checks those invariants on the
+configured run.
 """
 
 from .constants import HBAR, KB

@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 2 on configuration errors, 3 when the validate
-job reports a failed invariant.
+Exit codes: 0 on success, 2 on configuration errors, 3 when a residual in
+the validate job's checks table exceeds its tolerance.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ _FIELD_FLAGS = {
     "pivn_mode": ("--pivn-mode", {"choices": PIVN_MODES, "help": "Pi_vN evaluation mode"}),
     "eta": ("--eta", {"type": float, "help": "bath coupling strength"}),
     "mode_window_mhz": ("--window", {"type": float, "help": "per-mode window half-width in MHz"}),
-    "seed": ("--seed", {"type": int, "help": "seed for the validate suite"}),
 }
 
 
@@ -72,22 +71,19 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     result = run_job(cfg)
-    if cfg.job == "validate":
-        report = result["report"]
-        for check in report["checks"]:
-            status = "pass" if check["passed"] else "FAIL"
-            print(
-                f"[{status}] {check['module']}.{check['name']}: "
-                f"residual={check['residual']:.3e} tolerance={check['tolerance']:.3e}"
-                + (f" ({check['note']})" if check["note"] else "")
-            )
-        if not report["passed"]:
-            print("validation failed", file=sys.stderr)
-            return 3
-        print("validation passed")
-    else:
-        for path in [*result["files"], result["manifest"]]:
-            print(f"wrote {path}")
+    for path in [*result["files"], result["manifest"]]:
+        print(f"wrote {path}")
+    checks = result["tables"].get("checks")
+    if checks is None:
+        return 0
+    failed = [name for name, residual, tolerance in checks.rows if not residual <= tolerance]  # nan fails
+    for name, residual, tolerance in checks.rows:
+        status = "FAIL" if name in failed else "pass"
+        print(f"[{status}] {name}: residual={residual:.3e} tolerance={tolerance:.3e}")
+    if failed:
+        print(f"validation failed: {', '.join(failed)}", file=sys.stderr)
+        return 3
+    print("validation passed")
     return 0
 
 

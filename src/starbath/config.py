@@ -38,7 +38,7 @@ JOB_INPUTS = {
     "fig5": _BATH + ("n_list", "times_us", "mode_window_mhz"),
     "fig6": _BATH + ("n_list", "sweep_times_us"),
     "sweep-n": _BATH + ("n_list", "sweep_times_us"),
-    "validate": ("seed",),
+    "validate": _BATH + ("n_modes", "times_us"),
 }
 _N_DEFAULTS = {
     "fig1": (4000, 6000, 8000),
@@ -72,7 +72,6 @@ class ExperimentConfig:
     out_dir: str = "out"
     pivn_mode: str = "gksl"
     mode_window_mhz: float = 0.4
-    seed: int = 0
 
     def __post_init__(self) -> None:
         self.validate()
@@ -117,17 +116,15 @@ class ExperimentConfig:
         try:
             for n in self.n_values():
                 relaxation_rate(self.bath_spec(n), self.omega1)
-            if "T_A0_uk" in reads:
-                self.initial_temperatures()
+            self.initial_temperatures()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
     def n_values(self) -> list[int]:
-        """The bath sizes the job runs, in order (none for ``validate``)."""
-        reads = JOB_INPUTS[self.job]
-        if "n_list" in reads:
+        """The bath sizes the job runs, in order."""
+        if "n_list" in JOB_INPUTS[self.job]:
             return list(self.n_list or _N_DEFAULTS[self.job])
-        return [self.n_modes] if "n_modes" in reads else []
+        return [self.n_modes]
 
     # --- SI accessors -----------------------------------------------------
 

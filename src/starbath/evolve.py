@@ -26,9 +26,11 @@ Sci. Comput. 14 (1993)).  The eigenvalues interlace the bath frequencies;
 each is the secular-equation root in its own bracket, kept as its nearest
 bath pole plus a shift, l_k = w_p + d_k, found in that shifted variable, so
 the small differences l_k - w_j = dw (p - j) + d_k keep full relative
-accuracy.  Its secular sums add the poles near each root exactly and the
-rest from Taylor tables built by FFT on the uniform bath, so the basis costs
-O(N log N).  All three kinds of sum share one FFT Toeplitz correlation.
+accuracy; the pole w_p = w_0 + p dw is exact, carried as the rounded bath
+frequency plus its rounding residual.  Its secular sums add the poles near
+each root exactly and the rest from Taylor tables built by FFT on the
+uniform bath, so the basis costs O(N log N).  All three kinds of sum share
+one FFT Toeplitz correlation.
 """
 
 from __future__ import annotations
@@ -99,11 +101,13 @@ class InitialTemperatures:
 class ModeBasis:
     """Closed-form spectral data of ``model``'s reduced arrowhead matrix.
 
-    Eigenvalue k is l_k = w_p + d_k with p = ``poles[k]`` (a bath index) and
-    d_k = ``shifts[k]``; ``weights[k]`` is Q_1k^2, whose eigenvector has the
-    bath components Q_jk = g_j Q_1k / (l_k - w_j).  A bath mode with zero (or
-    negligible, then stored as 0 in ``couplings``) coupling is deflated: its
-    eigenvalue is its own frequency, with shift 0 and weight 0.
+    Eigenvalue k is l_k = w_p + d_k with p = ``poles[k]`` (a bath index),
+    w_p = w_0 + p dw the exact pole and d_k = ``shifts[k]``; ``weights[k]``
+    is Q_1k^2, whose eigenvector has the bath components
+    Q_jk = g_j Q_1k / (l_k - w_j).  ``pole_residuals[k]`` is w_p less its
+    rounded ``bath_omegas[p]``.  A bath mode with zero (or negligible, then
+    stored as 0 in ``couplings``) coupling is deflated: its eigenvalue is its
+    own frequency, with shift 0 and weight 0.
     ``newton_step`` is the largest relative secular Newton step left at the
     final shifts.  Immutable and shared read-only.
     """
@@ -115,6 +119,7 @@ class ModeBasis:
     model: StarModel
     newton_step: float = 0.0
     frequencies: np.ndarray = field(init=False)  # bare oscillator frequencies, system first
+    pole_residuals: np.ndarray = field(init=False)
     eigenvalues: np.ndarray = field(init=False)  # ascending
 
     def __post_init__(self) -> None:
@@ -122,8 +127,10 @@ class ModeBasis:
         for name in ("shifts", "weights", "couplings"):
             object.__setattr__(self, name, np.ascontiguousarray(getattr(self, name), dtype=np.float64))
         object.__setattr__(self, "frequencies", self.model.frequencies)
-        object.__setattr__(self, "eigenvalues", self.frequencies[1 + self.poles] + self.shifts)
-        for name in ("poles", "shifts", "weights", "frequencies", "couplings", "eigenvalues"):
+        object.__setattr__(self, "pole_residuals", _pole_residuals(self.model)[self.poles])
+        eigenvalues = self.frequencies[1 + self.poles] + (self.pole_residuals + self.shifts)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        for name in ("poles", "shifts", "weights", "frequencies", "couplings", "pole_residuals", "eigenvalues"):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -163,6 +170,16 @@ class CovarianceSnapshot:
     def at(self, i: int) -> "CovarianceSnapshot":
         """The one-time snapshot at grid index ``i``."""
         return CovarianceSnapshot(self.time[i], self.c[i], self.x[i], self.model)
+
+
+def _pole_residuals(model):
+    """(w_0 + j dw) - bath_omegas[j] for every bath index j, exact up to its
+    own rounding: Dekker's product splits j dw into hi + lo, and as
+    bath_omegas[j] is the rounded sum w_0 + hi of two positive terms,
+    Fast2Sum gives that sum's rounding error."""
+    hi, lo = _two_product(np.arange(model.n_modes, dtype=float), model.delta_omega)
+    big, small = np.maximum(model.omega_min, hi), np.minimum(model.omega_min, hi)
+    return (small - (model.bath_omegas - big)) + lo
 
 
 def _comb(step, g2):
@@ -220,11 +237,11 @@ def _secular(offset, shifts, poles, comb):
     return f, fp
 
 
-def _refine(w1, bath_w, step, g):
+def _refine(w1, bath_w, residuals, step, g):
     """Pole indices, shifts, weights and the largest relative Newton step
     left at the final shifts, for the arrowhead matrix with diagonal
-    (w1, bath_w) and arm g, bath_w uniform with spacing ``step`` and g zero
-    only at deflated modes.
+    (w1, bath_w + residuals) and arm g, the bath exactly uniform with
+    spacing ``step`` and g zero only at deflated modes.
 
     Eigenvalue k lies in the interlacing interval of coupled modes k-1 and k;
     the sign of the secular function at its midpoint picks the half holding
@@ -246,7 +263,7 @@ def _refine(w1, bath_w, step, g):
     left = np.arange(-1, m)
     comb = _comb(step, g * g)
     ends = active[np.clip(left, 0, m - 1)]  # each midpoint as a shift from a finite endpoint
-    f, fp = _secular(bath_w[ends] - w1, np.where(left >= 0, half, -half), ends, comb)
+    f, fp = _secular((bath_w[ends] - w1) + residuals[ends], np.where(left >= 0, half, -half), ends, comb)
     poles = active[np.clip(np.where(f > 0, left, left + 1), 0, m - 1)]
     pole_w = bath_w[poles]
     a, b = lo - pole_w, hi - pole_w  # sign bracket of the shift, narrowed to the root's half
@@ -256,7 +273,7 @@ def _refine(w1, bath_w, step, g):
     seed = np.sign(f) * scale * np.arctan2((fp - 1.0) * scale, np.abs(f))
     inner = (left >= 0) & (left < m - 1) & (seed > a) & (seed < b)
     shifts = np.where(inner, seed, 0.5 * (a + b))
-    offset = pole_w - w1
+    offset = (pole_w - w1) + residuals[poles]
 
     steps = np.zeros(m + 1)  # relative size of each shift's latest step
     todo = np.arange(m + 1)
@@ -294,15 +311,15 @@ def mode_basis(model: StarModel) -> ModeBasis:
 
     # slot 0 and the slots of coupled modes hold the refined eigenvalues; a
     # deflated bath mode keeps its bare frequency: own pole, shift 0, weight 0
-    n = len(bath_w)
+    n, residuals = len(bath_w), _pole_residuals(model)
     poles, shifts, weights, step = np.arange(-1, n), np.zeros(n + 1), np.zeros(n + 1), 0.0
     if len(active):
         live = np.r_[0, 1 + active]
-        poles[live], shifts[live], weights[live], step = _refine(w1, bath_w, model.delta_omega, g)
+        poles[live], shifts[live], weights[live], step = _refine(w1, bath_w, residuals, model.delta_omega, g)
     else:
         poles[0] = np.argmin(np.abs(bath_w - w1))
-        shifts[0], weights[0] = w1 - bath_w[poles[0]], 1.0
-    order = np.argsort(bath_w[poles] + shifts, kind="stable")
+        shifts[0], weights[0] = (w1 - bath_w[poles[0]]) - residuals[poles[0]], 1.0
+    order = np.argsort(bath_w[poles] + (residuals[poles] + shifts), kind="stable")
     return ModeBasis(poles[order], shifts[order], weights[order], g, model, newton_step=step)
 
 
@@ -315,7 +332,8 @@ def initial_coefficients(frequencies: np.ndarray, init: InitialTemperatures) -> 
 
 
 def _phase_factors(times, pole_w, shifts):
-    """exp(-i (w_p + d_k) t), grid times as rows.
+    """exp(-i (w_p + d_k) t), grid times as rows, for the rounded poles
+    ``pole_w`` and the shifts d_k counted from them.
 
     w_p t is carried as its rounded value plus the exact rounding error
     (Dekker's product), so the phase keeps the accuracy of the shifts instead
@@ -577,7 +595,8 @@ def evaluate(
 
     w, g = basis.frequencies[1:], basis.couplings
     live = np.flatnonzero(basis.weights)
-    z = basis.weights[live] * _phase_factors(grid, w[basis.poles[live]], basis.shifts[live])
+    shifts = basis.pole_residuals[live] + basis.shifts[live]  # counted from the rounded poles
+    z = basis.weights[live] * _phase_factors(grid, w[basis.poles[live]], shifts)
     system_amp = z.sum(axis=1)  # U_11
 
     c = np.broadcast_to(c0[rows], (nt, len(rows))).copy()  # deflated rows keep c0

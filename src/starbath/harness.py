@@ -1,10 +1,10 @@
-"""Experiment runner: figure-data jobs, N-sweeps, and the validation suite.
+"""Experiment runner: figure-data jobs, N-sweeps, and the validate job.
 
-Figure jobs emit data (one CSV per curve plus a JSON manifest), never
-images; plotting is left to external tools.  Identical configs produce
-bit-identical CSV bytes on the same build.
+Jobs emit data (one CSV per curve plus a JSON manifest), never images;
+plotting is left to external tools.  Identical configs produce bit-identical
+CSV bytes on the same build.
 
-Every figure job runs one pipeline: for each N it builds a ``_Run`` (model,
+Every job runs one pipeline: for each N it builds a ``_Run`` (model,
 closed-form rates, mode basis and the shared time grid) and hands it to the
 job's curve function, which returns ``{table key: (file name, table)}``.
 The pipeline writes the CSVs, collects the derived constants per N and
@@ -12,12 +12,12 @@ writes the manifest.  A job is a ``_Job`` declaration of that curve
 function; the config fields it reads (``config.JOB_INPUTS``) are exactly the
 manifest's ``parameters`` and the fields the CLI takes flags for.  Evaluated
 data stay on the time grid throughout: time on the first axis, oscillators
-on the last.
+on the last.  The validate job's table holds the invariant residuals of the
+configured run with their tolerances.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import checks
+from .checks import flux_sum_residual, oracle_equivalence_residual, pivn_nonnegativity_floor, unitarity_residual
 from .config import JOB_INPUTS, ExperimentConfig
 from .constants import HBAR, KB, MHZ, UK, US
 from .evolve import (
@@ -40,10 +40,11 @@ from .gksl import (
 from .model import (
     discretize_ohmic_bath, mean_occupation, recurrence_time, relaxation_rate, thermal_coefficient,
 )
+from .oracle import ORACLE_CAP_DEFAULT
 from .table import ResultTable, write_manifest
-from .thermo import ThermoRecord, fluxes_from_cross_terms, inverse_temperature, totals
+from .thermo import ThermoRecord, entropy_kb, fluxes_from_cross_terms, inverse_temperature, totals
 
-__all__ = ["run_job", "run_validate", "derived_constants", "proportional_fit", "affine_fit"]
+__all__ = ["run_job", "derived_constants", "proportional_fit", "affine_fit"]
 
 
 def derived_constants(basis: ModeBasis, params: GkslParams) -> dict:
@@ -67,7 +68,7 @@ def derived_constants(basis: ModeBasis, params: GkslParams) -> dict:
 
 
 class _Run:
-    """One N of a figure job: model, closed-form rates, mode basis and the
+    """One N of a job: model, closed-form rates, mode basis and the
     time grid, with the exact evaluations built on first use."""
 
     def __init__(self, cfg: ExperimentConfig, n: int, times: np.ndarray, last: bool) -> None:
@@ -236,6 +237,40 @@ def _sweep_curves(run: _Run) -> dict:
     return {"sweep": ("sweep_n.csv", table)}
 
 
+def _validate_curves(run: _Run) -> dict:
+    """Invariant residuals of the configured run against their tolerances:
+    the reduced path against the dense oracle on the N = 64 model of the
+    same bath and temperatures, at the grid times below its t1 (or the first
+    time, when none is); then, at the configured N on the grid, the
+    unitarity and flux sum rules, the floor c_j >= 1, S_tot(t) >= S_tot(0),
+    Pi_vN >= 0 and the basis's completeness and Newton step.  Entropies need
+    c_j >= 1, so S_tot is judged (nan, a failure) only where the floor holds."""
+    small = discretize_ohmic_bath(run.cfg.bath_spec(ORACLE_CAP_DEFAULT), run.cfg.omega1)
+    spot = run.times[run.times < recurrence_time(small)]
+    c = run.series.c
+    floor = 1.0 - float(np.min(c))
+    entropy_drop = np.nan
+    if floor <= 0.0:
+        s_tot = np.sum(entropy_kb(c), axis=-1)  # the t = 0 baseline first
+        entropy_drop = max(0.0, s_tot[0] - float(np.min(s_tot)))
+    derived = derived_constants(run.basis, run.params)
+    checks = {  # name: (residual, tolerance)
+        f"oracle_equivalence_N{ORACLE_CAP_DEFAULT}": (
+            oracle_equivalence_residual(small, run.init, spot if len(spot) else run.times[:1]), 1e-9
+        ),
+        "unitarity_sum_rule": (unitarity_residual(run.basis, run.times), 1e-9),
+        "flux_sum_rule": (flux_sum_residual(run.series), 1e-12),
+        "coefficient_floor": (max(0.0, floor), 0.0),
+        "entropy_drop[kB]": (entropy_drop, 0.0),
+        "pivn_floor[kB/s]": (max(0.0, -pivn_nonnegativity_floor(run.params, run.times)), 1e-15),
+        "weight_sum_residual": (derived["weight_sum_residual"], 1e-12),
+        "newton_step": (derived["newton_step"], 1e-12),
+    }
+    residual, tolerance = zip(*checks.values())
+    table = ResultTable.from_columns({"check": list(checks), "residual": residual, "tolerance": tolerance})
+    return {"checks": ("validate_checks.csv", table)}
+
+
 def proportional_fit(x: np.ndarray, y: np.ndarray) -> dict:
     """Least-squares fit through the origin, y = slope * x, with the
     uncentered coefficient of determination."""
@@ -277,7 +312,7 @@ def _sweep_fits(table: ResultTable) -> dict:
 
 @dataclass(frozen=True)
 class _Job:
-    """A figure job: manifest stem and curve function.
+    """A job: manifest stem and curve function.
 
     Everything else follows from the fields the job reads, ``JOB_INPUTS``.
     A job that reads ``n_list`` runs each of its N (``cfg.n_values()``) with
@@ -326,21 +361,6 @@ def _run_figure(job: _Job, cfg: ExperimentConfig) -> dict:
     return result
 
 
-def run_validate(cfg: ExperimentConfig) -> dict:
-    """Execute the invariant suites of all modules; nonzero exit on failure."""
-    results = checks.default_suite(seed=cfg.seed)
-    report = {
-        "passed": all(r.passed for r in results),
-        "seed": cfg.seed,
-        "checks": [r.as_dict() for r in results],
-    }
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "validate_report.json"
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return {"files": [path], "report": report}
-
-
 _SWEEP = _Job("sweep_n", _sweep_curves)
 _FIGURES = {
     "simulate": _Job("simulate", _simulate_curves),
@@ -351,12 +371,10 @@ _FIGURES = {
     "fig5": _Job("fig5", _fig5_curves),
     "fig6": _SWEEP,  # the N-sweep presented in the figure pipeline
     "sweep-n": _SWEEP,
+    "validate": _Job("validate", _validate_curves),
 }
 
 
 def run_job(cfg: ExperimentConfig) -> dict:
-    """Run ``cfg.job`` and return its files, tables and manifest (or, for
-    ``validate``, its report)."""
-    if cfg.job == "validate":
-        return run_validate(cfg)
+    """Run ``cfg.job`` and return its files, tables and manifest."""
     return _run_figure(_FIGURES[cfg.job], cfg)

@@ -72,7 +72,8 @@ class StarModel:
 
     The bath is exactly uniform: mode j has frequency omega_min + j *
     delta_omega, j = 0 ... N-1, with N = len(bath_couplings).
-    ``bath_omegas`` holds those frequencies rounded to within 1 ulp; it and
+    ``bath_omegas`` holds them as the float sums omega_min + (delta_omega *
+    j), within 1 ulp of exact (``evolve`` recovers the residuals); it and
     ``bath_couplings`` are frozen read-only after construction so the model
     can be shared across threads.
     """

@@ -13,15 +13,7 @@ import pytest
 
 import starbath as sb
 from starbath import KB
-from starbath.checks import (
-    energy_conservation_residual,
-    flux_finite_difference_residual,
-    flux_sum_residual,
-    gibbs_block_residual,
-    oracle_equivalence_residual,
-    random_star_model,
-    random_temperatures,
-)
+from starbath.checks import flux_sum_residual, oracle_equivalence_residual
 from starbath.gksl import ep_difference, epr_difference, gksl_sigma11, von_neumann_epr
 from starbath.harness import affine_fit, proportional_fit
 from starbath.oracle import dense_oracle_series
@@ -34,6 +26,13 @@ from starbath.thermo import (
 )
 
 from highprec import REFERENCE
+from invariants import (
+    energy_conservation_residual,
+    flux_finite_difference_residual,
+    gibbs_block_residual,
+    random_star_model,
+    random_temperatures,
+)
 from test_accuracy import EXTENDED, reference
 
 T1_US = REFERENCE["recurrence_time_us"]  # N = 4000 recurrence time
@@ -255,7 +254,7 @@ def test_criterion_09_conservation_and_fluxes(production):
 
     basis = production.basis(512)
     snap = sb.snapshot_series(basis, production.init, [100e-6]).at(0)
-    flux_res = flux_sum_residual(snap, basis.model)
+    flux_res = flux_sum_residual(snap)
     fd_res = flux_finite_difference_residual(basis, production.init, 100e-6)
 
     against = NOT_EXTENDED

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import starbath
-from starbath import checks
+from starbath import evolve
 from starbath.cli import _build_parser, _config_from_args, main
 from starbath.config import JOB_INPUTS, JOBS
 
@@ -24,7 +24,7 @@ JOB_FLAGS = {
     "fig5": {"--n-list", "--grid", "--window", "--eta"},
     "fig6": {"--n-list", "--eta"},
     "sweep-n": {"--n-list", "--eta"},
-    "validate": {"--seed"},
+    "validate": {"--n", "--grid", "--eta"},
 }
 FLAG_VALUES = {
     "--n": "16",
@@ -33,7 +33,7 @@ FLAG_VALUES = {
     "--pivn-mode": "exact",
     "--eta": "0.002",
     "--window": "0.3",
-    "--seed": "5",
+    "--seed": "5",  # no job takes it: argparse refuses it as unknown
 }
 
 def test_simulate_roundtrip(tmp_path, capsys):
@@ -54,7 +54,7 @@ def test_config_file_with_cli_override(tmp_path):
     assert data.count(b"\r\n") == 5  # header + 4 rows from the CLI grid, not the file's times
 
 
-@pytest.mark.parametrize("job", [job for job in JOBS if job != "validate"])
+@pytest.mark.parametrize("job", JOBS)
 def test_job_matrix_manifest_lists_written_files(tmp_path, capsys, job):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(
@@ -70,7 +70,8 @@ def test_job_matrix_manifest_lists_written_files(tmp_path, capsys, job):
     )
     out = tmp_path / "out"
     assert main([job, "--config", str(cfg_path), "--out", str(out)]) == 0
-    *written, last = [line.removeprefix("wrote ") for line in capsys.readouterr().out.splitlines()]
+    lines = capsys.readouterr().out.splitlines()
+    *written, last = [line.removeprefix("wrote ") for line in lines if line.startswith("wrote ")]
     (manifest_path,) = out.glob("*_manifest.json")
     assert last == str(manifest_path)
     manifest = json.loads(manifest_path.read_text())
@@ -90,6 +91,14 @@ def test_config_with_removed_emit_modes_exits_2(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"emit_modes": True}))
     assert main(["simulate", "--config", str(cfg_path)]) == 2
     assert "emit_modes" in capsys.readouterr().err
+
+
+def test_config_with_removed_seed_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 0}))
+    assert main(["validate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: unknown config keys: seed")
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_with_removed_oracle_cap_exits_2(tmp_path, capsys):
@@ -173,7 +182,6 @@ def test_bad_time_list_names_its_field(tmp_path, capsys, args, file_values, name
         ({"T_A0_uk": "10"}, "T_A0_uk"),
         ({"n_list": [8, "16", 32]}, "n_list"),
         ({"sweep_times_us": [100.0, False]}, "sweep_times_us"),
-        ({"seed": False}, "seed"),
     ],
 )
 def test_bool_or_string_in_numeric_field_exits_2(tmp_path, capsys, values, name):
@@ -201,6 +209,11 @@ def test_n_and_grid_flags_per_job(tmp_path, capsys, job, flag):
     argv = [job, flag, FLAG_VALUES[flag], "--out", str(tmp_path / "out")]
     if flag in JOB_FLAGS[job]:
         assert _config_from_args(_build_parser().parse_args(argv)).job == job
+    elif flag == "--seed":
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
     else:
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -266,7 +279,7 @@ def test_readme_examples_parse():
 def test_runtime_imports_no_scipy(tmp_path):
     code = (
         "import sys\n"
-        "import starbath, starbath.checks, starbath.cli\n"
+        "import starbath, starbath.cli\n"
         f"assert starbath.cli.main(['simulate', '--n', '8', '--grid', '0:1:3', '--out', {str(tmp_path)!r}]) == 0\n"
         "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n"
@@ -308,22 +321,40 @@ def test_short_sweep_exits_2(tmp_path):
 
 
 def test_validate_green_exits_0(tmp_path, capsys):
-    rc = main(["validate", "--out", str(tmp_path)])
-    assert rc == 0
+    assert main(["validate", "--n", "64", "--grid", "0:10:5", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    assert "validation passed" in out
-    assert "[pass]" in out
+    checks = (tmp_path / "validate_checks.csv").read_text().splitlines()[1:]
+    assert checks and out.count("[pass]") == len(checks) and "[FAIL]" not in out
+    assert out.endswith("validation passed\n")
+    manifest = json.loads((tmp_path / "validate_manifest.json").read_text())
+    assert manifest["files"] == ["validate_checks.csv"]
+    assert list(manifest["parameters"]) == sorted(JOB_INPUTS["validate"])
+    assert manifest["parameters"]["n_modes"] == 64 and len(manifest["parameters"]["times_us"]) == 5
 
 
-def test_validate_failure_exits_3(tmp_path, monkeypatch, capsys):
-    broken = checks.CheckResult(
-        module="evolve", name="forced", residual=1.0, tolerance=1e-9, passed=False
-    )
-    monkeypatch.setattr(checks, "default_suite", lambda **kwargs: [broken])
-    rc = main(["validate", "--out", str(tmp_path)])
-    assert rc == 3
+def test_validate_cold_bath_exits_3(tmp_path, capsys):
+    # T_A0 = 1 uK, T_B0 = 3 uK: roundoff takes the evolved c_j below 1
+    # (min c - 1 = -1e-15), which the simulate job refuses with a ValueError
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"T_A0_uk": 1.0, "T_B0_uk": 3.0, "n_modes": 200}))
+    argv = ["validate", "--config", str(cfg_path), "--grid", "0:60:61", "--out", str(tmp_path / "out")]
+    assert main(argv) == 3
     captured = capsys.readouterr()
-    assert "[FAIL] evolve.forced" in captured.out
-    assert "validation failed" in captured.err
-    report = json.loads((tmp_path / "validate_report.json").read_text())
-    assert report["passed"] is False
+    assert "[FAIL] coefficient_floor" in captured.out
+    assert captured.err.startswith("validation failed: coefficient_floor")
+    assert "Traceback" not in captured.err
+    assert (tmp_path / "out" / "validate_manifest.json").exists()
+
+
+def test_validate_catches_corrupted_cross_terms(tmp_path, monkeypatch, capsys):
+    evaluate = evolve.evaluate
+
+    def sign_flipped(*args, **kwargs):
+        c, x = evaluate(*args, **kwargs)
+        return c, None if x is None else -x
+
+    monkeypatch.setattr(evolve, "evaluate", sign_flipped)
+    assert main(["validate", "--n", "64", "--grid", "0:10:5", "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert "[FAIL] oracle_equivalence_N64" in captured.out
+    assert "validation failed: oracle_equivalence_N64" in captured.err

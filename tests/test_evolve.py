@@ -4,22 +4,22 @@ import numpy as np
 import pytest
 
 import starbath as sb
-from starbath.checks import (
+from starbath import evolve
+from starbath.checks import oracle_equivalence_residual, unitarity_residual
+from starbath.constants import MHZ
+from starbath.evolve import initial_coefficients
+from starbath.harness import derived_constants
+from starbath.oracle import arrowhead_matrix, dense_oracle_at
+
+from invariants import (
     energy_conservation_residual,
     gibbs_block_residual,
-    oracle_equivalence_residual,
     orthonormality_residual,
     positivity_floor,
     random_star_model,
     random_temperatures,
     reconstruction_residual,
-    unitarity_residual,
 )
-from starbath import evolve
-from starbath.constants import MHZ
-from starbath.evolve import initial_coefficients
-from starbath.harness import derived_constants
-from starbath.oracle import arrowhead_matrix, dense_oracle_at
 
 
 def small_setup(seed=3, n=12):

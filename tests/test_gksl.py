@@ -3,7 +3,7 @@ import pytest
 
 import starbath as sb
 from starbath import KB
-from starbath.checks import epr_identity_residual, pivn_nonnegativity_floor, random_star_model
+from starbath.checks import pivn_nonnegativity_floor
 from starbath.gksl import (
     GkslParams,
     ep_difference,
@@ -17,6 +17,7 @@ from starbath.gksl import (
 from starbath.thermo import entropy, inverse_temperature, mean_energy, totals
 
 from highprec import REFERENCE
+from invariants import epr_identity_residual, random_star_model
 
 
 @pytest.fixture(scope="module")

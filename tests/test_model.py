@@ -16,16 +16,16 @@ from starbath import (
     relaxation_rate,
     thermal_coefficient,
 )
-from starbath.checks import (
+from starbath.oracle import arrowhead_matrix
+
+from highprec import REFERENCE
+from invariants import (
     coupling_integral_error,
     coupling_sum_rule_residual,
     ohmic_window_integral,
     random_star_model,
     tensor_expansion_residual,
 )
-from starbath.oracle import arrowhead_matrix
-
-from highprec import REFERENCE
 
 
 def production_spec(n_modes: int) -> OhmicBathSpec:

@@ -8,15 +8,7 @@ import pytest
 
 import starbath as sb
 from starbath import HBAR, KB
-from starbath.checks import (
-    entropy_energy_slope_residual,
-    epr_rearrangement_residual,
-    flux_finite_difference_residual,
-    flux_sum_residual,
-    random_star_model,
-    random_temperatures,
-    thermo_consistency_residual,
-)
+from starbath.checks import flux_sum_residual
 from starbath.evolve import CovarianceSnapshot
 from starbath.thermo import (
     BOUNDARY_EPS,
@@ -33,6 +25,15 @@ from starbath.thermo import (
 )
 
 from highprec import REFERENCE
+from invariants import (
+    entropy_energy_slope_residual,
+    epr_finite_difference_residual,
+    epr_rearrangement_residual,
+    flux_finite_difference_residual,
+    random_star_model,
+    random_temperatures,
+    thermo_consistency_residual,
+)
 
 C_EQ = REFERENCE["sigma11_equilibrium"]  # coth at 4 MHz, 50 uK
 
@@ -163,7 +164,7 @@ class TestFluxesAndTotals:
 
     def test_flux_sum_rule(self):
         model, _, init, _, snap = evolved_record()
-        assert flux_sum_residual(snap, model) <= 1e-12
+        assert flux_sum_residual(snap) <= 1e-12
 
     def test_flux_matches_finite_difference(self):
         cfg = sb.ExperimentConfig(n_modes=128)
@@ -174,6 +175,12 @@ class TestFluxesAndTotals:
     def test_epr_rearrangement(self):
         model, _, init, _, snap = evolved_record()
         assert epr_rearrangement_residual(snap, model) <= 1e-12
+
+    def test_epr_matches_entropy_finite_difference(self):
+        # Pi_tot against the central difference of S_tot, N = 512 at t = 100 us, dt = 1 ns
+        cfg = sb.ExperimentConfig(n_modes=512)
+        basis = sb.mode_basis(sb.discretize_ohmic_bath(cfg.bath_spec(), cfg.omega1))
+        assert epr_finite_difference_residual(basis, cfg.initial_temperatures(), 100e-6) <= 1e-4
 
     def test_interaction_flux_negligible(self):
         # weak coupling: the interaction flux stays a few percent of the
