@@ -83,6 +83,12 @@ _FFT_ROWS, _FFT_BYTES = 8, 2**22
 # convergence is quadratic, so the step taken leaves an error near its square.
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_STEPS = 100
+# Phases: 2 pi = sum(_TWO_PI) to 3.4e-31 (Cody & Waite's split); the first two
+# parts carry 22 significant bits, so n times either is exact for |n| <= 2^31
+# and an angle below _PHASE_RANGE reduces by n 2 pi to the roundoff of the
+# last part.
+_TWO_PI = tuple(map(float.fromhex, ("0x1.921fb8p+2", "-0x1.5dde98p-21", "0x1.8469898cc517p-46")))
+_PHASE_RANGE = 2.0**31 * 2 * math.pi
 
 
 @dataclass(frozen=True)
@@ -331,17 +337,33 @@ def initial_coefficients(frequencies: np.ndarray, init: InitialTemperatures) -> 
     return thermal_coefficient(frequencies, temperatures)
 
 
-def _phase_factors(times, pole_w, shifts):
-    """exp(-i (w_p + d_k) t), grid times as rows, for the rounded poles
-    ``pole_w`` and the shifts d_k counted from them.
+def _phases(times, pole_w, shifts, weights, out):
+    """Fills ``out`` (T, 2, K) with the real and imaginary parts of
+    z_k = weights_k exp(-i (w_p + d_k) t) for the rounded poles ``pole_w``
+    and the shifts d_k counted from them, chunks of times at a time.
 
-    w_p t is carried as its rounded value plus the exact rounding error
-    (Dekker's product), so the phase keeps the accuracy of the shifts instead
-    of losing the ulp of l_k t (about 1e-13 rad at the production late times).
+    The angle is t l + t e, where l = w_p + d_k rounded and e its exact
+    rounding error (Knuth's two-sum); t l is carried as its rounded value hi
+    plus the exact rounding error (Dekker's product), so the phase keeps the
+    accuracy of the shifts instead of losing the ulp of l t (about 1e-13 rad
+    at the production late times).  hi is reduced by n 2 pi in three parts
+    (Cody & Waite), the first two exact while hi < _PHASE_RANGE, and one
+    cosine and one sine of the reduced angle give z_k.
     """
-    t = times[:, None]
-    hi, lo = _two_product(t, pole_w)
-    return np.exp(-1j * hi) * np.exp(-1j * (lo + t * shifts))
+    c1, c2, c3 = _TWO_PI
+    freq = pole_w + shifts
+    err = freq - pole_w
+    err = (pole_w - (freq - err)) + (shifts - err)
+    rows = max(1, _CHUNK_BYTES // (8 * len(freq)))
+    for t0 in range(0, len(times), rows):
+        t = times[t0 : t0 + rows, None]
+        hi, lo = _two_product(t, freq)
+        n = np.rint(hi * (1 / (2 * np.pi)))
+        angle = (n * c1 - hi) + n * c2  # minus the angle, for exp(-i angle)
+        angle += n * c3 - (lo + t * err)
+        re, im = out[t0 : t0 + rows, 0], out[t0 : t0 + rows, 1]
+        np.multiply(np.cos(angle, out=re), weights, out=re)
+        np.multiply(np.sin(angle, out=im), weights, out=im)
 
 
 def _two_product(a, b):
@@ -374,63 +396,107 @@ def _fft_size(n):
 def _lagrange_weights(u):
     """Lagrange weights at offsets ``u`` (K,) on the _SPREAD unit-spaced nodes
     -_SPREAD//2 ... _SPREAD - 1 - _SPREAD//2, as (K, _SPREAD); each is the
-    product over the other nodes, from prefix and suffix products."""
+    product over the other nodes: the prefix products, built in the result,
+    times the suffix products, built in one scratch."""
     nodes = np.arange(_SPREAD) - _SPREAD // 2
-    diff = u[:, None] - nodes
-    left, right = np.ones_like(diff), np.ones_like(diff)
-    left[:, 1:] = np.cumprod(diff[:, :-1], axis=1)
-    right[:, :-1] = np.cumprod(diff[:, :0:-1], axis=1)[:, ::-1]
+    weights, suffix = np.ones((len(u), _SPREAD)), np.ones((len(u), _SPREAD))
+    for i in range(1, _SPREAD):
+        np.multiply(weights[:, i - 1], u - nodes[i - 1], out=weights[:, i])
+        np.multiply(suffix[:, -i], u - nodes[-i], out=suffix[:, -i - 1])
+    weights *= suffix
     scale = [(-1) ** (_SPREAD - 1 - i) * math.factorial(i) * math.factorial(_SPREAD - 1 - i) for i in range(_SPREAD)]
-    return left * right / np.array(scale, dtype=float)
+    weights /= np.array(scale, dtype=float)
+    return weights
 
 
-def _resolvents(basis, z, b_cols):
-    """Resolvent sums at every bath mode j, the real and imaginary parts of time
-    t in rows 2t and 2t+1: A_j = sum_k z_k/(l_k - w_j) over the live roots,
-    whose z_k are the columns of ``z`` (T, K), and B_j = sum_k z_k/(l_k - w_j)^2
-    on the bath indices ``b_cols`` (None: B is not formed).  A_j at deflated
-    modes is some finite value that no caller reads.
+def _resolvents(basis, times, b_cols):
+    """U_11 = sum_k z_k, as (T,) complex, and the resolvent sums at every bath
+    mode j, the real and imaginary parts of time t in rows 2t and 2t+1:
+    A_j = sum_k z_k/(l_k - w_j) over the live roots, z_k = Q_1k^2 exp(-i l_k t),
+    and B_j = sum_k z_k/(l_k - w_j)^2 on the bath indices ``b_cols`` (None: B
+    is not formed).  A_j at deflated modes is some finite value that no
+    caller reads.
 
     In spacing units root k sits at x_k = p + d_k/step, in the cell
     (m_k - 1, m_k) with m_k = p + ceil(d_k/step), and target j at j;
-    interlacing leaves at most one live root in a cell.  The far field comes
-    from the charges that each root's _SPREAD Lagrange weights put on the
-    half-integer nodes around its cell: per row, FFTs correlate them with
+    interlacing leaves at most one live root in a cell.  One pass of
+    ``_phases`` writes each z_k straight into its cell's charge rows.  The
+    cells within _BAND of a target take the exact shifted differences
+    step (p - j) + d_k: a time-independent correction, exact minus grid
+    value, applied as block GEMMs of _CELLS targets (``_near_band``).  The
+    far field comes from the charges that each root's _SPREAD Lagrange
+    weights put on the half-integer nodes around its cell, formed in place of
+    the cell charges (``_spread``): per row, FFTs correlate them with
     1/(step r)^p at the node-target lags r, for the power p = 1 (A) or 2 (B).
-    The cells within _BAND of a target take the exact shifted differences
-    step (p - j) + d_k instead: a time-independent correction, exact minus
-    grid value, applied as block GEMMs of _CELLS targets.  Roots beyond cells
-    0 ... N take the direct sum.  Besides the (2T, N) sums and charges and
-    O(N) cell data, the scratch buffers take a few _CHUNK_BYTES.
+    Roots beyond cells 0 ... N take the direct sum.  Besides the (2T, N) sums
+    and charges and O(N) cell data, the scratch buffers take a few
+    _CHUNK_BYTES, and none but the FFTs' is alive during the far field.
     """
-    n, nt, step = len(basis.couplings), len(z), basis.model.delta_omega
-    P, R, W = _SPREAD, _BAND, _CELLS
+    n, nt, step = len(basis.couplings), len(times), basis.model.delta_omega
+    R, W = _BAND, _CELLS
     live = np.flatnonzero(basis.weights)
     p, d = basis.poles[live], basis.shifts[live]
     m = p + np.clip(np.ceil(d / step), -n - 2, n + 2).astype(np.intp)
     inside = (m >= 0) & (m <= n)
+    outer = np.flatnonzero(~inside)
 
     # cells -R ... nb W + R - 1 in blocks of W, empty ones at index -inf with
-    # weight 0, so their exact and grid values vanish; targets padded to nb W,
-    # deflated and padding ones at index +inf, whose (unread) exact values vanish too
+    # weight 0, so their exact and grid values vanish; one empty block for the
+    # node charges' overhang; then the roots beyond the cells.  Targets padded
+    # to nb W, deflated and padding ones at index +inf, whose (unread) exact
+    # values vanish too
     nb = -(-n // W)
     cells = -(-(nb * W + 2 * R) // W) * W
-    at = m[inside] + R
-    zc = np.zeros((nt, 2, cells))
-    zc[:, 0, at], zc[:, 1, at] = z.real[:, inside], z.imag[:, inside]
-    zc = zc.reshape(2 * nt, cells)
-    cell_p, cell_d, weights = np.full(cells, -np.inf), np.zeros(cells), np.zeros((cells, P))
+    col = np.where(inside, m + R, cells + W + np.cumsum(~inside) - 1)
+    pole_w, shift, weight = np.zeros((3, cells + W + len(outer)))
+    pole_w[col], shift[col], weight[col] = basis.frequencies[1 + p], basis.pole_residuals[live] + d, basis.weights[live]
+    zc = np.empty((nt, 2, len(pole_w)))
+    _phases(times, pole_w, shift, weight, zc)
+    sums = zc.sum(axis=2)
+    amp = sums[:, 0] + 1j * sums[:, 1]
+    zc = zc.reshape(2 * nt, -1)
+
+    at = col[inside]
+    cell_p, cell_d, u = np.full(cells, -np.inf), np.zeros(cells), np.zeros(cells)
     cell_p[at], cell_d[at] = p[inside], d[inside]
-    weights[at] = _lagrange_weights((p - m + 0.5)[inside] + (d / step)[inside])
+    u[at] = (p - m + 0.5)[inside] + (d / step)[inside]
+    weights = _lagrange_weights(u)
+    weights[cell_p == -np.inf] = 0.0
     index = np.full(nb * W, np.inf)
     index[:n] = np.where(basis.couplings != 0, np.arange(n), np.inf)
     A = np.empty((2 * nt, nb * W))
     B = None if b_cols is None else np.zeros((2 * nt, nb * W))
+    b_blocks = None if B is None else np.flatnonzero(np.bincount(b_cols // W))  # the blocks of requested rows
+    _near_band(zc[:, :cells], weights, cell_p, cell_d, index, step, ((A, 1, np.arange(nb)), (B, 2, b_blocks)))
+    _spread(zc[:, : cells + W], weights)
+    del weights  # the far field holds only the node charges, the sums and its FFT buffers
 
-    # near band: target block b meets cells bW - R ... bW + W + R - 1 (span);
-    # row c of the table weights @ kernel holds cell c's grid values at the
-    # offsets cell - target = R + W - 1 ... -(R + W - 1), read for each block
-    # as a strided view; the block GEMMs write straight into A and B
+    outs = [(A[:, :n], 0, 0, np.arange(n))]
+    if B is not None:
+        B = B[:, b_cols]
+        outs.append((B, 1, 0, b_cols))
+    powers = np.arange(1, len(outs) + 1)[:, None]
+    # node k sits at k - _SPREAD//2 - 1/2 in bath-index units, so node - target = -(lag + _SPREAD//2 + 1/2)
+    _correlate(zc[:, R : R + n + _SPREAD], lambda lag: (-step * (lag + (_SPREAD // 2 + 0.5))) ** -powers, outs)
+
+    if len(outer):
+        inv = 1.0 / (step * (p[outer, None] - index[:n]) + d[outer, None])
+        zo = zc[:, cells + W :]
+        A[:, :n] += zo @ inv
+        if B is not None:
+            B += zo @ np.square(inv[:, b_cols])
+    return amp, A[:, :n], B
+
+
+def _near_band(zc, weights, cell_p, cell_d, index, step, outs):
+    """Writes the near band of the resolvent sums into each (out, power,
+    blocks) of ``outs`` (None: skipped), for the target blocks ``blocks``:
+    block b meets cells bW - R ... bW + W + R - 1 (span) of the charges
+    ``zc``; row c of the table weights @ kernel holds cell c's grid values at
+    the offsets cell - target = R + W - 1 ... -(R + W - 1), read for each
+    block as a strided view; the block GEMMs write straight into out."""
+    P, R, W = _SPREAD, _BAND, _CELLS
+    nb = len(index) // W
     span, lags = W + 2 * R, 2 * (R + W) - 1
     dist = (R + W - 1) - np.arange(lags) + (np.arange(P)[:, None] - (P // 2 + 0.5))  # node - target
     window, strided = np.lib.stride_tricks.sliding_window_view, np.lib.stride_tricks.as_strided
@@ -440,8 +506,7 @@ def _resolvents(basis, z, b_cols):
     table = np.empty((group * W + 2 * R, lags))
     row, col = table.strides
     exact = np.empty((group, span, W))
-    b_blocks = None if B is None else np.flatnonzero(np.bincount(b_cols // W))  # the blocks of requested rows
-    for out, power, blocks in ((A, 1, np.arange(nb)), (B, 2, b_blocks)):
+    for out, power, blocks in outs:
         if out is None:
             continue
         kernel = (step * dist) ** -power
@@ -458,39 +523,30 @@ def _resolvents(basis, z, b_cols):
                 if power == 2:
                     np.square(diff, out=diff)
                 diff -= grid
-                np.matmul(charges[blk], diff, out=out[:, tgt].reshape(2 * nt, g, W).transpose(1, 0, 2))
+                np.matmul(charges[blk], diff, out=out[:, tgt].reshape(len(zc), g, W).transpose(1, 0, 2))
 
-    # far field: padded cell c spreads onto nodes c ... c + P - 1 (node k sits at
-    # k - R - P//2 - 1/2 spacings) as block GEMMs of W cells, then one real FFT
-    # correlation per row and power
-    group = min(cells // W, max(1, _CHUNK_BYTES // (8 * (W + P - 1) * max(W, 2 * nt))))
+
+def _spread(zc, weights):
+    """Replaces the cell charges ``zc`` (rows, cells + W) by node charges:
+    cell c spreads onto nodes c ... c + P - 1 as block GEMMs of W cells.
+    Groups of blocks run from the top down, so each reads its own cells
+    before writing its nodes, and its overhang adds onto the nodes of the
+    group above; the last block of ``zc`` must hold zeros."""
+    P, W = _SPREAD, _CELLS
+    rows, blocks = len(zc), len(weights) // W
+    group = min(blocks, max(1, _CHUNK_BYTES // (8 * (W + P - 1) * max(W, rows))))
     spread = np.zeros((group, W, W + P - 1))  # row s of block c holds its P weights from column s on
-    band = strided(spread, (group, W, P), (spread.strides[0], sum(spread.strides[1:]), spread.strides[2]), writeable=True)
-    part = np.empty((group, 2 * nt, W + P - 1))
-    nodes = np.zeros((2 * nt, cells // W + 1, W))
-    for c0 in range(0, cells // W, group):
-        g = min(group, cells // W - c0)
+    band = np.lib.stride_tricks.as_strided(
+        spread, (group, W, P), (spread.strides[0], sum(spread.strides[1:]), spread.strides[2]), writeable=True
+    )
+    part = np.empty((group, rows, W + P - 1))
+    nodes = zc.reshape(rows, blocks + 1, W)
+    for c0 in reversed(range(0, blocks, group)):
+        g = min(group, blocks - c0)
         band[:g] = weights[c0 * W : (c0 + g) * W].reshape(g, W, P)
-        np.matmul(zc[:, c0 * W : (c0 + g) * W].reshape(2 * nt, g, W).transpose(1, 0, 2), spread[:g], out=part[:g])
-        nodes[:, c0 : c0 + g] += part[:g, :, :W].transpose(1, 0, 2)
+        np.matmul(nodes[:, c0 : c0 + g].transpose(1, 0, 2), spread[:g], out=part[:g])
+        nodes[:, c0 : c0 + g] = part[:g, :, :W].transpose(1, 0, 2)
         nodes[:, c0 + 1 : c0 + g + 1, : P - 1] += part[:g, :, W:].transpose(1, 0, 2)
-    nodes = nodes.reshape(2 * nt, -1)[:, R : R + n + P]
-    outs = [(A[:, :n], 0, 0, np.arange(n))]
-    if B is not None:
-        B = B[:, b_cols]
-        outs.append((B, 1, 0, b_cols))
-    powers = np.arange(1, len(outs) + 1)[:, None]
-    # node k sits at k - P//2 - 1/2 in bath-index units, so node - target = -(lag + P//2 + 1/2)
-    _correlate(nodes, lambda lag: (-step * (lag + (P // 2 + 0.5))) ** -powers, outs)
-
-    outer = np.flatnonzero(~inside)
-    if len(outer):
-        inv = 1.0 / (step * (p[outer, None] - index[:n]) + d[outer, None])
-        zo = np.stack((z.real[:, outer], z.imag[:, outer]), axis=1).reshape(2 * nt, -1)
-        A[:, :n] += zo @ inv
-        if B is not None:
-            B += zo @ np.square(inv[:, b_cols])
-    return A[:, :n], B
 
 
 def _kernel_sums(R, targets, step, cross):
@@ -579,7 +635,12 @@ def evaluate(
     whole bath, and the kernel sums over the requested coupled bath rows take
     FFTs whose length covers N plus the span of those rows, so a window of
     rows costs about half of all rows.  Memory is O(T N) beyond a few
-    reused buffers of about _CHUNK_BYTES or _FFT_BYTES each.
+    reused buffers of about _CHUNK_BYTES or _FFT_BYTES each: the phases go
+    straight into the real (2T, N) charges, whose rows the far field reuses
+    for its node charges, so a system row holds those and the (2T, N) sums
+    and no complex (T, N) array (4.9 x 8 T N bytes at N = 100000 over 41
+    times).  ValueError once the largest eigenfrequency times the last time
+    reaches 2^31 2 pi, past the exact range of the phase reduction.
     """
     grid = validated_grid(times)
     n = basis.dimension
@@ -593,12 +654,13 @@ def evaluate(
         raise ValueError(f"rows must be a 1-d sequence of oscillator indices in [0, {n})")
     nt = len(grid)
 
-    w, g = basis.frequencies[1:], basis.couplings
-    live = np.flatnonzero(basis.weights)
-    shifts = basis.pole_residuals[live] + basis.shifts[live]  # counted from the rounded poles
-    z = basis.weights[live] * _phase_factors(grid, w[basis.poles[live]], shifts)
-    system_amp = z.sum(axis=1)  # U_11
-
+    top = basis.eigenvalues[-1]
+    if grid[-1] * top >= _PHASE_RANGE:
+        raise ValueError(
+            f"max eigenfrequency x max time must stay below 2^31 * 2 pi = {_PHASE_RANGE:.6g} rad, the exact range "
+            f"of the phase reduction: times below {_PHASE_RANGE / top:.6g} s for this model"
+        )
+    g = basis.couplings
     c = np.broadcast_to(c0[rows], (nt, len(rows))).copy()  # deflated rows keep c0
     x = np.zeros((nt, len(rows))) if cross else None
     if not np.any(g):  # with no coupled mode the system keeps c0 too
@@ -607,14 +669,16 @@ def evaluate(
     out_rows = np.flatnonzero(np.r_[False, g != 0][rows])
     targets = rows[out_rows] - 1
 
-    # resolvent sums A_j over the bath, B_j over the requested coupled modes;
-    # the weights wv vanish at deflated modes, so no sum reads A_j there
-    A, B = _resolvents(basis, z, targets if len(targets) else None)
-    A = A[0::2] + 1j * A[1::2]
+    # U_11, resolvent sums A_j over the bath and B_j over the requested coupled
+    # modes; the weights wv vanish at deflated modes, so no sum reads A_j there
+    system_amp, parts, B = _resolvents(basis, grid, targets if len(targets) else None)
+    A = parts[0::2] + 1j * parts[1::2] if len(targets) else None
     wv = g * g * c0[1:]
     sys_rows = np.flatnonzero(rows == 0)
     if len(sys_rows):
-        c[:, sys_rows] = (np.abs(system_amp) ** 2 * c0[0] + (np.abs(A) ** 2) @ wv)[:, None]
+        a2 = np.square(parts, out=parts) @ wv  # sum_j wv_j |A_j|^2 over the real and imaginary parts
+        c[:, sys_rows] = (np.abs(system_amp) ** 2 * c0[0] + (a2[0::2] + a2[1::2]))[:, None]
+    del parts  # the bath rows read only the complex A
     if len(targets) == 0:
         return c, x
 

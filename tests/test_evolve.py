@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -323,6 +324,22 @@ class TestEvaluate:
             cb, xb = sb.evaluate(basis, c0, times, range(2, 50))
             assert np.array_equal(cb, c) and np.array_equal(xb, x)
 
+    def test_system_row_scratch_at_4000(self, production):
+        # fig1's system row at N = 4000 over 31 times: the phases go straight
+        # into the (2T, N) charges and the node charges replace them, so the
+        # traced peak measures 6.8 MiB, 7.16 x 8 T N bytes (13.7 x with
+        # complex (T, N) phase factors beside the charges)
+        basis = production.basis(4000)
+        times = np.linspace(0.0, 400e-6, 31)
+        c0 = initial_coefficients(basis.frequencies, production.init)
+        tracemalloc.start()
+        try:
+            sb.evaluate(basis, c0, times, [0], cross=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 8 * len(times) * basis.dimension
+
     def test_rejects_bad_rows_and_inputs(self, setup):
         basis, c0, times = setup
         for rows in ([basis.dimension], [-1], [1.5], [[1, 2]]):
@@ -337,7 +354,7 @@ class TestEvaluate:
     def test_series_scratch_is_one_panel(self, production):
         # N=2000, T=10: the kernel and resolvent correlations need only
         # chunk-sized buffers besides the O(T N) sums: the traced peak
-        # measures 6.0 MiB.  An ~8 MiB kernel panel or an N^2/4-sized
+        # measures 4.6 MiB.  An ~8 MiB kernel panel or an N^2/4-sized
         # temporary would break the bound
         basis = production.basis(2000)
         tracemalloc.start()
@@ -349,7 +366,23 @@ class TestEvaluate:
         assert peak <= 10 * 2**20
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended-precision longdouble")
+def extended_phases(times, *terms):
+    """exp(-i t (sum of ``terms``)) in longdouble, times as rows: each t term
+    is Dekker's exact hi + lo, and the phase the product of exp(-i hi) for
+    every hi and exp(-i (sum of the lo)), each from longdouble cos and sin."""
+    L, t = np.longdouble, times[:, None]
+    z, rest = L(1), L(0)
+    for term in terms:
+        hi, lo = evolve._two_product(t, term)
+        z = z * (np.cos(L(hi)) - 1j * np.sin(L(hi)))
+        rest = rest + L(lo)
+    return z * (np.cos(rest) - 1j * np.sin(rest))
+
+
+needs_longdouble = pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended-precision longdouble")
+
+
+@needs_longdouble
 class TestKernelSums:
     @pytest.mark.parametrize(
         "bath,rows",
@@ -395,35 +428,83 @@ class TestKernelSums:
             assert np.max(err / scale) <= 2e-16
 
 
+class TestPhases:
+    @needs_longdouble
+    def test_match_extended_precision(self, production):
+        # z_k = exp(-i (w_p + d_k) t) at every live root of the N = 1e5 bath,
+        # for times up to t1 = 2 pi/dw and one just inside the exact range of
+        # the reduction, against longdouble cosines and sines of the exact
+        # products of t with w_p and d_k: at most 2.5e-16 at every time.  The
+        # former two complex exponentials of w_p t and (lo + d_k t) measured
+        # 4.1e-16 up to t1 and 6.6e-12 at the last time, where d_k t rounds
+        basis = production.basis(100000)
+        live = np.flatnonzero(basis.weights)
+        pole_w = basis.frequencies[1 + basis.poles[live]]
+        shifts = basis.pole_residuals[live] + basis.shifts[live]
+        t1 = 2 * np.pi / basis.model.delta_omega
+        times = np.r_[np.linspace(0.0, t1, 5), evolve._PHASE_RANGE / basis.eigenvalues[-1] * (1 - 1e-12)]
+        z = np.empty((len(times), 2, len(live)))
+        evolve._phases(times, pole_w, shifts, np.ones(len(live)), z)
+        ref = extended_phases(times, pole_w, shifts)
+        err = np.maximum(np.abs(z[:, 0] - ref.real), np.abs(z[:, 1] - ref.imag)).astype(float)
+        assert np.max(err) <= 1e-15
+
+    def test_range_limit(self):
+        # w_p t is reduced exactly only below 2^31 2 pi; evaluate refuses later times
+        basis = sb.mode_basis(coupling_variant(4e6, "full"))
+        c0 = np.ones(basis.dimension)
+        limit = evolve._PHASE_RANGE / basis.eigenvalues[-1]
+        c, _ = sb.evaluate(basis, c0, [0.0, limit * (1 - 1e-12)], [0])
+        assert np.all(np.isfinite(c))
+        with pytest.raises(ValueError, match=r"below 2\^31 \* 2 pi"):
+            sb.evaluate(basis, c0, [0.0, limit * (1 + 1e-12)], [0])
+
+
 class TestResolventSums:
-    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended-precision longdouble")
+    @needs_longdouble
     @pytest.mark.parametrize("bath", ["uniform", "partly_deflated"])
     def test_match_extended_precision(self, production, bath):
-        # A_j and B_j at every coupled bath mode against the direct sums in
-        # longdouble on the exactly uniform bath.  Measured relative to the sum
-        # of the magnitudes of the terms: A 5.3e-14 (uniform) and 9.9e-14
-        # (partly deflated), B 7.7e-16 and 8.2e-16; FFT roundoff is spread over
-        # all modes, so it shows most relative to the small terms far from the
-        # weight peak at omega_1.  Relative to max |A|, max |B|: A 2.4e-16 and
-        # 1.7e-16, B 4.1e-16 and 4.4e-16.  The bounds are about 3x the largest.
+        # U_11 and A_j, B_j at every coupled bath mode against the direct sums
+        # in longdouble on the exactly uniform bath, z_k formed in longdouble
+        # too.  Measured relative to the sum of the magnitudes of the terms:
+        # A 9.0e-14 (uniform) and 7.2e-14 (partly deflated), B 7.9e-16 and
+        # 9.0e-16; FFT roundoff is spread over all modes, so it shows most
+        # relative to the small terms far from the weight peak at omega_1.
+        # Relative to max |A|, max |B|: A 2.8e-16 and 3.5e-16, B 4.2e-16 and
+        # 4.2e-16.  U_11 (sum of weights 1): 8.4e-17 and 1.4e-16.  The bounds
+        # are about 3x the largest.
         model = production_bath(production, bath)
         basis = sb.mode_basis(model)
-        w, step = model.bath_omegas, model.delta_omega
+        step, L = model.delta_omega, np.longdouble
         live = np.flatnonzero(basis.weights)
         p, d = basis.poles[live], basis.shifts[live]
-        z = basis.weights[live] * evolve._phase_factors(np.array([0.0, 137e-6, 411e-6, 600e-6]), w[p], d)
+        times = np.array([0.0, 137e-6, 411e-6, 600e-6])
+        zl = L(basis.weights[live]) * extended_phases(times, model.bath_omegas[p], basis.pole_residuals[live], d)
         coupled = np.flatnonzero(model.bath_couplings)
-        A, B = evolve._resolvents(basis, z, coupled)
+        amp, A, B = evolve._resolvents(basis, times, coupled)
         A, B = A[0::2, coupled] + 1j * A[1::2, coupled], B[0::2] + 1j * B[1::2]
-        L, zl = np.longdouble, z.astype(np.clongdouble)
+        assert np.max(np.abs(amp - zl.sum(axis=1)).astype(float)) <= 5e-16
+        z = np.abs(zl).astype(float)
         err, size = np.empty((2, *A.shape)), np.empty((2, *A.shape))
         for cols in np.array_split(np.arange(len(coupled)), 8):
             inv = 1 / (L(step) * (p[:, None] - coupled[cols]) + d[:, None].astype(L))
             for i, (got, power) in enumerate(((A, inv), (B, inv * inv))):
                 err[i][:, cols] = np.abs(got[:, cols] - zl @ power).astype(float)
-                size[i][:, cols] = np.abs(z) @ np.abs(power).astype(float)
+                size[i][:, cols] = z @ np.abs(power).astype(float)
         assert np.max(err[0] / size[0]) <= 3e-13 and np.max(err[0]) <= 1.2e-15 * np.max(np.abs(A))
         assert np.max(err[1] / size[1]) <= 3e-15 and np.max(err[1]) <= 1.5e-15 * np.max(np.abs(B))
+
+    def test_lagrange_weights_bit_identical_to_cumulative_products(self, rng):
+        # the in-place prefix and suffix products give every bit of the
+        # weights of the cumulative-product formula
+        P = evolve._SPREAD
+        u = np.r_[rng.uniform(-0.5, 0.5, 1000), -0.5, 0.0, 0.5 - 2**-53]
+        diff = u[:, None] - (np.arange(P) - P // 2)
+        left, right = np.ones_like(diff), np.ones_like(diff)
+        left[:, 1:] = np.cumprod(diff[:, :-1], axis=1)
+        right[:, :-1] = np.cumprod(diff[:, :0:-1], axis=1)[:, ::-1]
+        scale = [(-1) ** (P - 1 - i) * math.factorial(i) * math.factorial(P - 1 - i) for i in range(P)]
+        assert np.array_equal(evolve._lagrange_weights(u), left * right / np.array(scale, dtype=float))
 
     @pytest.mark.parametrize("omega1", [0.05e6, 4e6, 30e6], ids=["below", "inside", "above"])
     @pytest.mark.parametrize("couplings", ["weak", "partly_zero", "alternate_zero"])
@@ -441,8 +522,8 @@ class TestResolventSums:
     def test_system_row_at_100000(self, production):
         # 41 times on [0, 400] us, far below t1 = 31 ms: c_1 follows the closed
         # form to criterion 01's 2% (measured 0.13%), and the traced peak stays
-        # O(T N): 298 MiB, 9.5 x 8 T N bytes, for the phase factors and the
-        # (2T, N) charges, node charges and sums
+        # O(T N): 154 MiB, 4.91 x 8 T N bytes, for the (2T, N) node charges
+        # and sums and the FFT buffers.  The bound is 10% above that
         basis = production.basis(100000)
         times = np.linspace(0.0, 400e-6, 41)
         c0 = initial_coefficients(basis.frequencies, production.init)
@@ -454,7 +535,7 @@ class TestResolventSums:
             tracemalloc.stop()
         gksl = sb.gksl_sigma11(production.params(100000), times)
         assert np.max(np.abs(c[:, 0] - gksl) / gksl) <= 0.02
-        assert peak <= 12 * 8 * len(times) * basis.dimension
+        assert peak <= 5.4 * 8 * len(times) * basis.dimension
 
 
 class TestDenseOracle:
