@@ -82,7 +82,8 @@ class ExperimentConfig:
         physical ranges are the domain types' own, so build those for every N
         the job runs."""
         for f in fields(self):  # JSON true/false arrive as bools, which Python counts as ints
-            kind = {"float": numbers.Real, "int": numbers.Integral}.get(f.type.removeprefix("list[").partition("]")[0])
+            base = f.type.removeprefix("list[").partition("]")[0]
+            kind = {"float": numbers.Real, "int": numbers.Integral, "str": str}.get(base)
             value, listed = getattr(self, f.name), f.type.startswith("list[")
             if kind is None or (value is None and f.type.endswith("None")):
                 continue
@@ -90,7 +91,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name}: expected a list of numbers, got {value!r}")
             for item in value if listed else [value]:
                 if isinstance(item, bool) or not isinstance(item, kind):
-                    noun = "an integer" if kind is numbers.Integral else "a number"
+                    noun = {numbers.Real: "a number", numbers.Integral: "an integer", str: "a string"}[kind]
                     raise ConfigError(f"{f.name}: expected {noun}, got {item!r}")
         if self.job not in JOBS:
             raise ConfigError(f"unknown job {self.job!r}; expected one of {JOBS}")

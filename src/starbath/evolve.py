@@ -30,13 +30,15 @@ accuracy; the pole w_p = w_0 + p dw is exact, carried as the rounded bath
 frequency plus its rounding residual.  Its secular sums add the poles near
 each root exactly and the rest from Taylor tables built by FFT on the
 uniform bath, so the basis costs O(N log N).  All three kinds of sum share
-one FFT Toeplitz correlation.
+one FFT Toeplitz correlation and one kernel family: powers of 1/(w_m - w_j),
+up to a scale, a half-cell shift and an excluded near band.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -198,20 +200,9 @@ def _comb(step, g2):
     n = len(g2)
     taylor = np.zeros((_TAYLOR_TERMS, n))
     targets = np.arange(n)
-    _correlate(g2[None, :], _taylor_kernels, [(taylor[t : t + 1], t, 0, targets) for t in range(_TAYLOR_TERMS)])
+    _correlate(g2[None, :], [(taylor[t : t + 1], t + 1, 0, targets) for t in range(_TAYLOR_TERMS)], 1.0, gap=_NEAR)
     index = np.pad(np.where(g2 > 0, targets, np.inf), _NEAR, constant_values=np.inf)
     return step, index, np.pad(g2, _NEAR), taylor
-
-
-def _taylor_kernels(lag):
-    """The kernels of ``_comb``'s tables: lag^-(n+1) for n = 0 ... _TAYLOR_TERMS - 1
-    at lags beyond _NEAR, else 0, one at a time so that only their spectra
-    are held together."""
-    inv = np.divide(1.0, lag, out=np.zeros(len(lag)), where=np.abs(lag) > _NEAR)
-    power = inv
-    for _ in range(_TAYLOR_TERMS):
-        yield power
-        power = power * inv
 
 
 def _secular(offset, shifts, poles, comb):
@@ -426,8 +417,9 @@ def _resolvents(basis, times, b_cols):
     value, applied as block GEMMs of _CELLS targets (``_near_band``).  The
     far field comes from the charges that each root's _SPREAD Lagrange
     weights put on the half-integer nodes around its cell, formed in place of
-    the cell charges (``_spread``): per row, FFTs correlate them with
-    1/(step r)^p at the node-target lags r, for the power p = 1 (A) or 2 (B).
+    the cell charges (``_spread``): node k sits at k - _SPREAD//2 - 1/2, so per
+    row FFTs correlate them with 1/(w_node - w_j)^p = (-1/(step (lag +
+    _SPREAD//2 + 1/2)))^p at the lags j - k, p = 1 (A) or 2 (B).
     Roots beyond cells 0 ... N take the direct sum.  Besides the (2T, N) sums
     and charges and O(N) cell data, the scratch buffers take a few
     _CHUNK_BYTES, and none but the FFTs' is alive during the far field.
@@ -467,17 +459,13 @@ def _resolvents(basis, times, b_cols):
     A = np.empty((2 * nt, nb * W))
     B = None if b_cols is None else np.zeros((2 * nt, nb * W))
     b_blocks = None if B is None else np.flatnonzero(np.bincount(b_cols // W))  # the blocks of requested rows
-    _near_band(zc[:, :cells], weights, cell_p, cell_d, index, step, ((A, 1, np.arange(nb)), (B, 2, b_blocks)))
+    kernel = (-1.0 / step, _SPREAD // 2 + 0.5)  # scale and shift: see _correlate
+    _near_band(zc[:, :cells], weights, cell_p, cell_d, index, step, *kernel, ((A, 1, np.arange(nb)), (B, 2, b_blocks)))
     _spread(zc[:, : cells + W], weights)
     del weights  # the far field holds only the node charges, the sums and its FFT buffers
 
-    outs = [(A[:, :n], 0, 0, np.arange(n))]
-    if B is not None:
-        B = B[:, b_cols]
-        outs.append((B, 1, 0, b_cols))
-    powers = np.arange(1, len(outs) + 1)[:, None]
-    # node k sits at k - _SPREAD//2 - 1/2 in bath-index units, so node - target = -(lag + _SPREAD//2 + 1/2)
-    _correlate(zc[:, R : R + n + _SPREAD], lambda lag: (-step * (lag + (_SPREAD // 2 + 0.5))) ** -powers, outs)
+    B = None if B is None else B[:, b_cols]
+    _correlate(zc[:, R : R + n + _SPREAD], [(A[:, :n], 1, 0, np.arange(n)), (B, 2, 0, b_cols)], *kernel)
 
     if len(outer):
         inv = 1.0 / (step * (p[outer, None] - index[:n]) + d[outer, None])
@@ -488,17 +476,18 @@ def _resolvents(basis, times, b_cols):
     return amp, A[:, :n], B
 
 
-def _near_band(zc, weights, cell_p, cell_d, index, step, outs):
+def _near_band(zc, weights, cell_p, cell_d, index, step, scale, shift, outs):
     """Writes the near band of the resolvent sums into each (out, power,
     blocks) of ``outs`` (None: skipped), for the target blocks ``blocks``:
     block b meets cells bW - R ... bW + W + R - 1 (span) of the charges
     ``zc``; row c of the table weights @ kernel holds cell c's grid values at
     the offsets cell - target = R + W - 1 ... -(R + W - 1), read for each
-    block as a strided view; the block GEMMs write straight into out."""
+    block as a strided view; the block GEMMs write straight into out.  Grid
+    values are ``_correlate``'s, so the band takes off what the far field adds."""
     P, R, W = _SPREAD, _BAND, _CELLS
     nb = len(index) // W
     span, lags = W + 2 * R, 2 * (R + W) - 1
-    dist = (R + W - 1) - np.arange(lags) + (np.arange(P)[:, None] - (P // 2 + 0.5))  # node - target
+    inv = scale / ((np.arange(lags) - (R + W - 1) - np.arange(P)[:, None]) + shift)  # at lag target - node
     window, strided = np.lib.stride_tricks.sliding_window_view, np.lib.stride_tricks.as_strided
     charges = window(zc, span, axis=1)[:, ::W].transpose(1, 0, 2)  # (nb, 2T, span)
     near_p, near_d = window(cell_p, span)[::W, :, None], window(cell_d, span)[::W, :, None]
@@ -509,7 +498,7 @@ def _near_band(zc, weights, cell_p, cell_d, index, step, outs):
     for out, power, blocks in outs:
         if out is None:
             continue
-        kernel = (step * dist) ** -power
+        kernel = inv if power == 1 else inv * inv
         for run in np.split(blocks, np.flatnonzero(np.diff(blocks) != 1) + 1):
             for b0 in range(run[0], run[-1] + 1, group):
                 g = min(group, run[-1] + 1 - b0)
@@ -549,39 +538,26 @@ def _spread(zc, weights):
         nodes[:, c0 + 1 : c0 + g + 1, : P - 1] += part[:g, :, W:].transpose(1, 0, 2)
 
 
-def _kernel_sums(R, targets, step, cross):
-    """The kernel sums K_j = sum_{m != j} R_m/(w_m - w_j)^2 of every row of
-    ``R`` (1 + 3T, N) and, when ``cross``, L_j = sum_{m != j} W_m/(w_m - w_j)
-    of its last 2T rows W, at the bath indices ``targets`` of the uniform bath
-    with spacing ``step``: Toeplitz correlations at the lags j - m."""
-    nt = (len(R) - 1) // 3
-    KR = np.zeros((len(R), len(targets)))
-    LR = np.zeros((2 * nt, len(targets))) if cross else None
-    outs = [(KR, 0, 0, targets), (LR, 1, 1 + nt, targets)][: 2 if cross else 1]
-
-    def kernels(lag):  # 1/(w_m - w_j)^2 and 1/(w_m - w_j), zero at lag 0
-        inv = np.divide(-1.0 / step, lag, out=np.zeros(len(lag)), where=lag != 0)
-        return (inv * inv, inv)[: len(outs)]
-
-    _correlate(R, kernels, outs)
-    return KR, LR
-
-
-def _correlate(sources, kernels, outs):
-    """Toeplitz correlations by real FFTs.  For each (out, p, first, targets)
-    of ``outs``, adds to row i of ``out``, at each target t, the sum over the
-    columns s of sources[first + i, s] * K_p(t - s), where K_p is the p-th
-    kernel that ``kernels`` yields for an array of integer lags (target minus
-    source column).  The FFT length covers the sources' width plus the
-    targets' span, so no lag wraps onto another; chunks of rows are copied
-    into one reused zero-padded buffer, and each kernel's spectrum is formed
-    once."""
+def _correlate(sources, outs, scale, shift=0.0, gap=-1):
+    """Toeplitz correlations by real FFTs with powers of one kernel,
+    K(lag) = scale/(lag + shift) at integer lags |lag| > gap, else 0 (gap -1:
+    none).  For each (out, p, first, targets) of ``outs`` (out None: skipped),
+    adds to row i of ``out``, at each target t, the sum over the columns s of
+    sources[first + i, s] K(t - s)^p, p >= 1.  The FFT length covers the
+    sources' width plus the targets' span, so no lag wraps onto another; the
+    powers come by repeated products, and only the named ones' spectra are
+    kept; chunks of rows are copied into one reused zero-padded buffer."""
+    outs = [o for o in outs if o[0] is not None]
     width = sources.shape[1]
     lo, hi = min(int(t.min()) for *_, t in outs), max(int(t.max()) for *_, t in outs)
     size = _fft_size(width + hi - lo)
     lag = np.arange(lo, lo + size)
     lag[hi - lo + 1 :] -= size  # position (t - s - lo) mod size holds lag t - s
-    spectra = [np.fft.rfft(kernel) for kernel in kernels(lag)]
+    inv = np.divide(scale, lag + shift, out=np.zeros(size), where=np.abs(lag) > gap)
+    named = {p for _, p, *_ in outs}
+    powers = enumerate(accumulate(repeat(inv, max(named)), np.multiply), 1)  # inv, inv * inv, ... one at a time
+    spectra = {p: np.fft.rfft(k) for p, k in powers if p in named}
+    del lag, inv, powers  # the correlations hold only the spectra
     chunk = min(len(sources), _FFT_ROWS, max(1, _FFT_BYTES // (8 * size)))
     buffer = np.zeros((chunk, size))  # columns past the sources' width stay zero
     spectrum, product = np.empty((2, chunk, size // 2 + 1), dtype=complex)
@@ -685,7 +661,9 @@ def evaluate(
     B = B[0::2] + 1j * B[1::2]
     W = wv * A
     R = np.concatenate((wv[None, :], wv * np.abs(A) ** 2, W.real, W.imag))  # (1 + 3T, N)
-    KR, LR = _kernel_sums(R, targets, basis.model.delta_omega, cross)
+    # K_j = sum_{m != j} R_m/(w_m - w_j)^2 of every row, L_j = sum_{m != j} W_m/(w_m - w_j) of the last 2T
+    KR, LR = np.zeros((len(R), len(targets))), np.zeros((2 * nt, len(targets))) if cross else None
+    _correlate(R, [(KR, 2, 0, targets), (LR, 1, 1 + nt, targets)], -1.0 / basis.model.delta_omega, gap=0)
 
     Aj, gj, c0j = A[:, targets], g[targets], c0[1 + targets]
     KW2 = KR[1 + nt : 1 + 2 * nt] + 1j * KR[1 + 2 * nt :]

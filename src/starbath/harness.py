@@ -300,7 +300,7 @@ def _sweep_fits(table: ResultTable) -> dict:
     fits = {}
     for t in dict.fromkeys(t_us.tolist()):
         at_t = t_us == t
-        fits[f"t_us={t:g}"] = {
+        fits[f"t_us={np.format_float_positional(t, trim='-')}"] = {  # the shortest decimal that reads back as t
             "proportional": proportional_fit(inv_n[at_t], gap[at_t]),
             "affine": affine_fit(inv_n[at_t], gap[at_t]),
         }

@@ -182,13 +182,17 @@ def test_bad_time_list_names_its_field(tmp_path, capsys, args, file_values, name
         ({"T_A0_uk": "10"}, "T_A0_uk"),
         ({"n_list": [8, "16", 32]}, "n_list"),
         ({"sweep_times_us": [100.0, False]}, "sweep_times_us"),
+        ({"out_dir": 5}, "out_dir"),
+        ({"out_dir": ["a"]}, "out_dir"),
+        ({"pivn_mode": 1}, "pivn_mode"),
     ],
 )
-def test_bool_or_string_in_numeric_field_exits_2(tmp_path, capsys, values, name):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(values))
+def test_wrong_type_in_field_exits_2(tmp_path, capsys, values, name):
+    # the output directory comes from the file, so a bad out_dir there is read
     out = tmp_path / "out"
-    assert main(["validate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"out_dir": str(out)} | values))
+    assert main(["validate", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {name}: expected ")
     assert not out.exists()
 

@@ -384,8 +384,11 @@ needs_longdouble = pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reaso
 
 @needs_longdouble
 class TestKernelSums:
+    """Sums with powers of ``_correlate``'s one kernel family,
+    K(lag) = scale/(lag + shift) beyond a gap, as its three callers use it."""
+
     @pytest.mark.parametrize(
-        "bath,rows",
+        "bath,case",
         [
             ("uniform", "fig5_window"),
             ("uniform", "low_edge"),
@@ -394,38 +397,62 @@ class TestKernelSums:
             ("uniform", "scattered"),
             ("uniform", "all"),
             ("partly_deflated", "all"),
+            ("uniform", "resolvent"),
+            ("uniform", "secular"),
         ],
     )
-    def test_match_extended_precision(self, production, bath, rows):
-        # K_j = sum_{m != j} R_m/(w_m - w_j)^2 and L_j = sum_{m != j} W_m/(w_m - w_j)
-        # at N = 2000 against the direct sums in longdouble on the exactly
-        # uniform bath.  FFT roundoff scales with the norms of the row and of
-        # the kernel, not with the sum at the target: relative to their
-        # product the error measures 1.0e-17 to 6.5e-17 in every case, but
-        # relative to the sum of the magnitudes of the terms from 4e-17 (a
-        # single row) to 4e-14 (the high band edge, where R is small).
+    def test_match_extended_precision(self, production, bath, case):
+        # At N = 2000 against the direct sums in longdouble on the exactly
+        # uniform bath.  The bath-row cases take K_j = sum_{m != j} R_m/(w_m - w_j)^2
+        # and L_j = sum_{m != j} W_m/(w_m - w_j) at the requested rows; the
+        # resolvent case 1/(w_node - w_j) and its square from charges on the
+        # half-integer nodes (shift 8.5, no gap); the secular case the Taylor
+        # tables' lag^-p, p = 1 ... 14, beyond 8 lags.  FFT roundoff scales
+        # with the norms of the row and of the kernel, not with the sum at the
+        # target: relative to their product the error measures 1.0e-17 to
+        # 6.5e-17 in every bath-row case, 3.9e-17 to 4.2e-17 in the resolvent
+        # case and 1.4e-17 to 1.1e-16 in the secular case (p = 1 and 2 the
+        # largest), but relative to the sum of the magnitudes of the terms
+        # from 4e-17 (a single row) to 4e-14 (the high band edge, where R is
+        # small).
         model = production_bath(production, bath)
         w1, g, n, step = model.omega1, model.bath_couplings, model.n_modes, model.delta_omega
-        targets = {
-            "fig5_window": np.flatnonzero(np.abs(model.bath_omegas - w1) <= 0.4 * MHZ),
-            "low_edge": np.arange(0, 60),
-            "high_edge": np.arange(n - 60, n),
-            "single": np.array([411]),
-            "scattered": np.array([40, 3, 0, 40]),
-            "all": np.flatnonzero(g),
-        }[rows]
-        assert np.all(g[targets] > 0)
-        nt, rng = 3, np.random.default_rng(11)
-        wv = g * g * rng.uniform(1.0, 3.0, n)  # zero at deflated modes, as in ``evaluate``
-        R = np.concatenate((wv[None, :], wv * rng.uniform(0.0, 1.0, (nt, n)), wv * rng.uniform(-1.0, 1.0, (2 * nt, n))))
-        KR, LR = evolve._kernel_sums(R, targets, step, cross=True)
-        L, m = np.longdouble, np.arange(n)[:, None]
-        inv = np.zeros((n, len(targets)), dtype=L)  # 1/(w_m - w_j), zero at m = j
-        np.divide(1, L(step) * (m - targets), out=inv, where=m != targets)
-        for got, source, kernel in ((KR, R, inv * inv), (LR, R[1 + nt :], inv)):
-            err = np.abs(got - source.astype(L) @ kernel).astype(float)
-            scale = np.linalg.norm(source, axis=1)[:, None] * np.linalg.norm(kernel.astype(float), axis=0)
-            assert np.max(err / scale) <= 2e-16
+        nt, rng, L = 3, np.random.default_rng(11), np.longdouble
+        if case == "resolvent":
+            sources = rng.uniform(-1.0, 1.0, (2 * nt, n + 16))
+            kernel, targets, powers = (-1.0 / step, 8.5, -1), np.arange(n), [(1, 0, 2 * nt), (2, 0, 2 * nt)]
+        elif case == "secular":
+            sources = (g * g)[None, :]
+            kernel, targets, powers = (1.0, 0.0, 8), np.arange(n), [(p, 0, 1) for p in range(1, 15)]
+        else:
+            targets = {
+                "fig5_window": np.flatnonzero(np.abs(model.bath_omegas - w1) <= 0.4 * MHZ),
+                "low_edge": np.arange(0, 60),
+                "high_edge": np.arange(n - 60, n),
+                "single": np.array([411]),
+                "scattered": np.array([40, 3, 0, 40]),
+                "all": np.flatnonzero(g),
+            }[case]
+            assert np.all(g[targets] > 0)
+            wv = g * g * rng.uniform(1.0, 3.0, n)  # zero at deflated modes, as in ``evaluate``
+            sources = np.concatenate(
+                (wv[None, :], wv * rng.uniform(0.0, 1.0, (nt, n)), wv * rng.uniform(-1.0, 1.0, (2 * nt, n)))
+            )
+            kernel, powers = (-1.0 / step, 0.0, 0), [(1, 1 + nt, 2 * nt), (2, 0, 1 + 3 * nt)]
+        outs = [(np.zeros((count, len(targets))), p, first, targets) for p, first, count in powers]
+        evolve._correlate(sources, outs, *kernel)
+        scale, shift, gap = kernel
+        lag = targets - np.arange(sources.shape[1])[:, None]
+        inv = np.zeros(lag.shape, dtype=L)  # with the exact scale -1/step
+        np.divide(L(1) if scale == 1.0 else -1 / L(step), lag + L(shift), out=inv, where=np.abs(lag) > gap)
+        kp, power = np.ones_like(inv), 0
+        for got, p, first, _ in outs:  # in ascending powers
+            while power < p:
+                kp, power = kp * inv, power + 1
+            source = sources[first : first + len(got)]
+            err = np.abs(got - source.astype(L) @ kp).astype(float)
+            norms = np.linalg.norm(source, axis=1)[:, None] * np.linalg.norm(kp.astype(float), axis=0)
+            assert np.max(err / norms) <= 2e-16
 
 
 class TestPhases:

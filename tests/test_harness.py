@@ -332,6 +332,11 @@ class TestSweepJob:
         table = fig6["tables"]["sweep"]
         assert table.column("N[1]").tolist() == [8] * 3 + [16] * 3 + [32] * 3
 
+    def test_close_times_keep_distinct_fits(self, tmp_path):
+        # 1.0000001 and 1.0000002 agree to 6 significant digits
+        cfg = tiny_cfg(tmp_path, job="sweep-n", n_list=[8, 16, 32], sweep_times_us=[1.0000001, 1.0000002, 2.0])
+        assert list(run_job(cfg)["fits"]) == ["t_us=1.0000001", "t_us=1.0000002", "t_us=2"]
+
     def test_fit_helpers(self):
         x = np.array([1.0, 0.5, 0.25])
         prop = proportional_fit(x, 3.0 * x)
