@@ -402,11 +402,11 @@ def _lagrange_weights(u):
 
 def _resolvents(basis, times, b_cols):
     """U_11 = sum_k z_k, as (T,) complex, and the resolvent sums at every bath
-    mode j, the real and imaginary parts of time t in rows 2t and 2t+1:
-    A_j = sum_k z_k/(l_k - w_j) over the live roots, z_k = Q_1k^2 exp(-i l_k t),
-    and B_j = sum_k z_k/(l_k - w_j)^2 on the bath indices ``b_cols`` (None: B
-    is not formed).  A_j at deflated modes is some finite value that no
-    caller reads.
+    mode j, A_j = sum_k z_k/(l_k - w_j) over the live roots, z_k = Q_1k^2
+    exp(-i l_k t), and B_j = sum_k z_k/(l_k - w_j)^2 on the bath indices
+    ``b_cols`` (None: B is not formed), each with the real and imaginary parts
+    of time t in rows 2t and 2t+1, the one layout evaluate reads.  A_j at
+    deflated modes is some finite value that no caller reads.
 
     In spacing units root k sits at x_k = p + d_k/step, in the cell
     (m_k - 1, m_k) with m_k = p + ceil(d_k/step), and target j at j;
@@ -610,13 +610,13 @@ def evaluate(
     false.  Costs O(T N log N) time: the resolvent sums correlate over the
     whole bath, and the kernel sums over the requested coupled bath rows take
     FFTs whose length covers N plus the span of those rows, so a window of
-    rows costs about half of all rows.  Memory is O(T N) beyond a few
-    reused buffers of about _CHUNK_BYTES or _FFT_BYTES each: the phases go
-    straight into the real (2T, N) charges, whose rows the far field reuses
-    for its node charges, so a system row holds those and the (2T, N) sums
-    and no complex (T, N) array (4.9 x 8 T N bytes at N = 100000 over 41
-    times).  ValueError once the largest eigenfrequency times the last time
-    reaches 2^31 2 pi, past the exact range of the phase reduction.
+    rows costs about half of all rows.  Memory is O(T N), all real, beyond a
+    few reused buffers of about _CHUNK_BYTES or _FFT_BYTES each: the phases
+    go straight into the (2T, N) charges, which the far field reuses for its
+    node charges, and c and x read the (2T, N) sums in that layout.  Traced
+    peaks over 41 times: 4.9 x 8 T N bytes for a system row at N = 100000,
+    16.2 x for all rows with cross terms at N = 16000.  ValueError once the
+    last time times the top eigenfrequency reaches 2^31 2 pi (phase range).
     """
     grid = validated_grid(times)
     n = basis.dimension
@@ -645,41 +645,40 @@ def evaluate(
     out_rows = np.flatnonzero(np.r_[False, g != 0][rows])
     targets = rows[out_rows] - 1
 
-    # U_11, resolvent sums A_j over the bath and B_j over the requested coupled
-    # modes; the weights wv vanish at deflated modes, so no sum reads A_j there
-    system_amp, parts, B = _resolvents(basis, grid, targets if len(targets) else None)
-    A = parts[0::2] + 1j * parts[1::2] if len(targets) else None
+    # U_11, resolvent sums A_j over the bath and B_j over the requested coupled modes, as real
+    # rows (see _resolvents); the weights wv vanish at deflated modes, so no sum reads A_j there
+    system_amp, A, B = _resolvents(basis, grid, targets if len(targets) else None)
     wv = g * g * c0[1:]
-    sys_rows = np.flatnonzero(rows == 0)
-    if len(sys_rows):
-        a2 = np.square(parts, out=parts) @ wv  # sum_j wv_j |A_j|^2 over the real and imaginary parts
-        c[:, sys_rows] = (np.abs(system_amp) ** 2 * c0[0] + (a2[0::2] + a2[1::2]))[:, None]
-    del parts  # the bath rows read only the complex A
-    if len(targets) == 0:
-        return c, x
+    if len(targets):
+        # R = (wv, wv |A|^2, wv A) with wv A interleaved as A is.  K_j = sum_{m != j}
+        # R_m/(w_m - w_j)^2 of every row, L_j = sum_{m != j} (wv A)_m/(w_m - w_j) of the last 2T
+        R = np.empty((1 + 3 * nt, len(g)))
+        R[0] = wv
+        np.multiply(A, wv, out=R[1 + nt :])
+        np.multiply(A[0::2], R[1 + nt :: 2], out=R[1 : 1 + nt])
+        R[1 : 1 + nt] += A[1::2] * R[2 + nt :: 2]
+        K, L = np.zeros((len(R), len(targets))), np.zeros((2 * nt, len(targets))) if cross else None
+        _correlate(R, [(K, 2, 0, targets), (L, 1, 1 + nt, targets)], -1.0 / basis.model.delta_omega, gap=0)
+        del R  # the formulas' temporaries take its place
 
-    B = B[0::2] + 1j * B[1::2]
-    W = wv * A
-    R = np.concatenate((wv[None, :], wv * np.abs(A) ** 2, W.real, W.imag))  # (1 + 3T, N)
-    # K_j = sum_{m != j} R_m/(w_m - w_j)^2 of every row, L_j = sum_{m != j} W_m/(w_m - w_j) of the last 2T
-    KR, LR = np.zeros((len(R), len(targets))), np.zeros((2 * nt, len(targets))) if cross else None
-    _correlate(R, [(KR, 2, 0, targets), (LR, 1, 1 + nt, targets)], -1.0 / basis.model.delta_omega, gap=0)
-
-    Aj, gj, c0j = A[:, targets], g[targets], c0[1 + targets]
-    KW2 = KR[1 + nt : 1 + 2 * nt] + 1j * KR[1 + 2 * nt :]
-    c[:, out_rows] = gj**2 * (
-        np.abs(Aj) ** 2 * (KR[0] + c0[0])
-        + KR[1 : 1 + nt]
-        - 2.0 * (Aj * KW2.conj()).real
-        + gj**2 * np.abs(B) ** 2 * c0j
-    )
-    if cross:
-        LW2 = LR[:nt] + 1j * LR[nt:]
-        x[:, out_rows] = gj * (
-            c0[0] * system_amp.conj()[:, None] * Aj
-            + gj**2 * c0j * Aj.conj() * B
-            - Aj * LW2.conj()
-        ).imag
+        # a, b: the real and imaginary rows of A_j, interleaved in B and in K, L of wv A as in A
+        a, b, gj, c0j = A[0::2, targets], A[1::2, targets], g[targets], c0[1 + targets]
+        c[:, out_rows] = gj**2 * (
+            (a * a + b * b) * (K[0] + c0[0])
+            + K[1 : 1 + nt]
+            - 2.0 * (a * K[1 + nt :: 2] + b * K[2 + nt :: 2])
+            + gj**2 * (B[0::2] ** 2 + B[1::2] ** 2) * c0j
+        )
+        if cross:
+            u_r, u_i = system_amp.real[:, None], system_amp.imag[:, None]
+            x[:, out_rows] = gj * (
+                c0[0] * (u_r * b - u_i * a)
+                + gj**2 * c0j * (a * B[1::2] - b * B[0::2])
+                - (b * L[0::2] - a * L[1::2])
+            )
+    if np.any(rows == 0):
+        a2 = np.square(A, out=A) @ wv  # sum_j wv_j |A_j|^2 over the real and imaginary rows
+        c[:, rows == 0] = (np.abs(system_amp) ** 2 * c0[0] + (a2[0::2] + a2[1::2]))[:, None]
     return c, x
 
 

@@ -159,11 +159,16 @@ def test_removed_grid_fields_exit_2(tmp_path, capsys, values):
         ([], {"times_us": None}, "times_us"),
         (["--grid", "0:inf:3"], None, "times_us"),
         ([], {"sweep_times_us": ["a"]}, "sweep_times_us"),
+        # past the exact range of the phases: max time x (max(w1, w_max) + 2 |g|) >= 2^31 2 pi
+        (["--grid", "0:1e9:3"], None, "times_us"),
+        (["sweep-n", "--n-list", "8,16,32"], {"sweep_times_us": [100.0, 1e9]}, "sweep_times_us"),
     ],
 )
 def test_bad_time_list_names_its_field(tmp_path, capsys, args, file_values, name):
     out = tmp_path / "out"
-    argv = ["simulate", "--n", "8", "--out", str(out), *args]
+    if not args or args[0].startswith("--"):  # simulate unless the case names its job
+        args = ["simulate", "--n", "8", *args]
+    argv = [*args, "--out", str(out)]
     if file_values is not None:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(file_values))

@@ -340,6 +340,32 @@ class TestEvaluate:
             tracemalloc.stop()
         assert peak <= 8 * 8 * len(times) * basis.dimension
 
+    @pytest.mark.parametrize(
+        "n, window, bound",
+        [
+            # every row with cross terms: the bath rows read the resolvent and
+            # kernel sums as real rows, so the traced peak measures 16.2 x
+            # 8 T N bytes; complex (T, N) copies of A, B and wv A would break it
+            (16000, None, 17.9),
+            # fig5's 0.4 MHz window, 120 rows: 8.32 x, the peak of _resolvents
+            (3000, 0.4e6, 9.2),
+        ],
+    )
+    def test_bath_row_scratch(self, production, n, window, bound):
+        # 41 times; each bound is 10% above the measured peak
+        basis = production.basis(n)
+        model = basis.model
+        rows = None if window is None else 1 + np.flatnonzero(np.abs(model.bath_omegas - model.omega1) <= window)
+        times = np.linspace(0.0, 400e-6, 41)
+        c0 = initial_coefficients(basis.frequencies, production.init)
+        tracemalloc.start()
+        try:
+            sb.evaluate(basis, c0, times, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 8 * len(times) * basis.dimension
+
     def test_rejects_bad_rows_and_inputs(self, setup):
         basis, c0, times = setup
         for rows in ([basis.dimension], [-1], [1.5], [[1, 2]]):
