@@ -8,14 +8,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constants import KB
 from .evolve import CovarianceSnapshot, InitialTemperatures, ModeBasis, evaluate, mode_basis, snapshot_series
-from .gksl import GkslParams, von_neumann_epr
 from .model import StarModel
 from .oracle import dense_oracle_series
 from .thermo import fluxes_from_cross_terms
 
-__all__ = ["flux_sum_residual", "oracle_equivalence_residual", "pivn_nonnegativity_floor", "unitarity_residual"]
+__all__ = ["flux_sum_residual", "oracle_equivalence_residual", "unitarity_residual"]
 
 
 def oracle_equivalence_residual(model: StarModel, init: InitialTemperatures, times) -> float:
@@ -41,7 +39,3 @@ def flux_sum_residual(snapshot: CovarianceSnapshot) -> float:
     scale = max(float(np.max(np.abs([fx.dEA_dt, fx.dEB_dt, fx.dEI_dt]))), 1e-300)
     return float(np.max(np.abs(fx.dEA_dt + fx.dEB_dt + fx.dEI_dt))) / scale
 
-
-def pivn_nonnegativity_floor(p: GkslParams, times) -> float:
-    """Most negative Pi_vN over the grid, in kB/s (>= -1e-15 expected)."""
-    return float(np.min(np.asarray(von_neumann_epr(p, times)) / KB))

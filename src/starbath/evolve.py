@@ -388,13 +388,15 @@ def _lagrange_weights(u):
     """Lagrange weights at offsets ``u`` (K,) on the _SPREAD unit-spaced nodes
     -_SPREAD//2 ... _SPREAD - 1 - _SPREAD//2, as (K, _SPREAD); each is the
     product over the other nodes: the prefix products, built in the result,
-    times the suffix products, built in one scratch."""
+    times the suffix products, run from the right in its first column."""
     nodes = np.arange(_SPREAD) - _SPREAD // 2
-    weights, suffix = np.ones((len(u), _SPREAD)), np.ones((len(u), _SPREAD))
+    weights = np.ones((len(u), _SPREAD))
     for i in range(1, _SPREAD):
         np.multiply(weights[:, i - 1], u - nodes[i - 1], out=weights[:, i])
-        np.multiply(suffix[:, -i], u - nodes[-i], out=suffix[:, -i - 1])
-    weights *= suffix
+    suffix = weights[:, 0]  # its prefix product is 1: the running suffix product
+    for i in range(_SPREAD - 1, 0, -1):
+        weights[:, i] *= suffix
+        suffix *= u - nodes[i]
     scale = [(-1) ** (_SPREAD - 1 - i) * math.factorial(i) * math.factorial(_SPREAD - 1 - i) for i in range(_SPREAD)]
     weights /= np.array(scale, dtype=float)
     return weights
@@ -458,9 +460,9 @@ def _resolvents(basis, times, b_cols):
     index[:n] = np.where(basis.couplings != 0, np.arange(n), np.inf)
     A = np.empty((2 * nt, nb * W))
     B = None if b_cols is None else np.zeros((2 * nt, nb * W))
-    b_blocks = None if B is None else np.flatnonzero(np.bincount(b_cols // W))  # the blocks of requested rows
+    first, stop = (0, 0) if B is None else (int(b_cols.min()) // W, int(b_cols.max()) // W + 1)  # blocks of B
     kernel = (-1.0 / step, _SPREAD // 2 + 0.5)  # scale and shift: see _correlate
-    _near_band(zc[:, :cells], weights, cell_p, cell_d, index, step, *kernel, ((A, 1, np.arange(nb)), (B, 2, b_blocks)))
+    _near_band(zc[:, :cells], weights, cell_p, cell_d, index, step, *kernel, ((A, 1, 0, nb), (B, 2, first, stop)))
     _spread(zc[:, : cells + W], weights)
     del weights  # the far field holds only the node charges, the sums and its FFT buffers
 
@@ -478,12 +480,13 @@ def _resolvents(basis, times, b_cols):
 
 def _near_band(zc, weights, cell_p, cell_d, index, step, scale, shift, outs):
     """Writes the near band of the resolvent sums into each (out, power,
-    blocks) of ``outs`` (None: skipped), for the target blocks ``blocks``:
-    block b meets cells bW - R ... bW + W + R - 1 (span) of the charges
-    ``zc``; row c of the table weights @ kernel holds cell c's grid values at
-    the offsets cell - target = R + W - 1 ... -(R + W - 1), read for each
-    block as a strided view; the block GEMMs write straight into out.  Grid
-    values are ``_correlate``'s, so the band takes off what the far field adds."""
+    first, stop) of ``outs``, for the target blocks first ... stop - 1 (none
+    when out is None): block b meets cells bW - R ... bW + W + R - 1 (span)
+    of the charges ``zc``; row c of the table weights @ kernel holds cell c's
+    grid values at the offsets cell - target = R + W - 1 ... -(R + W - 1),
+    read for each block as a strided view; the block GEMMs write straight
+    into out.  Grid values are ``_correlate``'s, so the band takes off what
+    the far field adds."""
     P, R, W = _SPREAD, _BAND, _CELLS
     nb = len(index) // W
     span, lags = W + 2 * R, 2 * (R + W) - 1
@@ -495,24 +498,21 @@ def _near_band(zc, weights, cell_p, cell_d, index, step, scale, shift, outs):
     table = np.empty((group * W + 2 * R, lags))
     row, col = table.strides
     exact = np.empty((group, span, W))
-    for out, power, blocks in outs:
-        if out is None:
-            continue
+    for out, power, first, stop in outs:
         kernel = inv if power == 1 else inv * inv
-        for run in np.split(blocks, np.flatnonzero(np.diff(blocks) != 1) + 1):
-            for b0 in range(run[0], run[-1] + 1, group):
-                g = min(group, run[-1] + 1 - b0)
-                blk, tgt = slice(b0, b0 + g), slice(b0 * W, (b0 + g) * W)
-                tab = np.matmul(weights[b0 * W : (b0 + g) * W + 2 * R], kernel, out=table[: g * W + 2 * R])
-                grid = strided(tab[0, lags - W :], (g, span, W), (W * row, row - col, col))
-                diff = np.subtract(near_p[blk], index[tgt].reshape(g, 1, W), out=exact[:g])
-                diff *= step
-                diff += near_d[blk]
-                np.reciprocal(diff, out=diff)
-                if power == 2:
-                    np.square(diff, out=diff)
-                diff -= grid
-                np.matmul(charges[blk], diff, out=out[:, tgt].reshape(len(zc), g, W).transpose(1, 0, 2))
+        for b0 in range(first, stop, group):
+            g = min(group, stop - b0)
+            blk, tgt = slice(b0, b0 + g), slice(b0 * W, (b0 + g) * W)
+            tab = np.matmul(weights[b0 * W : (b0 + g) * W + 2 * R], kernel, out=table[: g * W + 2 * R])
+            grid = strided(tab[0, lags - W :], (g, span, W), (W * row, row - col, col))
+            diff = np.subtract(near_p[blk], index[tgt].reshape(g, 1, W), out=exact[:g])
+            diff *= step
+            diff += near_d[blk]
+            np.reciprocal(diff, out=diff)
+            if power == 2:
+                np.square(diff, out=diff)
+            diff -= grid
+            np.matmul(charges[blk], diff, out=out[:, tgt].reshape(len(zc), g, W).transpose(1, 0, 2))
 
 
 def _spread(zc, weights):

@@ -4,12 +4,12 @@ Jobs emit data (one CSV per curve plus a JSON manifest), never images;
 plotting is left to external tools.  Identical configs produce bit-identical
 CSV bytes on the same build.
 
-Every job runs one pipeline: for each N it builds a ``_Run`` (model,
-closed-form rates, mode basis and the shared time grid) and hands it to the
-job's curve function, which returns ``{table key: (file name, table)}``.
-The pipeline writes the CSVs, collects the derived constants per N and
-writes the manifest.  A job is a ``_Job`` declaration of that curve
-function; the config fields it reads (``config.JOB_INPUTS``) are exactly the
+Every job runs one pipeline, ``run_job``: for each N it builds a ``_Run``
+(model, closed-form rates, mode basis and the shared time grid) and hands it
+to the job's curve function in ``_CURVES``, which returns ``{table key:
+(file name, table)}``.  The pipeline writes the CSVs, collects the derived
+constants per N and writes the manifest.  A job is its curve function plus
+the config fields it reads (``config.JOB_INPUTS``), which are exactly the
 manifest's ``parameters`` and the fields the CLI takes flags for.  Evaluated
 data stay on the time grid throughout: time on the first axis, oscillators
 on the last.  The validate job's table holds the invariant residuals of the
@@ -19,14 +19,12 @@ configured run with their tolerances.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
-from .checks import flux_sum_residual, oracle_equivalence_residual, pivn_nonnegativity_floor, unitarity_residual
+from .checks import flux_sum_residual, oracle_equivalence_residual, unitarity_residual
 from .config import JOB_INPUTS, ExperimentConfig
 from .constants import HBAR, KB, MHZ, UK, US
 from .evolve import (
@@ -71,8 +69,8 @@ class _Run:
     """One N of a job: model, closed-form rates, mode basis and the
     time grid, with the exact evaluations built on first use."""
 
-    def __init__(self, cfg: ExperimentConfig, n: int, times: np.ndarray, last: bool) -> None:
-        self.cfg, self.n, self.times, self.last = cfg, n, times, last
+    def __init__(self, cfg: ExperimentConfig, n: int, times: np.ndarray) -> None:
+        self.cfg, self.n, self.times = cfg, n, times
         spec = cfg.bath_spec(n)
         self.model = discretize_ohmic_bath(spec, cfg.omega1)
         self.init = cfg.initial_temperatures()
@@ -89,7 +87,7 @@ class _Run:
                 f"(N = {n}); the uniformly spaced bath rephases there and "
                 "recurrence-like behavior invalidates the Markovian comparison",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,  # the caller of run_job
             )
         self.basis = mode_basis(self.model)
 
@@ -158,7 +156,7 @@ def _fig1_curves(run: _Run) -> dict:
     curve comes last."""
     c1 = run.evaluate([0], cross=False)[0][:, 0]
     curves = {f"N{run.n}": (f"fig1_sigma11_N{run.n}.csv", _grid_table(run, {"sigma11_exact[1]": c1}))}
-    if run.last:
+    if run.n == run.cfg.n_values()[-1]:
         gksl = _grid_table(run, {"sigma11_gksl[1]": gksl_sigma11(run.params, run.times)})
         curves["gksl"] = ("fig1_sigma11_gksl.csv", gksl)
     return curves
@@ -262,7 +260,7 @@ def _validate_curves(run: _Run) -> dict:
         "flux_sum_rule": (flux_sum_residual(run.series), 1e-12),
         "coefficient_floor": (max(0.0, floor), 0.0),
         "entropy_drop[kB]": (entropy_drop, 0.0),
-        "pivn_floor[kB/s]": (max(0.0, -pivn_nonnegativity_floor(run.params, run.times)), 1e-15),
+        "pivn_floor[kB/s]": (max(0.0, -float(np.min(von_neumann_epr(run.params, run.times)) / KB)), 1e-15),
         "weight_sum_residual": (derived["weight_sum_residual"], 1e-12),
         "newton_step": (derived["newton_step"], 1e-12),
     }
@@ -310,32 +308,40 @@ def _sweep_fits(table: ResultTable) -> dict:
 # --- the pipeline -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Job:
-    """A job: manifest stem and curve function.
+_CURVES = {
+    "simulate": _simulate_curves,
+    "fig1": _fig1_curves,
+    "fig2": _fig2_curves,
+    "fig3": _fig3_curves,
+    "fig4": _fig4_curves,
+    "fig5": _fig5_curves,
+    "fig6": _sweep_curves,  # the N-sweep presented in the figure pipeline
+    "sweep-n": _sweep_curves,
+    "validate": _validate_curves,
+}
 
-    Everything else follows from the fields the job reads, ``JOB_INPUTS``.
-    A job that reads ``n_list`` runs each of its N (``cfg.n_values()``) with
-    manifest ``derived`` nested per N; otherwise it runs ``n_modes`` with
-    flat ``derived``.  A job that reads ``sweep_times_us`` evaluates there,
-    stacks its per-N rows into one table and fits the gap against 1/N.  The
-    manifest's ``parameters`` hold exactly the fields the job read, with
-    ``n_list`` resolved to the N values run.
+
+def run_job(cfg: ExperimentConfig) -> dict:
+    """Run ``cfg.job`` and return its files, tables and manifest.
+
+    Everything but the curve function (``_CURVES``) follows from the fields
+    the job reads, ``JOB_INPUTS``.  A job that reads ``n_list`` runs each of
+    its N (``cfg.n_values()``) with manifest ``derived`` nested per N;
+    otherwise it runs ``n_modes`` with flat ``derived``.  A job that reads
+    ``sweep_times_us`` evaluates there, stacks its per-N rows into one table,
+    fits the gap against 1/N and writes ``sweep_n_manifest.json``; any other
+    job writes ``<job>_manifest.json``.  The manifest's ``parameters`` hold
+    exactly the fields the job read, with ``n_list`` resolved to the N
+    values run.
     """
-
-    stem: str
-    curves: Callable[[_Run], dict]
-
-
-def _run_figure(job: _Job, cfg: ExperimentConfig) -> dict:
     reads = JOB_INPUTS[cfg.job]
     multi_n, sweep = "n_list" in reads, "sweep_times_us" in reads
     n_values = cfg.n_values()
     times = cfg.sweep_times() if sweep else cfg.times()
     curves, derived = {}, {}
-    for i, n in enumerate(n_values):
-        run = _Run(cfg, n, times, last=i == len(n_values) - 1)
-        for key, (name, table) in job.curves(run).items():
+    for n in n_values:
+        run = _Run(cfg, n, times)
+        for key, (name, table) in _CURVES[cfg.job](run).items():
             if key in curves:  # one table gathers the rows of every N
                 curves[key][1].rows.extend(table.rows)
             else:
@@ -352,29 +358,10 @@ def _run_figure(job: _Job, cfg: ExperimentConfig) -> dict:
     if sweep:
         result["fits"] = _sweep_fits(tables["sweep"])
     result["manifest"] = write_manifest(
-        out_dir / f"{job.stem}_manifest.json",
+        out_dir / f"{'sweep_n' if sweep else cfg.job}_manifest.json",
         files=[f.name for f in files],
         parameters=parameters,
         derived=derived if multi_n else derived[f"N{cfg.n_modes}"],
         extra={"fits": result["fits"]} if sweep else None,
     )
     return result
-
-
-_SWEEP = _Job("sweep_n", _sweep_curves)
-_FIGURES = {
-    "simulate": _Job("simulate", _simulate_curves),
-    "fig1": _Job("fig1", _fig1_curves),
-    "fig2": _Job("fig2", _fig2_curves),
-    "fig3": _Job("fig3", _fig3_curves),
-    "fig4": _Job("fig4", _fig4_curves),
-    "fig5": _Job("fig5", _fig5_curves),
-    "fig6": _SWEEP,  # the N-sweep presented in the figure pipeline
-    "sweep-n": _SWEEP,
-    "validate": _Job("validate", _validate_curves),
-}
-
-
-def run_job(cfg: ExperimentConfig) -> dict:
-    """Run ``cfg.job`` and return its files, tables and manifest."""
-    return _run_figure(_FIGURES[cfg.job], cfg)

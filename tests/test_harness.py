@@ -175,6 +175,13 @@ class TestSimulateJob:
         assert table.column("Pi_tot[kB/ms]")[0] == 0.0
         assert (tmp_path / "simulate_manifest.json").exists()
 
+    def test_recurrence_warning_names_the_caller(self, tmp_path):
+        # the warning points at the line that called run_job, not inside the harness
+        cfg = tiny_cfg(tmp_path, n_modes=8, times_us=[0.0, 100.0])
+        with pytest.warns(RuntimeWarning, match="recurrence time") as record:
+            run_job(cfg)
+        assert [w.filename for w in record] == [__file__]
+
     def test_decoupled_bath_gives_valid_manifest_and_frozen_state(self, tmp_path):
         # eta = 0: Gamma = 0, so the relaxation time is recorded as null, and
         # nothing evolves: no entropy production, no flux, c_1 constant
