@@ -342,8 +342,8 @@ def run_job(cfg: ExperimentConfig) -> dict:
     for n in n_values:
         run = _Run(cfg, n, times)
         for key, (name, table) in _CURVES[cfg.job](run).items():
-            if key in curves:  # one table gathers the rows of every N
-                curves[key][1].rows.extend(table.rows)
+            if key in curves:  # one table gathers the rows of every N, column by column
+                curves[key][1].data = {c: np.concatenate([a, table.data[c]]) for c, a in curves[key][1].data.items()}
             else:
                 curves[key] = (name, table)
         derived[f"N{n}"] = derived_constants(run.basis, run.params)

@@ -1,15 +1,12 @@
-"""Tabular results and file emission.
-
-CSV output is RFC-4180 (CRLF, comma-separated) with a ``name[unit]`` header
-row; floats are written with repr's shortest round-trip decimals, so a given
-build produces bit-identical files for identical configs.
-"""
+"""Tabular results and file emission: ``ResultTable``, one array per column,
+and its RFC-4180 CSV (CRLF, comma-separated, nothing quoted) under a
+``name[unit]`` header, each distinct value of a column written once by repr's
+shortest round-trip decimals, so identical configs give bit-identical files."""
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,30 +16,47 @@ __all__ = ["ResultTable", "write_manifest"]
 
 @dataclass
 class ResultTable:
-    """Rectangular numeric table with unit-annotated column names."""
+    """Rectangular table: ``data`` maps each ``name[unit]`` to a 1-d array."""
 
-    columns: list[str]
-    rows: list[tuple] = field(default_factory=list)
+    data: dict[str, np.ndarray]
 
     @classmethod
     def from_columns(cls, columns: dict) -> "ResultTable":
         """Table from ``{name: values}``; scalars broadcast to the common
-        length, and each value keeps its int or float formatting."""
+        length, and each column, copied, keeps its int, float or text dtype."""
         arrays = np.broadcast_arrays(*(np.asarray(v) for v in columns.values()))
-        return cls(columns=list(columns), rows=list(zip(*(a.tolist() for a in arrays))))
+        return cls(dict(zip(columns, map(np.array, arrays))))
+
+    @property
+    def columns(self) -> list[str]:
+        return list(self.data)
+
+    @property
+    def rows(self) -> list[tuple]:
+        return list(zip(*(a.tolist() for a in self.data.values())))
 
     def column(self, name: str) -> np.ndarray:
-        idx = self.columns.index(name)
-        return np.asarray([row[idx] for row in self.rows], dtype=float)
+        return self.data[name].astype(float)
 
     def write_csv(self, path: str | Path) -> Path:
         path = Path(path)
+        cells = [[name, *_cells(name, a)] for name, a in self.data.items()]
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, dialect="excel")  # RFC-4180 CRLF
-            writer.writerow(self.columns)
-            writer.writerows(self.rows)  # Python ints and floats; csv writes floats by repr
+            fh.writelines(f"{line}\r\n" for line in map(",".join, zip(*cells)))  # RFC-4180 CRLF
         return path
+
+
+def _cells(name: str, a: np.ndarray) -> list[str]:
+    """CSV cells of column ``name``, none that would need quotes: text as is,
+    else ``repr`` once per distinct value, floats keyed by bits so -0.0 stays."""
+    text = a.tolist() if a.dtype.kind == "U" else []
+    if any(ch in cell for cell in (name, *text) for ch in ',"\r\n'):
+        raise ValueError(f"column {name!r} holds a comma, quote or line break, which CSV would have to quote")
+    if a.dtype.kind == "U":
+        return text
+    distinct, inverse = np.unique(a.view(f"i{a.itemsize}") if a.dtype.kind == "f" else a, return_inverse=True)
+    return np.array([repr(v) for v in distinct.view(a.dtype).tolist()], dtype=object)[inverse].tolist()
 
 
 def write_manifest(path: str | Path, *, files: list[str], parameters: dict, derived: dict, extra: dict | None = None) -> Path:

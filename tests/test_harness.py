@@ -1,4 +1,6 @@
+import csv
 import json
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 import starbath as sb
 from starbath.config import JOB_INPUTS, JOBS, ConfigError, ExperimentConfig, load_config, parse_grid
 from starbath.constants import US
-from starbath.harness import affine_fit, proportional_fit, run_job
+from starbath.harness import _Run, _sweep_curves, affine_fit, proportional_fit, run_job
 from starbath.table import ResultTable, write_manifest
 
 from invariants import flux_finite_difference_residual
@@ -150,6 +152,39 @@ class TestResultTable:
         table = ResultTable.from_columns({"i[1]": np.arange(4), "v[1]": np.array(values)})
         raw = table.write_csv(tmp_path / "t.csv").read_bytes()
         assert raw == b"i[1],v[1]\r\n0,nan\r\n1,-0.0\r\n2,1e+16\r\n3,5e-324\r\n"
+
+    def test_bytes_match_the_csv_module(self, tmp_path):
+        # the column writer against csv.writer on the same rows; -0.0 next to
+        # 0.0 fails a writer that tells floats apart by value, not by bits
+        big, tiny, inf = 1.7976931348623157e308, 5e-324, float("inf")
+        v = [0.25, -0.0, 0.0, float("nan"), inf, -inf, tiny, big, 0.25, -0.0, 1e16, 0.0, -big, 0.25]
+        n = len(v)
+        table = ResultTable.from_columns({
+            "v[1]": np.array(v),
+            "k[1]": np.array([-3, 7, -3, 0, 2**62, -(2**63)] * 2 + [7, -3], dtype=np.int64),
+            "flag": np.arange(n) % 3 == 0,
+            "name": [f"x{i % 4}" for i in range(n)],
+            "N[1]": 12,
+            "s[1]": -0.0,
+        })
+        empty = ResultTable.from_columns({"t[us]": np.empty(0), "N[1]": np.empty(0, dtype=int)})
+        for key, t in (("full", table), ("empty", empty)):
+            expected = tmp_path / f"{key}_expected.csv"
+            with open(expected, "w", newline="") as fh:
+                csv.writer(fh, dialect="excel").writerows([t.columns, *t.rows])
+            assert t.write_csv(tmp_path / f"{key}.csv").read_bytes() == expected.read_bytes()
+        assert len(table.rows) == n and empty.rows == []
+        assert b"\r\n-0.0,7,False,x1,12,-0.0\r\n0.0,-3,False,x2,12,-0.0\r\n" in (tmp_path / "full.csv").read_bytes()
+
+    def test_refuses_cells_csv_would_quote(self, tmp_path):
+        for columns, name in (
+            ({"a,b[1]": [1.0]}, "a,b[1]"),
+            ({"t[us]": [0.0, 1.0], "check": ["ok", 'say "hi"']}, "check"),
+            ({"check": ["two\nlines"]}, "check"),
+            ({"check": ["cr\r"]}, "check"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(repr(name))):
+                ResultTable.from_columns(columns).write_csv(tmp_path / "t.csv")
 
     def test_manifest_refuses_non_finite_values(self, tmp_path):
         for value in (float("inf"), float("nan")):
@@ -338,6 +373,21 @@ class TestSweepJob:
         assert list(fig6["fits"]) == ["t_us=0", "t_us=0.2", "t_us=0.4"]
         table = fig6["tables"]["sweep"]
         assert table.column("N[1]").tolist() == [8] * 3 + [16] * 3 + [32] * 3
+
+    def test_stacks_each_n_column_by_column(self, tmp_path):
+        # the N column stays integer across the stacked per-N tables; the
+        # default sweep times lie beyond t1 at these N
+        cfg = tiny_cfg(tmp_path, job="sweep-n", n_list=[100, 200, 300])
+        with pytest.warns(RuntimeWarning, match="recurrence"):
+            result = run_job(cfg)
+        table = result["tables"]["sweep"]
+        np.testing.assert_array_equal(table.column("N[1]"), np.repeat([100, 200, 300], 4))
+        lines = result["files"][0].read_text().splitlines()
+        assert lines[0].split(",")[0] == "N[1]"
+        assert [line.split(",")[0] for line in lines[1:]] == [str(n) for n in (100, 200, 300) for _ in range(4)]
+        with pytest.warns(RuntimeWarning, match="recurrence"):
+            per_n = [_sweep_curves(_Run(cfg, n, cfg.sweep_times()))["sweep"][1].rows for n in cfg.n_list]
+        assert table.rows == [row for rows in per_n for row in rows]
 
     def test_close_times_keep_distinct_fits(self, tmp_path):
         # 1.0000001 and 1.0000002 agree to 6 significant digits
