@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line interface: ``starbath JOB [flags]``, one parser for every job.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 when a residual in
 the validate job's checks table exceeds its tolerance.
@@ -35,13 +35,11 @@ def _build_parser() -> argparse.ArgumentParser:
             "plus a JSON manifest"
         ),
     )
-    sub = parser.add_subparsers(dest="job", required=True, metavar="|".join(JOBS))
-    for job in JOBS:
-        p = sub.add_parser(job, help=f"run the {job} job")
-        p.add_argument("--config", help="JSON config file (unknown keys rejected)")
-        p.add_argument("--out", dest="out_dir", help="output directory")
-        for name, (flag, kwargs) in _FIELD_FLAGS.items():
-            p.add_argument(flag, dest=name, **kwargs)
+    parser.add_argument("job", choices=JOBS, metavar="|".join(JOBS), help="the job to run")
+    parser.add_argument("--config", help="JSON config file (unknown keys rejected)")
+    parser.add_argument("--out", dest="out_dir", help="output directory")
+    for name, (flag, kwargs) in _FIELD_FLAGS.items():
+        parser.add_argument(flag, dest=name, **kwargs)
     return parser
 
 

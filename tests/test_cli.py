@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import os
@@ -34,6 +35,15 @@ FLAG_VALUES = {
     "--eta": "0.002",
     "--window": "0.3",
     "--seed": "5",  # no job takes it: argparse refuses it as unknown
+}
+# the config field and parsed value each FLAG_VALUES entry gives
+FLAG_FIELDS = {
+    "--n": ("n_modes", 16),
+    "--n-list": ("n_list", "8,16,32"),
+    "--grid": ("times_us", "0:0.5:3"),
+    "--pivn-mode": ("pivn_mode", "exact"),
+    "--eta": ("eta", 0.002),
+    "--window": ("mode_window_mhz", 0.3),
 }
 
 def test_simulate_roundtrip(tmp_path, capsys):
@@ -230,6 +240,22 @@ def test_n_and_grid_flags_per_job(tmp_path, capsys, job, flag):
         assert not (tmp_path / "out").exists()
 
 
+def test_one_parser_namespaces():
+    """One parser for every job: each (job, flag) pair parses to the same
+    Namespace whether the flag comes after the job name or before it."""
+    parser = _build_parser()
+    assert parser._subparsers is None  # no per-job subparsers
+    unset = dict.fromkeys(["config", "out_dir", *(name for name, _ in FLAG_FIELDS.values())])
+    for job in ("sweep-n", "fig6"):
+        assert parser.parse_args([job]) == argparse.Namespace(job=job, **unset)
+    for job, flags in JOB_FLAGS.items():
+        for flag in flags:
+            name, value = FLAG_FIELDS[flag]
+            expected = argparse.Namespace(**unset | {"job": job, "out_dir": "o", name: value})
+            assert parser.parse_args([job, flag, FLAG_VALUES[flag], "--out", "o"]) == expected
+            assert parser.parse_args([flag, FLAG_VALUES[flag], "--out", "o", job]) == expected
+
+
 def test_repeated_main_calls_keep_the_flag_rules(tmp_path, capsys):
     """The parser is built once per process; each call still applies its own job's flag rules."""
     assert _build_parser() is _build_parser()
@@ -319,6 +345,22 @@ def test_config_field_the_job_does_not_read_is_not_checked(tmp_path, capsys):
     assert main(["fig4", "--n", "8", "--grid", "0:1:3", "--config", str(cfg_path), "--out", str(out / "fig4")]) == 2
     assert capsys.readouterr().err.startswith("config error: mode_window_mhz must be positive and finite")
     assert not (out / "fig4").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [(None, "cannot read config file"), ("{", "is not valid JSON"), ("[1, 2]", "must contain a JSON object")],
+    ids=["missing", "invalid_json", "array"],
+)
+def test_unloadable_config_exits_2(tmp_path, capsys, text, message):
+    cfg_path = tmp_path / "cfg.json"
+    if text is not None:
+        cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not out.exists()
 
 
 def test_bad_n_list_exits_2(tmp_path):

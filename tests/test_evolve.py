@@ -628,6 +628,11 @@ class TestDenseOracle:
         with pytest.raises(ValueError, match="cap"):
             dense_oracle_at(model, init, 1e-6, oracle_cap=16)
 
+    def test_rejects_negative_time(self):
+        model, init, _ = small_setup()
+        with pytest.raises(ValueError, match="non-negative"):
+            dense_oracle_at(model, init, -1e-6)
+
     def test_energy_conservation(self, rng):
         model, _ = random_star_model(rng, 32)
         init = random_temperatures(rng)

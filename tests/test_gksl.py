@@ -90,6 +90,10 @@ class TestVonNeumannProduction:
         E_A = mean_energy(c1, params.omega1)
         assert von_neumann_ep(params, S_A, E_A)[0] == 0.0
 
+    def test_rejects_misaligned_series(self, params):
+        with pytest.raises(ValueError, match="align"):
+            von_neumann_ep(params, np.zeros(5), np.zeros(4))
+
     def test_integral_of_rate_closed_form(self, params):
         # dS_vN must equal the time integral of Pi_vN; trapezoid on a fine
         # grid agrees to 1e-3 relative.

@@ -72,6 +72,7 @@ class TestConfig:
             dict(n_modes=1),
             dict(n_modes=1, n_list=[8, 16, 32]),
             dict(job="fig1", n_list=[1, 8, 16]),
+            dict(job="fig1", n_list=[]),
             dict(times_us=[[0.0, 1.0]]),
             dict(job="sweep-n", sweep_times_us=[2.0, 1.0]),
             dict(times_us=[-1.0, 1.0]),
@@ -257,6 +258,15 @@ class TestSimulateJob:
         cfg = tiny_cfg(tmp_path, n_modes=200, T_A0_uk=1.0, T_B0_uk=3.0, times_us=grid(60.0, 61))
         table = run_job(cfg)["tables"]["simulate"]
         assert np.all(table.column("sigma11_exact[1]") >= 1.0)
+
+    @pytest.mark.xfail(strict=True, raises=ValueError, reason="cold baths: initial c_j - 1 below BOUNDARY_EPS")
+    def test_cold_top_mode_simulate(self, tmp_path):
+        # T_B0 = 5 uK on the default band: the top bath mode starts at
+        # c - 1 = 1.1e-13, below BOUNDARY_EPS, so totals refuses the run at
+        # t = 0; at 10 uK (c - 1 = 4.6e-7) the same run passes
+        cfg = tiny_cfg(tmp_path, n_modes=64, T_B0_uk=5.0, times_us=grid(2.0, 3))
+        table = run_job(cfg)["tables"]["simulate"]
+        assert np.all(np.isfinite(table.column("Pi_tot[kB/ms]")))
 
     def test_deterministic_bytes(self, tmp_path):
         cfg1 = tiny_cfg(tmp_path / "a", times_us=grid(0.5))

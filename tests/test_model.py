@@ -166,6 +166,7 @@ class TestStarModelInvariants:
         c = discretize_ohmic_bath(production_spec(9), 4e6)
         assert a == b
         assert a != c
+        assert (a == 3) is False  # not a StarModel: Python falls back to identity
 
 
 class TestRelaxationRate:
@@ -214,6 +215,10 @@ class TestMeanOccupation:
             mean_occupation(4e6, 0.0)
         with pytest.raises(ValueError):
             mean_occupation(-1e6, 1e-5)
+        with pytest.raises(ValueError, match="omega"):
+            thermal_coefficient([4e6, 0.0], 1e-5)
+        with pytest.raises(ValueError, match="temperature"):
+            thermal_coefficient(4e6, -1e-5)
 
 
 class TestRecurrenceTime:

@@ -222,6 +222,12 @@ class TestFluxesAndTotals:
         with pytest.raises(ValueError, match="different model"):
             totals(snap, other)
 
+    def test_totals_size_mismatch(self):
+        model, _, _, baseline, snap = evolved_record()
+        short = CovarianceSnapshot(time=0.0, c=baseline.c[:-1], x=baseline.x[:-1], model=model)
+        with pytest.raises(ValueError, match="sizes disagree"):
+            totals(snap, short)
+
     def test_totals_requires_t0_baseline(self):
         model, basis, init, baseline, snap = evolved_record()
         with pytest.raises(ValueError, match="t = 0"):
