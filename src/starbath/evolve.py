@@ -200,7 +200,8 @@ def _comb(step, g2):
     n = len(g2)
     taylor = np.zeros((_TAYLOR_TERMS, n))
     targets = np.arange(n)
-    _correlate(g2[None, :], [(taylor[t : t + 1], t + 1, 0, targets) for t in range(_TAYLOR_TERMS)], 1.0, gap=_NEAR)
+    plan = _kernel_spectra(n, targets, range(1, _TAYLOR_TERMS + 1), 1.0, gap=_NEAR)
+    _correlate(g2[None, :], [(taylor[t : t + 1], t + 1, 0, targets) for t in range(_TAYLOR_TERMS)], plan)
     index = np.pad(np.where(g2 > 0, targets, np.inf), _NEAR, constant_values=np.inf)
     return step, index, np.pad(g2, _NEAR), taylor
 
@@ -423,8 +424,9 @@ def _resolvents(basis, times, b_cols):
     row FFTs correlate them with 1/(w_node - w_j)^p = (-1/(step (lag +
     _SPREAD//2 + 1/2)))^p at the lags j - k, p = 1 (A) or 2 (B).
     Roots beyond cells 0 ... N take the direct sum.  Besides the (2T, N) sums
-    and charges and O(N) cell data, the scratch buffers take a few
-    _CHUNK_BYTES, and none but the FFTs' is alive during the far field.
+    A and charges, B over only the target blocks that hold ``b_cols`` and
+    O(N) cell data, the scratch buffers take a few _CHUNK_BYTES, and none but
+    the FFTs' is alive during the far field.
     """
     n, nt, step = len(basis.couplings), len(times), basis.model.delta_omega
     R, W = _BAND, _CELLS
@@ -458,16 +460,17 @@ def _resolvents(basis, times, b_cols):
     weights[cell_p == -np.inf] = 0.0
     index = np.full(nb * W, np.inf)
     index[:n] = np.where(basis.couplings != 0, np.arange(n), np.inf)
+    first, stop = (0, 0) if b_cols is None else (int(b_cols.min()) // W, int(b_cols.max()) // W + 1)  # blocks of B
     A = np.empty((2 * nt, nb * W))
-    B = None if b_cols is None else np.zeros((2 * nt, nb * W))
-    first, stop = (0, 0) if B is None else (int(b_cols.min()) // W, int(b_cols.max()) // W + 1)  # blocks of B
-    kernel = (-1.0 / step, _SPREAD // 2 + 0.5)  # scale and shift: see _correlate
+    B = None if b_cols is None else np.empty((2 * nt, (stop - first) * W))
+    kernel = (-1.0 / step, _SPREAD // 2 + 0.5)  # scale and shift: see _kernel_spectra
     _near_band(zc[:, :cells], weights, cell_p, cell_d, index, step, *kernel, ((A, 1, 0, nb), (B, 2, first, stop)))
     _spread(zc[:, : cells + W], weights)
     del weights  # the far field holds only the node charges, the sums and its FFT buffers
 
-    B = None if B is None else B[:, b_cols]
-    _correlate(zc[:, R : R + n + _SPREAD], [(A[:, :n], 1, 0, np.arange(n)), (B, 2, 0, b_cols)], *kernel)
+    B = None if B is None else B[:, b_cols - first * W]
+    plan = _kernel_spectra(n + _SPREAD, np.arange(n), (1,) if B is None else (1, 2), *kernel)
+    _correlate(zc[:, R : R + n + _SPREAD], [(A[:, :n], 1, 0, np.arange(n)), (B, 2, 0, b_cols)], plan)
 
     if len(outer):
         inv = 1.0 / (step * (p[outer, None] - index[:n]) + d[outer, None])
@@ -481,12 +484,12 @@ def _resolvents(basis, times, b_cols):
 def _near_band(zc, weights, cell_p, cell_d, index, step, scale, shift, outs):
     """Writes the near band of the resolvent sums into each (out, power,
     first, stop) of ``outs``, for the target blocks first ... stop - 1 (none
-    when out is None): block b meets cells bW - R ... bW + W + R - 1 (span)
-    of the charges ``zc``; row c of the table weights @ kernel holds cell c's
-    grid values at the offsets cell - target = R + W - 1 ... -(R + W - 1),
-    read for each block as a strided view; the block GEMMs write straight
-    into out.  Grid values are ``_correlate``'s, so the band takes off what
-    the far field adds."""
+    when out is None), whose first target is column 0 of out: block b meets
+    cells bW - R ... bW + W + R - 1 (span) of the charges ``zc``; row c of the
+    table weights @ kernel holds cell c's grid values at the offsets
+    cell - target = R + W - 1 ... -(R + W - 1), read for each block as a
+    strided view; the block GEMMs write straight into out.  Grid values are
+    ``_correlate``'s, so the band takes off what the far field adds."""
     P, R, W = _SPREAD, _BAND, _CELLS
     nb = len(index) // W
     span, lags = W + 2 * R, 2 * (R + W) - 1
@@ -512,7 +515,8 @@ def _near_band(zc, weights, cell_p, cell_d, index, step, scale, shift, outs):
             if power == 2:
                 np.square(diff, out=diff)
             diff -= grid
-            np.matmul(charges[blk], diff, out=out[:, tgt].reshape(len(zc), g, W).transpose(1, 0, 2))
+            at = out[:, (b0 - first) * W : (b0 - first + g) * W]
+            np.matmul(charges[blk], diff, out=at.reshape(len(zc), g, W).transpose(1, 0, 2))
 
 
 def _spread(zc, weights):
@@ -538,27 +542,35 @@ def _spread(zc, weights):
         nodes[:, c0 + 1 : c0 + g + 1, : P - 1] += part[:g, :, W:].transpose(1, 0, 2)
 
 
-def _correlate(sources, outs, scale, shift=0.0, gap=-1):
-    """Toeplitz correlations by real FFTs with powers of one kernel,
+def _kernel_spectra(width, targets, powers, scale, shift=0.0, gap=-1):
+    """The plan of ``_correlate``, formed once per caller: the kernel
     K(lag) = scale/(lag + shift) at integer lags |lag| > gap, else 0 (gap -1:
-    none).  For each (out, p, first, targets) of ``outs`` (out None: skipped),
-    adds to row i of ``out``, at each target t, the sum over the columns s of
-    sources[first + i, s] K(t - s)^p, p >= 1.  The FFT length covers the
-    sources' width plus the targets' span, so no lag wraps onto another; the
-    powers come by repeated products, and only the named ones' spectra are
-    kept; chunks of rows are copied into one reused zero-padded buffer."""
-    outs = [o for o in outs if o[0] is not None]
-    width = sources.shape[1]
-    lo, hi = min(int(t.min()) for *_, t in outs), max(int(t.max()) for *_, t in outs)
+    none), for sources ``width`` columns wide and targets within the range of
+    ``targets``.  The FFT length covers the width plus the targets' span, so
+    no lag wraps onto another; the powers come by repeated products, and only
+    the spectra of those in ``powers`` are kept.  Returns (lo, size, rows,
+    spectra): the lowest target, the FFT length, the rows per FFT call (at
+    most _FFT_ROWS and _FFT_BYTES) and the spectra by power."""
+    lo, hi = int(targets.min()), int(targets.max())
     size = _fft_size(width + hi - lo)
     lag = np.arange(lo, lo + size)
     lag[hi - lo + 1 :] -= size  # position (t - s - lo) mod size holds lag t - s
     inv = np.divide(scale, lag + shift, out=np.zeros(size), where=np.abs(lag) > gap)
-    named = {p for _, p, *_ in outs}
-    powers = enumerate(accumulate(repeat(inv, max(named)), np.multiply), 1)  # inv, inv * inv, ... one at a time
-    spectra = {p: np.fft.rfft(k) for p, k in powers if p in named}
-    del lag, inv, powers  # the correlations hold only the spectra
-    chunk = min(len(sources), _FFT_ROWS, max(1, _FFT_BYTES // (8 * size)))
+    kernels = enumerate(accumulate(repeat(inv, max(powers)), np.multiply), 1)  # inv, inv * inv, ... one at a time
+    spectra = {p: np.fft.rfft(k) for p, k in kernels if p in powers}
+    return lo, size, min(_FFT_ROWS, max(1, _FFT_BYTES // (8 * size))), spectra
+
+
+def _correlate(sources, outs, plan):
+    """Toeplitz correlations by real FFTs with the kernel spectra of ``plan``
+    (see ``_kernel_spectra``).  For each (out, p, first, targets) of ``outs``
+    (out None: skipped), adds to row i of ``out``, at each target t, the sum
+    over the columns s of sources[first + i, s] K(t - s)^p.  Chunks of the
+    plan's rows are copied into one reused zero-padded buffer."""
+    lo, size, rows, spectra = plan
+    outs = [o for o in outs if o[0] is not None]
+    width = sources.shape[1]
+    chunk = min(len(sources), rows)
     buffer = np.zeros((chunk, size))  # columns past the sources' width stay zero
     spectrum, product = np.empty((2, chunk, size // 2 + 1), dtype=complex)
     sums = np.empty((chunk, size))
@@ -613,10 +625,14 @@ def evaluate(
     rows costs about half of all rows.  Memory is O(T N), all real, beyond a
     few reused buffers of about _CHUNK_BYTES or _FFT_BYTES each: the phases
     go straight into the (2T, N) charges, which the far field reuses for its
-    node charges, and c and x read the (2T, N) sums in that layout.  Traced
-    peaks over 41 times: 4.9 x 8 T N bytes for a system row at N = 100000,
-    16.2 x for all rows with cross terms at N = 16000.  ValueError once the
-    last time times the top eigenfrequency reaches 2^31 2 pi (phase range).
+    node charges, c and x read the (2T, N) sums in that layout, and the
+    kernel sums form their rows and sums one chunk of times at a time, so
+    only the requested columns of B and of c and x are O(T N) beside A.
+    Traced peaks over 41 times: 4.9 x 8 T N bytes for a system row at
+    N = 100000, 10.4 x (the resolvent sums') for all rows with cross terms
+    at N = 16000 and 6.6 x for fig5's 120-row window at N = 3000.  ValueError
+    once the last time times the top eigenfrequency reaches 2^31 2 pi (phase
+    range).
     """
     grid = validated_grid(times)
     n = basis.dimension
@@ -639,43 +655,54 @@ def evaluate(
     g = basis.couplings
     c = np.broadcast_to(c0[rows], (nt, len(rows))).copy()  # deflated rows keep c0
     x = np.zeros((nt, len(rows))) if cross else None
-    if not np.any(g):  # with no coupled mode the system keeps c0 too
-        return c, x
     # requested rows of coupled bath modes, and their bath indices
     out_rows = np.flatnonzero(np.r_[False, g != 0][rows])
     targets = rows[out_rows] - 1
+    if not len(targets) and not (np.any(rows == 0) and np.any(g)):  # no requested row moves from c0
+        return c, x
 
     # U_11, resolvent sums A_j over the bath and B_j over the requested coupled modes, as real
     # rows (see _resolvents); the weights wv vanish at deflated modes, so no sum reads A_j there
     system_amp, A, B = _resolvents(basis, grid, targets if len(targets) else None)
     wv = g * g * c0[1:]
     if len(targets):
-        # R = (wv, wv |A|^2, wv A) with wv A interleaved as A is.  K_j = sum_{m != j}
-        # R_m/(w_m - w_j)^2 of every row, L_j = sum_{m != j} (wv A)_m/(w_m - w_j) of the last 2T
-        R = np.empty((1 + 3 * nt, len(g)))
-        R[0] = wv
-        np.multiply(A, wv, out=R[1 + nt :])
-        np.multiply(A[0::2], R[1 + nt :: 2], out=R[1 : 1 + nt])
-        R[1 : 1 + nt] += A[1::2] * R[2 + nt :: 2]
-        K, L = np.zeros((len(R), len(targets))), np.zeros((2 * nt, len(targets))) if cross else None
-        _correlate(R, [(K, 2, 0, targets), (L, 1, 1 + nt, targets)], -1.0 / basis.model.delta_omega, gap=0)
-        del R  # the formulas' temporaries take its place
+        plan = _kernel_spectra(len(g), targets, (1, 2) if cross else (2,), -1.0 / basis.model.delta_omega, gap=0)
+        # chunks of times whose 3 rows each fill whole FFT calls, about _CHUNK_BYTES of rows; the
+        # first holds the remainder and wv's own row, so the calls are as few as for all rows at once
+        per_call = plan[2]
+        span = per_call * max(1, _CHUNK_BYTES // (24 * len(g) * per_call))
+        edges = [0, *range(nt - (nt - 1) // span * span, nt + 1, span)]
+        gj, c0j = g[targets], c0[1 + targets]
+        for t0, t1 in zip(edges, edges[1:]):
+            k, ts = t1 - t0, slice(2 * t0, 2 * t1)
+            # R = (wv A, wv |A|^2) at these times with wv A interleaved as A is, then in the first chunk wv.
+            # K_j = sum_{m != j} R_m/(w_m - w_j)^2 of every row, L_j = sum_{m != j} (wv A)_m/(w_m - w_j)
+            R = np.empty((3 * k + (t0 == 0), len(g)))
+            np.multiply(A[ts], wv, out=R[: 2 * k])
+            np.multiply(A[ts][0::2], R[: 2 * k : 2], out=R[2 * k : 3 * k])
+            R[2 * k : 3 * k] += A[ts][1::2] * R[1 : 2 * k : 2]
+            R[3 * k :] = wv
+            K, L = np.zeros((len(R), len(targets))), np.zeros((2 * k, len(targets))) if cross else None
+            _correlate(R, [(K, 2, 0, targets), (L, 1, 0, targets)], plan)
+            del R  # the formulas' temporaries take its place
+            if t0 == 0:  # wv's own row
+                K0 = K[3 * k] + c0[0]
 
-        # a, b: the real and imaginary rows of A_j, interleaved in B and in K, L of wv A as in A
-        a, b, gj, c0j = A[0::2, targets], A[1::2, targets], g[targets], c0[1 + targets]
-        c[:, out_rows] = gj**2 * (
-            (a * a + b * b) * (K[0] + c0[0])
-            + K[1 : 1 + nt]
-            - 2.0 * (a * K[1 + nt :: 2] + b * K[2 + nt :: 2])
-            + gj**2 * (B[0::2] ** 2 + B[1::2] ** 2) * c0j
-        )
-        if cross:
-            u_r, u_i = system_amp.real[:, None], system_amp.imag[:, None]
-            x[:, out_rows] = gj * (
-                c0[0] * (u_r * b - u_i * a)
-                + gj**2 * c0j * (a * B[1::2] - b * B[0::2])
-                - (b * L[0::2] - a * L[1::2])
+            # a, b: the real and imaginary rows of A_j, interleaved in B and in K, L of wv A as in A
+            a, b, Bt = A[ts][0::2, targets], A[ts][1::2, targets], B[ts]
+            c[t0:t1, out_rows] = gj**2 * (
+                (a * a + b * b) * K0
+                + K[2 * k : 3 * k]
+                - 2.0 * (a * K[0 : 2 * k : 2] + b * K[1 : 2 * k : 2])
+                + gj**2 * (Bt[0::2] ** 2 + Bt[1::2] ** 2) * c0j
             )
+            if cross:
+                u_r, u_i = system_amp.real[t0:t1, None], system_amp.imag[t0:t1, None]
+                x[t0:t1, out_rows] = gj * (
+                    c0[0] * (u_r * b - u_i * a)
+                    + gj**2 * c0j * (a * Bt[1::2] - b * Bt[0::2])
+                    - (b * L[0::2] - a * L[1::2])
+                )
     if np.any(rows == 0):
         a2 = np.square(A, out=A) @ wv  # sum_j wv_j |A_j|^2 over the real and imaginary rows
         c[:, rows == 0] = (np.abs(system_amp) ** 2 * c0[0] + (a2[0::2] + a2[1::2]))[:, None]

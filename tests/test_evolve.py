@@ -7,6 +7,7 @@ import pytest
 import starbath as sb
 from starbath import evolve
 from starbath.checks import oracle_equivalence_residual, unitarity_residual
+from starbath.cli import main
 from starbath.constants import MHZ
 from starbath.evolve import initial_coefficients
 from starbath.harness import derived_constants
@@ -295,7 +296,7 @@ class TestEvaluate:
         c, x = sb.evaluate(basis, c0, times)
         assert c.shape == x.shape == (len(times), basis.dimension)
         assert np.all(x[:, 0] == 0.0)
-        for rows in (range(5, 17), [0], [40, 3, 0, 40], range(3, 3)):
+        for rows in (range(5, 17), [0], [40, 3, 0, 40], range(40, 60), range(3, 3)):
             cw, xw = sb.evaluate(basis, c0, times, rows)
             np.testing.assert_allclose(cw, c[:, list(rows)], rtol=1e-13)
             np.testing.assert_allclose(xw, x[:, list(rows)], rtol=1e-12, atol=1e-15 * np.abs(x).max())
@@ -311,18 +312,45 @@ class TestEvaluate:
             np.testing.assert_allclose(xi[0], x[i], rtol=1e-12, atol=1e-15 * np.abs(x).max())
 
     def test_chunk_size_invariance(self, setup, monkeypatch):
-        # FFT chunks of rows and groups of cell blocks change no bit of the result
+        # FFT chunks of rows, chunks of times and groups of cell blocks change
+        # no bit of the result.  The kernel sums take 1 time per chunk, then
+        # 1 + 2 + 2 of the 5 times, then 2 + 3, then all 5; rows 40-59 are bath
+        # modes 39-58, so B starts at its second block of targets
         basis, c0, times = setup
-        monkeypatch.setattr(evolve, "_CHUNK_BYTES", 2**19)
-        monkeypatch.setattr(evolve, "_FFT_ROWS", 8)
-        monkeypatch.setattr(evolve, "_FFT_BYTES", 2**22)
-        c, x = sb.evaluate(basis, c0, times, range(2, 50))
-        for chunk_bytes, fft_rows, fft_bytes in ((1, 8, 1), (8 * 7 * 64, 3, 2**22), (2**24, 64, 2**30)):
-            monkeypatch.setattr(evolve, "_CHUNK_BYTES", chunk_bytes)
-            monkeypatch.setattr(evolve, "_FFT_ROWS", fft_rows)
-            monkeypatch.setattr(evolve, "_FFT_BYTES", fft_bytes)
-            cb, xb = sb.evaluate(basis, c0, times, range(2, 50))
-            assert np.array_equal(cb, c) and np.array_equal(xb, x)
+        n = len(basis.couplings)
+        cases = ((1, 8, 1), (48 * n, 1, 2**22), (8 * 7 * 64, 3, 2**22), (2**24, 64, 2**30))
+        for rows in (range(2, 50), range(40, 60), None):
+            monkeypatch.setattr(evolve, "_CHUNK_BYTES", 2**19)
+            monkeypatch.setattr(evolve, "_FFT_ROWS", 8)
+            monkeypatch.setattr(evolve, "_FFT_BYTES", 2**22)
+            c, x = sb.evaluate(basis, c0, times, rows)
+            for chunk_bytes, fft_rows, fft_bytes in cases:
+                monkeypatch.setattr(evolve, "_CHUNK_BYTES", chunk_bytes)
+                monkeypatch.setattr(evolve, "_FFT_ROWS", fft_rows)
+                monkeypatch.setattr(evolve, "_FFT_BYTES", fft_bytes)
+                cb, xb = sb.evaluate(basis, c0, times, rows)
+                assert np.array_equal(cb, c) and np.array_equal(xb, x)
+
+    def test_rows_that_keep_c0_skip_the_resolvent_sums(self, setup, monkeypatch, tmp_path):
+        # no row, or only deflated bath modes: c0 and zero cross terms without
+        # any resolvent work; fig5 with an empty mode window writes empty maps
+        basis, c0, times = setup
+        deflated = basis.model.bath_couplings.copy()
+        deflated[[3, 7]] = 0.0
+        basis_d = sb.mode_basis(with_couplings(basis.model, deflated))
+
+        def refuse(*args):
+            raise AssertionError("resolvent sums formed for rows that read none")
+
+        monkeypatch.setattr(evolve, "_resolvents", refuse)
+        c, x = sb.evaluate(basis, c0, times, [])
+        assert c.shape == x.shape == (len(times), 0)
+        c, x = sb.evaluate(basis_d, c0, times, [8, 4, 8])
+        assert np.array_equal(c, np.broadcast_to(c0[[8, 4, 8]], c.shape)) and not np.any(x)
+        out = tmp_path / "fig5"
+        assert main(["fig5", "--n-list", "100,200", "--window", "1e-9", "--grid", "0:20:5", "--out", str(out)]) == 0
+        for n in (100, 200):
+            assert (out / f"fig5_modes_N{n}.csv").read_text().count("\n") == 1
 
     def test_system_row_scratch_at_4000(self, production):
         # fig1's system row at N = 4000 over 31 times: the phases go straight
@@ -343,12 +371,15 @@ class TestEvaluate:
     @pytest.mark.parametrize(
         "n, window, bound",
         [
-            # every row with cross terms: the bath rows read the resolvent and
-            # kernel sums as real rows, so the traced peak measures 16.2 x
-            # 8 T N bytes; complex (T, N) copies of A, B and wv A would break it
-            (16000, None, 17.9),
-            # fig5's 0.4 MHz window, 120 rows: 8.32 x, the peak of _resolvents
-            (3000, 0.4e6, 9.2),
+            # every row with cross terms: the bath rows read the resolvent
+            # sums as real rows and stream their kernel sums by chunks of
+            # times, so the traced peak measures 10.43 x 8 T N bytes, the peak
+            # of _resolvents; a full (1 + 3T, N) source array or full K and L
+            # would break it
+            (16000, None, 11.5),
+            # fig5's 0.4 MHz window, 120 rows: 6.59 x, the peak of _resolvents,
+            # whose B covers only the window's blocks; a full-width B would break it
+            (3000, 0.4e6, 7.25),
         ],
     )
     def test_bath_row_scratch(self, production, n, window, bound):
@@ -380,7 +411,7 @@ class TestEvaluate:
     def test_series_scratch_is_one_panel(self, production):
         # N=2000, T=10: the kernel and resolvent correlations need only
         # chunk-sized buffers besides the O(T N) sums: the traced peak
-        # measures 3.57 MiB and the bound is 10% above it.  A complex (T, N)
+        # measures 3.40 MiB and the bound is 10% above it.  A complex (T, N)
         # copy of A or B (about 0.6 MiB each), an ~8 MiB kernel panel or an
         # N^2/4-sized temporary would break it
         basis = production.basis(2000)
@@ -390,7 +421,7 @@ class TestEvaluate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.92 * 2**20
+        assert peak <= 3.74 * 2**20
 
 
 def extended_phases(times, *terms):
@@ -467,7 +498,8 @@ class TestKernelSums:
             )
             kernel, powers = (-1.0 / step, 0.0, 0), [(1, 1 + nt, 2 * nt), (2, 0, 1 + 3 * nt)]
         outs = [(np.zeros((count, len(targets))), p, first, targets) for p, first, count in powers]
-        evolve._correlate(sources, outs, *kernel)
+        plan = evolve._kernel_spectra(sources.shape[1], targets, [p for p, *_ in powers], *kernel)
+        evolve._correlate(sources, outs, plan)
         scale, shift, gap = kernel
         lag = targets - np.arange(sources.shape[1])[:, None]
         inv = np.zeros(lag.shape, dtype=L)  # with the exact scale -1/step
