@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -96,6 +97,8 @@ class ExperimentConfig:
                 if isinstance(item, bool) or not isinstance(item, kind):
                     noun = {numbers.Real: "a number", numbers.Integral: "an integer", str: "a string"}[kind]
                     raise ConfigError(f"{f.name}: expected {noun}, got {item!r}")
+                if isinstance(item, numbers.Integral) and abs(item) > sys.float_info.max:  # no float holds it
+                    raise ConfigError(f"{f.name}: integer too large for a float")
         if self.job not in JOBS:
             raise ConfigError(f"unknown job {self.job!r}; expected one of {JOBS}")
         reads = JOB_INPUTS[self.job]
@@ -172,7 +175,7 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must contain a JSON object")

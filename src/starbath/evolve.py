@@ -199,10 +199,9 @@ def _comb(step, g2):
     is a Toeplitz correlation over the grid."""
     n = len(g2)
     taylor = np.zeros((_TAYLOR_TERMS, n))
-    targets = np.arange(n)
-    plan = _kernel_spectra(n, targets, range(1, _TAYLOR_TERMS + 1), 1.0, gap=_NEAR)
-    _correlate(g2[None, :], [(taylor[t : t + 1], t + 1, 0, targets) for t in range(_TAYLOR_TERMS)], plan)
-    index = np.pad(np.where(g2 > 0, targets, np.inf), _NEAR, constant_values=np.inf)
+    plan = _kernel_spectra(n, 0, n, range(1, _TAYLOR_TERMS + 1), 1.0, gap=_NEAR)
+    _correlate(g2[None, :], [(taylor[t : t + 1], t + 1, 0) for t in range(_TAYLOR_TERMS)], plan)
+    index = np.pad(np.where(g2 > 0, np.arange(n), np.inf), _NEAR, constant_values=np.inf)
     return step, index, np.pad(g2, _NEAR), taylor
 
 
@@ -403,13 +402,13 @@ def _lagrange_weights(u):
     return weights
 
 
-def _resolvents(basis, times, b_cols):
+def _resolvents(basis, times, lo, hi):
     """U_11 = sum_k z_k, as (T,) complex, and the resolvent sums at every bath
     mode j, A_j = sum_k z_k/(l_k - w_j) over the live roots, z_k = Q_1k^2
     exp(-i l_k t), and B_j = sum_k z_k/(l_k - w_j)^2 on the bath indices
-    ``b_cols`` (None: B is not formed), each with the real and imaginary parts
-    of time t in rows 2t and 2t+1, the one layout evaluate reads.  A_j at
-    deflated modes is some finite value that no caller reads.
+    lo ... hi - 1 (none: B is None), each with the real and imaginary parts
+    of time t in rows 2t and 2t+1, the one layout evaluate reads.  Both are
+    finite at deflated modes, where evaluate outputs neither.
 
     In spacing units root k sits at x_k = p + d_k/step, in the cell
     (m_k - 1, m_k) with m_k = p + ceil(d_k/step), and target j at j;
@@ -424,9 +423,9 @@ def _resolvents(basis, times, b_cols):
     row FFTs correlate them with 1/(w_node - w_j)^p = (-1/(step (lag +
     _SPREAD//2 + 1/2)))^p at the lags j - k, p = 1 (A) or 2 (B).
     Roots beyond cells 0 ... N take the direct sum.  Besides the (2T, N) sums
-    A and charges, B over only the target blocks that hold ``b_cols`` and
-    O(N) cell data, the scratch buffers take a few _CHUNK_BYTES, and none but
-    the FFTs' is alive during the far field.
+    A and charges, B over only the target blocks that meet the span (returned
+    as a view of the span) and O(N) cell data, the scratch buffers take a few
+    _CHUNK_BYTES, and none but the FFTs' is alive during the far field.
     """
     n, nt, step = len(basis.couplings), len(times), basis.model.delta_omega
     R, W = _BAND, _CELLS
@@ -460,24 +459,24 @@ def _resolvents(basis, times, b_cols):
     weights[cell_p == -np.inf] = 0.0
     index = np.full(nb * W, np.inf)
     index[:n] = np.where(basis.couplings != 0, np.arange(n), np.inf)
-    first, stop = (0, 0) if b_cols is None else (int(b_cols.min()) // W, int(b_cols.max()) // W + 1)  # blocks of B
+    first, stop = lo // W, -(-hi // W)  # the blocks of B
     A = np.empty((2 * nt, nb * W))
-    B = None if b_cols is None else np.empty((2 * nt, (stop - first) * W))
+    B = np.empty((2 * nt, (stop - first) * W)) if hi > lo else None
     kernel = (-1.0 / step, _SPREAD // 2 + 0.5)  # scale and shift: see _kernel_spectra
     _near_band(zc[:, :cells], weights, cell_p, cell_d, index, step, *kernel, ((A, 1, 0, nb), (B, 2, first, stop)))
     _spread(zc[:, : cells + W], weights)
     del weights  # the far field holds only the node charges, the sums and its FFT buffers
 
-    B = None if B is None else B[:, b_cols - first * W]
-    plan = _kernel_spectra(n + _SPREAD, np.arange(n), (1,) if B is None else (1, 2), *kernel)
-    _correlate(zc[:, R : R + n + _SPREAD], [(A[:, :n], 1, 0, np.arange(n)), (B, 2, 0, b_cols)], plan)
+    B = None if B is None else B[:, lo - first * W : hi - first * W]
+    plan = _kernel_spectra(n + _SPREAD, 0, n, (1,) if B is None else (1, 2), *kernel)
+    _correlate(zc[:, R : R + n + _SPREAD], [(A[:, :n], 1, 0), (B, 2, lo)], plan)
 
     if len(outer):
         inv = 1.0 / (step * (p[outer, None] - index[:n]) + d[outer, None])
         zo = zc[:, cells + W :]
         A[:, :n] += zo @ inv
         if B is not None:
-            B += zo @ np.square(inv[:, b_cols])
+            B += zo @ np.square(inv[:, lo:hi])
     return amp, A[:, :n], B
 
 
@@ -542,19 +541,18 @@ def _spread(zc, weights):
         nodes[:, c0 + 1 : c0 + g + 1, : P - 1] += part[:g, :, W:].transpose(1, 0, 2)
 
 
-def _kernel_spectra(width, targets, powers, scale, shift=0.0, gap=-1):
+def _kernel_spectra(width, lo, hi, powers, scale, shift=0.0, gap=-1):
     """The plan of ``_correlate``, formed once per caller: the kernel
     K(lag) = scale/(lag + shift) at integer lags |lag| > gap, else 0 (gap -1:
-    none), for sources ``width`` columns wide and targets within the range of
-    ``targets``.  The FFT length covers the width plus the targets' span, so
-    no lag wraps onto another; the powers come by repeated products, and only
-    the spectra of those in ``powers`` are kept.  Returns (lo, size, rows,
-    spectra): the lowest target, the FFT length, the rows per FFT call (at
+    none), for sources ``width`` columns wide and the span of targets
+    lo ... hi - 1.  The FFT length covers the width plus the span, so no lag
+    wraps onto another; the powers come by repeated products, and only the
+    spectra of those in ``powers`` are kept.  Returns (lo, size, rows,
+    spectra): the first target, the FFT length, the rows per FFT call (at
     most _FFT_ROWS and _FFT_BYTES) and the spectra by power."""
-    lo, hi = int(targets.min()), int(targets.max())
-    size = _fft_size(width + hi - lo)
+    size = _fft_size(width + hi - 1 - lo)
     lag = np.arange(lo, lo + size)
-    lag[hi - lo + 1 :] -= size  # position (t - s - lo) mod size holds lag t - s
+    lag[hi - lo :] -= size  # position (t - s - lo) mod size holds lag t - s
     inv = np.divide(scale, lag + shift, out=np.zeros(size), where=np.abs(lag) > gap)
     kernels = enumerate(accumulate(repeat(inv, max(powers)), np.multiply), 1)  # inv, inv * inv, ... one at a time
     spectra = {p: np.fft.rfft(k) for p, k in kernels if p in powers}
@@ -563,10 +561,10 @@ def _kernel_spectra(width, targets, powers, scale, shift=0.0, gap=-1):
 
 def _correlate(sources, outs, plan):
     """Toeplitz correlations by real FFTs with the kernel spectra of ``plan``
-    (see ``_kernel_spectra``).  For each (out, p, first, targets) of ``outs``
-    (out None: skipped), adds to row i of ``out``, at each target t, the sum
-    over the columns s of sources[first + i, s] K(t - s)^p.  Chunks of the
-    plan's rows are copied into one reused zero-padded buffer."""
+    (see ``_kernel_spectra``).  For each (out, p, start) of ``outs`` (out
+    None: skipped), adds to row i of ``out``, at each target t = start + c of
+    its columns c, the sum over the columns s of sources[i, s] K(t - s)^p.
+    Chunks of the plan's rows are copied into one reused zero-padded buffer."""
     lo, size, rows, spectra = plan
     outs = [o for o in outs if o[0] is not None]
     width = sources.shape[1]
@@ -574,20 +572,17 @@ def _correlate(sources, outs, plan):
     buffer = np.zeros((chunk, size))  # columns past the sources' width stay zero
     spectrum, product = np.empty((2, chunk, size // 2 + 1), dtype=complex)
     sums = np.empty((chunk, size))
-    reads = [targets - lo for *_, targets in outs]
-    picked = np.empty(chunk * max(map(len, reads)))
     for r0 in range(0, len(sources), chunk):
         k = min(chunk, len(sources) - r0)
         buffer[:k, :width] = sources[r0 : r0 + k]
         np.fft.rfft(buffer[:k], out=spectrum[:k])
-        for (out, p, first, _), read in zip(outs, reads):
-            a, b = max(first - r0, 0), min(first + len(out) - r0, k)
-            if a >= b:
+        for out, p, start in outs:
+            b = min(len(out) - r0, k)
+            if b <= 0:
                 continue
-            np.multiply(spectrum[a:b], spectra[p], out=product[a:b])
-            np.fft.irfft(product[a:b], size, out=sums[a:b])
-            dest = picked[: (b - a) * len(read)].reshape(b - a, len(read))
-            out[r0 + a - first : r0 + b - first] += np.take(sums[a:b], read, axis=1, out=dest, mode="clip")
+            np.multiply(spectrum[:b], spectra[p], out=product[:b])
+            np.fft.irfft(product[:b], size, out=sums[:b])
+            out[r0 : r0 + b] += sums[:b, start - lo : start - lo + out.shape[1]]
 
 
 def validated_grid(times) -> np.ndarray:
@@ -620,17 +615,18 @@ def evaluate(
     coefficients c_j(t) and the cross terms x_j(t) = sigma_{1,2j}(t), which
     vanish identically on the system row; ``x`` is None when ``cross`` is
     false.  Costs O(T N log N) time: the resolvent sums correlate over the
-    whole bath, and the kernel sums over the requested coupled bath rows take
-    FFTs whose length covers N plus the span of those rows, so a window of
-    rows costs about half of all rows.  Memory is O(T N), all real, beyond a
-    few reused buffers of about _CHUNK_BYTES or _FFT_BYTES each: the phases
-    go straight into the (2T, N) charges, which the far field reuses for its
-    node charges, c and x read the (2T, N) sums in that layout, and the
-    kernel sums form their rows and sums one chunk of times at a time, so
-    only the requested columns of B and of c and x are O(T N) beside A.
-    Traced peaks over 41 times: 4.9 x 8 T N bytes for a system row at
-    N = 100000, 10.4 x (the resolvent sums') for all rows with cross terms
-    at N = 16000 and 6.6 x for fig5's 120-row window at N = 3000.  ValueError
+    whole bath, and the kernel sums and formulas run over the span of the
+    requested coupled bath rows, with FFTs whose length covers N plus that
+    span, so a window of rows costs about half of all rows.  Memory is
+    O(T N), all real, beyond a few reused buffers of about _CHUNK_BYTES or
+    _FFT_BYTES each: the phases go straight into the (2T, N) charges, which
+    the far field reuses for its node charges, c and x read the (2T, N) sums
+    in that layout, and the kernel sums form their rows and sums one chunk of
+    times at a time, picking the requested rows as they write c and x, so
+    only B over the span and c and x are O(T N) beside A.  Traced peaks over
+    41 times: 4.9 x 8 T N bytes for a system row at N = 100000, 10.1 x (the
+    resolvent sums') for all rows with cross terms at N = 16000 and 6.4 x
+    for fig5's 120-row window at N = 3000.  ValueError
     once the last time times the top eigenfrequency reaches 2^31 2 pi (phase
     range).
     """
@@ -661,18 +657,20 @@ def evaluate(
     if not len(targets) and not (np.any(rows == 0) and np.any(g)):  # no requested row moves from c0
         return c, x
 
-    # U_11, resolvent sums A_j over the bath and B_j over the requested coupled modes, as real
-    # rows (see _resolvents); the weights wv vanish at deflated modes, so no sum reads A_j there
-    system_amp, A, B = _resolvents(basis, grid, targets if len(targets) else None)
+    # U_11, resolvent sums A_j over the bath and B_j over the span lo ... hi - 1 of the requested
+    # coupled modes, as real rows (see _resolvents); the weights wv vanish at deflated modes, so no
+    # sum reads A_j there, and the formulas' columns of deflated modes inside the span go unpicked
+    lo, hi = (int(targets.min()), int(targets.max()) + 1) if len(targets) else (0, 0)
+    system_amp, A, B = _resolvents(basis, grid, lo, hi)
     wv = g * g * c0[1:]
     if len(targets):
-        plan = _kernel_spectra(len(g), targets, (1, 2) if cross else (2,), -1.0 / basis.model.delta_omega, gap=0)
+        plan = _kernel_spectra(len(g), lo, hi, (1, 2) if cross else (2,), -1.0 / basis.model.delta_omega, gap=0)
         # chunks of times whose 3 rows each fill whole FFT calls, about _CHUNK_BYTES of rows; the
         # first holds the remainder and wv's own row, so the calls are as few as for all rows at once
         per_call = plan[2]
         span = per_call * max(1, _CHUNK_BYTES // (24 * len(g) * per_call))
         edges = [0, *range(nt - (nt - 1) // span * span, nt + 1, span)]
-        gj, c0j = g[targets], c0[1 + targets]
+        gj, c0j, pick = g[lo:hi], c0[1 + lo : 1 + hi], targets - lo
         for t0, t1 in zip(edges, edges[1:]):
             k, ts = t1 - t0, slice(2 * t0, 2 * t1)
             # R = (wv A, wv |A|^2) at these times with wv A interleaved as A is, then in the first chunk wv.
@@ -682,27 +680,29 @@ def evaluate(
             np.multiply(A[ts][0::2], R[: 2 * k : 2], out=R[2 * k : 3 * k])
             R[2 * k : 3 * k] += A[ts][1::2] * R[1 : 2 * k : 2]
             R[3 * k :] = wv
-            K, L = np.zeros((len(R), len(targets))), np.zeros((2 * k, len(targets))) if cross else None
-            _correlate(R, [(K, 2, 0, targets), (L, 1, 0, targets)], plan)
+            K, L = np.zeros((len(R), hi - lo)), np.zeros((2 * k, hi - lo)) if cross else None
+            _correlate(R, [(K, 2, lo), (L, 1, lo)], plan)
             del R  # the formulas' temporaries take its place
             if t0 == 0:  # wv's own row
                 K0 = K[3 * k] + c0[0]
 
             # a, b: the real and imaginary rows of A_j, interleaved in B and in K, L of wv A as in A
-            a, b, Bt = A[ts][0::2, targets], A[ts][1::2, targets], B[ts]
-            c[t0:t1, out_rows] = gj**2 * (
+            a, b, Bt = A[ts][0::2, lo:hi], A[ts][1::2, lo:hi], B[ts]
+            cs = gj**2 * (
                 (a * a + b * b) * K0
                 + K[2 * k : 3 * k]
                 - 2.0 * (a * K[0 : 2 * k : 2] + b * K[1 : 2 * k : 2])
                 + gj**2 * (Bt[0::2] ** 2 + Bt[1::2] ** 2) * c0j
             )
+            c[t0:t1, out_rows] = cs[:, pick]
             if cross:
                 u_r, u_i = system_amp.real[t0:t1, None], system_amp.imag[t0:t1, None]
-                x[t0:t1, out_rows] = gj * (
+                xs = gj * (
                     c0[0] * (u_r * b - u_i * a)
                     + gj**2 * c0j * (a * Bt[1::2] - b * Bt[0::2])
                     - (b * L[0::2] - a * L[1::2])
                 )
+                x[t0:t1, out_rows] = xs[:, pick]
     if np.any(rows == 0):
         a2 = np.square(A, out=A) @ wv  # sum_j wv_j |A_j|^2 over the real and imaginary rows
         c[:, rows == 0] = (np.abs(system_amp) ** 2 * c0[0] + (a2[0::2] + a2[1::2]))[:, None]

@@ -54,14 +54,7 @@ def full_hamiltonian(model: StarModel) -> np.ndarray:
     pair, couplings linking the system pair to each bath pair."""
     n_total = model.n_modes + 1
     H = np.zeros((2 * n_total, 2 * n_total))
-    freqs = model.frequencies
-    for j in range(n_total):
-        H[2 * j, 2 * j] = freqs[j]
-        H[2 * j + 1, 2 * j + 1] = freqs[j]
-    for k, g in enumerate(model.bath_couplings):
-        j = k + 1
-        H[0, 2 * j] = H[2 * j, 0] = g
-        H[1, 2 * j + 1] = H[2 * j + 1, 1] = g
+    H[0::2, 0::2] = H[1::2, 1::2] = arrowhead_matrix(model)  # the position and the momentum blocks
     return H
 
 

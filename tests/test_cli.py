@@ -363,6 +363,33 @@ def test_unloadable_config_exits_2(tmp_path, capsys, text, message):
     assert not out.exists()
 
 
+_BIG = "1" + "0" * 400  # an integer beyond the range of a float
+
+
+@pytest.mark.parametrize(
+    "job, flags, text, message",
+    [
+        ("simulate", ["--n", _BIG], None, "n_modes: integer too large for a float"),
+        ("fig1", ["--n-list", f"100,{_BIG}"], None, "n_list: integer too large for a float"),
+        ("simulate", [], f'{{"eta": {_BIG}}}', "eta: integer too large for a float"),
+        ("simulate", [], f'{{"times_us": [0, {_BIG}]}}', "times_us: integer too large for a float"),
+        ("fig5", [], f'{{"mode_window_mhz": {_BIG}}}', "mode_window_mhz: integer too large for a float"),
+        # past Python's 4300-digit limit json.loads itself refuses the number
+        ("simulate", [], '{"eta": 1' + "0" * 5000 + "}", "is not valid JSON"),
+    ],
+    ids=["n", "n_list", "eta", "times_us", "mode_window_mhz", "json_digit_limit"],
+)
+def test_integer_beyond_float_exits_2(tmp_path, capsys, job, flags, text, message):
+    if text is not None:
+        (tmp_path / "cfg.json").write_text(text)
+        flags = [*flags, "--config", str(tmp_path / "cfg.json")]
+    out = tmp_path / "out"
+    assert main([job, *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not out.exists()
+
+
 def test_bad_n_list_exits_2(tmp_path):
     assert main(["sweep-n", "--n-list", "8,notanumber", "--out", str(tmp_path)]) == 2
 

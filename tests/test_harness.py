@@ -39,6 +39,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bogus_knob"):
             load_config(path)
 
+    def test_rejects_unknown_overrides(self, tmp_path):
+        # an override that names no field is refused as the file's keys are
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_modes": 8}))
+        with pytest.raises(ConfigError, match="bogus"):
+            load_config(path, bogus=1)
+
     def test_loads_known_keys(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"n_modes": 8, "eta": 2e-3, "job": "fig2"}))
