@@ -339,22 +339,31 @@ def _phases(times, pole_w, shifts, weights, out):
     accuracy of the shifts instead of losing the ulp of l t (about 1e-13 rad
     at the production late times).  hi is reduced by n 2 pi in three parts
     (Cody & Waite), the first two exact while hi < _PHASE_RANGE, and one
-    cosine and one sine of the reduced angle give z_k.
+    cosine and one sine of the reduced angle give z_k.  The angle is formed
+    in the real rows of ``out`` and n in the imaginary ones, so the scratch
+    is hi, lo and the temporaries of their product, about six (rows, K)
+    arrays: about _CHUNK_BYTES (530 KiB at N = 4000, where whole-expression
+    temporaries of 15 rows took 3.0-3.6 MiB).
     """
     c1, c2, c3 = _TWO_PI
     freq = pole_w + shifts
     err = freq - pole_w
     err = (pole_w - (freq - err)) + (shifts - err)
-    rows = max(1, _CHUNK_BYTES // (8 * len(freq)))
+    rows = max(1, _CHUNK_BYTES // (48 * len(freq)))
     for t0 in range(0, len(times), rows):
         t = times[t0 : t0 + rows, None]
+        angle, n = out[t0 : t0 + rows, 0], out[t0 : t0 + rows, 1]  # minus the angle, for exp(-i angle)
         hi, lo = _two_product(t, freq)
-        n = np.rint(hi * (1 / (2 * np.pi)))
-        angle = (n * c1 - hi) + n * c2  # minus the angle, for exp(-i angle)
-        angle += n * c3 - (lo + t * err)
-        re, im = out[t0 : t0 + rows, 0], out[t0 : t0 + rows, 1]
-        np.multiply(np.cos(angle, out=re), weights, out=re)
-        np.multiply(np.sin(angle, out=im), weights, out=im)
+        np.rint(np.multiply(hi, 1 / (2 * np.pi), out=n), out=n)
+        np.multiply(n, c1, out=angle)
+        angle -= hi
+        angle += np.multiply(n, c2, out=hi)
+        lo += np.multiply(t, err, out=hi)
+        n *= c3
+        n -= lo
+        angle += n  # (n c1 - hi) + n c2 + (n c3 - (lo + t err))
+        np.multiply(np.sin(angle, out=n), weights, out=n)
+        np.multiply(np.cos(angle, out=angle), weights, out=angle)
 
 
 def _two_product(a, b):
@@ -402,32 +411,42 @@ def _lagrange_weights(u):
     return weights
 
 
-def _resolvents(basis, times, lo, hi):
-    """U_11 = sum_k z_k, as (T,) complex, and the resolvent sums at every bath
-    mode j, A_j = sum_k z_k/(l_k - w_j) over the live roots, z_k = Q_1k^2
-    exp(-i l_k t), and B_j = sum_k z_k/(l_k - w_j)^2 on the bath indices
-    lo ... hi - 1 (none: B is None), each with the real and imaginary parts
-    of time t in rows 2t and 2t+1, the one layout evaluate reads.  Both are
-    finite at deflated modes, where evaluate outputs neither.
+def _resolvents(basis, lo, hi):
+    """The plan of the resolvent sums, formed once per evaluate from what
+    does not depend on time; returns its apply, ``apply(times)``, which
+    gives, at those times, U_11 = sum_k z_k, as (T,) complex, and the
+    resolvent sums at every bath mode j, A_j = sum_k z_k/(l_k - w_j) over
+    the live roots, z_k = Q_1k^2 exp(-i l_k t), and B_j = sum_k
+    z_k/(l_k - w_j)^2 on the bath indices lo ... hi - 1 (none: B is None),
+    each with the real and imaginary parts of time t in rows 2t and 2t+1,
+    the one layout evaluate reads.  Both are finite at deflated modes, where
+    evaluate outputs neither.  Each time's sums depend on that time alone, so
+    the times may come in chunks.
 
     In spacing units root k sits at x_k = p + d_k/step, in the cell
     (m_k - 1, m_k) with m_k = p + ceil(d_k/step), and target j at j;
-    interlacing leaves at most one live root in a cell.  One pass of
-    ``_phases`` writes each z_k straight into its cell's charge rows.  The
+    interlacing leaves at most one live root in a cell.  The plan holds the
+    cell map: each root's column of the charges, its phase data (pole, shift
+    and weight), its _SPREAD Lagrange weights and its pole and shift by cell;
+    the target index; the far-field kernel spectra; and the direct-sum
+    matrices of the roots beyond cells 0 ... N.  Per chunk of times, one pass
+    of ``_phases`` writes each z_k straight into its cell's charge rows.  The
     cells within _BAND of a target take the exact shifted differences
     step (p - j) + d_k: a time-independent correction, exact minus grid
-    value, applied as block GEMMs of _CELLS targets (``_near_band``).  The
-    far field comes from the charges that each root's _SPREAD Lagrange
-    weights put on the half-integer nodes around its cell, formed in place of
-    the cell charges (``_spread``): node k sits at k - _SPREAD//2 - 1/2, so per
-    row FFTs correlate them with 1/(w_node - w_j)^p = (-1/(step (lag +
-    _SPREAD//2 + 1/2)))^p at the lags j - k, p = 1 (A) or 2 (B).
-    Roots beyond cells 0 ... N take the direct sum.  Besides the (2T, N) sums
-    A and charges, B over only the target blocks that meet the span (returned
-    as a view of the span) and O(N) cell data, the scratch buffers take a few
-    _CHUNK_BYTES, and none but the FFTs' is alive during the far field.
+    value, rebuilt per chunk and applied as block GEMMs of _CELLS targets
+    (``_near_band``).  The far field comes from the charges that each root's
+    Lagrange weights put on the half-integer nodes around its cell, formed in
+    place of the cell charges (``_spread``): node k sits at
+    k - _SPREAD//2 - 1/2, so per row FFTs correlate them with
+    1/(w_node - w_j)^p = (-1/(step (lag + _SPREAD//2 + 1/2)))^p at the lags
+    j - k, p = 1 (A) or 2 (B).  The roots beyond the cells take the direct
+    sum.  The plan is O(N): about 24 x 8N bytes, two thirds of it the
+    Lagrange weights.  An apply to T times holds the (2T, N) charges and
+    sums A, B over only the target blocks that meet the span (returned as a
+    view of the span), and scratch buffers of about _CHUNK_BYTES each
+    besides the FFTs'.
     """
-    n, nt, step = len(basis.couplings), len(times), basis.model.delta_omega
+    n, step = len(basis.couplings), basis.model.delta_omega
     R, W = _BAND, _CELLS
     live = np.flatnonzero(basis.weights)
     p, d = basis.poles[live], basis.shifts[live]
@@ -445,11 +464,6 @@ def _resolvents(basis, times, lo, hi):
     col = np.where(inside, m + R, cells + W + np.cumsum(~inside) - 1)
     pole_w, shift, weight = np.zeros((3, cells + W + len(outer)))
     pole_w[col], shift[col], weight[col] = basis.frequencies[1 + p], basis.pole_residuals[live] + d, basis.weights[live]
-    zc = np.empty((nt, 2, len(pole_w)))
-    _phases(times, pole_w, shift, weight, zc)
-    sums = zc.sum(axis=2)
-    amp = sums[:, 0] + 1j * sums[:, 1]
-    zc = zc.reshape(2 * nt, -1)
 
     at = col[inside]
     cell_p, cell_d, u = np.full(cells, -np.inf), np.zeros(cells), np.zeros(cells)
@@ -460,24 +474,32 @@ def _resolvents(basis, times, lo, hi):
     index = np.full(nb * W, np.inf)
     index[:n] = np.where(basis.couplings != 0, np.arange(n), np.inf)
     first, stop = lo // W, -(-hi // W)  # the blocks of B
-    A = np.empty((2 * nt, nb * W))
-    B = np.empty((2 * nt, (stop - first) * W)) if hi > lo else None
     kernel = (-1.0 / step, _SPREAD // 2 + 0.5)  # scale and shift: see _kernel_spectra
-    _near_band(zc[:, :cells], weights, cell_p, cell_d, index, step, *kernel, ((A, 1, 0, nb), (B, 2, first, stop)))
-    _spread(zc[:, : cells + W], weights)
-    del weights  # the far field holds only the node charges, the sums and its FFT buffers
+    plan = _kernel_spectra(n + _SPREAD, 0, n, (1,) if hi == lo else (1, 2), *kernel)
+    inv = 1.0 / (step * (p[outer, None] - index[:n]) + d[outer, None])
+    inv2 = np.square(inv[:, lo:hi])
 
-    B = None if B is None else B[:, lo - first * W : hi - first * W]
-    plan = _kernel_spectra(n + _SPREAD, 0, n, (1,) if B is None else (1, 2), *kernel)
-    _correlate(zc[:, R : R + n + _SPREAD], [(A[:, :n], 1, 0), (B, 2, lo)], plan)
+    def apply(times):
+        nt = len(times)
+        zc = np.empty((nt, 2, len(pole_w)))
+        _phases(times, pole_w, shift, weight, zc)
+        sums = zc.sum(axis=2)
+        amp = sums[:, 0] + 1j * sums[:, 1]
+        zc = zc.reshape(2 * nt, -1)
+        A = np.empty((2 * nt, nb * W))
+        B = np.empty((2 * nt, (stop - first) * W)) if hi > lo else None
+        _near_band(zc[:, :cells], weights, cell_p, cell_d, index, step, *kernel, ((A, 1, 0, nb), (B, 2, first, stop)))
+        _spread(zc[:, : cells + W], weights)
+        B = None if B is None else B[:, lo - first * W : hi - first * W]
+        _correlate(zc[:, R : R + n + _SPREAD], [(A[:, :n], 1, 0), (B, 2, lo)], plan)
+        if len(outer):
+            zo = zc[:, cells + W :]
+            A[:, :n] += zo @ inv
+            if B is not None:
+                B += zo @ inv2
+        return amp, A[:, :n], B
 
-    if len(outer):
-        inv = 1.0 / (step * (p[outer, None] - index[:n]) + d[outer, None])
-        zo = zc[:, cells + W :]
-        A[:, :n] += zo @ inv
-        if B is not None:
-            B += zo @ np.square(inv[:, lo:hi])
-    return amp, A[:, :n], B
+    return apply
 
 
 def _near_band(zc, weights, cell_p, cell_d, index, step, scale, shift, outs):
@@ -488,7 +510,8 @@ def _near_band(zc, weights, cell_p, cell_d, index, step, scale, shift, outs):
     table weights @ kernel holds cell c's grid values at the offsets
     cell - target = R + W - 1 ... -(R + W - 1), read for each block as a
     strided view; the block GEMMs write straight into out.  Grid values are
-    ``_correlate``'s, so the band takes off what the far field adds."""
+    ``_correlate``'s, so the band takes off what the far field adds.  A
+    group's table and exact values take about _CHUNK_BYTES together."""
     P, R, W = _SPREAD, _BAND, _CELLS
     nb = len(index) // W
     span, lags = W + 2 * R, 2 * (R + W) - 1
@@ -496,7 +519,7 @@ def _near_band(zc, weights, cell_p, cell_d, index, step, scale, shift, outs):
     window, strided = np.lib.stride_tricks.sliding_window_view, np.lib.stride_tricks.as_strided
     charges = window(zc, span, axis=1)[:, ::W].transpose(1, 0, 2)  # (nb, 2T, span)
     near_p, near_d = window(cell_p, span)[::W, :, None], window(cell_d, span)[::W, :, None]
-    group = min(nb, max(1, _CHUNK_BYTES // (8 * span * W)))
+    group = min(nb, max(1, (_CHUNK_BYTES // 8 - 2 * R * lags) // (W * (lags + span))))  # table and exact
     table = np.empty((group * W + 2 * R, lags))
     row, col = table.strides
     exact = np.empty((group, span, W))
@@ -564,25 +587,30 @@ def _correlate(sources, outs, plan):
     (see ``_kernel_spectra``).  For each (out, p, start) of ``outs`` (out
     None: skipped), adds to row i of ``out``, at each target t = start + c of
     its columns c, the sum over the columns s of sources[i, s] K(t - s)^p.
-    Chunks of the plan's rows are copied into one reused zero-padded buffer."""
+    Chunks of the plan's rows are copied into one reused zero-padded buffer,
+    where the inverse FFTs write their sums too (the padding is zeroed again
+    per chunk); with one output the product is formed in the spectrum.  So
+    the scratch is two or three (rows, FFT length) buffers: 1.0 MiB for the
+    resolvent sums of a system row at N = 4000, where four took 2.1 MiB."""
     lo, size, rows, spectra = plan
     outs = [o for o in outs if o[0] is not None]
     width = sources.shape[1]
     chunk = min(len(sources), rows)
-    buffer = np.zeros((chunk, size))  # columns past the sources' width stay zero
-    spectrum, product = np.empty((2, chunk, size // 2 + 1), dtype=complex)
-    sums = np.empty((chunk, size))
+    buffer = np.empty((chunk, size))
+    spectrum = np.empty((chunk, size // 2 + 1), dtype=complex)
+    product = spectrum if len(outs) == 1 else np.empty_like(spectrum)  # one output: in place
     for r0 in range(0, len(sources), chunk):
         k = min(chunk, len(sources) - r0)
         buffer[:k, :width] = sources[r0 : r0 + k]
+        buffer[:k, width:] = 0.0  # the zero padding, which the sums overwrote
         np.fft.rfft(buffer[:k], out=spectrum[:k])
         for out, p, start in outs:
             b = min(len(out) - r0, k)
             if b <= 0:
                 continue
             np.multiply(spectrum[:b], spectra[p], out=product[:b])
-            np.fft.irfft(product[:b], size, out=sums[:b])
-            out[r0 : r0 + b] += sums[:b, start - lo : start - lo + out.shape[1]]
+            np.fft.irfft(product[:b], size, out=buffer[:b])
+            out[r0 : r0 + b] += buffer[:b, start - lo : start - lo + out.shape[1]]
 
 
 def validated_grid(times) -> np.ndarray:
@@ -618,17 +646,21 @@ def evaluate(
     whole bath, and the kernel sums and formulas run over the span of the
     requested coupled bath rows, with FFTs whose length covers N plus that
     span, so a window of rows costs about half of all rows.  Memory is
-    O(T N), all real, beyond a few reused buffers of about _CHUNK_BYTES or
-    _FFT_BYTES each: the phases go straight into the (2T, N) charges, which
-    the far field reuses for its node charges, c and x read the (2T, N) sums
-    in that layout, and the kernel sums form their rows and sums one chunk of
-    times at a time, picking the requested rows as they write c and x, so
-    only B over the span and c and x are O(T N) beside A.  Traced peaks over
-    41 times: 4.9 x 8 T N bytes for a system row at N = 100000, 10.1 x (the
-    resolvent sums') for all rows with cross terms at N = 16000 and 6.4 x
-    for fig5's 120-row window at N = 3000.  ValueError
-    once the last time times the top eigenfrequency reaches 2^31 2 pi (phase
-    range).
+    O(N) beyond the output c and x, all real, whatever T is: the resolvent
+    plan is formed once, and one loop over chunks of times applies it,
+    reduces the system row and runs the bath rows' kernel sums and formulas,
+    each chunk's arrays taking about _CHUNK_BYTES per (chunk, N) array and
+    going before the next chunk's are formed.  The phases go straight into a
+    chunk's (2T, N) charges, which the far field reuses for its node
+    charges; c and x read its (2T, N) sums in that layout, and the kernel
+    sums form their rows and sums by sub-chunks of times, picking the
+    requested rows as they write c and x.  Traced peaks: a system row at
+    N = 4000 over 31 times 3.9 MiB (4.2 x 8 T N bytes), at N = 16000 over
+    401 times 14.9 MiB (122 x 8N) and at N = 100000 over 41 times 2.4 x
+    8 T N; all rows with cross terms at N = 16000 over 41 times 7.6 x, and
+    fig5's 120-row window at N = 3000 over 41 times 4.6 x.  Each chunk
+    rebuilds the near band, 2.5 ms at N = 4000.  ValueError once the last
+    time times the top eigenfrequency reaches 2^31 2 pi (phase range).
     """
     grid = validated_grid(times)
     n = basis.dimension
@@ -661,21 +693,31 @@ def evaluate(
     # coupled modes, as real rows (see _resolvents); the weights wv vanish at deflated modes, so no
     # sum reads A_j there, and the formulas' columns of deflated modes inside the span go unpicked
     lo, hi = (int(targets.min()), int(targets.max()) + 1) if len(targets) else (0, 0)
-    system_amp, A, B = _resolvents(basis, grid, lo, hi)
+    resolvents = _resolvents(basis, lo, hi)
     wv = g * g * c0[1:]
+    system = rows == 0
     if len(targets):
         plan = _kernel_spectra(len(g), lo, hi, (1, 2) if cross else (2,), -1.0 / basis.model.delta_omega, gap=0)
-        # chunks of times whose 3 rows each fill whole FFT calls, about _CHUNK_BYTES of rows; the
-        # first holds the remainder and wv's own row, so the calls are as few as for all rows at once
+        # the kernel sums take sub-chunks of a chunk's times whose 3 rows each fill whole FFT calls,
+        # about _CHUNK_BYTES of rows; the first holds the remainder and, in the first chunk, wv's row
         per_call = plan[2]
         span = per_call * max(1, _CHUNK_BYTES // (24 * len(g) * per_call))
-        edges = [0, *range(nt - (nt - 1) // span * span, nt + 1, span)]
         gj, c0j, pick = g[lo:hi], c0[1 + lo : 1 + hi], targets - lo
-        for t0, t1 in zip(edges, edges[1:]):
-            k, ts = t1 - t0, slice(2 * t0, 2 * t1)
-            # R = (wv A, wv |A|^2) at these times with wv A interleaved as A is, then in the first chunk wv.
+    K0 = None
+
+    def chunk(t0, t1):
+        """c and x at the times t0 ... t1 - 1, from one apply of the resolvent plan."""
+        nonlocal K0, resolvents
+        system_amp, A, B = resolvents(grid[t0:t1])
+        if t1 == nt:
+            resolvents = None  # the last chunk's bath rows run without the plan
+        nk = t1 - t0
+        edges = [0, *range(nk - (nk - 1) // span * span, nk + 1, span)] if len(targets) else [0]
+        for s0, s1 in zip(edges, edges[1:]):
+            k, ts, first = s1 - s0, slice(2 * s0, 2 * s1), K0 is None
+            # R = (wv A, wv |A|^2) at these times with wv A interleaved as A is, then at first wv.
             # K_j = sum_{m != j} R_m/(w_m - w_j)^2 of every row, L_j = sum_{m != j} (wv A)_m/(w_m - w_j)
-            R = np.empty((3 * k + (t0 == 0), len(g)))
+            R = np.empty((3 * k + first, len(g)))
             np.multiply(A[ts], wv, out=R[: 2 * k])
             np.multiply(A[ts][0::2], R[: 2 * k : 2], out=R[2 * k : 3 * k])
             R[2 * k : 3 * k] += A[ts][1::2] * R[1 : 2 * k : 2]
@@ -683,7 +725,7 @@ def evaluate(
             K, L = np.zeros((len(R), hi - lo)), np.zeros((2 * k, hi - lo)) if cross else None
             _correlate(R, [(K, 2, lo), (L, 1, lo)], plan)
             del R  # the formulas' temporaries take its place
-            if t0 == 0:  # wv's own row
+            if first:  # wv's own row
                 K0 = K[3 * k] + c0[0]
 
             # a, b: the real and imaginary rows of A_j, interleaved in B and in K, L of wv A as in A
@@ -694,18 +736,28 @@ def evaluate(
                 - 2.0 * (a * K[0 : 2 * k : 2] + b * K[1 : 2 * k : 2])
                 + gj**2 * (Bt[0::2] ** 2 + Bt[1::2] ** 2) * c0j
             )
-            c[t0:t1, out_rows] = cs[:, pick]
+            c[t0 + s0 : t0 + s1, out_rows] = cs[:, pick]
             if cross:
-                u_r, u_i = system_amp.real[t0:t1, None], system_amp.imag[t0:t1, None]
+                u_r, u_i = system_amp.real[s0:s1, None], system_amp.imag[s0:s1, None]
                 xs = gj * (
                     c0[0] * (u_r * b - u_i * a)
                     + gj**2 * c0j * (a * Bt[1::2] - b * Bt[0::2])
                     - (b * L[0::2] - a * L[1::2])
                 )
-                x[t0:t1, out_rows] = xs[:, pick]
-    if np.any(rows == 0):
-        a2 = np.square(A, out=A) @ wv  # sum_j wv_j |A_j|^2 over the real and imaginary rows
-        c[:, rows == 0] = (np.abs(system_amp) ** 2 * c0[0] + (a2[0::2] + a2[1::2]))[:, None]
+                x[t0 + s0 : t0 + s1, out_rows] = xs[:, pick]
+        if np.any(system):
+            a2 = np.square(A, out=A) @ wv  # sum_j wv_j |A_j|^2 over the real and imaginary rows
+            c[t0:t1, system] = (np.abs(system_amp) ** 2 * c0[0] + (a2[0::2] + a2[1::2]))[:, None]
+
+    # the fewest chunks of times with about _CHUNK_BYTES per (chunk, N) array at most, but at least
+    # 2 _FFT_ROWS times, as each chunk rebuilds the near band (as costly as applying about 4 times);
+    # sizes balanced in whole _FFT_ROWS times keep the FFT calls full.  With the remainder last every
+    # chunk starts at an even time, a multiple of 4 rows, where BLAS starts a group of the system
+    # row's GEMV as it does for the whole grid
+    most = max(2 * _FFT_ROWS, _CHUNK_BYTES // (8 * len(g)))
+    size = _FFT_ROWS * -(-nt // (_FFT_ROWS * -(-nt // most)))
+    for t0 in range(0, nt, size):
+        chunk(t0, min(t0 + size, nt))  # releases the chunk's A and B before the next forms its own
     return c, x
 
 

@@ -1,7 +1,8 @@
 """Tabular results and file emission: ``ResultTable``, one array per column,
 and its RFC-4180 CSV (CRLF, comma-separated, nothing quoted) under a
-``name[unit]`` header, each distinct value of a column written once by repr's
-shortest round-trip decimals, so identical configs give bit-identical files."""
+``name[unit]`` header, written in blocks of rows, each distinct value of a
+column formatted once per block by repr's shortest round-trip decimals, so
+identical configs give bit-identical files."""
 
 from __future__ import annotations
 
@@ -12,6 +13,10 @@ from pathlib import Path
 import numpy as np
 
 __all__ = ["ResultTable", "write_manifest"]
+
+# Rows formatted and written at a time: the cell strings of a block are all
+# that a table's CSV holds in memory at once.
+_BLOCK_ROWS = 512
 
 
 @dataclass
@@ -40,21 +45,26 @@ class ResultTable:
 
     def write_csv(self, path: str | Path) -> Path:
         path = Path(path)
-        cells = [[name, *_cells(name, a)] for name, a in self.data.items()]
+        for name, a in self.data.items():
+            text = a.tolist() if a.dtype.kind == "U" else []
+            if any(ch in cell for cell in (name, *text) for ch in ',"\r\n'):
+                raise ValueError(f"column {name!r} holds a comma, quote or line break, which CSV would have to quote")
         path.parent.mkdir(parents=True, exist_ok=True)
+        rows = len(next(iter(self.data.values()), ()))
         with open(path, "w", newline="") as fh:
-            fh.writelines(f"{line}\r\n" for line in map(",".join, zip(*cells)))  # RFC-4180 CRLF
+            if self.data:
+                fh.write(",".join(self.data) + "\r\n")  # RFC-4180 CRLF
+            for r0 in range(0, rows, _BLOCK_ROWS):
+                cells = [_cells(a[r0 : r0 + _BLOCK_ROWS]) for a in self.data.values()]
+                fh.writelines(f"{line}\r\n" for line in map(",".join, zip(*cells)))
         return path
 
 
-def _cells(name: str, a: np.ndarray) -> list[str]:
-    """CSV cells of column ``name``, none that would need quotes: text as is,
-    else ``repr`` once per distinct value, floats keyed by bits so -0.0 stays."""
-    text = a.tolist() if a.dtype.kind == "U" else []
-    if any(ch in cell for cell in (name, *text) for ch in ',"\r\n'):
-        raise ValueError(f"column {name!r} holds a comma, quote or line break, which CSV would have to quote")
+def _cells(a: np.ndarray) -> list[str]:
+    """CSV cells of a block of a column: text as is, else ``repr`` once per
+    distinct value, floats keyed by bits so -0.0 stays."""
     if a.dtype.kind == "U":
-        return text
+        return a.tolist()
     distinct, inverse = np.unique(a.view(f"i{a.itemsize}") if a.dtype.kind == "f" else a, return_inverse=True)
     return np.array([repr(v) for v in distinct.view(a.dtype).tolist()], dtype=object)[inverse].tolist()
 

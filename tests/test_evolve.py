@@ -11,7 +11,7 @@ from starbath.cli import main
 from starbath.constants import MHZ
 from starbath.evolve import initial_coefficients
 from starbath.harness import derived_constants
-from starbath.oracle import arrowhead_matrix, dense_oracle_at
+from starbath.oracle import arrowhead_matrix, dense_oracle_at, dense_oracle_series
 
 from invariants import (
     energy_conservation_residual,
@@ -314,11 +314,12 @@ class TestEvaluate:
     def test_chunk_size_invariance(self, setup, monkeypatch):
         # FFT chunks of rows, chunks of times and groups of cell blocks change
         # no bit of the result.  The kernel sums take 1 time per chunk, then
-        # 1 + 2 + 2 of the 5 times, then 2 + 3, then all 5; rows 40-59 are bath
+        # 1 + 2 + 2 of the 5 times, then 2 + 3, then all 5, and in the last case
+        # the resolvent sums take chunks of 2 + 2 + 1 times; rows 40-59 are bath
         # modes 39-58, so B starts at its second block of targets
         basis, c0, times = setup
         n = len(basis.couplings)
-        cases = ((1, 8, 1), (48 * n, 1, 2**22), (8 * 7 * 64, 3, 2**22), (2**24, 64, 2**30))
+        cases = ((1, 8, 1), (48 * n, 1, 2**22), (8 * 7 * 64, 3, 2**22), (2**24, 64, 2**30), (1, 1, 2**22))
         for rows in (range(2, 50), range(40, 60), None):
             monkeypatch.setattr(evolve, "_CHUNK_BYTES", 2**19)
             monkeypatch.setattr(evolve, "_FFT_ROWS", 8)
@@ -369,11 +370,45 @@ class TestEvaluate:
         assert np.all(cw[:, 1] == c0[4]) and not np.any(xw[:, 1])
         assert np.array_equal(sb.evaluate(basis_d, c0, times, rows, cross=False)[0], cw)
 
+    @pytest.mark.parametrize("case", ["system_row", "window", "all_rows", "partly_deflated"])
+    def test_time_local(self, production, case):
+        # each time's c and x depend on that time alone: on 80 times at
+        # N = 2000 (resolvent chunks of 32 + 32 + 16 times) every bit equals
+        # the two halves' (chunks of 24 + 16 each), evaluated apart
+        model = production_bath(production, "partly_deflated" if case == "partly_deflated" else "uniform")
+        basis = sb.mode_basis(model)
+        window = 1 + np.flatnonzero(np.abs(model.bath_omegas - model.omega1) <= 0.4 * MHZ)
+        rows = {"system_row": [0], "window": window}.get(case)
+        c0 = initial_coefficients(basis.frequencies, production.init)
+        times = np.linspace(0.0, 400e-6, 80)
+        c, x = sb.evaluate(basis, c0, times, rows, cross=case != "system_row")
+        halves = [sb.evaluate(basis, c0, half, rows, cross=case != "system_row") for half in np.split(times, 2)]
+        assert np.array_equal(c, np.concatenate([h[0] for h in halves]))
+        assert x is None if case == "system_row" else np.array_equal(x, np.concatenate([h[1] for h in halves]))
+
+    def test_system_row_peak_does_not_grow_with_times(self, production):
+        # a system row at N = 16000 over 401 times: chunks of 16 times keep the
+        # traced peak at 14.9 MiB, 122 x 8 N bytes, plus the output, whatever
+        # the number of times; the bound is 10% above that.  The (2T, N)
+        # charges and sums of all 401 times at once took 205 MB alone
+        basis = production.basis(16000)
+        times = np.linspace(0.0, 400e-6, 401)
+        c0 = initial_coefficients(basis.frequencies, production.init)
+        tracemalloc.start()
+        try:
+            c, _ = sb.evaluate(basis, c0, times, [0], cross=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 134 * 8 * basis.dimension + c.nbytes
+
     def test_system_row_scratch_at_4000(self, production):
-        # fig1's system row at N = 4000 over 31 times: the phases go straight
-        # into the (2T, N) charges and the node charges replace them, so the
-        # traced peak measures 6.8 MiB, 7.16 x 8 T N bytes (13.7 x with
-        # complex (T, N) phase factors beside the charges)
+        # fig1's system row at N = 4000 over 31 times, in chunks of 16 and 15
+        # times: the phases go straight into a chunk's (2T, N) charges and the
+        # node charges replace them, so the traced peak measures 3.93 MiB,
+        # 4.15 x 8 T N bytes, and the bound is 10% above that (7.16 x with all
+        # 31 times at once, 13.7 x with complex (T, N) phase factors beside the
+        # charges)
         basis = production.basis(4000)
         times = np.linspace(0.0, 400e-6, 31)
         c0 = initial_coefficients(basis.frequencies, production.init)
@@ -383,20 +418,22 @@ class TestEvaluate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * 8 * len(times) * basis.dimension
+        assert peak <= 4.57 * 8 * len(times) * basis.dimension
 
     @pytest.mark.parametrize(
         "n, window, bound",
         [
-            # every row with cross terms: the bath rows read the resolvent
-            # sums as real rows and stream their kernel sums by chunks of
-            # times, so the traced peak measures 10.09 x 8 T N bytes, the peak
-            # of _resolvents; a full (1 + 3T, N) source array or full K and L
-            # would break it
-            (16000, None, 11.1),
-            # fig5's 0.4 MHz window, 120 rows: 6.42 x, the peak of _resolvents,
-            # whose B covers only the window's blocks; a full-width B would break it
-            (3000, 0.4e6, 7.06),
+            # every row with cross terms: the resolvent sums come in chunks of
+            # 16 + 16 + 9 times and the bath rows read them as real rows and
+            # stream their kernel sums by sub-chunks of 8 times, so the traced
+            # peak measures 7.57 x 8 T N bytes (10.09 x with the resolvent sums
+            # of all 41 times at once); a full (1 + 3T, N) source array or full
+            # K and L would break it
+            (16000, None, 8.33),
+            # fig5's 0.4 MHz window, 120 rows, in chunks of 24 + 17 times:
+            # 4.55 x (6.42 x at once), with B over only the window's blocks; a
+            # full-width B would break it
+            (3000, 0.4e6, 5.0),
         ],
         ids=["all_rows_16000", "fig5_window_3000"],  # ids that stay when a bound tightens
     )
@@ -428,10 +465,12 @@ class TestEvaluate:
 
     def test_series_scratch_is_one_panel(self, production):
         # N=2000, T=10: the kernel and resolvent correlations need only
-        # chunk-sized buffers besides the O(T N) sums: the traced peak
-        # measures 3.24 MiB and the bound is 10% above it.  A complex (T, N)
-        # copy of A or B (about 0.6 MiB each), an ~8 MiB kernel panel or an
-        # N^2/4-sized temporary would break it
+        # chunk-sized buffers besides the O(T N) sums, and the resolvent plan
+        # goes before the last chunk's bath rows: the traced peak measures
+        # 3.00 MiB and the bound is 10% above it (3.24 MiB before the
+        # resolvent sums were split into a plan and a per-chunk apply).  A
+        # complex (T, N) copy of A or B (about 0.6 MiB each), an ~8 MiB kernel
+        # panel or an N^2/4-sized temporary would break it
         basis = production.basis(2000)
         tracemalloc.start()
         try:
@@ -439,7 +478,7 @@ class TestEvaluate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.56 * 2**20
+        assert peak <= 3.3 * 2**20
 
 
 def extended_phases(times, *terms):
@@ -571,7 +610,8 @@ class TestResolventSums:
     def test_match_extended_precision(self, production, bath):
         # U_11 and A_j, B_j at every coupled bath mode against the direct sums
         # in longdouble on the exactly uniform bath, z_k formed in longdouble
-        # too.  Measured relative to the sum of the magnitudes of the terms:
+        # too, from one plan applied to the first time and then to the rest.
+        # Measured relative to the sum of the magnitudes of the terms:
         # A 9.0e-14 (uniform) and 7.2e-14 (partly deflated), B 7.9e-16 and
         # 9.0e-16; FFT roundoff is spread over all modes, so it shows most
         # relative to the small terms far from the weight peak at omega_1.
@@ -586,7 +626,8 @@ class TestResolventSums:
         times = np.array([0.0, 137e-6, 411e-6, 600e-6])
         zl = L(basis.weights[live]) * extended_phases(times, model.bath_omegas[p], basis.pole_residuals[live], d)
         coupled = np.flatnonzero(model.bath_couplings)
-        amp, A, B = evolve._resolvents(basis, times, 0, model.n_modes)
+        apply = evolve._resolvents(basis, 0, model.n_modes)  # one plan, applied to two chunks of times
+        amp, A, B = map(np.concatenate, zip(apply(times[:1]), apply(times[1:])))
         A, B = A[0::2, coupled] + 1j * A[1::2, coupled], B[0::2, coupled] + 1j * B[1::2, coupled]
         assert np.max(np.abs(amp - zl.sum(axis=1)).astype(float)) <= 5e-16
         z = np.abs(zl).astype(float)
@@ -637,11 +678,42 @@ class TestResolventSums:
         init = random_temperatures(rng)
         assert oracle_equivalence_residual(model, init, times) <= 1e-9
 
+    def test_roots_beyond_both_band_edges_match_dense_oracle(self, rng, monkeypatch):
+        # the system mode above the band and strong couplings at its lower
+        # edge put a root beyond each end of cells 0 ... N, which take the
+        # plan's direct sums; all rows with cross terms and a window of rows,
+        # each over the whole grid at once and in chunks of 2 + 2 + 2 times
+        spec = sb.OhmicBathSpec(eta=1e-3, omega_c=3e6, omega_min=5e6, omega_max=20e6, n_modes=48)
+        model = sb.discretize_ohmic_bath(spec, 30e6)
+        g = model.bath_couplings.copy()
+        g[:2] = 3e6
+        model = with_couplings(model, g)
+        basis = sb.mode_basis(model)
+        live = np.flatnonzero(basis.weights)
+        cells = basis.poles[live] + np.ceil(basis.shifts[live] / model.delta_omega)
+        assert np.any(cells < 0) and np.any(cells > model.n_modes)
+        init = random_temperatures(rng)
+        times = np.sort(rng.uniform(0, 40e-6, size=6))
+        dense = dense_oracle_series(model, init, times)
+        c_ref = np.array([d.diagonal_coefficients() for d in dense])
+        x_ref = np.c_[np.zeros(len(times)), [d.cross_terms() for d in dense]]
+        c0 = initial_coefficients(basis.frequencies, init)
+        for split in (False, True):
+            if split:
+                monkeypatch.setattr(evolve, "_CHUNK_BYTES", 1)
+                monkeypatch.setattr(evolve, "_FFT_ROWS", 1)
+            for rows in (np.arange(basis.dimension), np.arange(20, 36)):
+                c, x = sb.evaluate(basis, c0, times, rows)
+                assert np.max(np.abs(c - c_ref[:, rows])) <= 1e-9
+                assert np.max(np.abs(x - x_ref[:, rows])) <= 1e-9
+
     def test_system_row_at_100000(self, production):
         # 41 times on [0, 400] us, far below t1 = 31 ms: c_1 follows the closed
-        # form to criterion 01's 2% (measured 0.13%), and the traced peak stays
-        # O(T N): 154 MiB, 4.91 x 8 T N bytes, for the (2T, N) node charges
-        # and sums and the FFT buffers.  The bound is 10% above that
+        # form to criterion 01's 2% (measured 0.13%), and the traced peak
+        # measures 74 MiB, 2.37 x 8 T N bytes, for 3 chunks of 16, 16 and 9
+        # times, each with its (2T, N) node charges and sums, and the FFT
+        # buffers (4.91 x with all 41 times at once).  The bound is 10% above
+        # that
         basis = production.basis(100000)
         times = np.linspace(0.0, 400e-6, 41)
         c0 = initial_coefficients(basis.frequencies, production.init)
@@ -653,7 +725,7 @@ class TestResolventSums:
             tracemalloc.stop()
         gksl = sb.gksl_sigma11(production.params(100000), times)
         assert np.max(np.abs(c[:, 0] - gksl) / gksl) <= 0.02
-        assert peak <= 5.4 * 8 * len(times) * basis.dimension
+        assert peak <= 2.61 * 8 * len(times) * basis.dimension
 
 
 class TestDenseOracle:

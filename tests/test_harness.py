@@ -161,9 +161,10 @@ class TestResultTable:
         raw = table.write_csv(tmp_path / "t.csv").read_bytes()
         assert raw == b"i[1],v[1]\r\n0,nan\r\n1,-0.0\r\n2,1e+16\r\n3,5e-324\r\n"
 
-    def test_bytes_match_the_csv_module(self, tmp_path):
+    def test_bytes_match_the_csv_module(self, tmp_path, monkeypatch):
         # the column writer against csv.writer on the same rows; -0.0 next to
-        # 0.0 fails a writer that tells floats apart by value, not by bits
+        # 0.0 fails a writer that tells floats apart by value, not by bits.
+        # Blocks of 3 rows split the 14 rows, with values repeated across blocks
         big, tiny, inf = 1.7976931348623157e308, 5e-324, float("inf")
         v = [0.25, -0.0, 0.0, float("nan"), inf, -inf, tiny, big, 0.25, -0.0, 1e16, 0.0, -big, 0.25]
         n = len(v)
@@ -180,7 +181,9 @@ class TestResultTable:
             expected = tmp_path / f"{key}_expected.csv"
             with open(expected, "w", newline="") as fh:
                 csv.writer(fh, dialect="excel").writerows([t.columns, *t.rows])
-            assert t.write_csv(tmp_path / f"{key}.csv").read_bytes() == expected.read_bytes()
+            for block_rows in (3, 512):
+                monkeypatch.setattr("starbath.table._BLOCK_ROWS", block_rows)
+                assert t.write_csv(tmp_path / f"{key}.csv").read_bytes() == expected.read_bytes()
         assert len(table.rows) == n and empty.rows == []
         assert b"\r\n-0.0,7,False,x1,12,-0.0\r\n0.0,-3,False,x2,12,-0.0\r\n" in (tmp_path / "full.csv").read_bytes()
 
