@@ -37,6 +37,7 @@ up to a scale, a half-cell shift and an excluded near band.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 
@@ -473,7 +474,8 @@ def _resolvents(basis, lo, hi):
     weights[cell_p == -np.inf] = 0.0
     index = np.full(nb * W, np.inf)
     index[:n] = np.where(basis.couplings != 0, np.arange(n), np.inf)
-    first, stop = lo // W, -(-hi // W)  # the blocks of B
+    first = lo // W
+    stop = -(-hi // W) if hi > lo else first  # the blocks of B
     kernel = (-1.0 / step, _SPREAD // 2 + 0.5)  # scale and shift: see _kernel_spectra
     plan = _kernel_spectra(n + _SPREAD, 0, n, (1,) if hi == lo else (1, 2), *kernel)
     inv = 1.0 / (step * (p[outer, None] - index[:n]) + d[outer, None])
@@ -632,46 +634,48 @@ def evaluate(
     basis: ModeBasis,
     c0: np.ndarray,
     times,
-    rows=None,
+    bath=None,
     cross: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Covariance data for every time of the ascending grid in one batch.
 
     ``c0`` holds the N+1 initial diagonal coefficients (system first) and
-    ``rows`` selects oscillator indices (0 is the system; default all).
-    Returns ``(c, x)``, each of shape (len(times), len(rows)): the diagonal
-    coefficients c_j(t) and the cross terms x_j(t) = sigma_{1,2j}(t), which
-    vanish identically on the system row; ``x`` is None when ``cross`` is
-    false.  Costs O(T N log N) time: the resolvent sums correlate over the
-    whole bath, and the kernel sums and formulas run over the span of the
-    requested coupled bath rows, with FFTs whose length covers N plus that
-    span, so a window of rows costs about half of all rows.  Memory is
-    O(N) beyond the output c and x, all real, whatever T is: the resolvent
-    plan is formed once, and one loop over chunks of times applies it,
-    reduces the system row and runs the bath rows' kernel sums and formulas,
-    each chunk's arrays taking about _CHUNK_BYTES per (chunk, N) array and
-    going before the next chunk's are formed.  The phases go straight into a
-    chunk's (2T, N) charges, which the far field reuses for its node
-    charges; c and x read its (2T, N) sums in that layout, and the kernel
-    sums form their rows and sums by sub-chunks of times, picking the
-    requested rows as they write c and x.  Traced peaks: a system row at
-    N = 4000 over 31 times 3.9 MiB (4.2 x 8 T N bytes), at N = 16000 over
-    401 times 14.9 MiB (122 x 8N) and at N = 100000 over 41 times 2.4 x
-    8 T N; all rows with cross terms at N = 16000 over 41 times 7.6 x, and
-    fig5's 120-row window at N = 3000 over 41 times 4.6 x.  Each chunk
-    rebuilds the near band, 2.5 ms at N = 4000.  ValueError once the last
-    time times the top eigenfrequency reaches 2^31 2 pi (phase range).
+    ``bath = (lo, hi)`` selects the span of bath indices lo ... hi - 1
+    (default (0, N): every mode; (0, 0): the system row alone).  Returns
+    ``(c, x)``: the diagonal coefficients c_j(t) of the system and the span,
+    shape (len(times), 1 + hi - lo), system first, and the cross terms
+    x_j(t) = sigma_{1,2j}(t) of the span, shape (len(times), hi - lo), or
+    None when ``cross`` is false.  Deflated modes keep c0 and zero cross
+    terms.  Costs O(T N log N) time: the resolvent sums correlate over the
+    whole bath, and the kernel sums and formulas run over the span, with
+    FFTs whose length covers N plus the span, so a window of modes costs
+    about half of all modes.  Memory is O(N) beyond the output c and x, all
+    real, whatever T is: the resolvent plan is formed once, and one loop over
+    chunks of times applies it, runs the bath rows' kernel sums and formulas
+    and reduces the system row, each chunk's arrays taking about _CHUNK_BYTES
+    per (chunk, N) array and going before the next chunk's are formed.  The
+    phases go straight into a chunk's (2T, N) charges, which the far field
+    reuses for its node charges; c and x read its (2T, N) sums in that
+    layout, and the kernel sums form their rows and sums by sub-chunks of
+    times.  Traced peaks: a system row at N = 4000 over 31 times 3.9 MiB
+    (4.2 x 8 T N bytes), at N = 16000 over 401 times 14.9 MiB (122 x 8N) and
+    at N = 100000 over 41 times 2.4 x 8 T N; all modes with cross terms at
+    N = 16000 over 41 times 7.5 x, and fig5's 120-mode window at N = 3000
+    over 41 times 4.6 x.  Each chunk rebuilds the near band, 2.5 ms at
+    N = 4000.  ValueError once the last time times the top eigenfrequency
+    reaches 2^31 2 pi (phase range).
     """
     grid = validated_grid(times)
     n = basis.dimension
     c0 = np.asarray(c0, dtype=float)
     if c0.shape != (n,):
         raise ValueError(f"expected {n} initial coefficients")
-    rows = np.arange(n) if rows is None else np.asarray(rows)
-    if rows.size == 0:
-        rows = rows.astype(np.intp)
-    if rows.ndim != 1 or rows.dtype.kind not in "iu" or np.any((rows < 0) | (rows >= n)):
-        raise ValueError(f"rows must be a 1-d sequence of oscillator indices in [0, {n})")
+    try:
+        lo, hi = (0, n - 1) if bath is None else map(operator.index, bath)
+        if not 0 <= lo <= hi < n:
+            raise ValueError
+    except (TypeError, ValueError):
+        raise ValueError(f"bath must be a span (lo, hi) of integers with 0 <= lo <= hi <= {n - 1}") from None
     nt = len(grid)
 
     top = basis.eigenvalues[-1]
@@ -681,62 +685,56 @@ def evaluate(
             f"of the phase reduction: times below {_PHASE_RANGE / top:.6g} s for this model"
         )
     g = basis.couplings
-    c = np.broadcast_to(c0[rows], (nt, len(rows))).copy()  # deflated rows keep c0
-    x = np.zeros((nt, len(rows))) if cross else None
-    # requested rows of coupled bath modes, and their bath indices
-    out_rows = np.flatnonzero(np.r_[False, g != 0][rows])
-    targets = rows[out_rows] - 1
-    if not len(targets) and not (np.any(rows == 0) and np.any(g)):  # no requested row moves from c0
+    c = np.broadcast_to(c0[np.r_[0, 1 + lo : 1 + hi]], (nt, 1 + hi - lo)).copy()  # deflated modes keep c0
+    x = np.zeros((nt, hi - lo)) if cross else None
+    if not np.any(g):  # no mode moves from c0
         return c, x
 
-    # U_11, resolvent sums A_j over the bath and B_j over the span lo ... hi - 1 of the requested
-    # coupled modes, as real rows (see _resolvents); the weights wv vanish at deflated modes, so no
-    # sum reads A_j there, and the formulas' columns of deflated modes inside the span go unpicked
-    lo, hi = (int(targets.min()), int(targets.max()) + 1) if len(targets) else (0, 0)
+    # U_11, resolvent sums A_j over the bath and B_j over the span, as real rows (see _resolvents);
+    # the weights wv vanish at deflated modes, so no sum reads A_j there, and the formulas'
+    # columns of deflated modes go unwritten
     resolvents = _resolvents(basis, lo, hi)
     wv = g * g * c0[1:]
-    system = rows == 0
-    if len(targets):
+    if hi > lo:
         plan = _kernel_spectra(len(g), lo, hi, (1, 2) if cross else (2,), -1.0 / basis.model.delta_omega, gap=0)
         # the kernel sums take sub-chunks of a chunk's times whose 3 rows each fill whole FFT calls,
-        # about _CHUNK_BYTES of rows; the first holds the remainder and, in the first chunk, wv's row
+        # about _CHUNK_BYTES of rows
         per_call = plan[2]
         span = per_call * max(1, _CHUNK_BYTES // (24 * len(g) * per_call))
-        gj, c0j, pick = g[lo:hi], c0[1 + lo : 1 + hi], targets - lo
-    K0 = None
+        gj, c0j, coupled = g[lo:hi], c0[1 + lo : 1 + hi], g[lo:hi] != 0
+        # K0_j = c0_1 + sum_{m != j} wv_m/(w_m - w_j)^2, the same at every time
+        K0 = np.zeros((1, hi - lo))
+        _correlate(wv[None, :], [(K0, 2, lo)], plan)
+        K0 = K0[0] + c0[0]
 
     def chunk(t0, t1):
         """c and x at the times t0 ... t1 - 1, from one apply of the resolvent plan."""
-        nonlocal K0, resolvents
+        nonlocal resolvents
         system_amp, A, B = resolvents(grid[t0:t1])
         if t1 == nt:
             resolvents = None  # the last chunk's bath rows run without the plan
-        nk = t1 - t0
-        edges = [0, *range(nk - (nk - 1) // span * span, nk + 1, span)] if len(targets) else [0]
-        for s0, s1 in zip(edges, edges[1:]):
-            k, ts, first = s1 - s0, slice(2 * s0, 2 * s1), K0 is None
-            # R = (wv A, wv |A|^2) at these times with wv A interleaved as A is, then at first wv.
+        for s0 in range(0, t1 - t0, span) if hi > lo else ():
+            s1 = min(s0 + span, t1 - t0)
+            k, ts = s1 - s0, slice(2 * s0, 2 * s1)
+            # R = (wv A, wv |A|^2) at these times with wv A interleaved as A is.
             # K_j = sum_{m != j} R_m/(w_m - w_j)^2 of every row, L_j = sum_{m != j} (wv A)_m/(w_m - w_j)
-            R = np.empty((3 * k + first, len(g)))
+            R = np.empty((3 * k, len(g)))
             np.multiply(A[ts], wv, out=R[: 2 * k])
-            np.multiply(A[ts][0::2], R[: 2 * k : 2], out=R[2 * k : 3 * k])
-            R[2 * k : 3 * k] += A[ts][1::2] * R[1 : 2 * k : 2]
-            R[3 * k :] = wv
-            K, L = np.zeros((len(R), hi - lo)), np.zeros((2 * k, hi - lo)) if cross else None
+            np.multiply(A[ts][0::2], R[: 2 * k : 2], out=R[2 * k :])
+            R[2 * k :] += A[ts][1::2] * R[1 : 2 * k : 2]
+            K, L = np.zeros((3 * k, hi - lo)), np.zeros((2 * k, hi - lo)) if cross else None
             _correlate(R, [(K, 2, lo), (L, 1, lo)], plan)
             del R  # the formulas' temporaries take its place
-            if first:  # wv's own row
-                K0 = K[3 * k] + c0[0]
 
             # a, b: the real and imaginary rows of A_j, interleaved in B and in K, L of wv A as in A
             a, b, Bt = A[ts][0::2, lo:hi], A[ts][1::2, lo:hi], B[ts]
             cs = gj**2 * (
                 (a * a + b * b) * K0
-                + K[2 * k : 3 * k]
+                + K[2 * k :]
                 - 2.0 * (a * K[0 : 2 * k : 2] + b * K[1 : 2 * k : 2])
                 + gj**2 * (Bt[0::2] ** 2 + Bt[1::2] ** 2) * c0j
             )
-            c[t0 + s0 : t0 + s1, out_rows] = cs[:, pick]
+            np.copyto(c[t0 + s0 : t0 + s1, 1:], cs, where=coupled)
             if cross:
                 u_r, u_i = system_amp.real[s0:s1, None], system_amp.imag[s0:s1, None]
                 xs = gj * (
@@ -744,10 +742,9 @@ def evaluate(
                     + gj**2 * c0j * (a * Bt[1::2] - b * Bt[0::2])
                     - (b * L[0::2] - a * L[1::2])
                 )
-                x[t0 + s0 : t0 + s1, out_rows] = xs[:, pick]
-        if np.any(system):
-            a2 = np.square(A, out=A) @ wv  # sum_j wv_j |A_j|^2 over the real and imaginary rows
-            c[t0:t1, system] = (np.abs(system_amp) ** 2 * c0[0] + (a2[0::2] + a2[1::2]))[:, None]
+                np.copyto(x[t0 + s0 : t0 + s1], xs, where=coupled)
+        a2 = np.square(A, out=A) @ wv  # sum_j wv_j |A_j|^2 over the real and imaginary rows
+        c[t0:t1, 0] = np.abs(system_amp) ** 2 * c0[0] + (a2[0::2] + a2[1::2])
 
     # the fewest chunks of times with about _CHUNK_BYTES per (chunk, N) array at most, but at least
     # 2 _FFT_ROWS times, as each chunk rebuilds the near band (as costly as applying about 4 times);
@@ -765,4 +762,4 @@ def snapshot_series(basis: ModeBasis, init: InitialTemperatures, times) -> Covar
     """One grid snapshot of the ascending ``times``, from one batched
     evaluation."""
     c, x = evaluate(basis, initial_coefficients(basis.frequencies, init), times)
-    return CovarianceSnapshot(times, c, x[:, 1:], basis.model)
+    return CovarianceSnapshot(times, c, x, basis.model)

@@ -101,10 +101,11 @@ class _Run:
         """Thermo record of ``series``; its first time is the baseline."""
         return totals(self.series, self.series.at(0))
 
-    def evaluate(self, rows, cross: bool = True):
-        """(c, x) on the grid for oscillator ``rows``; see ``evolve.evaluate``."""
+    def evaluate(self, bath, cross: bool = True):
+        """(c, x) on the grid for the system and the span ``bath`` of bath
+        indices; see ``evolve.evaluate``."""
         c0 = initial_coefficients(self.basis.frequencies, self.init)
-        return evaluate(self.basis, c0, self.times, rows, cross)
+        return evaluate(self.basis, c0, self.times, bath, cross)
 
     @property
     def sigma11(self) -> np.ndarray:
@@ -154,7 +155,7 @@ def _simulate_curves(run: _Run) -> dict:
 def _fig1_curves(run: _Run) -> dict:
     """System coefficient sigma11(t) per N; the N-independent closed-form
     curve comes last."""
-    c1 = run.evaluate([0], cross=False)[0][:, 0]
+    c1 = run.evaluate((0, 0), cross=False)[0][:, 0]
     curves = {f"N{run.n}": (f"fig1_sigma11_N{run.n}.csv", _grid_table(run, {"sigma11_exact[1]": c1}))}
     if run.n == run.cfg.n_values()[-1]:
         gksl = _grid_table(run, {"sigma11_gksl[1]": gksl_sigma11(run.params, run.times)})
@@ -164,7 +165,7 @@ def _fig1_curves(run: _Run) -> dict:
 
 def _fig2_curves(run: _Run) -> dict:
     """Energy-flux triple dE_A/dt, dE_B/dt, dE_I/dt over the grid."""
-    fluxes = fluxes_from_cross_terms(run.evaluate(range(1, run.n + 1))[1], run.model)
+    fluxes = fluxes_from_cross_terms(run.evaluate((0, run.n))[1], run.model)
     names = ("dEA_dt", "dEB_dt", "dEI_dt")
     table = _grid_table(run, {f"{name}[J/s]": getattr(fluxes, name) for name in names})
     return {"fluxes": ("fig2_fluxes.csv", table)}
@@ -202,8 +203,7 @@ def _mode_map(run: _Run, c: np.ndarray, x: np.ndarray | None = None) -> ResultTa
 def _fig4_curves(run: _Run) -> dict:
     """System temperature, exact and closed form, plus the bath temperatures
     in the mode window."""
-    lo, hi = run.window
-    c, _ = run.evaluate(np.r_[0, lo + 1 : hi + 1], cross=False)
+    c, _ = run.evaluate(run.window, cross=False)
     _, T_exact = inverse_temperature(c[:, 0], run.model.omega1)
     T_gksl = gksl_system_temperature(run.params, run.times)
     system = _grid_table(run, {"T_A_exact[uK]": T_exact / UK, "T_A_gksl[uK]": T_gksl / UK})
@@ -215,9 +215,8 @@ def _fig4_curves(run: _Run) -> dict:
 
 def _fig5_curves(run: _Run) -> dict:
     """Per-mode temperature and flux maps in the mode window."""
-    lo, hi = run.window
-    c, x = run.evaluate(range(lo + 1, hi + 1))
-    return {f"N{run.n}": (f"fig5_modes_N{run.n}.csv", _mode_map(run, c, x))}
+    c, x = run.evaluate(run.window)
+    return {f"N{run.n}": (f"fig5_modes_N{run.n}.csv", _mode_map(run, c[:, 1:], x))}
 
 
 def _sweep_curves(run: _Run) -> dict:

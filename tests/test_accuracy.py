@@ -30,8 +30,8 @@ TIMES = (137e-6, 411e-6)
 
 
 def reference(model: sb.StarModel, c0: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
-    """c_j(t) and x_j(t) in extended precision, shape (len(times), N+1),
-    with x = 0 in the system column."""
+    """c_j(t) and x_j(t) in extended precision, of shapes (len(times), N+1)
+    and (len(times), N)."""
     n = model.n_modes
     w = LD(model.omega_min) + np.arange(n) * LD(model.delta_omega)  # the exactly uniform bath
     assert np.max(np.abs(model.bath_omegas - w) / np.spacing(model.bath_omegas)) <= 1.0  # rounded to 1 ulp
@@ -69,7 +69,7 @@ def reference(model: sb.StarModel, c0: np.ndarray, times) -> tuple[np.ndarray, n
         B = z @ (inv * inv)
         row0 = np.concatenate(([z.sum()], g * A))  # U_1m
         v = c0 * row0.conj()
-        c, x = [c0[0] * np.abs(row0[0]) ** 2 + c0[1:] @ np.abs(row0[1:]) ** 2], [LD(0)]
+        c, x = [c0[0] * np.abs(row0[0]) ** 2 + c0[1:] @ np.abs(row0[1:]) ** 2], []
         for lo in range(0, n, 250):
             j = np.arange(lo, min(lo + 250, n))
             dw = w[j, None] - w[None, :]
@@ -87,7 +87,7 @@ def reference(model: sb.StarModel, c0: np.ndarray, times) -> tuple[np.ndarray, n
 
 def interaction_flux(model: sb.StarModel, x) -> np.ndarray:
     """dE_I/dt / hbar = sum_j (w_j - w_1) g_j x_j over the bath rows."""
-    return x[:, 1:] @ ((model.bath_omegas - model.omega1) * model.bath_couplings).astype(x.dtype)
+    return x @ ((model.bath_omegas - model.omega1) * model.bath_couplings).astype(x.dtype)
 
 
 def test_production_bath_matches_extended_precision():

@@ -274,12 +274,12 @@ class TestSnapshots:
         times = np.array([0.0, 3e-6, 11e-6])
         c0 = initial_coefficients(basis.frequencies, init)
         series = sb.snapshot_series(basis, init, times)
-        c1 = sb.evaluate(basis, c0, times, [0], cross=False)[0][:, 0]
-        xs = sb.evaluate(basis, c0, times, range(1, basis.dimension))[1]
-        window = sb.evaluate(basis, c0, times, range(5, 11), cross=False)[0]
+        c1 = sb.evaluate(basis, c0, times, (0, 0), cross=False)[0][:, 0]
+        xs = sb.evaluate(basis, c0, times)[1]
+        window = sb.evaluate(basis, c0, times, (4, 10), cross=False)[0]
         np.testing.assert_allclose(c1, series.c[:, 0], rtol=1e-13, atol=0)
         np.testing.assert_allclose(xs, series.x, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(window, series.c[:, 5:11], rtol=1e-13)
+        np.testing.assert_allclose(window[:, 1:], series.c[:, 5:11], rtol=1e-13)
 
 
 class TestEvaluate:
@@ -293,15 +293,18 @@ class TestEvaluate:
 
     def test_row_window_matches_full_diagonal(self, setup):
         basis, c0, times = setup
+        # spans of bath modes: a window, none, one ending at the last mode and an
+        # empty one inside the bath; the system row comes first in c
         c, x = sb.evaluate(basis, c0, times)
-        assert c.shape == x.shape == (len(times), basis.dimension)
-        assert np.all(x[:, 0] == 0.0)
-        for rows in (range(5, 17), [0], [40, 3, 0, 40], range(40, 60), range(3, 3)):
-            cw, xw = sb.evaluate(basis, c0, times, rows)
-            np.testing.assert_allclose(cw, c[:, list(rows)], rtol=1e-13)
-            np.testing.assert_allclose(xw, x[:, list(rows)], rtol=1e-12, atol=1e-15 * np.abs(x).max())
-        cw, xw = sb.evaluate(basis, c0, times, [7], cross=False)
-        assert xw is None and np.allclose(cw[:, 0], c[:, 7], rtol=1e-13)
+        assert c.shape == (len(times), basis.dimension) and x.shape == (len(times), basis.dimension - 1)
+        for lo, hi in ((4, 16), (0, 0), (39, 59), (3, 3)):
+            cw, xw = sb.evaluate(basis, c0, times, (lo, hi))
+            assert cw.shape == (len(times), 1 + hi - lo) and xw.shape == (len(times), hi - lo)
+            np.testing.assert_allclose(cw[:, 0], c[:, 0], rtol=1e-13)
+            np.testing.assert_allclose(cw[:, 1:], c[:, 1 + lo : 1 + hi], rtol=1e-13)
+            np.testing.assert_allclose(xw, x[:, lo:hi], rtol=1e-12, atol=1e-15 * np.abs(x).max())
+        cw, xw = sb.evaluate(basis, c0, times, (6, 7), cross=False)
+        assert xw is None and np.allclose(cw[:, 1], c[:, 7], rtol=1e-13)
 
     def test_batch_matches_per_time_calls(self, setup):
         basis, c0, times = setup
@@ -315,60 +318,59 @@ class TestEvaluate:
         # FFT chunks of rows, chunks of times and groups of cell blocks change
         # no bit of the result.  The kernel sums take 1 time per chunk, then
         # 1 + 2 + 2 of the 5 times, then 2 + 3, then all 5, and in the last case
-        # the resolvent sums take chunks of 2 + 2 + 1 times; rows 40-59 are bath
-        # modes 39-58, so B starts at its second block of targets
+        # the resolvent sums take chunks of 2 + 2 + 1 times; the span of bath
+        # modes 39-58 starts B at its second block of targets
         basis, c0, times = setup
         n = len(basis.couplings)
         cases = ((1, 8, 1), (48 * n, 1, 2**22), (8 * 7 * 64, 3, 2**22), (2**24, 64, 2**30), (1, 1, 2**22))
-        for rows in (range(2, 50), range(40, 60), None):
+        for bath in ((1, 49), (39, 59), None):
             monkeypatch.setattr(evolve, "_CHUNK_BYTES", 2**19)
             monkeypatch.setattr(evolve, "_FFT_ROWS", 8)
             monkeypatch.setattr(evolve, "_FFT_BYTES", 2**22)
-            c, x = sb.evaluate(basis, c0, times, rows)
+            c, x = sb.evaluate(basis, c0, times, bath)
             for chunk_bytes, fft_rows, fft_bytes in cases:
                 monkeypatch.setattr(evolve, "_CHUNK_BYTES", chunk_bytes)
                 monkeypatch.setattr(evolve, "_FFT_ROWS", fft_rows)
                 monkeypatch.setattr(evolve, "_FFT_BYTES", fft_bytes)
-                cb, xb = sb.evaluate(basis, c0, times, rows)
+                cb, xb = sb.evaluate(basis, c0, times, bath)
                 assert np.array_equal(cb, c) and np.array_equal(xb, x)
 
     def test_rows_that_keep_c0_skip_the_resolvent_sums(self, setup, monkeypatch, tmp_path):
-        # no row, or only deflated bath modes: c0 and zero cross terms without
-        # any resolvent work; fig5 with an empty mode window writes empty maps
+        # with every coupling zero no mode moves: c0 and +0.0 cross terms
+        # without any resolvent work, for every span; fig5 with an empty mode
+        # window, whose system row does read them, writes header-only maps
         basis, c0, times = setup
-        deflated = basis.model.bath_couplings.copy()
-        deflated[[3, 7]] = 0.0
-        basis_d = sb.mode_basis(with_couplings(basis.model, deflated))
-
-        def refuse(*args):
-            raise AssertionError("resolvent sums formed for rows that read none")
-
-        monkeypatch.setattr(evolve, "_resolvents", refuse)
-        c, x = sb.evaluate(basis, c0, times, [])
-        assert c.shape == x.shape == (len(times), 0)
-        c, x = sb.evaluate(basis_d, c0, times, [8, 4, 8])
-        assert np.array_equal(c, np.broadcast_to(c0[[8, 4, 8]], c.shape)) and not np.any(x)
         out = tmp_path / "fig5"
         assert main(["fig5", "--n-list", "100,200", "--window", "1e-9", "--grid", "0:20:5", "--out", str(out)]) == 0
         for n in (100, 200):
             assert (out / f"fig5_modes_N{n}.csv").read_text().count("\n") == 1
+        decoupled = sb.mode_basis(with_couplings(basis.model, np.zeros(basis.model.n_modes)))
+
+        def refuse(*args):
+            raise AssertionError("resolvent sums formed for a decoupled bath")
+
+        monkeypatch.setattr(evolve, "_resolvents", refuse)
+        for lo, hi in ((0, 0), (3, 9), (0, basis.model.n_modes)):
+            c, x = sb.evaluate(decoupled, c0, times, (lo, hi))
+            assert np.array_equal(c, np.broadcast_to(c0[np.r_[0, 1 + lo : 1 + hi]], c.shape))
+            assert x.shape == (len(times), hi - lo) and not np.any(x) and not np.any(np.signbit(x))
 
     def test_deflated_modes_inside_the_span(self, setup):
-        # an unsorted row list with a duplicate whose span of bath modes 1 ... 8
-        # holds the deflated modes 3 and 7, one of them requested: the formulas
-        # run over the span, deflated columns included, and the requested rows
-        # picked from it match the all-rows result
+        # the span of bath modes 3 ... 7 starts and ends on a deflated mode: the
+        # formulas run over the whole span, and only its coupled columns are
+        # written, so the deflated ones keep c0 and +0.0 cross terms and the
+        # coupled ones match the all-modes result
         basis, c0, times = setup
         deflated = basis.model.bath_couplings.copy()
         deflated[[3, 7]] = 0.0
         basis_d = sb.mode_basis(with_couplings(basis.model, deflated))
         c, x = sb.evaluate(basis_d, c0, times)
-        rows = [9, 4, 2, 9, 6]
-        cw, xw = sb.evaluate(basis_d, c0, times, rows)
-        np.testing.assert_allclose(cw, c[:, rows], rtol=1e-13)
-        np.testing.assert_allclose(xw, x[:, rows], rtol=1e-12, atol=1e-15 * np.abs(x).max())
-        assert np.all(cw[:, 1] == c0[4]) and not np.any(xw[:, 1])
-        assert np.array_equal(sb.evaluate(basis_d, c0, times, rows, cross=False)[0], cw)
+        cw, xw = sb.evaluate(basis_d, c0, times, (3, 8))
+        for j in (0, 4):  # bath modes 3 and 7
+            assert np.all(cw[:, 1 + j] == c0[4 + j]) and np.all(xw[:, j] == 0.0) and not np.any(np.signbit(xw[:, j]))
+        np.testing.assert_allclose(cw[:, [0, 2, 3, 4]], c[:, [0, 5, 6, 7]], rtol=1e-13)
+        np.testing.assert_allclose(xw[:, 1:4], x[:, 4:7], rtol=1e-12, atol=1e-15 * np.abs(x).max())
+        assert np.array_equal(sb.evaluate(basis_d, c0, times, (3, 8), cross=False)[0], cw)
 
     @pytest.mark.parametrize("case", ["system_row", "window", "all_rows", "partly_deflated"])
     def test_time_local(self, production, case):
@@ -377,12 +379,12 @@ class TestEvaluate:
         # the two halves' (chunks of 24 + 16 each), evaluated apart
         model = production_bath(production, "partly_deflated" if case == "partly_deflated" else "uniform")
         basis = sb.mode_basis(model)
-        window = 1 + np.flatnonzero(np.abs(model.bath_omegas - model.omega1) <= 0.4 * MHZ)
-        rows = {"system_row": [0], "window": window}.get(case)
+        window = np.flatnonzero(np.abs(model.bath_omegas - model.omega1) <= 0.4 * MHZ)
+        bath = {"system_row": (0, 0), "window": (window[0], window[-1] + 1)}.get(case)
         c0 = initial_coefficients(basis.frequencies, production.init)
         times = np.linspace(0.0, 400e-6, 80)
-        c, x = sb.evaluate(basis, c0, times, rows, cross=case != "system_row")
-        halves = [sb.evaluate(basis, c0, half, rows, cross=case != "system_row") for half in np.split(times, 2)]
+        c, x = sb.evaluate(basis, c0, times, bath, cross=case != "system_row")
+        halves = [sb.evaluate(basis, c0, half, bath, cross=case != "system_row") for half in np.split(times, 2)]
         assert np.array_equal(c, np.concatenate([h[0] for h in halves]))
         assert x is None if case == "system_row" else np.array_equal(x, np.concatenate([h[1] for h in halves]))
 
@@ -396,7 +398,7 @@ class TestEvaluate:
         c0 = initial_coefficients(basis.frequencies, production.init)
         tracemalloc.start()
         try:
-            c, _ = sb.evaluate(basis, c0, times, [0], cross=False)
+            c, _ = sb.evaluate(basis, c0, times, (0, 0), cross=False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -414,7 +416,7 @@ class TestEvaluate:
         c0 = initial_coefficients(basis.frequencies, production.init)
         tracemalloc.start()
         try:
-            sb.evaluate(basis, c0, times, [0], cross=False)
+            sb.evaluate(basis, c0, times, (0, 0), cross=False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -441,12 +443,15 @@ class TestEvaluate:
         # 41 times; each bound is 10% above the measured peak
         basis = production.basis(n)
         model = basis.model
-        rows = None if window is None else 1 + np.flatnonzero(np.abs(model.bath_omegas - model.omega1) <= window)
+        bath = None
+        if window is not None:
+            modes = np.flatnonzero(np.abs(model.bath_omegas - model.omega1) <= window)
+            bath = (modes[0], modes[-1] + 1)
         times = np.linspace(0.0, 400e-6, 41)
         c0 = initial_coefficients(basis.frequencies, production.init)
         tracemalloc.start()
         try:
-            sb.evaluate(basis, c0, times, rows)
+            sb.evaluate(basis, c0, times, bath)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -454,9 +459,10 @@ class TestEvaluate:
 
     def test_rejects_bad_rows_and_inputs(self, setup):
         basis, c0, times = setup
-        for rows in ([basis.dimension], [-1], [1.5], [[1, 2]]):
-            with pytest.raises(ValueError):
-                sb.evaluate(basis, c0, times, rows)
+        n = basis.dimension - 1
+        for bath in ((-1, 3), (5, 4), (0, n + 1), (0, 1.5), (np.float64(2), 4), (1, 2, 3), (3,), 3, [[1, 2]]):
+            with pytest.raises(ValueError, match="span"):
+                sb.evaluate(basis, c0, times, bath)
         with pytest.raises(ValueError):
             sb.evaluate(basis, c0[1:], times)
         for grid in ([np.nan], [0.0, np.inf], [1e-6, np.nan, 2e-6], [-np.inf, 0.0]):
@@ -598,10 +604,10 @@ class TestPhases:
         basis = sb.mode_basis(coupling_variant(4e6, "full"))
         c0 = np.ones(basis.dimension)
         limit = evolve._PHASE_RANGE / basis.eigenvalues[-1]
-        c, _ = sb.evaluate(basis, c0, [0.0, limit * (1 - 1e-12)], [0])
+        c, _ = sb.evaluate(basis, c0, [0.0, limit * (1 - 1e-12)], (0, 0))
         assert np.all(np.isfinite(c))
         with pytest.raises(ValueError, match=r"below 2\^31 \* 2 pi"):
-            sb.evaluate(basis, c0, [0.0, limit * (1 + 1e-12)], [0])
+            sb.evaluate(basis, c0, [0.0, limit * (1 + 1e-12)], (0, 0))
 
 
 class TestResolventSums:
@@ -681,7 +687,7 @@ class TestResolventSums:
     def test_roots_beyond_both_band_edges_match_dense_oracle(self, rng, monkeypatch):
         # the system mode above the band and strong couplings at its lower
         # edge put a root beyond each end of cells 0 ... N, which take the
-        # plan's direct sums; all rows with cross terms and a window of rows,
+        # plan's direct sums; all modes with cross terms and a span of modes,
         # each over the whole grid at once and in chunks of 2 + 2 + 2 times
         spec = sb.OhmicBathSpec(eta=1e-3, omega_c=3e6, omega_min=5e6, omega_max=20e6, n_modes=48)
         model = sb.discretize_ohmic_bath(spec, 30e6)
@@ -696,16 +702,16 @@ class TestResolventSums:
         times = np.sort(rng.uniform(0, 40e-6, size=6))
         dense = dense_oracle_series(model, init, times)
         c_ref = np.array([d.diagonal_coefficients() for d in dense])
-        x_ref = np.c_[np.zeros(len(times)), [d.cross_terms() for d in dense]]
+        x_ref = np.array([d.cross_terms() for d in dense])
         c0 = initial_coefficients(basis.frequencies, init)
         for split in (False, True):
             if split:
                 monkeypatch.setattr(evolve, "_CHUNK_BYTES", 1)
                 monkeypatch.setattr(evolve, "_FFT_ROWS", 1)
-            for rows in (np.arange(basis.dimension), np.arange(20, 36)):
-                c, x = sb.evaluate(basis, c0, times, rows)
-                assert np.max(np.abs(c - c_ref[:, rows])) <= 1e-9
-                assert np.max(np.abs(x - x_ref[:, rows])) <= 1e-9
+            for lo, hi in ((0, model.n_modes), (19, 35)):
+                c, x = sb.evaluate(basis, c0, times, (lo, hi))
+                assert np.max(np.abs(c - c_ref[:, np.r_[0, 1 + lo : 1 + hi]])) <= 1e-9
+                assert np.max(np.abs(x - x_ref[:, lo:hi])) <= 1e-9
 
     def test_system_row_at_100000(self, production):
         # 41 times on [0, 400] us, far below t1 = 31 ms: c_1 follows the closed
@@ -719,7 +725,7 @@ class TestResolventSums:
         c0 = initial_coefficients(basis.frequencies, production.init)
         tracemalloc.start()
         try:
-            c, _ = sb.evaluate(basis, c0, times, [0], cross=False)
+            c, _ = sb.evaluate(basis, c0, times, (0, 0), cross=False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
