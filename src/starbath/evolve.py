@@ -743,14 +743,14 @@ def evaluate(
                     - (b * L[0::2] - a * L[1::2])
                 )
                 np.copyto(x[t0 + s0 : t0 + s1], xs, where=coupled)
-        a2 = np.square(A, out=A) @ wv  # sum_j wv_j |A_j|^2 over the real and imaginary rows
+        # sum_j wv_j |A_j|^2 over the real and imaginary rows, in place and without BLAS, whose GEMV
+        # splits rows between threads and so gives bits that depend on the thread count
+        a2 = np.multiply(np.square(A, out=A), wv, out=A).sum(axis=1)
         c[t0:t1, 0] = np.abs(system_amp) ** 2 * c0[0] + (a2[0::2] + a2[1::2])
 
     # the fewest chunks of times with about _CHUNK_BYTES per (chunk, N) array at most, but at least
     # 2 _FFT_ROWS times, as each chunk rebuilds the near band (as costly as applying about 4 times);
-    # sizes balanced in whole _FFT_ROWS times keep the FFT calls full.  With the remainder last every
-    # chunk starts at an even time, a multiple of 4 rows, where BLAS starts a group of the system
-    # row's GEMV as it does for the whole grid
+    # sizes balanced in whole _FFT_ROWS times keep the FFT calls full
     most = max(2 * _FFT_ROWS, _CHUNK_BYTES // (8 * len(g)))
     size = _FFT_ROWS * -(-nt // (_FFT_ROWS * -(-nt // most)))
     for t0 in range(0, nt, size):

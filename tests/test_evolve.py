@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -468,6 +471,27 @@ class TestEvaluate:
         for grid in ([np.nan], [0.0, np.inf], [1e-6, np.nan, 2e-6], [-np.inf, 0.0]):
             with pytest.raises(ValueError, match="finite"):
                 sb.evaluate(basis, c0, grid)
+
+    def test_system_row_bits_do_not_depend_on_blas_threads(self):
+        # a system row at N = 50000 over 41 times, in chunks of 16 + 16 + 9
+        # times: a BLAS GEMV over the last chunk's 18 rows of sums splits them
+        # between 2 threads at an odd row and changes the last bits of c_1
+        script = (
+            "import sys, numpy as np, starbath as sb\n"
+            "cfg = sb.ExperimentConfig(n_modes=50000)\n"
+            "basis = sb.mode_basis(sb.discretize_ohmic_bath(cfg.bath_spec(), cfg.omega1))\n"
+            "c0 = sb.initial_coefficients(basis.frequencies, cfg.initial_temperatures())\n"
+            "c, _ = sb.evaluate(basis, c0, np.linspace(0.0, 400e-6, 41), (0, 0), cross=False)\n"
+            "sys.stdout.write(c.tobytes().hex())\n"
+        )
+        src = os.path.dirname(os.path.dirname(sb.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        c = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+            c.append(np.frombuffer(bytes.fromhex(run.stdout)))
+        assert len(c[0]) == 41 and np.array_equal(c[0], c[1])
 
     def test_series_scratch_is_one_panel(self, production):
         # N=2000, T=10: the kernel and resolvent correlations need only
