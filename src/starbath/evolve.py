@@ -343,8 +343,7 @@ def _phases(times, pole_w, shifts, weights, out):
     cosine and one sine of the reduced angle give z_k.  The angle is formed
     in the real rows of ``out`` and n in the imaginary ones, so the scratch
     is hi, lo and the temporaries of their product, about six (rows, K)
-    arrays: about _CHUNK_BYTES (530 KiB at N = 4000, where whole-expression
-    temporaries of 15 rows took 3.0-3.6 MiB).
+    arrays: about _CHUNK_BYTES (530 KiB at N = 4000).
     """
     c1, c2, c3 = _TWO_PI
     freq = pole_w + shifts
@@ -420,9 +419,9 @@ def _resolvents(basis, lo, hi):
     the live roots, z_k = Q_1k^2 exp(-i l_k t), and B_j = sum_k
     z_k/(l_k - w_j)^2 on the bath indices lo ... hi - 1 (none: B is None),
     each with the real and imaginary parts of time t in rows 2t and 2t+1,
-    the one layout evaluate reads.  Both are finite at deflated modes, where
-    evaluate outputs neither.  Each time's sums depend on that time alone, so
-    the times may come in chunks.
+    the one layout evaluate reads.  Both are finite at deflated modes, whose
+    columns evaluate leaves at c0 and zero cross terms.  Each time's sums
+    depend on that time alone, so the times may come in chunks.
 
     In spacing units root k sits at x_k = p + d_k/step, in the cell
     (m_k - 1, m_k) with m_k = p + ceil(d_k/step), and target j at j;
@@ -593,7 +592,7 @@ def _correlate(sources, outs, plan):
     where the inverse FFTs write their sums too (the padding is zeroed again
     per chunk); with one output the product is formed in the spectrum.  So
     the scratch is two or three (rows, FFT length) buffers: 1.0 MiB for the
-    resolvent sums of a system row at N = 4000, where four took 2.1 MiB."""
+    resolvent sums of a system row at N = 4000."""
     lo, size, rows, spectra = plan
     outs = [o for o in outs if o[0] is not None]
     width = sources.shape[1]
@@ -645,7 +644,7 @@ def evaluate(
     ``(c, x)``: the diagonal coefficients c_j(t) of the system and the span,
     shape (len(times), 1 + hi - lo), system first, and the cross terms
     x_j(t) = sigma_{1,2j}(t) of the span, shape (len(times), hi - lo), or
-    None when ``cross`` is false.  Deflated modes keep c0 and zero cross
+    None when ``cross`` is false.  Deflated modes keep c0 and +0.0 cross
     terms.  Costs O(T N log N) time: the resolvent sums correlate over the
     whole bath, and the kernel sums and formulas run over the span, with
     FFTs whose length covers N plus the span, so a window of modes costs
@@ -660,10 +659,10 @@ def evaluate(
     times.  Traced peaks: a system row at N = 4000 over 31 times 3.9 MiB
     (4.2 x 8 T N bytes), at N = 16000 over 401 times 14.9 MiB (122 x 8N) and
     at N = 100000 over 41 times 2.4 x 8 T N; all modes with cross terms at
-    N = 16000 over 41 times 7.5 x, and fig5's 120-mode window at N = 3000
-    over 41 times 4.6 x.  Each chunk rebuilds the near band, 2.5 ms at
-    N = 4000.  ValueError once the last time times the top eigenfrequency
-    reaches 2^31 2 pi (phase range).
+    N = 16000 over 41 times 7.5 x and at N = 2000 over 10 times 18.7 x; and
+    fig5's 120-mode window at N = 3000 over 41 times 4.6 x.  Each chunk
+    rebuilds the near band, 2.5 ms at N = 4000.  ValueError once the last
+    time times the top eigenfrequency reaches 2^31 2 pi (phase range).
     """
     grid = validated_grid(times)
     n = basis.dimension

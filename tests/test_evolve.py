@@ -428,14 +428,14 @@ class TestEvaluate:
     @pytest.mark.parametrize(
         "n, window, bound",
         [
-            # every row with cross terms: the resolvent sums come in chunks of
+            # every mode with cross terms: the resolvent sums come in chunks of
             # 16 + 16 + 9 times and the bath rows read them as real rows and
             # stream their kernel sums by sub-chunks of 8 times, so the traced
-            # peak measures 7.57 x 8 T N bytes (10.09 x with the resolvent sums
+            # peak measures 7.47 x 8 T N bytes (10.09 x with the resolvent sums
             # of all 41 times at once); a full (1 + 3T, N) source array or full
             # K and L would break it
-            (16000, None, 8.33),
-            # fig5's 0.4 MHz window, 120 rows, in chunks of 24 + 17 times:
+            (16000, None, 8.22),
+            # fig5's 0.4 MHz window, 120 modes and the system row, in chunks of 24 + 17 times:
             # 4.55 x (6.42 x at once), with B over only the window's blocks; a
             # full-width B would break it
             (3000, 0.4e6, 5.0),
@@ -497,7 +497,7 @@ class TestEvaluate:
         # N=2000, T=10: the kernel and resolvent correlations need only
         # chunk-sized buffers besides the O(T N) sums, and the resolvent plan
         # goes before the last chunk's bath rows: the traced peak measures
-        # 3.00 MiB and the bound is 10% above it (3.24 MiB before the
+        # 2.87 MiB and the bound is 10% above it (3.24 MiB before the
         # resolvent sums were split into a plan and a per-chunk apply).  A
         # complex (T, N) copy of A or B (about 0.6 MiB each), an ~8 MiB kernel
         # panel or an N^2/4-sized temporary would break it
@@ -508,7 +508,7 @@ class TestEvaluate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.3 * 2**20
+        assert peak <= 3.16 * 2**20
 
 
 def extended_phases(times, *terms):
