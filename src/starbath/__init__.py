@@ -36,10 +36,8 @@ from .thermo import (
     entropy,
     entropy_kb,
     fluxes_from_cross_terms,
-    free_energy,
     inverse_temperature,
     mean_energy,
-    partition_function,
     total_epr,
     totals,
 )
@@ -51,7 +49,6 @@ from .gksl import (
     gksl_system_temperature,
     von_neumann_ep,
     von_neumann_epr,
-    von_neumann_epr_from_fluxes,
 )
 from .config import ExperimentConfig, ConfigError, load_config
 

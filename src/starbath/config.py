@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import MHZ, UK, US
-from .evolve import _PHASE_RANGE, InitialTemperatures, validated_grid
+from .evolve import InitialTemperatures, phase_time_limit, validated_grid
 from .model import OhmicBathSpec, discretize_ohmic_bath, relaxation_rate
 
 __all__ = ["JOBS", "JOB_INPUTS", "PIVN_MODES", "ConfigError", "ExperimentConfig", "load_config", "parse_grid"]
@@ -81,10 +81,10 @@ class ExperimentConfig:
         """Check every field's type, and the ranges of the fields the job
         reads.  The time lists go through evolve's grid validator; the
         physical ranges are the domain types' own, so build those for every N
-        the job runs, and with them cap the time lists below evolve's phase
-        range: last time x (max(w1, w_max) + 2 |g|), which bounds every
-        eigenfrequency, < 2^31 2 pi.  On the default bath that refuses grids
-        of 668.3 to 674.65 s, which evaluate alone would accept."""
+        the job runs, and with them cap the time lists below evolve's
+        ``phase_time_limit``, which bounds every eigenfrequency.  On the
+        default bath that refuses grids of 668.3 to 674.65 s, which evaluate
+        alone would accept."""
         for f in fields(self):  # JSON true/false arrive as bools, which Python counts as ints
             base = f.type.removeprefix("list[").partition("]")[0]
             kind = {"float": numbers.Real, "int": numbers.Integral, "str": str}.get(base)
@@ -124,8 +124,7 @@ class ExperimentConfig:
             for n in self.n_values():
                 spec = self.bath_spec(n)
                 relaxation_rate(spec, self.omega1)
-                g = discretize_ohmic_bath(spec, self.omega1).bath_couplings
-                limit = _PHASE_RANGE / US / (max(self.omega1, spec.omega_max) + 2.0 * float(np.linalg.norm(g)))
+                limit = phase_time_limit(discretize_ohmic_bath(spec, self.omega1)) / US
                 for name in ("times_us", "sweep_times_us"):
                     if name in reads and max(getattr(self, name)) >= limit:
                         raise ConfigError(f"{name}: times must stay below {limit:.6g} us at N = {n}, the phase range")

@@ -55,6 +55,7 @@ __all__ = [
     "evaluate",
     "snapshot_series",
     "validated_grid",
+    "phase_time_limit",
 ]
 
 EVALUATION_PATH = (
@@ -629,6 +630,15 @@ def validated_grid(times) -> np.ndarray:
     return grid
 
 
+def phase_time_limit(model: StarModel) -> float:
+    """Time (s) below which every eigenfrequency's phase stays in the exact
+    range 2^31 2 pi of the phase reduction, from the bound
+    max(omega1, top bath frequency) + 2 |g| on the eigenfrequencies, whose
+    2 |g| is the radius ``_refine`` brackets the outer roots with."""
+    top = max(model.omega1, float(model.bath_omegas[-1])) + 2.0 * float(np.linalg.norm(model.bath_couplings))
+    return _PHASE_RANGE / top
+
+
 def evaluate(
     basis: ModeBasis,
     c0: np.ndarray,
@@ -656,13 +666,9 @@ def evaluate(
     phases go straight into a chunk's (2T, N) charges, which the far field
     reuses for its node charges; c and x read its (2T, N) sums in that
     layout, and the kernel sums form their rows and sums by sub-chunks of
-    times.  Traced peaks: a system row at N = 4000 over 31 times 3.9 MiB
-    (4.2 x 8 T N bytes), at N = 16000 over 401 times 14.9 MiB (122 x 8N) and
-    at N = 100000 over 41 times 2.4 x 8 T N; all modes with cross terms at
-    N = 16000 over 41 times 7.5 x and at N = 2000 over 10 times 18.7 x; and
-    fig5's 120-mode window at N = 3000 over 41 times 4.6 x.  Each chunk
-    rebuilds the near band, 2.5 ms at N = 4000.  ValueError once the last
-    time times the top eigenfrequency reaches 2^31 2 pi (phase range).
+    times (README lists the traced peaks).  Each chunk rebuilds the near
+    band, 2.5 ms at N = 4000.  ValueError once the last time times the top
+    eigenfrequency reaches 2^31 2 pi (phase range).
     """
     grid = validated_grid(times)
     n = basis.dimension

@@ -26,7 +26,6 @@ __all__ = [
     "gksl_sigma11",
     "gksl_system_temperature",
     "von_neumann_epr",
-    "von_neumann_epr_from_fluxes",
     "von_neumann_ep",
     "epr_difference",
     "ep_difference",
@@ -88,17 +87,6 @@ def von_neumann_epr(p: GkslParams, t, sigma11=None) -> float | np.ndarray:
     _, T_A = inverse_temperature(c1, p.omega1)
     with np.errstate(divide="ignore"):
         return HBAR * p.omega1 * p.Gamma * (1.0 / p.T_B0 - 1.0 / T_A) * (c1 - p.coth_b)
-
-
-def von_neumann_epr_from_fluxes(T_A, dEA_dt, dEB_dt, T_B0: float) -> float | np.ndarray:
-    """Conventional rate in its defining flux form,
-    (1/T_A) dE_A/dt + (1/T_B0) dE_B/dt, before any weak-coupling reduction.
-
-    With exact fluxes this satisfies the identity
-    Pi_vN - Pi_tot = sum_j (1/T_B0 - 1/T_j) dE_j/dt to machine precision.
-    """
-    T_A = np.asarray(T_A, dtype=float)
-    return np.asarray(dEA_dt) / T_A + np.asarray(dEB_dt) / T_B0
 
 
 def von_neumann_ep(p: GkslParams, entropy_A, energy_A) -> np.ndarray:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import HBAR
 from .evolve import InitialTemperatures, initial_coefficients
 from .model import StarModel
 
@@ -75,14 +74,6 @@ class DenseSymplectic:
     def cross_terms(self) -> np.ndarray:
         """sigma_{1,2j}(t) for the bath modes j = 2..N+1."""
         return self.sigma[0, 3::2].copy()
-
-    def total_energy(self) -> float:
-        """Conserved mean energy (hbar/4) Tr(H sigma)."""
-        return 0.25 * HBAR * float(np.sum(self.H * self.sigma))
-
-    def symplectic_defect(self) -> float:
-        """max |(V Omega V^T - Omega)_ij|; zero for exact symplectic V."""
-        return float(np.max(np.abs(self.V @ self.Omega @ self.V.T - self.Omega)))
 
 
 def dense_oracle_series(

@@ -33,10 +33,6 @@ class ResultTable:
         return cls(dict(zip(columns, map(np.array, arrays))))
 
     @property
-    def columns(self) -> list[str]:
-        return list(self.data)
-
-    @property
     def rows(self) -> list[tuple]:
         return list(zip(*(a.tolist() for a in self.data.values())))
 

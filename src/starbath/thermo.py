@@ -6,8 +6,8 @@ expressions: a one-time result is a numpy float64, which is a ``float``.
 
 Every oscillator stays in a Gibbs state with time-dependent temperature, so
 its diagonal coefficient c = sigma_{2j-1,2j-1} >= 1 fixes all equilibrium
-quantities: E = hbar*w*c/2, beta = ln((c+1)/(c-1))/(hbar*w),
-Z = sqrt(c^2-1)/2, F = -kB*T*ln(Z), and S/kB in the x*ln(x) form below.
+quantities: E = hbar*w*c/2, beta = ln((c+1)/(c-1))/(hbar*w), and S/kB in
+the x*ln(x) form below.
 
 Boundary policy: c in [1, 1+1e-12] is the T -> 0+ limit; entropy returns 0,
 temperatures return a flagged 0.0 (beta = inf), and the total entropy
@@ -32,8 +32,6 @@ __all__ = [
     "EnergyFluxes",
     "mean_energy",
     "inverse_temperature",
-    "partition_function",
-    "free_energy",
     "entropy_kb",
     "entropy",
     "log_coth_ratio",
@@ -79,21 +77,6 @@ def inverse_temperature(c, omega) -> tuple:
     with np.errstate(divide="ignore"):
         T = np.where(boundary, 0.0, 1.0 / (KB * beta))
     return beta[()], T[()]  # np.where gives 0-d arrays at one time
-
-
-def partition_function(c) -> float | np.ndarray:
-    """Z = sqrt(c^2 - 1) / 2, factored as sqrt((c-1)(c+1)) for accuracy;
-    Z = 0 at the c = 1 boundary."""
-    c = _as_coeff(c)
-    return 0.5 * np.sqrt((c - 1.0) * (c + 1.0))
-
-
-def free_energy(Z, T) -> float | np.ndarray:
-    """F = -kB * T * ln(Z); undefined (raises) for Z <= 0."""
-    Z = np.asarray(Z, dtype=float)
-    if np.any(Z <= 0):
-        raise ValueError("free energy undefined at the Z = 0 boundary")
-    return -KB * np.asarray(T, dtype=float) * np.log(Z)
 
 
 def entropy_kb(c) -> float | np.ndarray:
@@ -143,7 +126,7 @@ def fluxes_from_cross_terms(x: np.ndarray, model: StarModel) -> EnergyFluxes:
     )
 
 
-def total_epr(snapshot: CovarianceSnapshot, model: StarModel) -> float | np.ndarray:
+def total_epr(snapshot: CovarianceSnapshot) -> float | np.ndarray:
     """Total thermodynamic entropy production rate (J/K/s),
 
         Pi_tot = kB * sum_j g_j x_j [ln((c_1+1)/(c_1-1)) - ln((c_j+1)/(c_j-1))].
@@ -154,7 +137,7 @@ def total_epr(snapshot: CovarianceSnapshot, model: StarModel) -> float | np.ndar
     if np.any(c - 1.0 <= BOUNDARY_EPS):
         raise ValueError("total entropy production rate undefined at the T = 0 boundary")
     lnr = log_coth_ratio(c)
-    return KB * np.sum(model.bath_couplings * snapshot.x * (lnr[..., :1] - lnr[..., 1:]), axis=-1)
+    return KB * np.sum(snapshot.model.bath_couplings * snapshot.x * (lnr[..., :1] - lnr[..., 1:]), axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +186,7 @@ def totals(snapshot: CovarianceSnapshot, baseline: CovarianceSnapshot) -> Thermo
         entropies=S,
         S_tot=S_tot,
         dS_tot=dS_tot,
-        Pi_tot=total_epr(snapshot, model),
+        Pi_tot=total_epr(snapshot),
         dEA_dt=fluxes.dEA_dt,
         dEB_dt=fluxes.dEB_dt,
         dEI_dt=fluxes.dEI_dt,

@@ -13,18 +13,10 @@ import numpy as np
 
 from starbath.constants import HBAR, KB
 from starbath.evolve import CovarianceSnapshot, InitialTemperatures, ModeBasis, snapshot_series
-from starbath.gksl import GkslParams, epr_difference, von_neumann_epr_from_fluxes
+from starbath.gksl import GkslParams, epr_difference
 from starbath.model import OhmicBathSpec, StarModel, discretize_ohmic_bath
 from starbath.oracle import ORACLE_CAP_DEFAULT, arrowhead_matrix, dense_oracle_series, full_hamiltonian
-from starbath.thermo import (
-    entropy_kb,
-    fluxes_from_cross_terms,
-    free_energy,
-    inverse_temperature,
-    mean_energy,
-    partition_function,
-    total_epr,
-)
+from starbath.thermo import entropy_kb, fluxes_from_cross_terms, inverse_temperature, mean_energy, total_epr
 
 
 def random_star_model(rng: np.random.Generator, n_modes: int) -> tuple[StarModel, OhmicBathSpec]:
@@ -137,8 +129,18 @@ def positivity_floor(dense) -> float:
     return float(np.min(np.linalg.eigvalsh(herm)))
 
 
+def total_energy(dense) -> float:
+    """Conserved mean energy (hbar/4) Tr(H sigma)."""
+    return 0.25 * HBAR * float(np.sum(dense.H * dense.sigma))
+
+
+def symplectic_defect(dense) -> float:
+    """max |(V Omega V^T - Omega)_ij|; zero for exact symplectic V."""
+    return float(np.max(np.abs(dense.V @ dense.Omega @ dense.V.T - dense.Omega)))
+
+
 def energy_conservation_residual(model: StarModel, init: InitialTemperatures, times) -> float:
-    e0, *et = (d.total_energy() for d in dense_oracle_series(model, init, np.r_[0.0, np.atleast_1d(times)]))
+    e0, *et = (total_energy(d) for d in dense_oracle_series(model, init, np.r_[0.0, np.atleast_1d(times)]))
     return max(abs(e - e0) / abs(e0) for e in et)
 
 
@@ -164,9 +166,10 @@ def flux_finite_difference_residual(
     return float(np.max(np.abs(fd - analytic))) / scale
 
 
-def epr_rearrangement_residual(snapshot: CovarianceSnapshot, model: StarModel) -> float:
+def epr_rearrangement_residual(snapshot: CovarianceSnapshot) -> float:
     """Pi_tot against sum_j (1/T_j) dE_j/dt assembled from the other ops."""
-    pi = total_epr(snapshot, model)
+    model = snapshot.model
+    pi = total_epr(snapshot)
     fx = fluxes_from_cross_terms(snapshot.x, model)
     _, T = inverse_temperature(snapshot.c, model.frequencies)
     assembled = fx.dEA_dt / T[0] + float(np.sum(fx.mode_fluxes / T[1:]))
@@ -178,10 +181,22 @@ def epr_finite_difference_residual(
 ) -> float:
     """Pi_tot against the central finite difference of S_tot(t)."""
     series = snapshot_series(basis, init, [t - dt, t, t + dt])
-    pi = total_epr(series, basis.model)[1]
+    pi = total_epr(series)[1]
     s_before, _, s_after = KB * np.sum(entropy_kb(series.c), axis=-1)
     fd = (s_after - s_before) / (2.0 * dt)
     return abs(fd - pi) / abs(pi)
+
+
+def partition_function(c) -> float | np.ndarray:
+    """Z = sqrt(c^2 - 1) / 2, factored as sqrt((c-1)(c+1)) for accuracy;
+    Z = 0 at the c = 1 boundary."""
+    c = np.asarray(c, dtype=float)
+    return 0.5 * np.sqrt((c - 1.0) * (c + 1.0))
+
+
+def free_energy(Z, T) -> float | np.ndarray:
+    """F = -kB * T * ln(Z), for Z > 0."""
+    return -KB * np.asarray(T, dtype=float) * np.log(np.asarray(Z, dtype=float))
 
 
 def thermo_consistency_residual(c: np.ndarray, omega: float = 4.0e6) -> float:
@@ -207,6 +222,16 @@ def entropy_energy_slope_residual(c: float, omega: float = 4.0e6, rel_step: floa
 
 
 # --- gksl -----------------------------------------------------------------
+
+
+def von_neumann_epr_from_fluxes(T_A, dEA_dt, dEB_dt, T_B0: float) -> float | np.ndarray:
+    """Conventional rate in its defining flux form,
+    (1/T_A) dE_A/dt + (1/T_B0) dE_B/dt, before any weak-coupling reduction.
+
+    With exact fluxes this satisfies the identity
+    Pi_vN - Pi_tot = sum_j (1/T_B0 - 1/T_j) dE_j/dt to machine precision.
+    """
+    return np.asarray(dEA_dt) / np.asarray(T_A, dtype=float) + np.asarray(dEB_dt) / T_B0
 
 
 def epr_identity_residual(record, p: GkslParams) -> float:

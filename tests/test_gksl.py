@@ -11,12 +11,11 @@ from starbath.gksl import (
     gksl_system_temperature,
     von_neumann_ep,
     von_neumann_epr,
-    von_neumann_epr_from_fluxes,
 )
 from starbath.thermo import entropy, inverse_temperature, mean_energy, totals
 
 from highprec import REFERENCE
-from invariants import epr_identity_residual, random_star_model
+from invariants import epr_identity_residual, random_star_model, von_neumann_epr_from_fluxes
 
 
 @pytest.fixture(scope="module")

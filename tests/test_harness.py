@@ -8,7 +8,8 @@ import pytest
 
 import starbath as sb
 from starbath.config import JOB_INPUTS, JOBS, ConfigError, ExperimentConfig, load_config, parse_grid
-from starbath.constants import US
+from starbath.constants import UK, US
+from starbath.evolve import phase_time_limit
 from starbath.harness import _Run, _sweep_curves, affine_fit, proportional_fit, run_job
 from starbath.table import ResultTable, write_manifest
 
@@ -133,6 +134,14 @@ class TestConfig:
         times = ExperimentConfig().times()
         assert times.tobytes() == (np.linspace(0.0, 1200.0, 121) * US).tobytes()
 
+    def test_times_stop_below_the_phase_time_limit(self):
+        # config caps the grid with evolve's own limit: just below it passes, at it is refused
+        cfg = ExperimentConfig(n_modes=8, times_us=[0.0, 1.0])
+        limit = phase_time_limit(sb.discretize_ohmic_bath(cfg.bath_spec(8), cfg.omega1)) / US
+        ExperimentConfig(n_modes=8, times_us=[0.0, float(np.nextafter(limit, 0.0))])
+        with pytest.raises(ConfigError, match=re.escape(f"times_us: times must stay below {limit:.6g} us at N = 8")):
+            ExperimentConfig(n_modes=8, times_us=[0.0, limit])
+
     def test_times_in_seconds(self):
         cfg = ExperimentConfig(times_us=[0.0, 10.0])
         np.testing.assert_allclose(cfg.times(), [0.0, 10e-6])
@@ -180,7 +189,7 @@ class TestResultTable:
         for key, t in (("full", table), ("empty", empty)):
             expected = tmp_path / f"{key}_expected.csv"
             with open(expected, "w", newline="") as fh:
-                csv.writer(fh, dialect="excel").writerows([t.columns, *t.rows])
+                csv.writer(fh, dialect="excel").writerows([list(t.data), *t.rows])
             for block_rows in (3, 512):
                 monkeypatch.setattr("starbath.table._BLOCK_ROWS", block_rows)
                 assert t.write_csv(tmp_path / f"{key}.csv").read_bytes() == expected.read_bytes()
@@ -344,7 +353,7 @@ class TestFigureJobs:
     def test_fig4_and_fig5_windows(self, tmp_path):
         cfg = tiny_cfg(tmp_path, job="fig4", n_list=[16], mode_window_mhz=20.0, times_us=grid(0.5))
         r4 = run_job(cfg)
-        assert set(r4["tables"]["system"].columns) == {"t[us]", "T_A_exact[uK]", "T_A_gksl[uK]"}
+        assert set(r4["tables"]["system"].data) == {"t[us]", "T_A_exact[uK]", "T_A_gksl[uK]"}
         assert len(r4["tables"]["bath"].rows) == 16 * len(cfg.times_us)
         r5 = run_job(replace(cfg, job="fig5"))
         assert len(r5["tables"]["N16"].rows) == 16 * len(cfg.times_us)
@@ -355,7 +364,7 @@ class TestFigureJobs:
         cfg = tiny_cfg(tmp_path, job="fig5", n_list=[16], mode_window_mhz=20.0, times_us=grid(0.5))
         modes = run_job(cfg)["tables"]["N16"]
         assert (tmp_path / "fig5_modes_N16.csv").exists()
-        assert modes.columns == ["j[1]", "omega_j[MHz]", "t[us]", "T_j[uK]", "dEj_dt[J/s]"]
+        assert list(modes.data) == ["j[1]", "omega_j[MHz]", "t[us]", "T_j[uK]", "dEj_dt[J/s]"]
         assert modes.column("j[1]").tolist() == np.repeat(np.arange(2, 18), len(cfg.times_us)).tolist()
         flux = modes.column("dEj_dt[J/s]").reshape(16, len(cfg.times_us)).sum(axis=0)
         sim = run_job(replace(cfg, job="simulate"))["tables"]["simulate"]
@@ -363,6 +372,29 @@ class TestFigureJobs:
         np.testing.assert_allclose(flux, dEB, rtol=1e-12, atol=1e-12 * np.abs(dEB).max())
         bath = run_job(replace(cfg, job="fig4"))["tables"]["bath"]
         np.testing.assert_array_equal(bath.column("T_j[uK]"), modes.column("T_j[uK]"))
+
+    def test_specialised_jobs_write_the_full_evaluation_bits(self, tmp_path):
+        # fig1, fig2, fig4 and fig5 evaluate the system row, the cross terms or
+        # a mode window alone; each column they share with simulate (or fig4
+        # with fig5) holds the same bits
+        cfg = tiny_cfg(tmp_path, n_modes=24, n_list=[24], mode_window_mhz=3.0, pivn_mode="exact", times_us=grid(5.0, 7))
+
+        def tables(job):
+            return run_job(replace(cfg, job=job, out_dir=str(tmp_path / job)))["tables"]
+
+        sim = tables("simulate")["simulate"].data
+        fig2 = tables("fig2")["fluxes"].data
+        fig3 = tables("fig3")["N24"].data
+        checks = [(fig2, name) for name in ("dEA_dt[J/s]", "dEB_dt[J/s]", "dEI_dt[J/s]")]
+        checks += [(tables("fig1")["N24"].data, "sigma11_exact[1]"), (fig3, "Pi_tot[kB/ms]"), (fig3, "Pi_vN[kB/ms]")]
+        for table, name in checks:
+            assert np.array_equal(table[name], sim[name]), name
+        fig4, modes = tables("fig4"), tables("fig5")["N24"].data
+        assert 0 < len(modes["j[1]"]) < 24 * len(cfg.times_us) and modes["j[1]"][0] > 2  # a window inside the bath
+        for name in ("j[1]", "omega_j[MHz]", "t[us]", "T_j[uK]"):
+            assert np.array_equal(fig4["bath"].data[name], modes[name]), name
+        _, T_A = sb.inverse_temperature(sim["sigma11_exact[1]"], cfg.omega1)
+        assert np.array_equal(fig4["system"].data["T_A_exact[uK]"], T_A / UK)
 
 
 class TestSweepJob:
