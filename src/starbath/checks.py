@@ -28,7 +28,7 @@ def oracle_equivalence_residual(model: StarModel, init: InitialTemperatures, tim
 
 def unitarity_residual(basis: ModeBasis, times) -> float:
     """Largest deviation of the row sums sum_m |U_jm|^2 from 1 over ``times``."""
-    row_sums, _ = evaluate(basis, np.ones(basis.dimension), np.atleast_1d(times), cross=False)
+    row_sums, _ = evaluate(basis, np.ones(basis.dimension), np.atleast_1d(times))
     return float(np.max(np.abs(row_sums - 1.0)))
 
 

@@ -1,7 +1,7 @@
 """Command-line interface: ``starbath JOB [flags]``, one parser for every job.
 
-Exit codes: 0 on success, 2 on configuration errors, 3 when a residual in
-the validate job's checks table exceeds its tolerance.
+Exit codes: 0 on success, 2 on configuration errors (an unusable --out too),
+3 when a residual in the validate job's checks table exceeds its tolerance.
 """
 
 from __future__ import annotations
@@ -63,12 +63,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-    except ConfigError as exc:
+        result = run_job(_config_from_args(args))
+    except (ConfigError, FileExistsError, NotADirectoryError, PermissionError) as exc:  # OSErrors: an unusable --out
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    result = run_job(cfg)
     for path in [*result["files"], result["manifest"]]:
         print(f"wrote {path}")
     checks = result["tables"].get("checks")

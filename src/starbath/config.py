@@ -89,9 +89,14 @@ class ExperimentConfig:
             base = f.type.removeprefix("list[").partition("]")[0]
             kind = {"float": numbers.Real, "int": numbers.Integral, "str": str}.get(base)
             value, listed = getattr(self, f.name), f.type.startswith("list[")
+            if isinstance(value, (np.generic, np.ndarray)):  # numpy values as the Python ones they hold
+                value = value.tolist()
+            elif isinstance(value, (list, tuple)):
+                value = [item.tolist() if isinstance(item, np.generic) else item for item in value]
+            setattr(self, f.name, value)
             if kind is None or (value is None and f.type.endswith("None")):
                 continue
-            if listed and not isinstance(value, (list, tuple, np.ndarray)):
+            if listed and not isinstance(value, (list, tuple)):
                 raise ConfigError(f"{f.name}: expected a list of numbers, got {value!r}")
             for item in value if listed else [value]:
                 if isinstance(item, bool) or not isinstance(item, kind):

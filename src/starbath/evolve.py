@@ -644,8 +644,7 @@ def evaluate(
     c0: np.ndarray,
     times,
     bath=None,
-    cross: bool = True,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Covariance data for every time of the ascending grid in one batch.
 
     ``c0`` holds the N+1 initial diagonal coefficients (system first) and
@@ -653,10 +652,10 @@ def evaluate(
     (default (0, N): every mode; (0, 0): the system row alone).  Returns
     ``(c, x)``: the diagonal coefficients c_j(t) of the system and the span,
     shape (len(times), 1 + hi - lo), system first, and the cross terms
-    x_j(t) = sigma_{1,2j}(t) of the span, shape (len(times), hi - lo), or
-    None when ``cross`` is false.  Deflated modes keep c0 and +0.0 cross
-    terms.  Costs O(T N log N) time: the resolvent sums correlate over the
-    whole bath, and the kernel sums and formulas run over the span, with
+    x_j(t) = sigma_{1,2j}(t) of the span, shape (len(times), hi - lo), which
+    is (len(times), 0) for the system row.  Deflated modes keep c0 and +0.0
+    cross terms.  Costs O(T N log N) time: the resolvent sums correlate over
+    the whole bath, and the kernel sums and formulas run over the span, with
     FFTs whose length covers N plus the span, so a window of modes costs
     about half of all modes.  Memory is O(N) beyond the output c and x, all
     real, whatever T is: the resolvent plan is formed once, and one loop over
@@ -691,7 +690,7 @@ def evaluate(
         )
     g = basis.couplings
     c = np.broadcast_to(c0[np.r_[0, 1 + lo : 1 + hi]], (nt, 1 + hi - lo)).copy()  # deflated modes keep c0
-    x = np.zeros((nt, hi - lo)) if cross else None
+    x = np.zeros((nt, hi - lo))
     if not np.any(g):  # no mode moves from c0
         return c, x
 
@@ -701,7 +700,7 @@ def evaluate(
     resolvents = _resolvents(basis, lo, hi)
     wv = g * g * c0[1:]
     if hi > lo:
-        plan = _kernel_spectra(len(g), lo, hi, (1, 2) if cross else (2,), -1.0 / basis.model.delta_omega, gap=0)
+        plan = _kernel_spectra(len(g), lo, hi, (1, 2), -1.0 / basis.model.delta_omega, gap=0)
         # the kernel sums take sub-chunks of a chunk's times whose 3 rows each fill whole FFT calls,
         # about _CHUNK_BYTES of rows
         per_call = plan[2]
@@ -727,7 +726,7 @@ def evaluate(
             np.multiply(A[ts], wv, out=R[: 2 * k])
             np.multiply(A[ts][0::2], R[: 2 * k : 2], out=R[2 * k :])
             R[2 * k :] += A[ts][1::2] * R[1 : 2 * k : 2]
-            K, L = np.zeros((3 * k, hi - lo)), np.zeros((2 * k, hi - lo)) if cross else None
+            K, L = np.zeros((3 * k, hi - lo)), np.zeros((2 * k, hi - lo))
             _correlate(R, [(K, 2, lo), (L, 1, lo)], plan)
             del R  # the formulas' temporaries take its place
 
@@ -740,14 +739,13 @@ def evaluate(
                 + gj**2 * (Bt[0::2] ** 2 + Bt[1::2] ** 2) * c0j
             )
             np.copyto(c[t0 + s0 : t0 + s1, 1:], cs, where=coupled)
-            if cross:
-                u_r, u_i = system_amp.real[s0:s1, None], system_amp.imag[s0:s1, None]
-                xs = gj * (
-                    c0[0] * (u_r * b - u_i * a)
-                    + gj**2 * c0j * (a * Bt[1::2] - b * Bt[0::2])
-                    - (b * L[0::2] - a * L[1::2])
-                )
-                np.copyto(x[t0 + s0 : t0 + s1], xs, where=coupled)
+            u_r, u_i = system_amp.real[s0:s1, None], system_amp.imag[s0:s1, None]
+            xs = gj * (
+                c0[0] * (u_r * b - u_i * a)
+                + gj**2 * c0j * (a * Bt[1::2] - b * Bt[0::2])
+                - (b * L[0::2] - a * L[1::2])
+            )
+            np.copyto(x[t0 + s0 : t0 + s1], xs, where=coupled)
         # sum_j wv_j |A_j|^2 over the real and imaginary rows, in place and without BLAS, whose GEMV
         # splits rows between threads and so gives bits that depend on the thread count
         a2 = np.multiply(np.square(A, out=A), wv, out=A).sum(axis=1)

@@ -101,11 +101,11 @@ class _Run:
         """Thermo record of ``series``; its first time is the baseline."""
         return totals(self.series, self.series.at(0))
 
-    def evaluate(self, bath, cross: bool = True):
+    def evaluate(self, bath):
         """(c, x) on the grid for the system and the span ``bath`` of bath
-        indices; see ``evolve.evaluate``."""
+        indices, one x column per span mode; see ``evolve.evaluate``."""
         c0 = initial_coefficients(self.basis.frequencies, self.init)
-        return evaluate(self.basis, c0, self.times, bath, cross)
+        return evaluate(self.basis, c0, self.times, bath)
 
     @property
     def sigma11(self) -> np.ndarray:
@@ -155,7 +155,7 @@ def _simulate_curves(run: _Run) -> dict:
 def _fig1_curves(run: _Run) -> dict:
     """System coefficient sigma11(t) per N; the N-independent closed-form
     curve comes last."""
-    c1 = run.evaluate((0, 0), cross=False)[0][:, 0]
+    c1 = run.evaluate((0, 0))[0][:, 0]
     curves = {f"N{run.n}": (f"fig1_sigma11_N{run.n}.csv", _grid_table(run, {"sigma11_exact[1]": c1}))}
     if run.n == run.cfg.n_values()[-1]:
         gksl = _grid_table(run, {"sigma11_gksl[1]": gksl_sigma11(run.params, run.times)})
@@ -203,7 +203,7 @@ def _mode_map(run: _Run, c: np.ndarray, x: np.ndarray | None = None) -> ResultTa
 def _fig4_curves(run: _Run) -> dict:
     """System temperature, exact and closed form, plus the bath temperatures
     in the mode window."""
-    c, _ = run.evaluate(run.window, cross=False)
+    c, _ = run.evaluate(run.window)
     _, T_exact = inverse_temperature(c[:, 0], run.model.omega1)
     T_gksl = gksl_system_temperature(run.params, run.times)
     system = _grid_table(run, {"T_A_exact[uK]": T_exact / UK, "T_A_gksl[uK]": T_gksl / UK})
@@ -333,6 +333,8 @@ def run_job(cfg: ExperimentConfig) -> dict:
     exactly the fields the job read, with ``n_list`` resolved to the N
     values run.
     """
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # first, so an unusable directory fails before any evaluation
     reads = JOB_INPUTS[cfg.job]
     multi_n, sweep = "n_list" in reads, "sweep_times_us" in reads
     n_values = cfg.n_values()
@@ -347,7 +349,6 @@ def run_job(cfg: ExperimentConfig) -> dict:
                 curves[key] = (name, table)
         derived[f"N{n}"] = derived_constants(run.basis, run.params)
 
-    out_dir = Path(cfg.out_dir)
     files = [table.write_csv(out_dir / name) for name, table in curves.values()]
     tables = {key: table for key, (_, table) in curves.items()}
     parameters = {name: getattr(cfg, name) for name in reads}

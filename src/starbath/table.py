@@ -2,7 +2,7 @@
 and its RFC-4180 CSV (CRLF, comma-separated, nothing quoted) under a
 ``name[unit]`` header, written in blocks of rows, each distinct value of a
 column formatted once per block by repr's shortest round-trip decimals, so
-identical configs give bit-identical files."""
+identical configs give bit-identical files; the directory must exist."""
 
 from __future__ import annotations
 
@@ -45,7 +45,6 @@ class ResultTable:
             text = a.tolist() if a.dtype.kind == "U" else []
             if any(ch in cell for cell in (name, *text) for ch in ',"\r\n'):
                 raise ValueError(f"column {name!r} holds a comma, quote or line break, which CSV would have to quote")
-        path.parent.mkdir(parents=True, exist_ok=True)
         rows = len(next(iter(self.data.values()), ()))
         with open(path, "w", newline="") as fh:
             if self.data:
@@ -66,14 +65,12 @@ def _cells(a: np.ndarray) -> list[str]:
 
 
 def write_manifest(path: str | Path, *, files: list[str], parameters: dict, derived: dict, extra: dict | None = None) -> Path:
-    """Emit the run manifest: produced files, input parameters, and the
-    derived constants (dw, Gamma, t1, nbar, ...)."""
+    """Emit the run manifest, into an existing directory: produced files,
+    input parameters, and the derived constants (dw, Gamma, t1, nbar, ...)."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {"files": files, "parameters": parameters, "derived": derived}
     if extra:
         payload.update(extra)
-    # ``default`` writes array-valued config fields, such as numpy time grids, as lists
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=np.ndarray.tolist)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     path.write_text(text + "\n")
     return path

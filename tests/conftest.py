@@ -64,7 +64,7 @@ class ProductionContext:
         if key not in self._c1:
             basis = self.basis(n)
             c0 = initial_coefficients(basis.frequencies, self.init)
-            c, _ = evaluate(basis, c0, np.asarray(times_us) * 1e-6, (0, 0), cross=False)
+            c, _ = evaluate(basis, c0, np.asarray(times_us) * 1e-6, (0, 0))
             self._c1[key] = c[:, 0]
         return self._c1[key]
 

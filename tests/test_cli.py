@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import starbath
-from starbath import evolve
+from starbath import evolve, harness
 from starbath.cli import _build_parser, _config_from_args, main
 from starbath.config import JOB_INPUTS, JOBS
 
@@ -332,6 +332,21 @@ def test_bad_config_exits_2(tmp_path, capsys):
     rc = main(["simulate", "--config", str(cfg_path)])
     assert rc == 2
     assert "mystery" in capsys.readouterr().err
+
+
+def test_unusable_out_exits_2_before_any_evaluation(tmp_path, monkeypatch, capsys):
+    # an --out under a file, or naming one, is a config error found before
+    # the job builds its first mode basis
+    def refuse(model):
+        raise AssertionError("evaluation started with an unusable --out")
+
+    monkeypatch.setattr(harness, "mode_basis", refuse)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker / "x", blocker):
+        assert main(["fig1", "--n-list", "64", "--grid", "0:10:3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(blocker) in err
 
 
 def test_config_field_the_job_does_not_read_is_not_checked(tmp_path, capsys):

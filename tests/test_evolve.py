@@ -280,14 +280,13 @@ class TestSnapshots:
         c0 = initial_coefficients(basis.frequencies, init)
         series = sb.snapshot_series(basis, init, times)
         # the specialised evaluations the jobs run give the full evaluation's bits
-        c1 = sb.evaluate(basis, c0, times, (0, 0), cross=False)[0][:, 0]
+        c1, x1 = sb.evaluate(basis, c0, times, (0, 0))
         xs = sb.evaluate(basis, c0, times)[1]
-        window = sb.evaluate(basis, c0, times, (4, 10), cross=False)[0]
         cw, xw = sb.evaluate(basis, c0, times, (4, 10))
-        assert np.array_equal(c1, series.c[:, 0])
+        assert np.array_equal(c1[:, 0], series.c[:, 0]) and x1.shape == (len(times), 0)
         assert np.array_equal(xs, series.x)
-        assert np.array_equal(window[:, 1:], series.c[:, 5:11])
-        assert np.array_equal(cw, window)
+        assert np.array_equal(cw[:, 0], series.c[:, 0])
+        assert np.array_equal(cw[:, 1:], series.c[:, 5:11])
         assert np.array_equal(xw, series.x[:, 4:10])
 
 
@@ -312,8 +311,9 @@ class TestEvaluate:
             np.testing.assert_allclose(cw[:, 0], c[:, 0], rtol=1e-13)
             np.testing.assert_allclose(cw[:, 1:], c[:, 1 + lo : 1 + hi], rtol=1e-13)
             np.testing.assert_allclose(xw, x[:, lo:hi], rtol=1e-12, atol=1e-15 * np.abs(x).max())
-        cw, xw = sb.evaluate(basis, c0, times, (6, 7), cross=False)
-        assert xw is None and np.allclose(cw[:, 1], c[:, 7], rtol=1e-13)
+        cw, xw = sb.evaluate(basis, c0, times, (6, 7))
+        assert xw.shape == (len(times), 1) and np.allclose(cw[:, 1], c[:, 7], rtol=1e-13)
+        np.testing.assert_allclose(xw[:, 0], x[:, 6], rtol=1e-12, atol=1e-15 * np.abs(x).max())
 
     def test_batch_matches_per_time_calls(self, setup):
         basis, c0, times = setup
@@ -328,11 +328,12 @@ class TestEvaluate:
         # no bit of the result.  The kernel sums take 1 time per chunk, then
         # 1 + 2 + 2 of the 5 times, then 2 + 3, then all 5, and in the last case
         # the resolvent sums take chunks of 2 + 2 + 1 times; the span of bath
-        # modes 39-58 starts B at its second block of targets
+        # modes 39-58 starts B at its second block of targets, and the system
+        # row's x keeps its (T, 0) shape
         basis, c0, times = setup
         n = len(basis.couplings)
         cases = ((1, 8, 1), (48 * n, 1, 2**22), (8 * 7 * 64, 3, 2**22), (2**24, 64, 2**30), (1, 1, 2**22))
-        for bath in ((1, 49), (39, 59), None):
+        for bath in ((1, 49), (39, 59), (0, 0), None):
             monkeypatch.setattr(evolve, "_CHUNK_BYTES", 2**19)
             monkeypatch.setattr(evolve, "_FFT_ROWS", 8)
             monkeypatch.setattr(evolve, "_FFT_BYTES", 2**22)
@@ -379,7 +380,6 @@ class TestEvaluate:
             assert np.all(cw[:, 1 + j] == c0[4 + j]) and np.all(xw[:, j] == 0.0) and not np.any(np.signbit(xw[:, j]))
         np.testing.assert_allclose(cw[:, [0, 2, 3, 4]], c[:, [0, 5, 6, 7]], rtol=1e-13)
         np.testing.assert_allclose(xw[:, 1:4], x[:, 4:7], rtol=1e-12, atol=1e-15 * np.abs(x).max())
-        assert np.array_equal(sb.evaluate(basis_d, c0, times, (3, 8), cross=False)[0], cw)
 
     @pytest.mark.parametrize("case", ["system_row", "window", "all_rows", "partly_deflated"])
     def test_time_local(self, production, case):
@@ -392,10 +392,10 @@ class TestEvaluate:
         bath = {"system_row": (0, 0), "window": (window[0], window[-1] + 1)}.get(case)
         c0 = initial_coefficients(basis.frequencies, production.init)
         times = np.linspace(0.0, 400e-6, 80)
-        c, x = sb.evaluate(basis, c0, times, bath, cross=case != "system_row")
-        halves = [sb.evaluate(basis, c0, half, bath, cross=case != "system_row") for half in np.split(times, 2)]
+        c, x = sb.evaluate(basis, c0, times, bath)
+        halves = [sb.evaluate(basis, c0, half, bath) for half in np.split(times, 2)]
         assert np.array_equal(c, np.concatenate([h[0] for h in halves]))
-        assert x is None if case == "system_row" else np.array_equal(x, np.concatenate([h[1] for h in halves]))
+        assert np.array_equal(x, np.concatenate([h[1] for h in halves]))
 
     def test_system_row_peak_does_not_grow_with_times(self, production):
         # a system row at N = 16000 over 401 times: chunks of 16 times keep the
@@ -407,11 +407,43 @@ class TestEvaluate:
         c0 = initial_coefficients(basis.frequencies, production.init)
         tracemalloc.start()
         try:
-            c, _ = sb.evaluate(basis, c0, times, (0, 0), cross=False)
+            c, _ = sb.evaluate(basis, c0, times, (0, 0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 134 * 8 * basis.dimension + c.nbytes
+
+    def test_system_row_runs_no_bath_row_kernel_sums(self, production, monkeypatch):
+        # the span (0, 0) takes one rfft for the resolvent plan's kernel
+        # spectrum, then, in each chunk of T times, one rfft and one irfft per
+        # group of _FFT_ROWS of its 2T real rows of A: the bath rows' kernel
+        # spectra and sums K and L never run.  At N = 2000 _FFT_BYTES caps no
+        # group, so the counts follow from the chunk sizes alone
+        basis = production.basis(2000)
+        c0 = initial_coefficients(basis.frequencies, production.init)
+        size = evolve._fft_size(2 * len(basis.couplings) + evolve._SPREAD - 1)
+        assert 8 * size * evolve._FFT_ROWS <= evolve._FFT_BYTES
+        calls, chunks = {"rfft": 0, "irfft": 0}, []
+
+        def counted(name, fft):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fft(*args, **kwargs)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+        phases = evolve._phases
+        monkeypatch.setattr(evolve, "_phases", lambda times, *args: chunks.append(len(times)) or phases(times, *args))
+        for nt in (31, 121):
+            calls.update(rfft=0, irfft=0)
+            chunks.clear()
+            sb.evaluate(basis, c0, np.linspace(0.0, 400e-6, nt), (0, 0))
+            groups = sum(-(-2 * k // evolve._FFT_ROWS) for k in chunks)
+            assert sum(chunks) == nt
+            assert calls == {"rfft": 1 + groups, "irfft": groups}
+        assert len(chunks) > 1  # the 121 times take several chunks
 
     def test_system_row_scratch_at_4000(self, production):
         # fig1's system row at N = 4000 over 31 times, in chunks of 16 and 15
@@ -425,7 +457,7 @@ class TestEvaluate:
         c0 = initial_coefficients(basis.frequencies, production.init)
         tracemalloc.start()
         try:
-            sb.evaluate(basis, c0, times, (0, 0), cross=False)
+            sb.evaluate(basis, c0, times, (0, 0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -487,7 +519,7 @@ class TestEvaluate:
             "cfg = sb.ExperimentConfig(n_modes=50000)\n"
             "basis = sb.mode_basis(sb.discretize_ohmic_bath(cfg.bath_spec(), cfg.omega1))\n"
             "c0 = sb.initial_coefficients(basis.frequencies, cfg.initial_temperatures())\n"
-            "c, _ = sb.evaluate(basis, c0, np.linspace(0.0, 400e-6, 41), (0, 0), cross=False)\n"
+            "c, _ = sb.evaluate(basis, c0, np.linspace(0.0, 400e-6, 41), (0, 0))\n"
             "sys.stdout.write(c.tobytes().hex())\n"
         )
         src = os.path.dirname(os.path.dirname(sb.__file__))
@@ -755,7 +787,7 @@ class TestResolventSums:
         c0 = initial_coefficients(basis.frequencies, production.init)
         tracemalloc.start()
         try:
-            c, _ = sb.evaluate(basis, c0, times, (0, 0), cross=False)
+            c, _ = sb.evaluate(basis, c0, times, (0, 0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -123,6 +123,33 @@ class TestConfig:
         unread = {name: value for name, value in bad.items() if name not in JOB_INPUTS[job]}
         assert ExperimentConfig(job=job, **unread).job == job
 
+    @pytest.mark.parametrize(
+        "job, numpy_values, python_values",
+        [
+            ("fig1", {"n_list": np.array([8, 16])}, {"n_list": [8, 16]}),
+            ("sweep-n", {"n_list": np.array([8, 16, 32])}, {"n_list": [8, 16, 32]}),
+            ("simulate", {"n_modes": np.int64(16)}, {"n_modes": 16}),
+            ("simulate", {"eta": np.float32(1e-3)}, {"eta": float(np.float32(1e-3))}),
+            ("fig5", {"times_us": np.array(grid(0.2))}, {"times_us": grid(0.2)}),
+            ("simulate", {"times_us": [0, np.float64(0.1), np.int64(1)]}, {"times_us": [0, 0.1, 1]}),
+        ],
+        ids=["fig1_n_list", "sweep_n_list", "n_modes_int64", "eta_float32", "fig5_times", "mixed_list"],
+    )
+    def test_numpy_values_write_what_python_values_write(self, tmp_path, job, numpy_values, python_values):
+        # numpy scalars and arrays are stored as the Python values they hold: an
+        # array n_list has no truth value, a numpy integer has no JSON form and a
+        # float32 eta would carry Gamma and the couplings in float32.  Python ints
+        # in float fields stay ints, as a JSON file gives them
+        written, stored = [], []
+        for name, values in (("numpy", numpy_values), ("python", python_values)):
+            out = tmp_path / name
+            cfg = tiny_cfg(out, **({"job": job, "times_us": grid(0.2), "sweep_times_us": [0.1, 0.2]} | values))
+            run_job(cfg)
+            written.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+            stored.append({key: repr(getattr(cfg, key)) for key in values})
+        assert written[0] == written[1] and len(written[0]) >= 2
+        assert stored[0] == stored[1]
+
     def test_parse_grid(self):
         assert parse_grid("0:1200:121") == np.linspace(0.0, 1200.0, 121).tolist()
         assert parse_grid("0:2:3") == [0.0, 1.0, 2.0]
