@@ -394,21 +394,22 @@ def _fft_size(n):
     return best
 
 
-def _lagrange_weights(u):
+def _lagrange_weights(u, empty):
     """Lagrange weights at offsets ``u`` (K,) on the _SPREAD unit-spaced nodes
-    -_SPREAD//2 ... _SPREAD - 1 - _SPREAD//2, as (K, _SPREAD); each is the
-    product over the other nodes: the prefix products, built in the result,
-    times the suffix products, run from the right in its first column."""
+    -_SPREAD//2 ... _SPREAD - 1 - _SPREAD//2, as (_SPREAD, K), 0 where ``empty``;
+    each is the product over the other nodes: prefix products in the rows of
+    the result times suffix products run from the right in its first row."""
     nodes = np.arange(_SPREAD) - _SPREAD // 2
-    weights = np.ones((len(u), _SPREAD))
+    weights = np.ones((_SPREAD, len(u)))
     for i in range(1, _SPREAD):
-        np.multiply(weights[:, i - 1], u - nodes[i - 1], out=weights[:, i])
-    suffix = weights[:, 0]  # its prefix product is 1: the running suffix product
+        np.multiply(weights[i - 1], u - nodes[i - 1], out=weights[i])
+    suffix = weights[0]  # its prefix product is 1: the running suffix product
     for i in range(_SPREAD - 1, 0, -1):
-        weights[:, i] *= suffix
+        weights[i] *= suffix
         suffix *= u - nodes[i]
     scale = [(-1) ** (_SPREAD - 1 - i) * math.factorial(i) * math.factorial(_SPREAD - 1 - i) for i in range(_SPREAD)]
-    weights /= np.array(scale, dtype=float)
+    weights /= np.array(scale, dtype=float)[:, None]
+    weights[:, empty] = 0.0
     return weights
 
 
@@ -426,27 +427,26 @@ def _resolvents(basis, lo, hi):
 
     In spacing units root k sits at x_k = p + d_k/step, in the cell
     (m_k - 1, m_k) with m_k = p + ceil(d_k/step), and target j at j;
-    interlacing leaves at most one live root in a cell.  The plan holds the
-    cell map: each root's column of the charges, its phase data (pole, shift
-    and weight), its _SPREAD Lagrange weights and its pole and shift by cell;
-    the target index; the far-field kernel spectra; and the direct-sum
-    matrices of the roots beyond cells 0 ... N.  Per chunk of times, one pass
-    of ``_phases`` writes each z_k straight into its cell's charge rows.  The
-    cells within _BAND of a target take the exact shifted differences
-    step (p - j) + d_k: a time-independent correction, exact minus grid
-    value, rebuilt per chunk and applied as block GEMMs of _CELLS targets
-    (``_near_band``).  The far field comes from the charges that each root's
-    Lagrange weights put on the half-integer nodes around its cell, formed in
-    place of the cell charges (``_spread``): node k sits at
+    interlacing leaves at most one live root in a cell.  The plan, about
+    8 x 8N bytes (10 x with B over all modes), holds the cell map: each
+    root's column of the charges, its phase data (pole, shift and weight)
+    and its pole and shift by cell; the target index; the far-field kernel
+    spectra; and the direct-sum matrices of the roots beyond cells 0 ... N.
+    Per chunk of times, one pass of ``_phases`` writes each z_k straight
+    into its cell's charge rows.  The cells within _BAND of a target take
+    the exact shifted differences step (p - j) + d_k: a time-independent
+    correction, exact minus grid value, rebuilt per chunk and applied as
+    block GEMMs of _CELLS targets (``_near_band``).  The far field comes
+    from the charges that the Lagrange weights of each root's offset from
+    its cell's centre put on the half-integer nodes around the cell, formed
+    in place of the cell charges (``_spread``): node k sits at
     k - _SPREAD//2 - 1/2, so per row FFTs correlate them with
     1/(w_node - w_j)^p = (-1/(step (lag + _SPREAD//2 + 1/2)))^p at the lags
     j - k, p = 1 (A) or 2 (B).  The roots beyond the cells take the direct
-    sum.  The plan is O(N): about 24 x 8N bytes, two thirds of it the
-    Lagrange weights.  An apply to T times holds the (2T, N) charges and
-    sums A, B over only the target blocks that meet the span (returned as a
-    view of the span), and scratch buffers of about _CHUNK_BYTES each
-    besides the FFTs'.
-    """
+    sum.  An apply to T times holds the (2T, N) charges and sums A, B over
+    only the target blocks that meet the span (returned as a view of the
+    span), the (_SPREAD, cells) weights, formed per apply and dropped before
+    the FFTs, and scratch buffers of about _CHUNK_BYTES each besides those."""
     n, step = len(basis.couplings), basis.model.delta_omega
     R, W = _BAND, _CELLS
     live = np.flatnonzero(basis.weights)
@@ -466,12 +466,8 @@ def _resolvents(basis, lo, hi):
     pole_w, shift, weight = np.zeros((3, cells + W + len(outer)))
     pole_w[col], shift[col], weight[col] = basis.frequencies[1 + p], basis.pole_residuals[live] + d, basis.weights[live]
 
-    at = col[inside]
-    cell_p, cell_d, u = np.full(cells, -np.inf), np.zeros(cells), np.zeros(cells)
-    cell_p[at], cell_d[at] = p[inside], d[inside]
-    u[at] = (p - m + 0.5)[inside] + (d / step)[inside]
-    weights = _lagrange_weights(u)
-    weights[cell_p == -np.inf] = 0.0
+    cell_p, cell_d = np.full(cells, -np.inf), np.zeros(cells)
+    cell_p[col[inside]], cell_d[col[inside]] = p[inside], d[inside]
     index = np.full(nb * W, np.inf)
     index[:n] = np.where(basis.couplings != 0, np.arange(n), np.inf)
     first = lo // W
@@ -490,8 +486,10 @@ def _resolvents(basis, lo, hi):
         zc = zc.reshape(2 * nt, -1)
         A = np.empty((2 * nt, nb * W))
         B = np.empty((2 * nt, (stop - first) * W)) if hi > lo else None
+        weights = _lagrange_weights((cell_p - np.arange(-R, cells - R)) + 0.5 + cell_d / step, cell_p == -np.inf)
         _near_band(zc[:, :cells], weights, cell_p, cell_d, index, step, *kernel, ((A, 1, 0, nb), (B, 2, first, stop)))
         _spread(zc[:, : cells + W], weights)
+        del weights  # before the FFT buffers
         B = None if B is None else B[:, lo - first * W : hi - first * W]
         _correlate(zc[:, R : R + n + _SPREAD], [(A[:, :n], 1, 0), (B, 2, lo)], plan)
         if len(outer):
@@ -508,12 +506,12 @@ def _near_band(zc, weights, cell_p, cell_d, index, step, scale, shift, outs):
     """Writes the near band of the resolvent sums into each (out, power,
     first, stop) of ``outs``, for the target blocks first ... stop - 1 (none
     when out is None), whose first target is column 0 of out: block b meets
-    cells bW - R ... bW + W + R - 1 (span) of the charges ``zc``; row c of the
-    table weights @ kernel holds cell c's grid values at the offsets
-    cell - target = R + W - 1 ... -(R + W - 1), read for each block as a
-    strided view; the block GEMMs write straight into out.  Grid values are
-    ``_correlate``'s, so the band takes off what the far field adds.  A
-    group's table and exact values take about _CHUNK_BYTES together."""
+    cells bW - R ... bW + W + R - 1 (span) of the charges ``zc``; row c of
+    the table weights.T @ kernel (weights: (P, cells)) holds cell c's grid
+    values at the offsets cell - target = R + W - 1 ... -(R + W - 1), read
+    for each block as a strided view; the block GEMMs write straight into
+    out.  Grid values are ``_correlate``'s, so the band takes off what the
+    far field adds; a group's table and exact values take about _CHUNK_BYTES."""
     P, R, W = _SPREAD, _BAND, _CELLS
     nb = len(index) // W
     span, lags = W + 2 * R, 2 * (R + W) - 1
@@ -530,7 +528,7 @@ def _near_band(zc, weights, cell_p, cell_d, index, step, scale, shift, outs):
         for b0 in range(first, stop, group):
             g = min(group, stop - b0)
             blk, tgt = slice(b0, b0 + g), slice(b0 * W, (b0 + g) * W)
-            tab = np.matmul(weights[b0 * W : (b0 + g) * W + 2 * R], kernel, out=table[: g * W + 2 * R])
+            tab = np.matmul(weights[:, b0 * W : (b0 + g) * W + 2 * R].T, kernel, out=table[: g * W + 2 * R])
             grid = strided(tab[0, lags - W :], (g, span, W), (W * row, row - col, col))
             diff = np.subtract(near_p[blk], index[tgt].reshape(g, 1, W), out=exact[:g])
             diff *= step
@@ -545,12 +543,13 @@ def _near_band(zc, weights, cell_p, cell_d, index, step, scale, shift, outs):
 
 def _spread(zc, weights):
     """Replaces the cell charges ``zc`` (rows, cells + W) by node charges:
-    cell c spreads onto nodes c ... c + P - 1 as block GEMMs of W cells.
-    Groups of blocks run from the top down, so each reads its own cells
-    before writing its nodes, and its overhang adds onto the nodes of the
-    group above; the last block of ``zc`` must hold zeros."""
+    cell c spreads by column c of ``weights`` (P, cells) onto nodes c ...
+    c + P - 1, as block GEMMs of W cells.  Groups of blocks run from the top
+    down, so each reads its own cells before writing its nodes, and its
+    overhang adds onto the nodes of the group above; the last block of
+    ``zc`` must hold zeros."""
     P, W = _SPREAD, _CELLS
-    rows, blocks = len(zc), len(weights) // W
+    rows, blocks = len(zc), weights.shape[1] // W
     group = min(blocks, max(1, _CHUNK_BYTES // (8 * (W + P - 1) * max(W, rows))))
     spread = np.zeros((group, W, W + P - 1))  # row s of block c holds its P weights from column s on
     band = np.lib.stride_tricks.as_strided(
@@ -560,7 +559,7 @@ def _spread(zc, weights):
     nodes = zc.reshape(rows, blocks + 1, W)
     for c0 in reversed(range(0, blocks, group)):
         g = min(group, blocks - c0)
-        band[:g] = weights[c0 * W : (c0 + g) * W].reshape(g, W, P)
+        band[:g] = weights[:, c0 * W : (c0 + g) * W].reshape(P, g, W).transpose(1, 2, 0)
         np.matmul(nodes[:, c0 : c0 + g].transpose(1, 0, 2), spread[:g], out=part[:g])
         nodes[:, c0 : c0 + g] = part[:g, :, :W].transpose(1, 0, 2)
         nodes[:, c0 + 1 : c0 + g + 1, : P - 1] += part[:g, :, W:].transpose(1, 0, 2)
@@ -665,9 +664,9 @@ def evaluate(
     phases go straight into a chunk's (2T, N) charges, which the far field
     reuses for its node charges; c and x read its (2T, N) sums in that
     layout, and the kernel sums form their rows and sums by sub-chunks of
-    times (README lists the traced peaks).  Each chunk rebuilds the near
-    band, 2.5 ms at N = 4000.  ValueError once the last time times the top
-    eigenfrequency reaches 2^31 2 pi (phase range).
+    times (README lists the traced peaks).  Each chunk forms the Lagrange
+    weights and the near band, 3 ms at N = 4000.  ValueError once the last
+    time times the top eigenfrequency reaches 2^31 2 pi (phase range).
     """
     grid = validated_grid(times)
     n = basis.dimension

@@ -51,7 +51,7 @@ class ResultTable:
                 fh.write(",".join(self.data) + "\r\n")  # RFC-4180 CRLF
             for r0 in range(0, rows, _BLOCK_ROWS):
                 cells = [_cells(a[r0 : r0 + _BLOCK_ROWS]) for a in self.data.values()]
-                fh.writelines(f"{line}\r\n" for line in map(",".join, zip(*cells)))
+                fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
         return path
 
 
@@ -61,7 +61,8 @@ def _cells(a: np.ndarray) -> list[str]:
     if a.dtype.kind == "U":
         return a.tolist()
     distinct, inverse = np.unique(a.view(f"i{a.itemsize}") if a.dtype.kind == "f" else a, return_inverse=True)
-    return np.array([repr(v) for v in distinct.view(a.dtype).tolist()], dtype=object)[inverse].tolist()
+    cells = [repr(v) for v in distinct.view(a.dtype).tolist()]
+    return [cells[i] for i in inverse.tolist()]
 
 
 def write_manifest(path: str | Path, *, files: list[str], parameters: dict, derived: dict, extra: dict | None = None) -> Path:

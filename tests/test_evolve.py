@@ -399,9 +399,10 @@ class TestEvaluate:
 
     def test_system_row_peak_does_not_grow_with_times(self, production):
         # a system row at N = 16000 over 401 times: chunks of 16 times keep the
-        # traced peak at 14.9 MiB, 122 x 8 N bytes, plus the output, whatever
-        # the number of times; the bound is 10% above that.  The (2T, N)
-        # charges and sums of all 401 times at once took 205 MB alone
+        # traced peak at 12.9 MiB, 106 x 8 N bytes, plus the output, whatever
+        # the number of times; the bound is 10% above that (122 x with the
+        # Lagrange weights stored in the plan).  The (2T, N) charges and sums
+        # of all 401 times at once took 205 MB alone
         basis = production.basis(16000)
         times = np.linspace(0.0, 400e-6, 401)
         c0 = initial_coefficients(basis.frequencies, production.init)
@@ -411,7 +412,7 @@ class TestEvaluate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 134 * 8 * basis.dimension + c.nbytes
+        assert peak <= 117 * 8 * basis.dimension + c.nbytes
 
     def test_system_row_runs_no_bath_row_kernel_sums(self, production, monkeypatch):
         # the span (0, 0) takes one rfft for the resolvent plan's kernel
@@ -469,14 +470,15 @@ class TestEvaluate:
             # every mode with cross terms: the resolvent sums come in chunks of
             # 16 + 16 + 9 times and the bath rows read them as real rows and
             # stream their kernel sums by sub-chunks of 8 times, so the traced
-            # peak measures 7.47 x 8 T N bytes (10.09 x with the resolvent sums
-            # of all 41 times at once); a full (1 + 3T, N) source array or full
-            # K and L would break it
-            (16000, None, 8.22),
+            # peak measures 7.08 x 8 T N bytes (7.47 x with the Lagrange weights
+            # stored in the plan, 10.09 x with the resolvent sums of all 41
+            # times at once); a full (1 + 3T, N) source array or full K and L
+            # would break it
+            (16000, None, 7.79),
             # fig5's 0.4 MHz window, 120 modes and the system row, in chunks of 24 + 17 times:
-            # 4.55 x (6.42 x at once), with B over only the window's blocks; a
-            # full-width B would break it
-            (3000, 0.4e6, 5.0),
+            # 4.34 x (4.55 x with the weights stored, 6.42 x at once), with B over only the
+            # window's blocks; a full-width B would break it
+            (3000, 0.4e6, 4.78),
         ],
         ids=["all_rows_16000", "fig5_window_3000"],  # ids that stay when a bound tightens
     )
@@ -709,29 +711,58 @@ class TestResolventSums:
         assert np.max(err[1] / size[1]) <= 3e-15 and np.max(err[1]) <= 1.5e-15 * np.max(np.abs(B))
 
     def test_lagrange_weights_bit_identical_to_cumulative_products(self, rng):
-        # the in-place prefix and suffix products give every bit of the
-        # weights of the cumulative-product formula
+        # the in-place prefix and suffix products along the rows give every
+        # bit of the weights of the cumulative-product formula, and the
+        # columns of empty cells hold +0.0
         P = evolve._SPREAD
         u = np.r_[rng.uniform(-0.5, 0.5, 1000), -0.5, 0.0, 0.5 - 2**-53]
-        diff = u[:, None] - (np.arange(P) - P // 2)
+        empty = rng.random(len(u)) < 0.2
+        diff = u - (np.arange(P) - P // 2)[:, None]
         left, right = np.ones_like(diff), np.ones_like(diff)
-        left[:, 1:] = np.cumprod(diff[:, :-1], axis=1)
-        right[:, :-1] = np.cumprod(diff[:, :0:-1], axis=1)[:, ::-1]
+        left[1:] = np.cumprod(diff[:-1], axis=0)
+        right[:-1] = np.cumprod(diff[:0:-1], axis=0)[::-1]
         scale = [(-1) ** (P - 1 - i) * math.factorial(i) * math.factorial(P - 1 - i) for i in range(P)]
-        assert np.array_equal(evolve._lagrange_weights(u), left * right / np.array(scale, dtype=float))
+        expected = left * right / np.array(scale, dtype=float)[:, None]
+        expected[:, empty] = 0.0
+        weights = evolve._lagrange_weights(u, empty)
+        assert weights.shape == (P, len(u)) and weights.flags.c_contiguous
+        assert np.array_equal(weights, expected)
+        assert np.any(empty) and not np.any(np.signbit(weights[:, empty]))
 
     def test_lagrange_weights_scratch_is_one_column(self, rng):
-        # the suffix products run in the result's first column: at 1e5
-        # offsets the traced peak measures 1.06 x the result's bytes (2.06 x
-        # with a (K, _SPREAD) suffix table beside it)
+        # the suffix products run in the result's first row, one offset-long
+        # vector: at 1e5 offsets, a tenth of them empty, the traced peak
+        # measures 1.06 x the result's bytes (2.06 x with a (_SPREAD, K)
+        # suffix table beside it)
         u = rng.uniform(-0.5, 0.5, 100000)
+        empty = rng.random(len(u)) < 0.1
         tracemalloc.start()
         try:
-            weights = evolve._lagrange_weights(u)
+            weights = evolve._lagrange_weights(u, empty)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * weights.nbytes
+
+    @pytest.mark.parametrize("span", ["system", "all"])
+    def test_plan_holds_no_weight_table(self, production, span):
+        # the plan keeps the cell map, phase data, target index and kernel
+        # spectra, not the (_SPREAD, cells) Lagrange weights or their
+        # offsets, which each apply forms and drops: at N = 16000 it holds
+        # 8.09 x 8N bytes for the system row and 10.10 x for all modes
+        # (24.16 x and 26.17 x with the weights stored).  The bounds are
+        # 10% above
+        basis = production.basis(16000)
+        n = basis.dimension
+        hi, bound = (0, 8.9) if span == "system" else (n - 1, 11.11)
+        tracemalloc.start()
+        try:
+            apply = evolve._resolvents(basis, 0, hi)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert callable(apply)
+        assert held <= bound * 8 * n
 
     @pytest.mark.parametrize("omega1", [0.05e6, 4e6, 30e6], ids=["below", "inside", "above"])
     @pytest.mark.parametrize("couplings", ["weak", "partly_zero", "alternate_zero"])
@@ -778,9 +809,10 @@ class TestResolventSums:
     def test_system_row_at_100000(self, production):
         # 41 times on [0, 400] us, far below t1 = 31 ms: c_1 follows the closed
         # form to criterion 01's 2% (measured 0.13%), and the traced peak
-        # measures 74 MiB, 2.37 x 8 T N bytes, for 3 chunks of 16, 16 and 9
+        # measures 69.6 MiB, 2.22 x 8 T N bytes, for 3 chunks of 16, 16 and 9
         # times, each with its (2T, N) node charges and sums, and the FFT
-        # buffers (4.91 x with all 41 times at once).  The bound is 10% above
+        # buffers (4.91 x with all 41 times at once; 74.1 MiB, 2.37 x, with
+        # the Lagrange weights stored in the plan).  The bound is 10% above
         # that
         basis = production.basis(100000)
         times = np.linspace(0.0, 400e-6, 41)
@@ -793,7 +825,7 @@ class TestResolventSums:
             tracemalloc.stop()
         gksl = sb.gksl_sigma11(production.params(100000), times)
         assert np.max(np.abs(c[:, 0] - gksl) / gksl) <= 0.02
-        assert peak <= 2.61 * 8 * len(times) * basis.dimension
+        assert peak <= 2.45 * 8 * len(times) * basis.dimension
 
 
 class TestDenseOracle:
