@@ -29,7 +29,7 @@ from .evolve import (
     mode_basis,
     snapshot_series,
 )
-from .oracle import DenseSymplectic, dense_oracle_at, full_hamiltonian, symplectic_form
+from .oracle import DenseReference, dense_oracle_at
 from .thermo import (
     EnergyFluxes,
     ThermoRecord,

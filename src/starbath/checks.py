@@ -17,7 +17,8 @@ __all__ = ["flux_sum_residual", "oracle_equivalence_residual", "unitarity_residu
 
 
 def oracle_equivalence_residual(model: StarModel, init: InitialTemperatures, times) -> float:
-    """Max abs difference of reduced-path c_j, x_j against the dense oracle."""
+    """Max abs difference of reduced-path c_j, x_j against the dense mode-space
+    reference."""
     times = np.sort(np.atleast_1d(times))
     dense = dense_oracle_series(model, init, times)
     snap = snapshot_series(mode_basis(model), init, times)

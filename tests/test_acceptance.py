@@ -16,7 +16,6 @@ from starbath import KB
 from starbath.checks import flux_sum_residual, oracle_equivalence_residual
 from starbath.gksl import ep_difference, epr_difference, gksl_sigma11, von_neumann_epr
 from starbath.harness import affine_fit, proportional_fit
-from starbath.oracle import dense_oracle_series
 from starbath.thermo import entropy_kb, inverse_temperature, mean_energy
 
 from highprec import REFERENCE
@@ -29,6 +28,7 @@ from invariants import (
     random_star_model,
     random_temperatures,
     symplectic_defect,
+    symplectic_oracle_series,
 )
 from test_accuracy import EXTENDED, reference
 
@@ -212,14 +212,14 @@ def test_criterion_08_oracle_equivalence():
         init = random_temperatures(rng)
         times = rng.uniform(0.0, 50e-6, size=20)
         worst_state = max(worst_state, oracle_equivalence_residual(model, init, times))
-        for dense in dense_oracle_series(model, init, times[:5]):
+        for dense in symplectic_oracle_series(model, init, times[:5]):
             worst_symplectic = max(worst_symplectic, symplectic_defect(dense))
             worst_gibbs = max(worst_gibbs, gibbs_block_residual(dense))
         if EXTENDED:
             times = np.sort(times)
             ref = reference(model, sb.initial_coefficients(model.frequencies, init), times)
             snap = sb.snapshot_series(sb.mode_basis(model), init, times)
-            oracle = dense_oracle_series(model, init, times)
+            oracle = symplectic_oracle_series(model, init, times)
             c = np.array([d.diagonal_coefficients() for d in oracle])
             x = np.array([d.cross_terms() for d in oracle])
             worst_reduced = max(worst_reduced, longdouble_deviation(snap.c, snap.x, ref))

@@ -11,6 +11,7 @@ import starbath as sb
 from starbath import evolve
 from starbath.checks import oracle_equivalence_residual, unitarity_residual
 from starbath.cli import main
+from starbath.config import ExperimentConfig
 from starbath.constants import MHZ
 from starbath.evolve import initial_coefficients
 from starbath.harness import derived_constants
@@ -25,6 +26,7 @@ from invariants import (
     random_temperatures,
     reconstruction_residual,
     symplectic_defect,
+    symplectic_oracle_series,
     total_energy,
 )
 
@@ -54,6 +56,18 @@ def coupling_variant(omega1, couplings):
 def with_couplings(model, g):
     """``model`` on the same bath with the couplings ``g``."""
     return sb.StarModel(model.omega1, model.omega_min, model.delta_omega, g)
+
+
+def reference_case(case):
+    """The default bath at N = ``case``, or, for "partly_decoupled", an
+    N = 14 random bath with four zero couplings; with its temperatures."""
+    if case == "partly_decoupled":
+        model, init, _ = small_setup(n=14)
+        g = model.bath_couplings.copy()
+        g[[0, 5, 6, 13]] = 0.0
+        return with_couplings(model, g), init
+    cfg = ExperimentConfig(n_modes=case)
+    return sb.discretize_ohmic_bath(cfg.bath_spec(), cfg.omega1), cfg.initial_temperatures()
 
 
 def production_bath(production, bath):
@@ -831,7 +845,7 @@ class TestResolventSums:
 class TestDenseOracle:
     def test_identity_at_time_zero(self):
         model, init, _ = small_setup()
-        dense = dense_oracle_at(model, init, 0.0)
+        dense = symplectic_oracle_series(model, init, [0.0])[0]
         np.testing.assert_allclose(dense.V, np.eye(2 * (model.n_modes + 1)), atol=1e-12)
         np.testing.assert_allclose(
             np.diag(dense.sigma), np.repeat(initial_coefficients(model.frequencies, init), 2), rtol=1e-12
@@ -840,8 +854,7 @@ class TestDenseOracle:
 
     def test_symplectic_and_block_structure(self):
         model, init, rng = small_setup(seed=9)
-        for t in rng.uniform(0, 30e-6, size=3):
-            dense = dense_oracle_at(model, init, t)
+        for dense in symplectic_oracle_series(model, init, rng.uniform(0, 30e-6, size=3)):
             assert symplectic_defect(dense) <= 1e-9
             assert gibbs_block_residual(dense) <= 1e-10
             assert positivity_floor(dense) >= -1e-9
@@ -855,6 +868,38 @@ class TestDenseOracle:
         model, init, _ = small_setup()
         with pytest.raises(ValueError, match="non-negative"):
             dense_oracle_at(model, init, -1e-6)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_time(self, t):
+        model, init, _ = small_setup()
+        with pytest.raises(ValueError, match="finite"):
+            dense_oracle_at(model, init, t)
+
+    @pytest.mark.parametrize("case", [16, 48, 64, "partly_decoupled"])
+    def test_mode_space_matches_quadrature_build_and_evaluate(self, case):
+        # 11 times on [0, 0.9 t1].  At t = 0, U = Q Q^T is real, so x is
+        # exactly 0; c matched c0 to 3.2e-15 relative.  Measured maxima
+        # against the 2(N+1) build: 2.8e-13 relative in c (N = 64) and
+        # 1.2e-12 of max |x| in x (partly decoupled); against evaluate:
+        # 3.9e-15 relative in c (N = 48) and 1.1e-13 of max |x| (N = 16).
+        # The bounds are 3 to 5 times above
+        model, init = reference_case(case)
+        c0 = initial_coefficients(model.frequencies, init)
+        times = np.linspace(0.0, 0.9 * sb.recurrence_time(model), 11)
+        dense = dense_oracle_series(model, init, times)
+        c = np.array([d.diagonal_coefficients() for d in dense])
+        x = np.array([d.cross_terms() for d in dense])
+        assert np.max(np.abs(c[0] - c0) / c0) <= 1e-14
+        assert np.all(x[0] == 0.0)
+        quadrature = symplectic_oracle_series(model, init, times)
+        c_sym = np.array([d.diagonal_coefficients() for d in quadrature])
+        x_sym = np.array([d.cross_terms() for d in quadrature])
+        c_eval, x_eval = sb.evaluate(sb.mode_basis(model), c0, times, (0, model.n_modes))
+        x_scale = np.max(np.abs(x))
+        assert np.max(np.abs(c - c_sym) / c) <= 1e-12
+        assert np.max(np.abs(x - x_sym)) <= 5e-12 * x_scale
+        assert np.max(np.abs(c - c_eval) / c) <= 2e-14
+        assert np.max(np.abs(x - x_eval)) <= 5e-13 * x_scale
 
     def test_energy_conservation(self, rng):
         model, _ = random_star_model(rng, 32)
@@ -874,7 +919,7 @@ class TestDenseOracle:
         model, init, _ = small_setup(n=10)
         basis = sb.mode_basis(model)
         t = 7.7e-6
-        dense = dense_oracle_at(model, init, t)
+        dense = symplectic_oracle_series(model, init, [t])[0]
         snap = sb.snapshot_series(basis, init, [t]).at(0)
         mode_energy = float(np.sum(0.5 * sb.HBAR * model.frequencies * snap.c))
         # interaction part from the dense sigma: hbar * sum_j g_j sigma_{1,2j-1}
