@@ -33,7 +33,6 @@ from .oracle import DenseReference, dense_oracle_at
 from .thermo import (
     EnergyFluxes,
     ThermoRecord,
-    entropy,
     entropy_kb,
     fluxes_from_cross_terms,
     inverse_temperature,
@@ -46,7 +45,6 @@ from .gksl import (
     ep_difference,
     epr_difference,
     gksl_sigma11,
-    gksl_system_temperature,
     von_neumann_ep,
     von_neumann_epr,
 )

@@ -64,7 +64,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         result = run_job(_config_from_args(args))
-    except (ConfigError, FileExistsError, NotADirectoryError, PermissionError) as exc:  # OSErrors: an unusable --out
+    except (ConfigError, FileExistsError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+        # the OSErrors: an unusable --out, or a directory where an output file goes
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     for path in [*result["files"], result["manifest"]]:

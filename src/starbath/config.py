@@ -37,7 +37,6 @@ JOB_INPUTS = {
     "fig3": _BATH + ("n_list", "times_us", "pivn_mode"),
     "fig4": _BATH + ("n_modes", "times_us", "mode_window_mhz"),
     "fig5": _BATH + ("n_list", "times_us", "mode_window_mhz"),
-    "fig6": _BATH + ("n_list", "sweep_times_us"),
     "sweep-n": _BATH + ("n_list", "sweep_times_us"),
     "validate": _BATH + ("n_modes", "times_us"),
 }
@@ -45,7 +44,6 @@ _N_DEFAULTS = {
     "fig1": (4000, 6000, 8000),
     "fig3": (1000, 2000, 4000),
     "fig5": (4000, 6000, 8000),
-    "fig6": (1000, 2000, 3000, 4000),
     "sweep-n": (1000, 2000, 3000, 4000),
 }
 JOBS = tuple(JOB_INPUTS)

@@ -171,9 +171,9 @@ class CovarianceSnapshot:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         shape = time.shape
-        if len(shape) > 1 or self.c.ndim != len(shape) + 1 or self.c.shape[:-1] != shape:
+        if len(shape) > 1 or self.c.shape != (*shape, self.model.n_modes + 1):
             raise ValueError("expected N+1 coefficients at each time")
-        if self.x.shape != (*shape, self.c.shape[-1] - 1):
+        if self.x.shape != (*shape, self.model.n_modes):
             raise ValueError("expected one cross term per bath mode at each time")
         time.setflags(write=False)
 

@@ -9,7 +9,9 @@ the analytic solution used here directly (the generator itself is never
 integrated numerically; the system stays diagonal in its own Hamiltonian so
 the commutator term drops).  The conventional rate built on the fixed
 initial bath temperature is non-negative for all t; its gap to the total
-thermodynamic rate is carried by the bath-temperature drifts.
+thermodynamic rate is carried by the bath-temperature drifts.  That rate
+takes the system coefficient it is scored on, closed-form or exact, from
+its caller.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .thermo import ThermoRecord, inverse_temperature
 __all__ = [
     "GkslParams",
     "gksl_sigma11",
-    "gksl_system_temperature",
     "von_neumann_epr",
     "von_neumann_ep",
     "epr_difference",
@@ -64,26 +65,15 @@ def gksl_sigma11(p: GkslParams, t) -> float | np.ndarray:
     return p.coth_b + (p.coth_a - p.coth_b) * np.exp(-2.0 * p.Gamma * t)
 
 
-def gksl_system_temperature(p: GkslParams, t) -> float | np.ndarray:
-    """System temperature T_A(t) predicted by the closed form."""
-    return inverse_temperature(gksl_sigma11(p, t), p.omega1)[1]
-
-
-def von_neumann_epr(p: GkslParams, t, sigma11=None) -> float | np.ndarray:
-    """Conventional entropy production rate (J/K/s),
+def von_neumann_epr(p: GkslParams, sigma11) -> float | np.ndarray:
+    """Conventional entropy production rate (J/K/s) at each system
+    coefficient c_1(t) of ``sigma11``,
 
         Pi_vN = hbar*w1*Gamma (1/T_B0 - 1/T_A(t)) [c_1(t) - coth(hw1/2kT_B0)],
 
-    a product of two same-sign factors, hence >= 0 for all t.  c_1(t) is the
-    given ``sigma11`` series, aligned with ``t``, or else the closed form.
+    a product of two same-sign factors, hence >= 0 for all t.
     """
-    t = np.asarray(t, dtype=float)
-    if sigma11 is None:
-        c1 = gksl_sigma11(p, t)
-    else:
-        c1 = np.asarray(sigma11, dtype=float)
-        if c1.shape != t.shape:
-            raise ValueError("sigma11 series must align with the time grid")
+    c1 = np.asarray(sigma11, dtype=float)
     _, T_A = inverse_temperature(c1, p.omega1)
     with np.errstate(divide="ignore"):
         return HBAR * p.omega1 * p.Gamma * (1.0 / p.T_B0 - 1.0 / T_A) * (c1 - p.coth_b)

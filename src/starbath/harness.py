@@ -7,13 +7,16 @@ CSV bytes on the same build.
 Every job runs one pipeline, ``run_job``: for each N it builds a ``_Run``
 (model, closed-form rates, mode basis and the shared time grid) and hands it
 to the job's curve function in ``_CURVES``, which returns ``{table key:
-(file name, table)}``.  The pipeline writes the CSVs, collects the derived
-constants per N and writes the manifest.  A job is its curve function plus
-the config fields it reads (``config.JOB_INPUTS``), which are exactly the
-manifest's ``parameters`` and the fields the CLI takes flags for.  Evaluated
-data stay on the time grid throughout: time on the first axis, oscillators
-on the last.  The validate job's table holds the invariant residuals of the
-configured run with their tolerances.
+(file name, table)}``.  The pipeline writes the CSVs and builds every key of
+the manifest: the files, the parameters, the derived constants per N and a
+sweep's fits; ``write_manifest`` only serializes it.  A job is its curve
+function plus the config fields it reads (``config.JOB_INPUTS``), which are
+exactly the manifest's ``parameters`` and the fields the CLI takes flags
+for.  Evaluated data stay on the time grid throughout: time on the first
+axis, oscillators on the last.  ``_Run.pivn`` alone picks the system
+coefficient that Pi_vN is scored on, exact or closed-form.  The validate
+job's table holds the invariant residuals of the configured run with their
+tolerances.
 """
 
 from __future__ import annotations
@@ -31,10 +34,7 @@ from .evolve import (
     EVALUATION_PATH, CovarianceSnapshot, ModeBasis, evaluate, initial_coefficients, mode_basis,
     snapshot_series,
 )
-from .gksl import (
-    GkslParams, ep_difference, epr_difference, gksl_sigma11, gksl_system_temperature, von_neumann_ep,
-    von_neumann_epr,
-)
+from .gksl import GkslParams, ep_difference, epr_difference, gksl_sigma11, von_neumann_ep, von_neumann_epr
 from .model import (
     discretize_ohmic_bath, mean_occupation, recurrence_time, relaxation_rate, thermal_coefficient,
 )
@@ -114,9 +114,10 @@ class _Run:
 
     @property
     def pivn(self) -> np.ndarray:
-        """Conventional rate Pi_vN on the grid, from the configured sigma11."""
-        exact = self.sigma11 if self.cfg.pivn_mode == "exact" else None
-        return np.asarray(von_neumann_epr(self.params, self.times, exact))
+        """Conventional rate Pi_vN on the grid, scored on the exact sigma11
+        or on the closed form, as ``pivn_mode`` says."""
+        exact = self.cfg.pivn_mode == "exact"
+        return von_neumann_epr(self.params, self.sigma11 if exact else gksl_sigma11(self.params, self.times))
 
     @property
     def window(self) -> tuple[int, int]:
@@ -205,7 +206,7 @@ def _fig4_curves(run: _Run) -> dict:
     in the mode window."""
     c, _ = run.evaluate(run.window)
     _, T_exact = inverse_temperature(c[:, 0], run.model.omega1)
-    T_gksl = gksl_system_temperature(run.params, run.times)
+    _, T_gksl = inverse_temperature(gksl_sigma11(run.params, run.times), run.model.omega1)
     system = _grid_table(run, {"T_A_exact[uK]": T_exact / UK, "T_A_gksl[uK]": T_gksl / UK})
     return {
         "system": ("fig4_system_temperature.csv", system),
@@ -250,6 +251,7 @@ def _validate_curves(run: _Run) -> dict:
     if floor <= 0.0:
         s_tot = np.sum(entropy_kb(c), axis=-1)  # the t = 0 baseline first
         entropy_drop = max(0.0, s_tot[0] - float(np.min(s_tot)))
+    pivn = von_neumann_epr(run.params, gksl_sigma11(run.params, run.times))
     derived = derived_constants(run.basis, run.params)
     checks = {  # name: (residual, tolerance)
         f"oracle_equivalence_N{ORACLE_CAP_DEFAULT}": (
@@ -259,7 +261,7 @@ def _validate_curves(run: _Run) -> dict:
         "flux_sum_rule": (flux_sum_residual(run.series), 1e-12),
         "coefficient_floor": (max(0.0, floor), 0.0),
         "entropy_drop[kB]": (entropy_drop, 0.0),
-        "pivn_floor[kB/s]": (max(0.0, -float(np.min(von_neumann_epr(run.params, run.times)) / KB)), 1e-15),
+        "pivn_floor[kB/s]": (max(0.0, -float(np.min(pivn)) / KB), 1e-15),
         "weight_sum_residual": (derived["weight_sum_residual"], 1e-12),
         "newton_step": (derived["newton_step"], 1e-12),
     }
@@ -314,7 +316,6 @@ _CURVES = {
     "fig3": _fig3_curves,
     "fig4": _fig4_curves,
     "fig5": _fig5_curves,
-    "fig6": _sweep_curves,  # the N-sweep presented in the figure pipeline
     "sweep-n": _sweep_curves,
     "validate": _validate_curves,
 }
@@ -354,14 +355,13 @@ def run_job(cfg: ExperimentConfig) -> dict:
     parameters = {name: getattr(cfg, name) for name in reads}
     if multi_n:
         parameters["n_list"] = n_values
+    manifest = {
+        "files": [f.name for f in files],
+        "parameters": parameters,
+        "derived": derived if multi_n else derived[f"N{cfg.n_modes}"],
+    }
     result = {"files": files, "tables": tables}
     if sweep:
-        result["fits"] = _sweep_fits(tables["sweep"])
-    result["manifest"] = write_manifest(
-        out_dir / f"{'sweep_n' if sweep else cfg.job}_manifest.json",
-        files=[f.name for f in files],
-        parameters=parameters,
-        derived=derived if multi_n else derived[f"N{cfg.n_modes}"],
-        extra={"fits": result["fits"]} if sweep else None,
-    )
+        result["fits"] = manifest["fits"] = _sweep_fits(tables["sweep"])
+    result["manifest"] = write_manifest(out_dir / f"{'sweep_n' if sweep else cfg.job}_manifest.json", manifest)
     return result

@@ -65,13 +65,9 @@ def _cells(a: np.ndarray) -> list[str]:
     return [cells[i] for i in inverse.tolist()]
 
 
-def write_manifest(path: str | Path, *, files: list[str], parameters: dict, derived: dict, extra: dict | None = None) -> Path:
-    """Emit the run manifest, into an existing directory: produced files,
-    input parameters, and the derived constants (dw, Gamma, t1, nbar, ...)."""
+def write_manifest(path: str | Path, manifest: dict) -> Path:
+    """Write ``manifest`` into an existing directory as indented JSON with
+    sorted keys, refusing nan and infinities."""
     path = Path(path)
-    payload = {"files": files, "parameters": parameters, "derived": derived}
-    if extra:
-        payload.update(extra)
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    path.write_text(text + "\n")
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return path

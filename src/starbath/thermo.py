@@ -7,9 +7,9 @@ expressions: a one-time result is a numpy float64, which is a ``float``.
 Every oscillator stays in a Gibbs state with time-dependent temperature, so
 its diagonal coefficient c = sigma_{2j-1,2j-1} >= 1 fixes all equilibrium
 quantities: E = hbar*w*c/2, beta = ln((c+1)/(c-1))/(hbar*w), and S/kB in
-the x*ln(x) form below.
+the x*ln(x) form of ``entropy_kb`` (records hold S in J/K).
 
-Boundary policy: c in [1, 1+1e-12] is the T -> 0+ limit; entropy returns 0,
+Boundary policy: c in [1, 1+1e-12] is the T -> 0+ limit; entropy is 0,
 temperatures return a flagged 0.0 (beta = inf), and the total entropy
 production rate refuses (divergent 1/T).  Double precision cannot resolve
 beta beyond ~ln(2/(c-1)) there.
@@ -33,7 +33,6 @@ __all__ = [
     "mean_energy",
     "inverse_temperature",
     "entropy_kb",
-    "entropy",
     "log_coth_ratio",
     "fluxes_from_cross_terms",
     "total_epr",
@@ -91,11 +90,6 @@ def entropy_kb(c) -> float | np.ndarray:
     positive = e > 0
     safe = np.where(positive, e, 1.0)
     return (1.0 + e) * np.log1p(e) - np.where(positive, safe * np.log(safe), 0.0)
-
-
-def entropy(c) -> float | np.ndarray:
-    """Thermodynamic entropy in J/K."""
-    return KB * entropy_kb(c)
 
 
 class EnergyFluxes(NamedTuple):
@@ -170,14 +164,12 @@ def totals(snapshot: CovarianceSnapshot, baseline: CovarianceSnapshot) -> Thermo
         raise ValueError("baseline was computed for a different model")
     if np.ndim(baseline.time) != 0 or baseline.time != 0.0:
         raise ValueError("baseline must be the t = 0 snapshot")
-    if baseline.c.shape[-1] != snapshot.c.shape[-1]:
-        raise ValueError("baseline and snapshot sizes disagree")
 
     freqs = model.frequencies
     _, T = inverse_temperature(snapshot.c, freqs)
-    S = entropy(snapshot.c)
+    S = KB * entropy_kb(snapshot.c)
     S_tot = np.sum(S, axis=-1)
-    dS_tot = S_tot - np.sum(entropy(baseline.c), axis=-1)
+    dS_tot = S_tot - np.sum(KB * entropy_kb(baseline.c), axis=-1)
     fluxes = fluxes_from_cross_terms(snapshot.x, model)
     return ThermoRecord(
         time=snapshot.time,

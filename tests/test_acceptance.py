@@ -102,7 +102,7 @@ def test_criterion_03_negative_total_epr(production):
     record = production.record(4000, GRID_RATES_US)
     params = production.params(4000)
     pi_tot = record.Pi_tot[1:] / KB
-    pi_vn = np.asarray(von_neumann_epr(params, np.asarray(GRID_RATES_US) * 1e-6)) / KB
+    pi_vn = von_neumann_epr(params, gksl_sigma11(params, np.asarray(GRID_RATES_US) * 1e-6)) / KB
     ok = pi_tot.min() < 0.0 and pi_vn.min() >= -1e-15
     report(
         3,
@@ -337,7 +337,7 @@ def test_criterion_11_derived_constant_regression(production):
         "sigma11_one_relaxation_time": float(
             gksl_sigma11(params, 1.0 / (2.0 * params.Gamma))
         ),
-        "pivn_initial_kb_per_s": float(von_neumann_epr(params, 0.0)) / KB,
+        "pivn_initial_kb_per_s": float(von_neumann_epr(params, gksl_sigma11(params, 0.0))) / KB,
     }
     worst = ""
     worst_rel = 0.0

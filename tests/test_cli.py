@@ -14,7 +14,7 @@ from starbath import evolve, harness
 from starbath.cli import _build_parser, _config_from_args, main
 from starbath.config import JOB_INPUTS, JOBS
 
-MULTI_N_JOBS = {"fig1", "fig3", "fig5", "fig6", "sweep-n"}
+MULTI_N_JOBS = {"fig1", "fig3", "fig5", "sweep-n"}
 # the field flags each job reads; it refuses the others
 JOB_FLAGS = {
     "simulate": {"--n", "--grid", "--pivn-mode", "--eta"},
@@ -23,7 +23,6 @@ JOB_FLAGS = {
     "fig3": {"--n-list", "--grid", "--pivn-mode", "--eta"},
     "fig4": {"--n", "--grid", "--window", "--eta"},
     "fig5": {"--n-list", "--grid", "--window", "--eta"},
-    "fig6": {"--n-list", "--eta"},
     "sweep-n": {"--n-list", "--eta"},
     "validate": {"--n", "--grid", "--eta"},
 }
@@ -246,8 +245,7 @@ def test_one_parser_namespaces():
     parser = _build_parser()
     assert parser._subparsers is None  # no per-job subparsers
     unset = dict.fromkeys(["config", "out_dir", *(name for name, _ in FLAG_FIELDS.values())])
-    for job in ("sweep-n", "fig6"):
-        assert parser.parse_args([job]) == argparse.Namespace(job=job, **unset)
+    assert parser.parse_args(["sweep-n"]) == argparse.Namespace(job="sweep-n", **unset)
     for job, flags in JOB_FLAGS.items():
         for flag in flags:
             name, value = FLAG_FIELDS[flag]
@@ -347,6 +345,14 @@ def test_unusable_out_exits_2_before_any_evaluation(tmp_path, monkeypatch, capsy
         assert main(["fig1", "--n-list", "64", "--grid", "0:10:3", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and str(blocker) in err
+
+
+def test_directory_at_an_output_file_exits_2(tmp_path, capsys):
+    # the job runs, then finds a directory where simulate.csv goes
+    (tmp_path / "simulate.csv").mkdir()
+    assert main(["simulate", "--n", "8", "--grid", "0:1:3", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "simulate.csv" in err and "Traceback" not in err
 
 
 def test_config_field_the_job_does_not_read_is_not_checked(tmp_path, capsys):

@@ -272,6 +272,7 @@ class TestSnapshots:
             ([0.0, 1e-6], series.c[:, :-1], series.x),  # one coefficient short
             ([0.0, 1e-6], series.c, series.x[:1]),  # cross terms at one time only
             (0.0, series.c, series.x),  # grid data at a single time
+            (0.0, series.c[0, :2], series.x[0, :1]),  # a one-mode star's data on this model
         ):
             with pytest.raises(ValueError):
                 sb.CovarianceSnapshot(time, c, x, model)

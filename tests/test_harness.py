@@ -8,7 +8,7 @@ import pytest
 
 import starbath as sb
 from starbath.config import JOB_INPUTS, JOBS, ConfigError, ExperimentConfig, load_config, parse_grid
-from starbath.constants import UK, US
+from starbath.constants import KB, UK, US
 from starbath.evolve import phase_time_limit
 from starbath.harness import _Run, _sweep_curves, affine_fit, proportional_fit, run_job
 from starbath.table import ResultTable, write_manifest
@@ -236,7 +236,7 @@ class TestResultTable:
     def test_manifest_refuses_non_finite_values(self, tmp_path):
         for value in (float("inf"), float("nan")):
             with pytest.raises(ValueError):
-                write_manifest(tmp_path / "m.json", files=[], parameters={}, derived={"x": value})
+                write_manifest(tmp_path / "m.json", {"files": [], "parameters": {}, "derived": {"x": value}})
 
     def test_rejects_ragged_row(self):
         with pytest.raises(ValueError):
@@ -424,14 +424,38 @@ class TestFigureJobs:
         assert np.array_equal(fig4["system"].data["T_A_exact[uK]"], T_A / UK)
 
 
+    @pytest.mark.parametrize("pivn_mode", ["gksl", "exact"])
+    def test_pivn_is_scored_on_the_configured_sigma11(self, tmp_path, pivn_mode):
+        # simulate and fig3 write Pi_vN of the closed-form c_1 in gksl mode
+        # and of the written exact c_1 in exact mode, bit for bit
+        cfg = tiny_cfg(tmp_path, n_modes=24, n_list=[24], pivn_mode=pivn_mode, times_us=grid(5.0, 7))
+        init = cfg.initial_temperatures()
+        params = sb.GkslParams(
+            omega1=cfg.omega1, Gamma=sb.relaxation_rate(cfg.bath_spec(24), cfg.omega1), T_A0=init.T_A0, T_B0=init.T_B0
+        )
+
+        def written(job, name):
+            run_job(replace(cfg, job=job, out_dir=str(tmp_path / job)))
+            with open(tmp_path / job / name, newline="") as fh:
+                header, *rows = csv.reader(fh)
+            return {col: np.array([float(row[i]) for row in rows]) for i, col in enumerate(header)}
+
+        sim = written("simulate", "simulate.csv")
+        fig3 = written("fig3", "fig3_rates_N24.csv")
+        c1 = sim["sigma11_exact[1]"] if pivn_mode == "exact" else sb.gksl_sigma11(params, cfg.times())
+        expected = sb.von_neumann_epr(params, c1) / KB * 1e-3
+        assert not np.array_equal(sim["sigma11_exact[1]"], sim["sigma11_gksl[1]"])  # the modes differ here
+        for table in (sim, fig3):
+            assert np.array_equal(table["Pi_vN[kB/ms]"], expected)
+
+
 class TestSweepJob:
     def test_rejects_short_n_list(self, tmp_path):
         cfg = tiny_cfg(tmp_path, n_list=[8, 16])  # fine for a job that is no sweep
-        for job in ("sweep-n", "fig6"):
-            with pytest.raises(ConfigError, match="at least 3"):
-                tiny_cfg(tmp_path, job=job, n_list=[8, 16])
-            with pytest.raises(ConfigError, match="at least 3"):
-                replace(cfg, job=job)
+        with pytest.raises(ConfigError, match="at least 3"):
+            tiny_cfg(tmp_path, job="sweep-n", n_list=[8, 16])
+        with pytest.raises(ConfigError, match="at least 3"):
+            replace(cfg, job="sweep-n")
 
     def test_zero_time_rows_vanish(self, tmp_path):
         cfg = tiny_cfg(tmp_path, job="sweep-n", n_list=[8, 16, 32], sweep_times_us=[0.0])
@@ -441,16 +465,16 @@ class TestSweepJob:
         fit = result["fits"]["t_us=0"]["proportional"]
         assert fit["r2"] == 1.0  # degenerate all-zero fit treated as perfect
 
-    def test_fig6_writes_sweep_n_bytes(self, tmp_path):
-        kwargs = dict(n_list=[8, 16, 32], sweep_times_us=[0.0, 0.2, 0.4])
-        sweep = run_job(tiny_cfg(tmp_path / "sweep", job="sweep-n", **kwargs))
-        fig6 = run_job(tiny_cfg(tmp_path / "fig6", job="fig6", **kwargs))
-        assert [p.name for p in fig6["files"]] == ["sweep_n.csv"]
-        for a, b in zip(sweep["files"] + [sweep["manifest"]], fig6["files"] + [fig6["manifest"]]):
-            assert a.name == b.name and a.read_bytes() == b.read_bytes()
-        assert fig6["fits"] == sweep["fits"]
-        assert list(fig6["fits"]) == ["t_us=0", "t_us=0.2", "t_us=0.4"]
-        table = fig6["tables"]["sweep"]
+    def test_sweep_n_writes_its_files_and_fits(self, tmp_path):
+        cfg = tiny_cfg(tmp_path, job="sweep-n", n_list=[8, 16, 32], sweep_times_us=[0.0, 0.2, 0.4])
+        sweep = run_job(cfg)
+        assert [p.name for p in sweep["files"]] == ["sweep_n.csv"]
+        assert sweep["manifest"] == tmp_path / "sweep_n_manifest.json"
+        manifest = json.loads(sweep["manifest"].read_text())
+        assert sorted(manifest) == ["derived", "files", "fits", "parameters"]
+        assert manifest["fits"] == sweep["fits"]
+        assert list(sweep["fits"]) == ["t_us=0", "t_us=0.2", "t_us=0.4"]
+        table = sweep["tables"]["sweep"]
         assert table.column("N[1]").tolist() == [8] * 3 + [16] * 3 + [32] * 3
 
     def test_stacks_each_n_column_by_column(self, tmp_path):

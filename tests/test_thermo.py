@@ -12,7 +12,6 @@ from starbath.checks import flux_sum_residual
 from starbath.evolve import CovarianceSnapshot
 from starbath.thermo import (
     BOUNDARY_EPS,
-    entropy,
     entropy_kb,
     inverse_temperature,
     log_coth_ratio,
@@ -202,7 +201,7 @@ class TestFluxesAndTotals:
         rec = totals(baseline, baseline)
         assert rec.dS_tot == 0.0
         assert rec.Pi_tot == 0.0
-        assert rec.S_tot == pytest.approx(float(np.sum(entropy(baseline.c))), rel=1e-14)
+        assert rec.S_tot == pytest.approx(float(np.sum(KB * entropy_kb(baseline.c))), rel=1e-14)
 
     def test_totals_additivity(self):
         model, _, init, baseline, snap = evolved_record()
@@ -218,10 +217,11 @@ class TestFluxesAndTotals:
             totals(snap, other)
 
     def test_totals_size_mismatch(self):
-        model, _, _, baseline, snap = evolved_record()
-        short = CovarianceSnapshot(time=0.0, c=baseline.c[:-1], x=baseline.x[:-1], model=model)
-        with pytest.raises(ValueError, match="sizes disagree"):
-            totals(snap, short)
+        # a snapshot's width is its model's, so totals never meets a baseline
+        # of another size on the same model: the constructor refuses it
+        model, _, _, baseline, _ = evolved_record()
+        with pytest.raises(ValueError, match="N\\+1 coefficients"):
+            CovarianceSnapshot(time=0.0, c=baseline.c[:-1], x=baseline.x[:-1], model=model)
 
     def test_totals_requires_t0_baseline(self):
         model, basis, init, baseline, snap = evolved_record()
@@ -262,12 +262,10 @@ class _Inputs(NamedTuple):
 ONE_TIME_CASES = {
     "thermal_coefficient": lambda v: sb.thermal_coefficient(v.omega, v.p.T_B0),
     "gksl_sigma11": lambda v: sb.gksl_sigma11(v.p, v.t),
-    "gksl_system_temperature": lambda v: sb.gksl_system_temperature(v.p, v.t),
-    "von_neumann_epr": lambda v: sb.von_neumann_epr(v.p, v.t),
-    "von_neumann_epr_of_series": lambda v: sb.von_neumann_epr(v.p, v.t, v.snap.c[..., 0]),
+    "von_neumann_epr": lambda v: sb.von_neumann_epr(v.p, sb.gksl_sigma11(v.p, v.t)),
+    "von_neumann_epr_of_series": lambda v: sb.von_neumann_epr(v.p, v.snap.c[..., 0]),
     "log_coth_ratio": lambda v: log_coth_ratio(v.c),
     "mean_energy": lambda v: mean_energy(v.c, v.omega),
-    "entropy": lambda v: entropy(v.c),
     "inverse_temperature_beta": lambda v: inverse_temperature(v.c, v.omega)[0],
     "inverse_temperature_T": lambda v: inverse_temperature(v.c, v.omega)[1],
     "entropy_kb": lambda v: entropy_kb(v.c),
