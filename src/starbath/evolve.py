@@ -74,13 +74,13 @@ _NEAR, _TAYLOR_TERMS = 8, 14
 # 1/(x - y) on 16 unit-spaced nodes leaves |prod(x - node) / prod(y - node)|
 # < 4.2e-17 of each term whose target is more than 32 cells from the root's.
 _SPREAD, _BAND, _CELLS = 16, 32, 32
-# Groups of spreading and near-band blocks take about _CHUNK_BYTES each, so
-# they stay in the cache.  The FFT correlations take _FFT_ROWS rows per call,
-# the fastest count on 2 x86_64 cores from length 4000 to 64000 (one row per
-# call made them 20-40% slower, 16 rows 10% and 32 rows 30%; with 2 rows a
-# full evaluate at N = 16000-32000 took 8-10% longer), but no more than fit
-# _FFT_BYTES per buffer: at N = 100000 a system row with 8 rows per call
-# peaks 50 MiB above its 2.
+# Groups of near-band blocks take about _CHUNK_BYTES and of spreading blocks
+# half that, so they stay in the cache.  The FFT correlations take _FFT_ROWS
+# rows per call, the fastest count on 2 x86_64 cores from length 4000 to
+# 64000 (one row per call made them 20-40% slower, 16 rows 10% and 32 rows
+# 30%; with 2 rows a full evaluate at N = 16000-32000 took 8-10% longer),
+# but no more than fit _FFT_BYTES per buffer: at N = 100000 a system row
+# with 8 rows per call peaks 50 MiB above its 2.
 _CHUNK_BYTES = 2**19
 _FFT_ROWS, _FFT_BYTES = 8, 2**22
 # Newton stops once a step moves the shift by at most this relative amount;
@@ -202,7 +202,8 @@ def _comb(step, g2):
     n = len(g2)
     taylor = np.zeros((_TAYLOR_TERMS, n))
     plan = _kernel_spectra(n, 0, n, range(1, _TAYLOR_TERMS + 1), 1.0, gap=_NEAR)
-    _correlate(g2[None, :], [(taylor[t : t + 1], t + 1, 0) for t in range(_TAYLOR_TERMS)], plan)
+    outs = [(taylor[t : t + 1], t + 1, 0) for t in range(_TAYLOR_TERMS)]
+    _correlate(lambda r0, r1, rows: np.copyto(rows, g2), 1, outs, plan)
     index = np.pad(np.where(g2 > 0, np.arange(n), np.inf), _NEAR, constant_values=np.inf)
     return step, index, np.pad(g2, _NEAR), taylor
 
@@ -491,7 +492,8 @@ def _resolvents(basis, lo, hi):
         _spread(zc[:, : cells + W], weights)
         del weights  # before the FFT buffers
         B = None if B is None else B[:, lo - first * W : hi - first * W]
-        _correlate(zc[:, R : R + n + _SPREAD], [(A[:, :n], 1, 0), (B, 2, lo)], plan)
+        nodes = zc[:, R : R + n + _SPREAD]
+        _correlate(lambda r0, r1, rows: np.copyto(rows, nodes[r0:r1]), 2 * nt, [(A[:, :n], 1, 0), (B, 2, lo)], plan)
         if len(outer):
             zo = zc[:, cells + W :]
             A[:, :n] += zo @ inv
@@ -547,10 +549,11 @@ def _spread(zc, weights):
     c + P - 1, as block GEMMs of W cells.  Groups of blocks run from the top
     down, so each reads its own cells before writing its nodes, and its
     overhang adds onto the nodes of the group above; the last block of
-    ``zc`` must hold zeros."""
+    ``zc`` must hold zeros.  A group's band and products take _CHUNK_BYTES / 2
+    together, so the spreading stays below the near band's scratch."""
     P, W = _SPREAD, _CELLS
     rows, blocks = len(zc), weights.shape[1] // W
-    group = min(blocks, max(1, _CHUNK_BYTES // (8 * (W + P - 1) * max(W, rows))))
+    group = min(blocks, max(1, _CHUNK_BYTES // (16 * (W + P - 1) * (W + rows))))
     spread = np.zeros((group, W, W + P - 1))  # row s of block c holds its P weights from column s on
     band = np.lib.stride_tricks.as_strided(
         spread, (group, W, P), (spread.strides[0], sum(spread.strides[1:]), spread.strides[2]), writeable=True
@@ -571,38 +574,39 @@ def _kernel_spectra(width, lo, hi, powers, scale, shift=0.0, gap=-1):
     none), for sources ``width`` columns wide and the span of targets
     lo ... hi - 1.  The FFT length covers the width plus the span, so no lag
     wraps onto another; the powers come by repeated products, and only the
-    spectra of those in ``powers`` are kept.  Returns (lo, size, rows,
-    spectra): the first target, the FFT length, the rows per FFT call (at
-    most _FFT_ROWS and _FFT_BYTES) and the spectra by power."""
+    spectra of those in ``powers`` are kept.  Returns (lo, width, size, rows,
+    spectra): the first target, the source width, the FFT length, the rows
+    per FFT call (at most _FFT_ROWS and _FFT_BYTES) and the spectra by power."""
     size = _fft_size(width + hi - 1 - lo)
     lag = np.arange(lo, lo + size)
     lag[hi - lo :] -= size  # position (t - s - lo) mod size holds lag t - s
     inv = np.divide(scale, lag + shift, out=np.zeros(size), where=np.abs(lag) > gap)
     kernels = enumerate(accumulate(repeat(inv, max(powers)), np.multiply), 1)  # inv, inv * inv, ... one at a time
     spectra = {p: np.fft.rfft(k) for p, k in kernels if p in powers}
-    return lo, size, min(_FFT_ROWS, max(1, _FFT_BYTES // (8 * size))), spectra
+    return lo, width, size, min(_FFT_ROWS, max(1, _FFT_BYTES // (8 * size))), spectra
 
 
-def _correlate(sources, outs, plan):
+def _correlate(fill, count, outs, plan):
     """Toeplitz correlations by real FFTs with the kernel spectra of ``plan``
-    (see ``_kernel_spectra``).  For each (out, p, start) of ``outs`` (out
-    None: skipped), adds to row i of ``out``, at each target t = start + c of
-    its columns c, the sum over the columns s of sources[i, s] K(t - s)^p.
-    Chunks of the plan's rows are copied into one reused zero-padded buffer,
-    where the inverse FFTs write their sums too (the padding is zeroed again
-    per chunk); with one output the product is formed in the spectrum.  So
-    the scratch is two or three (rows, FFT length) buffers: 1.0 MiB for the
-    resolvent sums of a system row at N = 4000."""
-    lo, size, rows, spectra = plan
+    (see ``_kernel_spectra``) of ``count`` source rows, which ``fill(r0, r1,
+    rows)`` writes, rows r0 ... r1 - 1, into ``rows`` (r1 - r0, width).  For
+    each (out, p, start) of ``outs`` (out None: skipped), adds to row i of
+    ``out``, at each target t = start + c of its columns c, the sum over the
+    columns s of source[i, s] K(t - s)^p.  Chunks of the plan's rows are
+    filled straight into one reused zero-padded buffer, where the inverse
+    FFTs write their sums too (the padding is zeroed again per chunk); with
+    one output the product is formed in the spectrum.  So the scratch is two
+    or three (rows, FFT length) buffers, 1.0 MiB for the resolvent sums of a
+    system row at N = 4000, and what ``fill`` takes."""
+    lo, width, size, rows, spectra = plan
     outs = [o for o in outs if o[0] is not None]
-    width = sources.shape[1]
-    chunk = min(len(sources), rows)
+    chunk = min(count, rows)
     buffer = np.empty((chunk, size))
     spectrum = np.empty((chunk, size // 2 + 1), dtype=complex)
     product = spectrum if len(outs) == 1 else np.empty_like(spectrum)  # one output: in place
-    for r0 in range(0, len(sources), chunk):
-        k = min(chunk, len(sources) - r0)
-        buffer[:k, :width] = sources[r0 : r0 + k]
+    for r0 in range(0, count, chunk):
+        k = min(chunk, count - r0)
+        fill(r0, r0 + k, buffer[:k, :width])
         buffer[:k, width:] = 0.0  # the zero padding, which the sums overwrote
         np.fft.rfft(buffer[:k], out=spectrum[:k])
         for out, p, start in outs:
@@ -663,10 +667,12 @@ def evaluate(
     per (chunk, N) array and going before the next chunk's are formed.  The
     phases go straight into a chunk's (2T, N) charges, which the far field
     reuses for its node charges; c and x read its (2T, N) sums in that
-    layout, and the kernel sums form their rows and sums by sub-chunks of
-    times (README lists the traced peaks).  Each chunk forms the Lagrange
-    weights and the near band, 3 ms at N = 4000.  ValueError once the last
-    time times the top eigenfrequency reaches 2^31 2 pi (phase range).
+    layout, and the kernel sums form their rows in the FFT buffer and their
+    sums by sub-chunks of times, so each chunk peaks at its charges and sums
+    plus one scratch budget (README lists the traced peaks).  Each chunk
+    forms the Lagrange weights and the near band, 3 ms at N = 4000.
+    ValueError once the last time times the top eigenfrequency reaches
+    2^31 2 pi (phase range).
     """
     grid = validated_grid(times)
     n = basis.dimension
@@ -702,12 +708,12 @@ def evaluate(
         plan = _kernel_spectra(len(g), lo, hi, (1, 2), -1.0 / basis.model.delta_omega, gap=0)
         # the kernel sums take sub-chunks of a chunk's times whose 3 rows each fill whole FFT calls,
         # about _CHUNK_BYTES of rows
-        per_call = plan[2]
+        per_call = plan[3]
         span = per_call * max(1, _CHUNK_BYTES // (24 * len(g) * per_call))
         gj, c0j, coupled = g[lo:hi], c0[1 + lo : 1 + hi], g[lo:hi] != 0
         # K0_j = c0_1 + sum_{m != j} wv_m/(w_m - w_j)^2, the same at every time
         K0 = np.zeros((1, hi - lo))
-        _correlate(wv[None, :], [(K0, 2, lo)], plan)
+        _correlate(lambda r0, r1, rows: np.copyto(rows, wv), 1, [(K0, 2, lo)], plan)
         K0 = K0[0] + c0[0]
 
     def chunk(t0, t1):
@@ -719,15 +725,19 @@ def evaluate(
         for s0 in range(0, t1 - t0, span) if hi > lo else ():
             s1 = min(s0 + span, t1 - t0)
             k, ts = s1 - s0, slice(2 * s0, 2 * s1)
-            # R = (wv A, wv |A|^2) at these times with wv A interleaved as A is.
-            # K_j = sum_{m != j} R_m/(w_m - w_j)^2 of every row, L_j = sum_{m != j} (wv A)_m/(w_m - w_j)
-            R = np.empty((3 * k, len(g)))
-            np.multiply(A[ts], wv, out=R[: 2 * k])
-            np.multiply(A[ts][0::2], R[: 2 * k : 2], out=R[2 * k :])
-            R[2 * k :] += A[ts][1::2] * R[1 : 2 * k : 2]
+
+            def sources(r0, r1, rows):  # rows r0 ... r1 - 1 of R = (wv A, wv |A|^2), in the FFT buffer
+                At, wide = A[ts], max(min(r1, 2 * k) - r0, 0)
+                np.multiply(At[r0 : r0 + wide], wv, out=rows[:wide])
+                for r in range(r0 + wide - 2 * k, r1 - 2 * k):  # wv |A|^2 at time r, two rows of scratch
+                    row = np.multiply(At[2 * r], wv, out=rows[r + 2 * k - r0])
+                    row *= At[2 * r]
+                    row += At[2 * r + 1] * wv * At[2 * r + 1]
+
+            # wv A interleaved as A is; K_j = sum_{m != j} R_m/(w_m - w_j)^2 of every row and
+            # L_j = sum_{m != j} (wv A)_m/(w_m - w_j)
             K, L = np.zeros((3 * k, hi - lo)), np.zeros((2 * k, hi - lo))
-            _correlate(R, [(K, 2, lo), (L, 1, lo)], plan)
-            del R  # the formulas' temporaries take its place
+            _correlate(sources, 3 * k, [(K, 2, lo), (L, 1, lo)], plan)
 
             # a, b: the real and imaginary rows of A_j, interleaved in B and in K, L of wv A as in A
             a, b, Bt = A[ts][0::2, lo:hi], A[ts][1::2, lo:hi], B[ts]

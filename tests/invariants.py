@@ -2,13 +2,17 @@
 
 Each returns a float that a test compares against the tolerance its
 invariant carries; the residuals the validate job computes on a configured
-run live in ``starbath.checks``.
+run live in ``starbath.checks``.  ``traced_peak`` measures the memory a
+block of code allocates, for the tests that bound it.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
+from contextlib import contextmanager
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -302,3 +306,23 @@ def epr_identity_residual(record, p: GkslParams) -> float:
     ) - record.Pi_tot
     rhs = epr_difference(record, p)
     return abs(lhs - rhs) / max(abs(rhs), 1e-300)
+
+
+@contextmanager
+def traced_peak():
+    """Traces the Python allocations of a ``with`` block; on exit, the yielded
+    namespace holds ``held``, the bytes traced then, and ``peak``, the most
+    traced at any point in the block, both above what was traced at entry.
+    Inside another traced block it traces on and restarts that block's peak."""
+    memory, nested = SimpleNamespace(), tracemalloc.is_tracing()
+    if not nested:
+        tracemalloc.start()
+    entry = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    try:
+        yield memory
+    finally:
+        held, peak = tracemalloc.get_traced_memory()
+        memory.held, memory.peak = held - entry, peak - entry
+        if not nested:
+            tracemalloc.stop()

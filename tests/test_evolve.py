@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +27,7 @@ from invariants import (
     symplectic_defect,
     symplectic_oracle_series,
     total_energy,
+    traced_peak,
 )
 
 
@@ -203,15 +203,11 @@ class TestDiagonalize:
 
     def test_production_basis_allocates_no_dense_matrix(self, production):
         model = production.model(4000)
-        tracemalloc.start()
-        try:
+        with traced_peak() as memory:
             sb.mode_basis(model)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         # the dense (N+1)^2 matrix alone is 122 MiB; the far-field tables and
         # their FFT scratch plus O(N) vectors measure 2.1 MiB
-        assert peak <= 3 * 2**20
+        assert memory.peak <= 3 * 2**20
 
     def test_production_basis_far_above_8000(self, production):
         derived = derived_constants(production.basis(10000), production.params(10000))
@@ -421,13 +417,9 @@ class TestEvaluate:
         basis = production.basis(16000)
         times = np.linspace(0.0, 400e-6, 401)
         c0 = initial_coefficients(basis.frequencies, production.init)
-        tracemalloc.start()
-        try:
+        with traced_peak() as memory:
             c, _ = sb.evaluate(basis, c0, times, (0, 0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 117 * 8 * basis.dimension + c.nbytes
+        assert memory.peak <= 117 * 8 * basis.dimension + c.nbytes
 
     def test_system_row_runs_no_bath_row_kernel_sums(self, production, monkeypatch):
         # the span (0, 0) takes one rfft for the resolvent plan's kernel
@@ -464,36 +456,36 @@ class TestEvaluate:
     def test_system_row_scratch_at_4000(self, production):
         # fig1's system row at N = 4000 over 31 times, in chunks of 16 and 15
         # times: the phases go straight into a chunk's (2T, N) charges and the
-        # node charges replace them, so the traced peak measures 3.93 MiB,
-        # 4.15 x 8 T N bytes, and the bound is 10% above that (7.16 x with all
-        # 31 times at once, 13.7 x with complex (T, N) phase factors beside the
+        # node charges replace them, and the spreading's groups take half a
+        # scratch budget, so the traced peak measures 3.38 MiB, 3.57 x 8 T N
+        # bytes, and the bound is 10% above that (4.16 x with a whole budget
+        # each for the spreading's band and products, 7.16 x with all 31
+        # times at once, 13.7 x with complex (T, N) phase factors beside the
         # charges)
         basis = production.basis(4000)
         times = np.linspace(0.0, 400e-6, 31)
         c0 = initial_coefficients(basis.frequencies, production.init)
-        tracemalloc.start()
-        try:
+        with traced_peak() as memory:
             sb.evaluate(basis, c0, times, (0, 0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4.57 * 8 * len(times) * basis.dimension
+        assert memory.peak <= 3.93 * 8 * len(times) * basis.dimension
 
     @pytest.mark.parametrize(
         "n, window, bound",
         [
             # every mode with cross terms: the resolvent sums come in chunks of
             # 16 + 16 + 9 times and the bath rows read them as real rows and
-            # stream their kernel sums by sub-chunks of 8 times, so the traced
-            # peak measures 7.08 x 8 T N bytes (7.47 x with the Lagrange weights
-            # stored in the plan, 10.09 x with the resolvent sums of all 41
-            # times at once); a full (1 + 3T, N) source array or full K and L
-            # would break it
-            (16000, None, 7.79),
+            # stream their kernel sums by sub-chunks of 8 times, whose source
+            # rows form in the FFT buffer, so the traced peak measures 6.54 x
+            # 8 T N bytes (7.08 x with a (3 x 8, N) source block per sub-chunk,
+            # 7.47 x with the Lagrange weights stored in the plan, 10.09 x with
+            # the resolvent sums of all 41 times at once); a full (1 + 3T, N)
+            # source array or full K and L would break it
+            (16000, None, 7.2),
             # fig5's 0.4 MHz window, 120 modes and the system row, in chunks of 24 + 17 times:
-            # 4.34 x (4.55 x with the weights stored, 6.42 x at once), with B over only the
-            # window's blocks; a full-width B would break it
-            (3000, 0.4e6, 4.78),
+            # 4.15 x (4.34 x with a whole budget each for the spreading's band and products,
+            # 4.55 x with the weights stored, 6.42 x at once), with B over only the window's
+            # blocks; a full-width B would break it
+            (3000, 0.4e6, 4.56),
         ],
         ids=["all_rows_16000", "fig5_window_3000"],  # ids that stay when a bound tightens
     )
@@ -507,13 +499,46 @@ class TestEvaluate:
             bath = (modes[0], modes[-1] + 1)
         times = np.linspace(0.0, 400e-6, 41)
         c0 = initial_coefficients(basis.frequencies, production.init)
-        tracemalloc.start()
-        try:
+        with traced_peak() as memory:
             sb.evaluate(basis, c0, times, bath)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound * 8 * len(times) * basis.dimension
+        assert memory.peak <= bound * 8 * len(times) * basis.dimension
+
+    @pytest.mark.parametrize("n, nt, bath", [(4000, 31, (0, 0)), (2000, 10, None)], ids=["system_row", "all_rows"])
+    def test_stages_take_their_own_budget(self, production, monkeypatch, n, nt, bath):
+        # every call of the spreading and of the FFT correlations in a whole
+        # evaluate, traced above what is held at its entry, stays within its
+        # stage's budget plus numpy's ufunc buffers (at most 3 x getbufsize()
+        # doubles, which an in-place add of strided views takes): the
+        # spreading's band and products take _CHUNK_BYTES / 2 (with the
+        # buffers measured 0.76-0.83 x that; 2.2-2.7 x with a whole
+        # _CHUNK_BYTES each for band and products), a correlation its (rows
+        # per call, FFT length) buffer, its spectrum and, with two outputs,
+        # their product, plus two source rows of scratch (measured 0.23-0.97 x;
+        # a (3 x 8, N) source block formed inside the bath rows' call took 1.41 x)
+        basis = production.basis(n)
+        c0 = initial_coefficients(basis.frequencies, production.init)
+        spread, correlate, ratios = evolve._spread, evolve._correlate, {"spread": [], "correlate": []}
+        ufunc = 3 * 8 * np.getbufsize()
+
+        def traced_spread(zc, weights):
+            with traced_peak() as memory:
+                spread(zc, weights)
+            ratios["spread"].append(memory.peak / (evolve._CHUNK_BYTES // 2 + ufunc))
+
+        def traced_correlate(fill, count, outs, plan):
+            with traced_peak() as memory:
+                correlate(fill, count, outs, plan)
+            _, width, size, rows, _ = plan
+            spectra = 1 + sum(out is not None for out, *_ in outs) // 2  # and the product, with two outputs
+            budget = 8 * min(count, rows) * (size + spectra * 2 * (size // 2 + 1)) + 2 * 8 * width
+            ratios["correlate"].append(memory.peak / (budget + ufunc))
+
+        monkeypatch.setattr(evolve, "_spread", traced_spread)
+        monkeypatch.setattr(evolve, "_correlate", traced_correlate)
+        with traced_peak():
+            sb.evaluate(basis, c0, np.linspace(0.0, 400e-6, nt), bath)
+        assert len(ratios["spread"]) >= 1 and len(ratios["correlate"]) >= len(ratios["spread"])
+        assert max(ratios["spread"]) <= 1.0 and max(ratios["correlate"]) <= 1.0
 
     def test_rejects_bad_rows_and_inputs(self, setup):
         basis, c0, times = setup
@@ -550,20 +575,18 @@ class TestEvaluate:
 
     def test_series_scratch_is_one_panel(self, production):
         # N=2000, T=10: the kernel and resolvent correlations need only
-        # chunk-sized buffers besides the O(T N) sums, and the resolvent plan
-        # goes before the last chunk's bath rows: the traced peak measures
-        # 2.87 MiB and the bound is 10% above it (3.24 MiB before the
+        # chunk-sized buffers besides the O(T N) sums, the kernel sums' source
+        # rows form in the FFT buffer, and the resolvent plan goes before the
+        # last chunk's bath rows: the traced peak measures 2.56 MiB and the
+        # bound is 10% above it (2.87 MiB with a (3T, N) source block and the
+        # spreading's whole-budget band and products, 3.24 MiB before the
         # resolvent sums were split into a plan and a per-chunk apply).  A
         # complex (T, N) copy of A or B (about 0.6 MiB each), an ~8 MiB kernel
         # panel or an N^2/4-sized temporary would break it
         basis = production.basis(2000)
-        tracemalloc.start()
-        try:
+        with traced_peak() as memory:
             sb.snapshot_series(basis, production.init, np.linspace(0.0, 100e-6, 10))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.16 * 2**20
+        assert memory.peak <= 2.82 * 2**20
 
 
 def extended_phases(times, *terms):
@@ -649,7 +672,7 @@ class TestKernelSums:
         for p, first, count in powers:  # in ascending powers
             source = sources[first : first + count]  # a row offset is a slice of the sources
             got = np.zeros((count, hi - lo))
-            evolve._correlate(source, [(got, p, lo)], plan)
+            evolve._correlate(lambda r0, r1, rows: np.copyto(rows, source[r0:r1]), count, [(got, p, lo)], plan)
             while power < p:
                 kp, power = kp * inv, power + 1
             err = np.abs(got[:, targets - lo] - source.astype(L) @ kp).astype(float)
@@ -751,13 +774,9 @@ class TestResolventSums:
         # suffix table beside it)
         u = rng.uniform(-0.5, 0.5, 100000)
         empty = rng.random(len(u)) < 0.1
-        tracemalloc.start()
-        try:
+        with traced_peak() as memory:
             weights = evolve._lagrange_weights(u, empty)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * weights.nbytes
+        assert memory.peak <= 1.1 * weights.nbytes
 
     @pytest.mark.parametrize("span", ["system", "all"])
     def test_plan_holds_no_weight_table(self, production, span):
@@ -770,14 +789,10 @@ class TestResolventSums:
         basis = production.basis(16000)
         n = basis.dimension
         hi, bound = (0, 8.9) if span == "system" else (n - 1, 11.11)
-        tracemalloc.start()
-        try:
+        with traced_peak() as memory:
             apply = evolve._resolvents(basis, 0, hi)
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
         assert callable(apply)
-        assert held <= bound * 8 * n
+        assert memory.held <= bound * 8 * n
 
     @pytest.mark.parametrize("omega1", [0.05e6, 4e6, 30e6], ids=["below", "inside", "above"])
     @pytest.mark.parametrize("couplings", ["weak", "partly_zero", "alternate_zero"])
@@ -832,15 +847,11 @@ class TestResolventSums:
         basis = production.basis(100000)
         times = np.linspace(0.0, 400e-6, 41)
         c0 = initial_coefficients(basis.frequencies, production.init)
-        tracemalloc.start()
-        try:
+        with traced_peak() as memory:
             c, _ = sb.evaluate(basis, c0, times, (0, 0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         gksl = sb.gksl_sigma11(production.params(100000), times)
         assert np.max(np.abs(c[:, 0] - gksl) / gksl) <= 0.02
-        assert peak <= 2.45 * 8 * len(times) * basis.dimension
+        assert memory.peak <= 2.45 * 8 * len(times) * basis.dimension
 
 
 class TestDenseOracle:
