@@ -29,7 +29,7 @@ from .evolve import (
     mode_basis,
     snapshot_series,
 )
-from .oracle import DenseReference, dense_oracle_at
+from .oracle import dense_oracle_at
 from .thermo import (
     EnergyFluxes,
     ThermoRecord,

@@ -181,6 +181,14 @@ class CovarianceSnapshot:
         """The one-time snapshot at grid index ``i``."""
         return CovarianceSnapshot(self.time[i], self.c[i], self.x[i], self.model)
 
+    def diagonal_coefficients(self) -> np.ndarray:
+        """A writable copy of ``c``; perfbench/checker.py reads it by this name."""
+        return self.c.copy()
+
+    def cross_terms(self) -> np.ndarray:
+        """A writable copy of ``x``; perfbench/checker.py reads it by this name."""
+        return self.x.copy()
+
 
 def _pole_residuals(model):
     """(w_0 + j dw) - bath_omegas[j] for every bath index j, exact up to its

@@ -27,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import flux_sum_residual, oracle_equivalence_residual, unitarity_residual
 from .config import JOB_INPUTS, ExperimentConfig
 from .constants import HBAR, KB, MHZ, UK, US
 from .evolve import (
@@ -38,7 +37,7 @@ from .gksl import GkslParams, ep_difference, epr_difference, gksl_sigma11, von_n
 from .model import (
     discretize_ohmic_bath, mean_occupation, recurrence_time, relaxation_rate, thermal_coefficient,
 )
-from .oracle import ORACLE_CAP_DEFAULT
+from .oracle import ORACLE_CAP_DEFAULT, flux_sum_residual, oracle_equivalence_residual, unitarity_residual
 from .table import ResultTable, write_manifest
 from .thermo import ThermoRecord, entropy_kb, fluxes_from_cross_terms, inverse_temperature, totals
 

@@ -170,7 +170,6 @@ def totals(snapshot: CovarianceSnapshot, baseline: CovarianceSnapshot) -> Thermo
     S = KB * entropy_kb(snapshot.c)
     S_tot = np.sum(S, axis=-1)
     dS_tot = S_tot - np.sum(KB * entropy_kb(baseline.c), axis=-1)
-    fluxes = fluxes_from_cross_terms(snapshot.x, model)
     return ThermoRecord(
         time=snapshot.time,
         energies=mean_energy(snapshot.c, freqs),
@@ -179,8 +178,5 @@ def totals(snapshot: CovarianceSnapshot, baseline: CovarianceSnapshot) -> Thermo
         S_tot=S_tot,
         dS_tot=dS_tot,
         Pi_tot=total_epr(snapshot),
-        dEA_dt=fluxes.dEA_dt,
-        dEB_dt=fluxes.dEB_dt,
-        dEI_dt=fluxes.dEI_dt,
-        mode_fluxes=fluxes.mode_fluxes,
+        **fluxes_from_cross_terms(snapshot.x, model)._asdict(),
     )

@@ -2,7 +2,7 @@
 
 Each returns a float that a test compares against the tolerance its
 invariant carries; the residuals the validate job computes on a configured
-run live in ``starbath.checks``.  ``traced_peak`` measures the memory a
+run live in ``starbath.oracle``.  ``traced_peak`` measures the memory a
 block of code allocates, for the tests that bound it.
 """
 

@@ -13,9 +13,9 @@ import pytest
 
 import starbath as sb
 from starbath import KB
-from starbath.checks import flux_sum_residual, oracle_equivalence_residual
 from starbath.gksl import ep_difference, epr_difference, gksl_sigma11, von_neumann_epr
 from starbath.harness import affine_fit, proportional_fit
+from starbath.oracle import flux_sum_residual, oracle_equivalence_residual
 from starbath.thermo import entropy_kb, inverse_temperature, mean_energy
 
 from highprec import REFERENCE

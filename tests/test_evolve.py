@@ -8,13 +8,14 @@ import pytest
 
 import starbath as sb
 from starbath import evolve
-from starbath.checks import oracle_equivalence_residual, unitarity_residual
 from starbath.cli import main
 from starbath.config import ExperimentConfig
-from starbath.constants import MHZ
+from starbath.constants import MHZ, US
 from starbath.evolve import initial_coefficients
 from starbath.harness import derived_constants
-from starbath.oracle import arrowhead_matrix, dense_oracle_at, dense_oracle_series
+from starbath.oracle import (
+    arrowhead_matrix, dense_oracle_at, dense_oracle_series, oracle_equivalence_residual, unitarity_residual,
+)
 
 from invariants import (
     energy_conservation_residual,
@@ -824,8 +825,7 @@ class TestResolventSums:
         init = random_temperatures(rng)
         times = np.sort(rng.uniform(0, 40e-6, size=6))
         dense = dense_oracle_series(model, init, times)
-        c_ref = np.array([d.diagonal_coefficients() for d in dense])
-        x_ref = np.array([d.cross_terms() for d in dense])
+        c_ref, x_ref = dense.c, dense.x
         c0 = initial_coefficients(basis.frequencies, init)
         for split in (False, True):
             if split:
@@ -887,6 +887,50 @@ class TestDenseOracle:
         with pytest.raises(ValueError, match="finite"):
             dense_oracle_at(model, init, t)
 
+    def test_series_and_one_time_forms_agree(self):
+        # an unsorted grid keeps its order, each time bit for bit as alone;
+        # the checker's copies are writable and leave the snapshot unchanged
+        model, init, _ = small_setup(seed=5)
+        times = np.array([20e-6, 0.0, 7e-6, 31e-6, 2e-6])
+        series = dense_oracle_series(model, init, times)
+        assert isinstance(series, sb.CovarianceSnapshot) and np.array_equal(series.time, times)
+        for i, t in enumerate(times):
+            one, alone = series.at(i), dense_oracle_at(model, init, t)
+            assert one.time == alone.time == t
+            assert np.array_equal(one.c, alone.c) and np.array_equal(one.x, alone.x)
+        c, x = series.c.copy(), series.x.copy()
+        for copy in (series.diagonal_coefficients(), series.cross_terms()):
+            assert copy.flags.writeable
+            copy[...] = -1.0
+        assert np.array_equal(series.c, c) and np.array_equal(series.x, x)
+        assert not series.c.flags.writeable and not series.x.flags.writeable
+
+    def test_checker_calls_match_snapshot_series(self):
+        # the benchmark checker's exact calls on its warm-up bath (N = 48),
+        # below t1 = 14.8 us, against the evaluated grid and its totals.
+        # Measured at most 2.9e-12 of a column's scale (dS_tot); the bound
+        # is the checker's own oracle tolerance, 1e-9
+        model, init = reference_case(48)
+        times = np.array([0.0, 3.0, 7.5, 12.0]) * US
+        assert times[-1] < sb.recurrence_time(model)
+        snaps = []
+        for t in times:
+            d = dense_oracle_at(model, init, t, oracle_cap=48)
+            snaps.append(sb.CovarianceSnapshot(t, d.diagonal_coefficients(), d.cross_terms(), model))
+        recs = [sb.totals(snap, snaps[0]) for snap in snaps]
+        temps = [
+            [sb.inverse_temperature(snap.c[k + 1], omega_k)[1] for k, omega_k in enumerate(model.bath_omegas)]
+            for snap in snaps
+        ]
+        series = sb.snapshot_series(sb.mode_basis(model), init, times)
+        expected = sb.totals(series, series.at(0))
+        for name in ("S_tot", "dS_tot", "Pi_tot", "dEA_dt", "dEB_dt", "dEI_dt"):
+            want = getattr(expected, name)
+            got = np.array([getattr(r, name) for r in recs])
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), name
+        want = expected.temperatures[:, 1:]
+        assert np.max(np.abs(np.array(temps) - want)) <= 1e-9 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("case", [16, 48, 64, "partly_decoupled"])
     def test_mode_space_matches_quadrature_build_and_evaluate(self, case):
         # 11 times on [0, 0.9 t1].  At t = 0, U = Q Q^T is real, so x is
@@ -899,8 +943,7 @@ class TestDenseOracle:
         c0 = initial_coefficients(model.frequencies, init)
         times = np.linspace(0.0, 0.9 * sb.recurrence_time(model), 11)
         dense = dense_oracle_series(model, init, times)
-        c = np.array([d.diagonal_coefficients() for d in dense])
-        x = np.array([d.cross_terms() for d in dense])
+        c, x = dense.c, dense.x
         assert np.max(np.abs(c[0] - c0) / c0) <= 1e-14
         assert np.all(x[0] == 0.0)
         quadrature = symplectic_oracle_series(model, init, times)

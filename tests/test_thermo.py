@@ -8,8 +8,8 @@ import pytest
 
 import starbath as sb
 from starbath import HBAR, KB
-from starbath.checks import flux_sum_residual
 from starbath.evolve import CovarianceSnapshot
+from starbath.oracle import flux_sum_residual
 from starbath.thermo import (
     BOUNDARY_EPS,
     entropy_kb,
