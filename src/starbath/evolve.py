@@ -177,8 +177,9 @@ class CovarianceSnapshot:
             raise ValueError("expected one cross term per bath mode at each time")
         time.setflags(write=False)
 
-    def at(self, i: int) -> "CovarianceSnapshot":
-        """The one-time snapshot at grid index ``i``."""
+    def at(self, i: int | slice) -> "CovarianceSnapshot":
+        """The one-time snapshot at grid index ``i``, or the grid snapshot of
+        the slice ``i``; c and x are views of this snapshot's."""
         return CovarianceSnapshot(self.time[i], self.c[i], self.x[i], self.model)
 
     def diagonal_coefficients(self) -> np.ndarray:

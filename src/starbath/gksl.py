@@ -11,7 +11,7 @@ the commutator term drops).  The conventional rate built on the fixed
 initial bath temperature is non-negative for all t; its gap to the total
 thermodynamic rate is carried by the bath-temperature drifts.  That rate
 takes the system coefficient it is scored on, closed-form or exact, from
-its caller.
+its caller; the productions read the baseline a thermo record carries.
 """
 
 from __future__ import annotations
@@ -79,17 +79,14 @@ def von_neumann_epr(p: GkslParams, sigma11) -> float | np.ndarray:
         return HBAR * p.omega1 * p.Gamma * (1.0 / p.T_B0 - 1.0 / T_A) * (c1 - p.coth_b)
 
 
-def von_neumann_ep(p: GkslParams, entropy_A, energy_A) -> np.ndarray:
-    """Conventional entropy production
+def von_neumann_ep(p: GkslParams, record: ThermoRecord) -> float | np.ndarray:
+    """Conventional entropy production at each time of ``record``,
 
-        dS_vN(t) = S_A(t) - S_A(0) - (E_A(t) - E_A(0)) / T_B0
+        dS_vN(t) = S_A(t) - S_A(0) - (E_A(t) - E_A(0)) / T_B0,
 
-    from a system series whose first entry is t = 0."""
-    S_A = np.asarray(entropy_A, dtype=float)
-    E_A = np.asarray(energy_A, dtype=float)
-    if S_A.shape != E_A.shape:
-        raise ValueError("entropy and energy series must align")
-    return (S_A - S_A[0]) - (E_A - E_A[0]) / p.T_B0
+    against the record's t = 0 baseline."""
+    S_A, E_A = record.entropies[..., 0], record.energies[..., 0]
+    return (S_A - record.baseline_entropies[0]) - (E_A - record.baseline_energies[0]) / p.T_B0
 
 
 def epr_difference(record: ThermoRecord, p: GkslParams) -> float | np.ndarray:
@@ -99,13 +96,11 @@ def epr_difference(record: ThermoRecord, p: GkslParams) -> float | np.ndarray:
     return np.sum((1.0 / p.T_B0 - 1.0 / T_j) * record.mode_fluxes, axis=-1)
 
 
-def ep_difference(record: ThermoRecord, p: GkslParams) -> np.ndarray:
-    """Exact gap dS_vN - dS_tot at each time of the grid ``record``,
+def ep_difference(record: ThermoRecord, p: GkslParams) -> float | np.ndarray:
+    """Exact gap dS_vN - dS_tot at each time of ``record``,
 
         (E_A(0) - E_A(t)) / T_B0 + sum_j [S_j(0) - S_j(t)],
 
-    whose first time is the t = 0 baseline."""
-    if np.ndim(record.time) != 1 or record.time[0] != 0.0:
-        raise ValueError("record must be a grid whose first time is the t = 0 baseline")
-    E_A, S_bath = record.energies[:, 0], record.entropies[:, 1:]
-    return (E_A[0] - E_A) / p.T_B0 + np.sum(S_bath[0] - S_bath, axis=-1)
+    against the record's t = 0 baseline."""
+    E_A, S_bath = record.energies[..., 0], record.entropies[..., 1:]
+    return (record.baseline_energies[0] - E_A) / p.T_B0 + np.sum(record.baseline_entropies[1:] - S_bath, axis=-1)

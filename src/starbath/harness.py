@@ -13,10 +13,11 @@ sweep's fits; ``write_manifest`` only serializes it.  A job is its curve
 function plus the config fields it reads (``config.JOB_INPUTS``), which are
 exactly the manifest's ``parameters`` and the fields the CLI takes flags
 for.  Evaluated data stay on the time grid throughout: time on the first
-axis, oscillators on the last.  ``_Run.pivn`` alone picks the system
-coefficient that Pi_vN is scored on, exact or closed-form.  The validate
-job's table holds the invariant residuals of the configured run with their
-tolerances.
+axis, oscillators on the last.  ``_Run`` alone owns the t = 0 baseline,
+which it splits off its one all-mode evaluation, and ``_Run.pivn`` alone
+picks the system coefficient that Pi_vN is scored on, exact or closed-form.
+The validate job's table holds the invariant residuals of the configured
+run with their tolerances.
 """
 
 from __future__ import annotations
@@ -91,14 +92,19 @@ class _Run:
         self.basis = mode_basis(self.model)
 
     @cached_property
-    def series(self) -> CovarianceSnapshot:
-        """Grid snapshot at t = 0 (the baseline) followed by the grid times."""
-        return snapshot_series(self.basis, self.init, np.r_[0.0, self.times])
+    def _evaluation(self) -> tuple[CovarianceSnapshot, CovarianceSnapshot]:
+        """The one all-mode evaluation over [0, *times], split into views:
+        the one-time t = 0 ``baseline`` and the grid snapshot ``series``."""
+        both = snapshot_series(self.basis, self.init, np.r_[0.0, self.times])
+        return both.at(0), both.at(slice(1, None))
+
+    baseline = property(lambda self: self._evaluation[0])
+    series = property(lambda self: self._evaluation[1])
 
     @cached_property
     def record(self) -> ThermoRecord:
-        """Thermo record of ``series``; its first time is the baseline."""
-        return totals(self.series, self.series.at(0))
+        """Thermo record of ``series`` against ``baseline``."""
+        return totals(self.series, self.baseline)
 
     def evaluate(self, bath):
         """(c, x) on the grid for the system and the span ``bath`` of bath
@@ -107,16 +113,11 @@ class _Run:
         return evaluate(self.basis, c0, self.times, bath)
 
     @property
-    def sigma11(self) -> np.ndarray:
-        """Exact system coefficient c_1 on the grid, from ``series``."""
-        return self.series.c[1:, 0]
-
-    @property
     def pivn(self) -> np.ndarray:
-        """Conventional rate Pi_vN on the grid, scored on the exact sigma11
-        or on the closed form, as ``pivn_mode`` says."""
+        """Conventional rate Pi_vN on the grid, scored on the exact c_1 of
+        ``series`` or on the closed form, as ``pivn_mode`` says."""
         exact = self.cfg.pivn_mode == "exact"
-        return von_neumann_epr(self.params, self.sigma11 if exact else gksl_sigma11(self.params, self.times))
+        return von_neumann_epr(self.params, self.series.c[:, 0] if exact else gksl_sigma11(self.params, self.times))
 
     @property
     def window(self) -> tuple[int, int]:
@@ -138,16 +139,16 @@ def _simulate_curves(run: _Run) -> dict:
     """Full observable table on the configured grid."""
     rec = run.record
     table = _grid_table(run, {
-        "sigma11_exact[1]": run.sigma11,
+        "sigma11_exact[1]": run.series.c[:, 0],
         "sigma11_gksl[1]": gksl_sigma11(run.params, run.times),
-        "S_tot[kB]": rec.S_tot[1:] / KB,
-        "dS_tot[kB]": rec.dS_tot[1:] / KB,
-        "Pi_tot[kB/ms]": rec.Pi_tot[1:] / KB * 1e-3,
+        "S_tot[kB]": rec.S_tot / KB,
+        "dS_tot[kB]": rec.dS_tot / KB,
+        "Pi_tot[kB/ms]": rec.Pi_tot / KB * 1e-3,
         "Pi_vN[kB/ms]": run.pivn / KB * 1e-3,
-        "dS_vN[kB]": von_neumann_ep(run.params, rec.entropies[:, 0], rec.energies[:, 0])[1:] / KB,
-        "dEA_dt[J/s]": rec.dEA_dt[1:],
-        "dEB_dt[J/s]": rec.dEB_dt[1:],
-        "dEI_dt[J/s]": rec.dEI_dt[1:],
+        "dS_vN[kB]": von_neumann_ep(run.params, rec) / KB,
+        "dEA_dt[J/s]": rec.dEA_dt,
+        "dEB_dt[J/s]": rec.dEB_dt,
+        "dEI_dt[J/s]": rec.dEI_dt,
     })
     return {"simulate": ("simulate.csv", table)}
 
@@ -165,7 +166,7 @@ def _fig1_curves(run: _Run) -> dict:
 
 def _fig2_curves(run: _Run) -> dict:
     """Energy-flux triple dE_A/dt, dE_B/dt, dE_I/dt over the grid."""
-    fluxes = fluxes_from_cross_terms(run.evaluate((0, run.n))[1], run.model)
+    fluxes = fluxes_from_cross_terms(run.series.x, run.model)
     names = ("dEA_dt", "dEB_dt", "dEI_dt")
     table = _grid_table(run, {f"{name}[J/s]": getattr(fluxes, name) for name in names})
     return {"fluxes": ("fig2_fluxes.csv", table)}
@@ -174,9 +175,9 @@ def _fig2_curves(run: _Run) -> dict:
 def _fig3_curves(run: _Run) -> dict:
     """Entropy production rates Pi_tot and Pi_vN and their exact gap."""
     table = _grid_table(run, {
-        "Pi_tot[kB/ms]": run.record.Pi_tot[1:] / KB * 1e-3,
+        "Pi_tot[kB/ms]": run.record.Pi_tot / KB * 1e-3,
         "Pi_vN[kB/ms]": run.pivn / KB * 1e-3,
-        "Pi_gap[kB/ms]": epr_difference(run.record, run.params)[1:] / KB * 1e-3,
+        "Pi_gap[kB/ms]": epr_difference(run.record, run.params) / KB * 1e-3,
     })
     return {f"N{run.n}": (f"fig3_rates_N{run.n}.csv", table)}
 
@@ -221,15 +222,13 @@ def _fig5_curves(run: _Run) -> dict:
 
 def _sweep_curves(run: _Run) -> dict:
     """Entropy-production gap dS_vN - dS_tot at the sweep times."""
-    gap = ep_difference(run.record, run.params)[1:]
-    dS_tot = run.record.dS_tot[1:]
     table = ResultTable.from_columns({
         "N[1]": run.n,
         "invN[1]": 1.0 / run.n,
         "t[us]": run.times / US,
-        "ep_gap[kB]": gap / KB,
-        "dS_vN[kB]": (dS_tot + gap) / KB,
-        "dS_tot[kB]": dS_tot / KB,
+        "ep_gap[kB]": ep_difference(run.record, run.params) / KB,
+        "dS_vN[kB]": von_neumann_ep(run.params, run.record) / KB,
+        "dS_tot[kB]": run.record.dS_tot / KB,
     })
     return {"sweep": ("sweep_n.csv", table)}
 
@@ -244,12 +243,11 @@ def _validate_curves(run: _Run) -> dict:
     c_j >= 1, so S_tot is judged (nan, a failure) only where the floor holds."""
     small = discretize_ohmic_bath(run.cfg.bath_spec(ORACLE_CAP_DEFAULT), run.cfg.omega1)
     spot = run.times[run.times < recurrence_time(small)]
-    c = run.series.c
-    floor = 1.0 - float(np.min(c))
+    c, c0 = run.series.c, run.baseline.c
+    floor = 1.0 - min(float(np.min(c)), float(np.min(c0)))
     entropy_drop = np.nan
     if floor <= 0.0:
-        s_tot = np.sum(entropy_kb(c), axis=-1)  # the t = 0 baseline first
-        entropy_drop = max(0.0, s_tot[0] - float(np.min(s_tot)))
+        entropy_drop = max(0.0, float(np.sum(entropy_kb(c0)) - np.min(np.sum(entropy_kb(c), axis=-1))))
     pivn = von_neumann_epr(run.params, gksl_sigma11(run.params, run.times))
     derived = derived_constants(run.basis, run.params)
     checks = {  # name: (residual, tolerance)

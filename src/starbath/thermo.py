@@ -7,7 +7,8 @@ expressions: a one-time result is a numpy float64, which is a ``float``.
 Every oscillator stays in a Gibbs state with time-dependent temperature, so
 its diagonal coefficient c = sigma_{2j-1,2j-1} >= 1 fixes all equilibrium
 quantities: E = hbar*w*c/2, beta = ln((c+1)/(c-1))/(hbar*w), and S/kB in
-the x*ln(x) form of ``entropy_kb`` (records hold S in J/K).
+the x*ln(x) form of ``entropy_kb`` (records hold S in J/K, and carry the
+per-mode E and S of the t = 0 baseline that productions start from).
 
 Boundary policy: c in [1, 1+1e-12] is the T -> 0+ limit; entropy is 0,
 temperatures return a flagged 0.0 (beta = inf), and the total entropy
@@ -139,14 +140,16 @@ class ThermoRecord:
     """Per-oscillator thermodynamics plus totals, at one time or on a grid.
 
     Per-mode quantities are arrays with the oscillators (system first) on the
-    last axis; on a grid, time runs along the first axis of every field and
-    the totals are arrays of shape (T,).
+    last axis; on a grid, time runs along the first axis of every field but
+    the one-time t = 0 baseline's two, and the totals have shape (T,).
     """
 
     time: float | np.ndarray
     energies: np.ndarray
     temperatures: np.ndarray
     entropies: np.ndarray
+    baseline_energies: np.ndarray
+    baseline_entropies: np.ndarray
     S_tot: float | np.ndarray
     dS_tot: float | np.ndarray
     Pi_tot: float | np.ndarray
@@ -169,14 +172,16 @@ def totals(snapshot: CovarianceSnapshot, baseline: CovarianceSnapshot) -> Thermo
     _, T = inverse_temperature(snapshot.c, freqs)
     S = KB * entropy_kb(snapshot.c)
     S_tot = np.sum(S, axis=-1)
-    dS_tot = S_tot - np.sum(KB * entropy_kb(baseline.c), axis=-1)
+    S0 = KB * entropy_kb(baseline.c)
     return ThermoRecord(
         time=snapshot.time,
         energies=mean_energy(snapshot.c, freqs),
         temperatures=T,
         entropies=S,
+        baseline_energies=mean_energy(baseline.c, freqs),
+        baseline_entropies=S0,
         S_tot=S_tot,
-        dS_tot=dS_tot,
+        dS_tot=S_tot - np.sum(S0),
         Pi_tot=total_epr(snapshot),
         **fluxes_from_cross_terms(snapshot.x, model)._asdict(),
     )

@@ -397,7 +397,9 @@ class TestEvaluate:
     def test_time_local(self, production, case):
         # each time's c and x depend on that time alone: on 80 times at
         # N = 2000 (resolvent chunks of 32 + 32 + 16 times) every bit equals
-        # the two halves' (chunks of 24 + 16 each), evaluated apart
+        # the two halves' (chunks of 24 + 16 each), evaluated apart, and the
+        # last 79 times' (chunks of 32 + 32 + 15, each boundary shifted by
+        # one time, as a job's prepended t = 0 baseline shifts them)
         model = production_bath(production, "partly_deflated" if case == "partly_deflated" else "uniform")
         basis = sb.mode_basis(model)
         window = np.flatnonzero(np.abs(model.bath_omegas - model.omega1) <= 0.4 * MHZ)
@@ -408,6 +410,8 @@ class TestEvaluate:
         halves = [sb.evaluate(basis, c0, half, bath) for half in np.split(times, 2)]
         assert np.array_equal(c, np.concatenate([h[0] for h in halves]))
         assert np.array_equal(x, np.concatenate([h[1] for h in halves]))
+        later = sb.evaluate(basis, c0, times[1:], bath)
+        assert np.array_equal(c[1:], later[0]) and np.array_equal(x[1:], later[1])
 
     def test_system_row_peak_does_not_grow_with_times(self, production):
         # a system row at N = 16000 over 401 times: chunks of 16 times keep the

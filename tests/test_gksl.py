@@ -11,7 +11,7 @@ from starbath.gksl import (
     von_neumann_ep,
     von_neumann_epr,
 )
-from starbath.thermo import entropy_kb, inverse_temperature, mean_energy, totals
+from starbath.thermo import inverse_temperature, totals
 
 from highprec import REFERENCE
 from invariants import epr_identity_residual, random_star_model, von_neumann_epr_from_fluxes
@@ -73,27 +73,29 @@ class TestVonNeumannRate:
         np.testing.assert_allclose(von_neumann_epr(params, shifted), expected, rtol=1e-14)
 
 
+def closed_form_record(p: GkslParams, ts: np.ndarray) -> sb.ThermoRecord:
+    """Thermo record, against its first time, of a snapshot whose system
+    coefficient follows the closed form while eight bath modes stay at T_B0
+    with zero cross terms."""
+    model = sb.discretize_ohmic_bath(sb.ExperimentConfig(n_modes=8).bath_spec(), p.omega1)
+    c = np.empty((len(ts), model.n_modes + 1))
+    c[:, 0] = gksl_sigma11(p, ts)
+    c[:, 1:] = sb.thermal_coefficient(model.bath_omegas, p.T_B0)
+    series = sb.CovarianceSnapshot(ts, c, np.zeros((len(ts), model.n_modes)), model)
+    return totals(series, series.at(0))
+
+
 class TestVonNeumannProduction:
     def test_zero_at_time_zero(self, params):
-        ts = np.linspace(0, 400e-6, 5)
-        c1 = np.asarray(gksl_sigma11(params, ts))
-        S_A = KB * entropy_kb(c1)
-        E_A = mean_energy(c1, params.omega1)
-        assert von_neumann_ep(params, S_A, E_A)[0] == 0.0
-
-    def test_rejects_misaligned_series(self, params):
-        with pytest.raises(ValueError, match="align"):
-            von_neumann_ep(params, np.zeros(5), np.zeros(4))
+        record = closed_form_record(params, np.linspace(0, 400e-6, 5))
+        assert von_neumann_ep(params, record)[0] == 0.0
 
     def test_integral_of_rate_closed_form(self, params):
         # dS_vN must equal the time integral of Pi_vN; trapezoid on a fine
         # grid agrees to 1e-3 relative.
         ts = np.linspace(0, 400e-6, 4001)
-        c1 = np.asarray(gksl_sigma11(params, ts))
-        S_A = KB * entropy_kb(c1)
-        E_A = mean_energy(c1, params.omega1)
-        produced = von_neumann_ep(params, S_A, E_A)[-1]
-        integrated = np.trapezoid(von_neumann_epr(params, c1), ts)
+        produced = von_neumann_ep(params, closed_form_record(params, ts))[-1]
+        integrated = np.trapezoid(von_neumann_epr(params, gksl_sigma11(params, ts)), ts)
         assert integrated == pytest.approx(produced, rel=1e-3)
 
     def test_integral_of_rate_exact_series(self):
@@ -116,8 +118,21 @@ class TestVonNeumannProduction:
         dEA = sb.HBAR * model.omega1 * xs @ model.bath_couplings
         _, T_A = inverse_temperature(c1, model.omega1)
         rate = von_neumann_epr_from_fluxes(T_A, dEA, -dEA, p.T_B0)
-        produced = von_neumann_ep(p, KB * entropy_kb(c1), mean_energy(c1, model.omega1))[-1]
+        produced = von_neumann_ep(p, totals(series, series.at(0)))[-1]
         assert np.trapezoid(rate, ts) == pytest.approx(produced, rel=1e-3)
+
+    def test_rejects_misaligned_series(self, evolved):
+        # von_neumann_ep reads the baseline the record carries, so a grid that
+        # omits t = 0 stays aligned with it: its rows equal those of the grid
+        # that starts at t = 0, bit for bit; a baseline of another model is
+        # refused when the record is built
+        p, record, series = evolved
+        late = totals(series.at(slice(1, None)), series.at(0))
+        assert np.array_equal(von_neumann_ep(p, late), von_neumann_ep(p, record)[1:])
+        other_model, _ = random_star_model(np.random.default_rng(99), 48)
+        other = sb.CovarianceSnapshot(0.0, series.c[0, :49], series.x[0, :48], other_model)
+        with pytest.raises(ValueError, match="different model"):
+            totals(series, other)
 
 
 @pytest.fixture(scope="module")
@@ -158,11 +173,15 @@ class TestDifferences:
             assert gap == pytest.approx(ds_vn - record.dS_tot[i], abs=1e-12 * KB + abs(ds_vn) * 1e-10)
 
     def test_baseline_required(self, evolved):
-        p, _, series = evolved
-        late = sb.CovarianceSnapshot(series.time[1:], series.c[1:], series.x[1:], series.model)
-        for record in (totals(late, series.at(0)), totals(series.at(1), series.at(0))):
-            with pytest.raises(ValueError, match="baseline"):
-                ep_difference(record, p)
+        # ep_difference reads the t = 0 baseline the record carries, so a grid
+        # that omits t = 0 gives the rows of the grid that starts there, bit
+        # for bit; a record against a later time cannot be built (test_thermo's
+        # one-time contract cases cover a record of one time)
+        p, record, series = evolved
+        late = totals(series.at(slice(1, None)), series.at(0))
+        assert np.array_equal(ep_difference(late, p), ep_difference(record, p)[1:])
+        with pytest.raises(ValueError, match="baseline"):
+            totals(series.at(slice(1, None)), series.at(1))
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

@@ -401,9 +401,10 @@ class TestFigureJobs:
         np.testing.assert_array_equal(bath.column("T_j[uK]"), modes.column("T_j[uK]"))
 
     def test_specialised_jobs_write_the_full_evaluation_bits(self, tmp_path):
-        # fig1, fig2, fig4 and fig5 evaluate the system row, the cross terms or
-        # a mode window alone; each column they share with simulate (or fig4
-        # with fig5) holds the same bits
+        # fig1, fig4 and fig5 evaluate the system row or a mode window alone,
+        # and fig2 and sweep-n read the run's all-mode evaluation; each column
+        # they share with simulate (or fig4 with fig5) holds the same bits.
+        # sweep-n runs N whose t1 lies above the grid's 5 us
         cfg = tiny_cfg(tmp_path, n_modes=24, n_list=[24], mode_window_mhz=3.0, pivn_mode="exact", times_us=grid(5.0, 7))
 
         def tables(job):
@@ -414,6 +415,11 @@ class TestFigureJobs:
         fig3 = tables("fig3")["N24"].data
         checks = [(fig2, name) for name in ("dEA_dt[J/s]", "dEB_dt[J/s]", "dEI_dt[J/s]")]
         checks += [(tables("fig1")["N24"].data, "sigma11_exact[1]"), (fig3, "Pi_tot[kB/ms]"), (fig3, "Pi_vN[kB/ms]")]
+        sweep = run_job(replace(cfg, job="sweep-n", n_list=[20, 22, 24], sweep_times_us=cfg.times_us,
+                                out_dir=str(tmp_path / "sweep-n")))["tables"]["sweep"].data
+        at_24 = {name: column[sweep["N[1]"] == 24] for name, column in sweep.items()}
+        assert np.array_equal(at_24["t[us]"], sim["t[us]"])
+        checks += [(at_24, "dS_tot[kB]"), (at_24, "dS_vN[kB]")]
         for table, name in checks:
             assert np.array_equal(table[name], sim[name]), name
         fig4, modes = tables("fig4"), tables("fig5")["N24"].data

@@ -235,15 +235,21 @@ class TestFluxesAndTotals:
     def test_grid_totals_match_one_time_totals_bit_for_bit(self):
         # one totals call on a grid snapshot gives, row by row, exactly the
         # record of each one-time snapshot (built positionally, as a caller
-        # holding 1-d data would)
+        # holding 1-d data would); both carry the baseline's per-mode energies
+        # and entropies whole, which equal the grid's first row
         model, basis, init, _, _ = evolved_record()
         series = sb.snapshot_series(basis, init, np.linspace(0.0, 40e-6, 9))
         grid = totals(series, series.at(0))
         assert grid.S_tot.shape == (9,) and grid.mode_fluxes.shape == (9, model.n_modes)
+        assert np.array_equal(grid.baseline_energies, grid.energies[0])
+        assert np.array_equal(grid.baseline_entropies, grid.entropies[0])
         for i in range(9):
             one = totals(CovarianceSnapshot(series.time[i], series.c[i], series.x[i], model), series.at(0))
             for f in fields(ThermoRecord):
-                assert np.array_equal(getattr(grid, f.name)[i], getattr(one, f.name)), f.name
+                expected = getattr(grid, f.name)
+                if not f.name.startswith("baseline_"):  # the baseline fields hold one time on every record
+                    expected = expected[i]
+                assert np.array_equal(expected, getattr(one, f.name)), f.name
             assert isinstance(one.Pi_tot, float) and isinstance(one.time, float)
 
 
@@ -275,6 +281,8 @@ ONE_TIME_CASES = {
     **{f"totals_{name}": (lambda v, name=name: getattr(v.rec, name))
        for name in ("S_tot", "dS_tot", "Pi_tot", "dEA_dt", "dEB_dt", "dEI_dt")},
     "epr_difference": lambda v: sb.epr_difference(v.rec, v.p),
+    "von_neumann_ep": lambda v: sb.von_neumann_ep(v.p, v.rec),
+    "ep_difference": lambda v: sb.ep_difference(v.rec, v.p),
 }
 
 
